@@ -17,13 +17,19 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping
 
-from .dialect_model import DIMENSIONS, AnsiMode, DialectConfig, canonical_flags, encode_config
+from .dialect_model import (
+    DIMENSIONS,
+    DialectConfig,
+    canonical_flags,
+    encode_config,
+    format_setting,
+)
 from .invocation import CompilerInvocation, InvocationError, parse_invocation
 from .profiles import CompilerProfile, ProfileError
 
 
 class BuildLoadError(ValueError):
-    """Malformed capture document or unparseable entry."""
+    """Malformed capture document or entry."""
 
 
 class Severity(IntEnum):
@@ -58,6 +64,7 @@ class BuildEntry:
     status: str  # "ok" | "unauditable"
     invocation: CompilerInvocation | None = None
     dialect: DialectConfig | None = None
+    reason: str = ""  # why an unauditable entry could not be interpreted
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,7 @@ class PerTuRow:
     status: str
     value: int | None
     flags: tuple[str, ...]
+    reason: str = ""  # set on unauditable rows; not part of the JSON report
 
 
 @dataclass(frozen=True)
@@ -150,14 +158,6 @@ class AuditReport:
         }
 
 
-def _render(value) -> str:
-    if isinstance(value, AnsiMode):
-        return value.name
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
     """Parse a compile-database document.  Shell-word splitting follows
     POSIX quoting; no expansions are performed."""
@@ -199,24 +199,26 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
             raise BuildLoadError(f"{where}: empty argument list")
 
         compiler = posixpath.basename(arguments[0].replace("\\", "/"))
-        if not profile.covers_compiler(compiler):
-            entries.append(
-                BuildEntry(directory, file, tuple(arguments), compiler, UNAUDITABLE)
-            )
-            continue
-        try:
-            inv = parse_invocation(arguments[1:], env={}, profile=profile)
-        except (InvocationError, ProfileError) as exc:
-            raise BuildLoadError(f"{file}: {exc}") from None
+        inv = None
+        reason = "compiler not covered by profile"
+        if profile.covers_compiler(compiler):
+            # One entry the profile cannot interpret must not sink the
+            # audit of the others: it becomes an unauditable row.
+            try:
+                inv = parse_invocation(arguments[1:], env={}, profile=profile)
+                reason = ""
+            except (InvocationError, ProfileError) as exc:
+                reason = str(exc)
         entries.append(
             BuildEntry(
                 directory,
                 file,
                 tuple(arguments),
                 compiler,
-                OK,
+                UNAUDITABLE if inv is None else OK,
                 invocation=inv,
-                dialect=inv.dialect,
+                dialect=None if inv is None else inv.dialect,
+                reason=reason,
             )
         )
     return BuildCapture(entries=tuple(entries), profile=profile)
@@ -236,7 +238,7 @@ def _per_tu_rows(capture: BuildCapture) -> tuple[PerTuRow, ...]:
                 )
             )
         else:
-            rows.append(PerTuRow(e.file, UNAUDITABLE, None, ()))
+            rows.append(PerTuRow(e.file, UNAUDITABLE, None, (), e.reason))
     return tuple(rows)
 
 
@@ -262,7 +264,8 @@ def audit(
         partition: dict[str, list[str]] = {}
         for e in ok:
             assert e.dialect is not None
-            partition.setdefault(_render(e.dialect.value_of(dimension)), []).append(e.file)
+            setting = format_setting(e.dialect.value_of(dimension))
+            partition.setdefault(setting, []).append(e.file)
         if len(partition) >= 2:
             inconsistencies.append(
                 Inconsistency(
@@ -297,8 +300,8 @@ def check_against(
                     Mismatch(
                         e.file,
                         dimension,
-                        _render(tu_value),
-                        _render(ref_value),
+                        format_setting(tu_value),
+                        format_setting(ref_value),
                         policy[dimension],
                     )
                 )

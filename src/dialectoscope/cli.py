@@ -1,9 +1,12 @@
 """Command-line interface.
 
 One executable, one subcommand per library operation.  Every
-subcommand honors ``--format human|json``.  Exit status: 0 success,
-1 findings (audit findings, unreliable verdicts, failed or unresolved
-probes), 2 usage or input errors.
+subcommand honors ``--format human|json``: its handler returns a
+:class:`Result` holding both renderings and the exit status, and
+:func:`main` prints the one asked for, so an error found late prints
+nothing but the error.  Exit status: 0 success, 1 findings (audit
+findings, unreliable verdicts, failed or unresolved probes), 2 usage or
+input errors.
 
 All subcommands except ``probe verify`` are hermetic: no subprocesses
 and no filesystem access beyond files named on the command line.
@@ -13,33 +16,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shlex
-import shutil
-import subprocess
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .build_audit import (
-    BuildLoadError,
-    Severity,
-    audit,
-    check_against,
-    load_build,
-)
+from .build_audit import Severity, audit, check_against, load_build
 from .dialect_model import (
     DIMENSIONS,
-    AnsiMode,
     DialectValueError,
+    TypeModel,
     decimal_scientific,
     decode_value,
     dialect_count_lower_bound,
     e_notation,
     encode_config,
     enumerate_integer_size_models,
-    TypeModel,
+    format_setting,
 )
 from .include_resolver import (
     FileSystemModel,
@@ -48,19 +40,24 @@ from .include_resolver import (
     resolve_include,
     search_paths,
 )
-from .invocation import InvocationError, parse_invocation
+from .invocation import InvocationError, MacroDirective, parse_invocation
 from .macro_env import (
     MacroEnv,
-    PreprocessorError,
     active_branches,
     apply_directives,
     eval_condition,
     invocation_macro_env,
     predefined_macros,
 )
-from .invocation import MacroDirective
-from .probe import PROBE_SHA256, emit_probe_source, explain_value, flags_for_value
-from .profiles import DEFAULT_PROFILE, ProfileError, available_profiles, load_profile
+from .probe import (
+    PROBE_SHA256,
+    _parse_values_spec,
+    emit_probe_source,
+    explain_value,
+    flags_for_value,
+    verify_with_compiler,
+)
+from .profiles import DEFAULT_PROFILE, available_profiles, load_profile
 from .promotion import (
     WrapCheckExpr,
     analyze_wrap_check,
@@ -74,39 +71,27 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
-_INPUT_ERRORS = (
-    DialectValueError,
-    ProfileError,
-    InvocationError,
-    BuildLoadError,
-    PreprocessorError,
-)
+
+class Result(NamedTuple):
+    """What one subcommand produced: the ``--format json`` document, the
+    ``--format human`` text (written verbatim, newlines included) and the
+    exit status."""
+
+    doc: dict
+    text: str
+    code: int = EXIT_OK
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    profile_name: str
-    profile_dirs: tuple[str, ...]
-    fmt: str  # "human" | "json"
-
-    def profile(self):
-        return load_profile(self.profile_name, list(self.profile_dirs) or None)
+def _text(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=False))
-
-
-def _fmt_value(value) -> str:
-    if isinstance(value, AnsiMode):
-        return value.name
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def _profile(args):
+    return load_profile(args.profile, args.profile_dir or None)
 
 
 def _config_dict(config) -> dict:
-    return {d: _fmt_value(config.value_of(d)) for d in DIMENSIONS}
+    return {d: format_setting(config.value_of(d)) for d in DIMENSIONS}
 
 
 def _env_map(pairs: list[str] | None) -> dict[str, str]:
@@ -129,211 +114,87 @@ def _read_text(path: str) -> str:
 # --- probe subcommands -----------------------------------------------------
 
 
-def cmd_probe_emit(args, cfg: CliConfig) -> int:
+def cmd_probe_emit(args) -> Result:
     source = emit_probe_source()
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(source)
-        if cfg.fmt == "json":
-            _print_json({"written": args.output, "length": len(source), "sha256": PROBE_SHA256})
-        else:
-            print(f"wrote {len(source)} bytes to {args.output}")
-        return EXIT_OK
-    if cfg.fmt == "json":
-        _print_json({"length": len(source), "sha256": PROBE_SHA256, "source": source})
-    else:
-        sys.stdout.write(source)
-    return EXIT_OK
-
-
-def cmd_probe_flags(args, cfg: CliConfig) -> int:
-    flags = flags_for_value(args.value, cfg.profile())
-    if cfg.fmt == "json":
-        _print_json({"value": args.value, "flags": flags})
-    else:
-        print(" ".join(flags))
-    return EXIT_OK
-
-
-def cmd_probe_explain(args, cfg: CliConfig) -> int:
-    rows = explain_value(args.value)
-    config = decode_value(args.value)
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "value": args.value,
-                "config": _config_dict(config),
-                "terms": [
-                    {
-                        "dimension": spec.dimension,
-                        "weight": spec.weight,
-                        "contribution": contribution,
-                        "construct": spec.c_construct,
-                        "behavior": spec.standard_clause,
-                    }
-                    for spec, contribution in rows
-                ],
-            }
+        return Result(
+            {"written": args.output, "length": len(source), "sha256": PROBE_SHA256},
+            f"wrote {len(source)} bytes to {args.output}\n",
         )
-        return EXIT_OK
-    print(f"value {args.value}")
+    return Result(
+        {"length": len(source), "sha256": PROBE_SHA256, "source": source}, source
+    )
+
+
+def cmd_probe_flags(args) -> Result:
+    flags = flags_for_value(args.value, _profile(args))
+    return Result({"value": args.value, "flags": flags}, _text([" ".join(flags)]))
+
+
+def cmd_probe_explain(args) -> Result:
+    rows = explain_value(args.value)
+    config = _config_dict(decode_value(args.value))
+    text = [f"value {args.value}"]
     for spec, contribution in rows:
-        setting = _fmt_value(config.value_of(spec.dimension))
-        print(f"  +{contribution:<4} {spec.dimension} = {setting}")
-        print(f"        probe: {spec.c_construct}")
-        print(f"        behavior: {spec.standard_clause}")
-    return EXIT_OK
+        text += [
+            f"  +{contribution:<4} {spec.dimension} = {config[spec.dimension]}",
+            f"        probe: {spec.c_construct}",
+            f"        behavior: {spec.standard_clause}",
+        ]
+    doc = {
+        "value": args.value,
+        "config": config,
+        "terms": [
+            {
+                "dimension": spec.dimension,
+                "weight": spec.weight,
+                "contribution": contribution,
+                "construct": spec.c_construct,
+                "behavior": spec.standard_clause,
+            }
+            for spec, contribution in rows
+        ],
+    }
+    return Result(doc, _text(text))
 
 
-def cmd_probe_value(args, cfg: CliConfig) -> int:
-    profile = cfg.profile()
+def cmd_probe_value(args) -> Result:
+    profile = _profile(args)
     argv = shlex.split(args.flags)
     inv = parse_invocation(argv, env=_env_map(args.env), profile=profile)
     value = encode_config(inv.dialect)
-    if cfg.fmt == "json":
-        _print_json(
-            {"flags": argv, "value": value, "config": _config_dict(inv.dialect)}
-        )
-    else:
-        print(value)
-    return EXIT_OK
+    return Result(
+        {"flags": argv, "value": value, "config": _config_dict(inv.dialect)},
+        _text([value]),
+    )
 
 
-def _parse_values_spec(spec: str) -> list[int]:
-    values: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        a, dash, b = part.partition("-")
-        try:
-            if dash:
-                values.extend(range(int(a), int(b) + 1))
-            else:
-                values.append(int(a))
-        except ValueError:
-            raise DialectValueError(f"bad value range {part!r}") from None
-    if not values:
-        raise DialectValueError(f"empty value specification {spec!r}")
-    return sorted(set(values))
-
-
-@dataclass(frozen=True)
-class VerifyResult:
-    value: int
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    status: str  # "ran" | "skipped"
-    compiler: str
-    results: tuple[VerifyResult, ...] = ()
-    skip_reason: str = ""
-
-    @property
-    def failures(self) -> list[VerifyResult]:
-        return [r for r in self.results if not r.ok]
-
-
-_DRIVER_MAIN = """\
-#include <stdio.h>
-unsigned return_value(void);
-int main(void) {
-   printf("%u\\n", return_value());
-   return 0;
-}
-"""
-
-
-def verify_with_compiler(
-    compiler: str = "gcc",
-    values=None,
-    jobs: int = 8,
-    profile=None,
-) -> VerificationReport:
-    """Compile and run the probe for each value with its own flags and
-    compare the printed result.  A missing compiler yields a skipped
-    report, not a failure; -w suppresses trigraph warnings."""
-    if profile is None:
-        profile = load_profile()
-    if values is None:
-        values = range(768)
-    values = sorted(set(values))
-    for v in values:
-        if not 0 <= v <= 767:
-            raise DialectValueError(f"dialect value must be in 0..767, got {v}")
-    path = shutil.which(compiler)
-    if path is None:
-        return VerificationReport(
-            "skipped", compiler, skip_reason=f"compiler {compiler!r} not found"
-        )
-
-    with tempfile.TemporaryDirectory(prefix="dialect-verify-") as tmp:
-        probe_c = os.path.join(tmp, "probe.c")
-        main_c = os.path.join(tmp, "main.c")
-        with open(probe_c, "w", encoding="utf-8", newline="") as fh:
-            fh.write(emit_probe_source())
-        with open(main_c, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_DRIVER_MAIN)
-
-        def run_one(v: int) -> VerifyResult:
-            flags = flags_for_value(v, profile)
-            exe = os.path.join(tmp, f"probe{v}")
-            cmd = [path, "-w", *flags, probe_c, main_c, "-o", exe]
-            built = subprocess.run(cmd, capture_output=True, text=True)
-            if built.returncode != 0:
-                detail = built.stderr.strip().splitlines()
-                return VerifyResult(
-                    v, False, f"compile failed ({' '.join(flags)}): {detail[-1] if detail else ''}"
-                )
-            ran = subprocess.run([exe], capture_output=True, text=True)
-            if ran.returncode != 0:
-                return VerifyResult(v, False, f"run exited with status {ran.returncode}")
-            out = ran.stdout.strip()
-            if out == str(v):
-                return VerifyResult(v, True)
-            return VerifyResult(v, False, f"printed {out!r}, expected {v}")
-
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            results = tuple(pool.map(run_one, values))
-    return VerificationReport("ran", path, results)
-
-
-def cmd_probe_verify(args, cfg: CliConfig) -> int:
+def cmd_probe_verify(args) -> Result:
     values = _parse_values_spec(args.values)
     report = verify_with_compiler(
-        compiler=args.compiler, values=values, jobs=args.jobs, profile=cfg.profile()
+        compiler=args.compiler, values=values, jobs=args.jobs, profile=_profile(args)
     )
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "status": report.status,
-                "compiler": report.compiler,
-                "skip_reason": report.skip_reason,
-                "passed": sum(1 for r in report.results if r.ok),
-                "failed": len(report.failures),
-                "failures": [
-                    {"value": r.value, "detail": r.detail} for r in report.failures
-                ],
-            }
-        )
-    elif report.status == "skipped":
-        print(f"SKIPPED: {report.skip_reason}")
-    elif not report.failures:
-        lo, hi = values[0], values[-1]
-        if values == list(range(lo, hi + 1)):
-            print(f"tests {lo}..{hi} succeeded")
-        else:
-            print(f"all {len(values)} selected values succeeded")
-    else:
-        for r in report.failures:
-            print(f"value {r.value}: FAILED: {r.detail}")
-        print(f"{len(report.failures)} of {len(values)} values failed")
+    failures = report.failures
+    doc = {
+        "status": report.status,
+        "compiler": report.compiler,
+        "skip_reason": report.skip_reason,
+        "passed": sum(1 for r in report.results if r.ok),
+        "failed": len(failures),
+        "failures": [{"value": r.value, "detail": r.detail} for r in failures],
+    }
     if report.status == "skipped":
-        return EXIT_OK
-    return EXIT_OK if not report.failures else EXIT_FINDINGS
+        return Result(doc, _text([f"SKIPPED: {report.skip_reason}"]))
+    if failures:
+        text = [f"value {r.value}: FAILED: {r.detail}" for r in failures]
+        text.append(f"{len(failures)} of {len(values)} values failed")
+        return Result(doc, _text(text), EXIT_FINDINGS)
+    lo, hi = values[0], values[-1]
+    if hi - lo + 1 == len(values):  # sorted and distinct, so a full range
+        return Result(doc, _text([f"tests {lo}..{hi} succeeded"]))
+    return Result(doc, _text([f"all {len(values)} selected values succeeded"]))
 
 
 # --- invocation subcommand ---------------------------------------------------
@@ -343,65 +204,61 @@ def _strip_separator(argv: list[str]) -> list[str]:
     return argv[1:] if argv and argv[0] == "--" else argv
 
 
-def cmd_invocation_parse(args, cfg: CliConfig) -> int:
-    profile = cfg.profile()
+def cmd_invocation_parse(args) -> Result:
+    profile = _profile(args)
     argv = _strip_separator(list(args.argv))
     if args.flags:
         argv = shlex.split(args.flags) + argv
     inv = parse_invocation(argv, env=_env_map(args.env), profile=profile)
     value = encode_config(inv.dialect)
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "profile": profile.name,
-                "value": value,
-                "config": _config_dict(inv.dialect),
-                "canonical_flags": flags_for_value(value, profile),
-                "macro_directives": [
-                    {"action": d.action, "name": d.name, "value": d.value}
-                    for d in inv.macro_directives
-                ],
-                "include_dirs": {
-                    "quote": list(inv.include_dirs.quote),
-                    "normal": list(inv.include_dirs.normal),
-                    "system": list(inv.include_dirs.system),
-                },
-                "nostdinc": inv.nostdinc,
-                "sources": list(inv.source_files),
-                "unrecognized": list(inv.unrecognized),
-                "opt_level": inv.opt_level,
-            }
-        )
-        return EXIT_OK
-    print(f"profile: {profile.name}")
-    print(f"dialect value: {value}")
-    for d in DIMENSIONS:
-        print(f"  {d} = {_fmt_value(inv.dialect.value_of(d))}")
-    print(f"canonical flags: {' '.join(flags_for_value(value, profile))}")
+    config = _config_dict(inv.dialect)
+    flags = flags_for_value(value, profile)
+    include_dirs = {
+        kind: list(getattr(inv.include_dirs, kind))
+        for kind in ("quote", "normal", "system")
+    }
+    doc = {
+        "profile": profile.name,
+        "value": value,
+        "config": config,
+        "canonical_flags": flags,
+        "macro_directives": [
+            {"action": d.action, "name": d.name, "value": d.value}
+            for d in inv.macro_directives
+        ],
+        "include_dirs": include_dirs,
+        "nostdinc": inv.nostdinc,
+        "sources": list(inv.source_files),
+        "unrecognized": list(inv.unrecognized),
+        "opt_level": inv.opt_level,
+    }
+    text = [f"profile: {profile.name}", f"dialect value: {value}"]
+    text += [f"  {d} = {setting}" for d, setting in config.items()]
+    text.append(f"canonical flags: {' '.join(flags)}")
     if inv.macro_directives:
         rendered = [
             f"-D{d.name}={d.value}" if d.action == "define" else f"-U{d.name}"
             for d in inv.macro_directives
         ]
-        print(f"macro directives: {' '.join(rendered)}")
-    for kind in ("quote", "normal", "system"):
-        dirs = getattr(inv.include_dirs, kind)
+        text.append(f"macro directives: {' '.join(rendered)}")
+    for kind, dirs in include_dirs.items():
         if dirs:
-            print(f"include dirs ({kind}): {' '.join(dirs)}")
+            text.append(f"include dirs ({kind}): {' '.join(dirs)}")
     if inv.nostdinc:
-        print("system include dirs suppressed (-nostdinc)")
+        text.append("system include dirs suppressed (-nostdinc)")
     if inv.source_files:
-        print(f"sources: {' '.join(inv.source_files)}")
+        text.append(f"sources: {' '.join(inv.source_files)}")
     if inv.unrecognized:
-        print(f"unrecognized (passed through): {' '.join(inv.unrecognized)}")
-    return EXIT_OK
+        text.append(f"unrecognized (passed through): {' '.join(inv.unrecognized)}")
+    return Result(doc, _text(text))
 
 
 # --- macros subcommands -------------------------------------------------------
 
 
-def _macro_env_from_args(args, profile) -> MacroEnv:
-    if getattr(args, "value", None) is not None:
+def _macro_env_from_args(args) -> MacroEnv:
+    profile = _profile(args)
+    if args.value is not None:
         env = predefined_macros(decode_value(args.value), profile)
     else:
         argv = shlex.split(args.flags or "")
@@ -417,92 +274,77 @@ def _split_define(text: str) -> tuple[str, str]:
     return name, value if eq else "1"
 
 
-def cmd_macros_show(args, cfg: CliConfig) -> int:
-    env = _macro_env_from_args(args, cfg.profile())
-    defs = env.definitions()
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "macros": [
-                    {
-                        "name": d.name,
-                        "body": d.body,
-                        "provenance": d.provenance,
-                        "function_like": d.function_like,
-                    }
-                    for d in defs
-                ]
-            }
-        )
-        return EXIT_OK
+def cmd_macros_show(args) -> Result:
+    defs = _macro_env_from_args(args).definitions()
     width = max((len(d.name) for d in defs), default=0)
-    for d in defs:
-        print(f"{d.name:<{width}}  {d.body:<12}  [{d.provenance}]")
-    return EXIT_OK
-
-
-def cmd_macros_eval(args, cfg: CliConfig) -> int:
-    env = _macro_env_from_args(args, cfg.profile())
-    value = eval_condition(env, args.expression)
-    if cfg.fmt == "json":
-        _print_json(
-            {"expression": args.expression, "value": value, "taken": value != 0}
-        )
-    else:
-        print(value)
-    return EXIT_OK
-
-
-def cmd_macros_branches(args, cfg: CliConfig) -> int:
-    env = _macro_env_from_args(args, cfg.profile())
-    source = _read_text(args.source)
-    report = active_branches(env, source)
-    if cfg.fmt == "json":
-        _print_json(
+    doc = {
+        "macros": [
             {
-                "groups": [
-                    {
-                        "start_line": g.start_line,
-                        "end_line": g.end_line,
-                        "evaluated": g.evaluated,
-                        "arms": [
-                            {
-                                "kind": a.kind,
-                                "condition": a.condition,
-                                "line": a.line,
-                                "taken": a.taken,
-                            }
-                            for a in g.arms
-                        ],
-                    }
-                    for g in report.groups
-                ],
-                "retained_ranges": [list(r) for r in report.retained_ranges],
-                "retained_text": report.retained_text if args.show_retained else None,
+                "name": d.name,
+                "body": d.body,
+                "provenance": d.provenance,
+                "function_like": d.function_like,
             }
-        )
-        return EXIT_OK
+            for d in defs
+        ]
+    }
+    text = [f"{d.name:<{width}}  {d.body:<12}  [{d.provenance}]" for d in defs]
+    return Result(doc, _text(text))
+
+
+def cmd_macros_eval(args) -> Result:
+    value = eval_condition(_macro_env_from_args(args), args.expression)
+    return Result(
+        {"expression": args.expression, "value": value, "taken": value != 0},
+        _text([value]),
+    )
+
+
+def cmd_macros_branches(args) -> Result:
+    env = _macro_env_from_args(args)
+    report = active_branches(env, _read_text(args.source))
+    retained_text = report.retained_text if args.show_retained else None
+    doc = {
+        "groups": [
+            {
+                "start_line": g.start_line,
+                "end_line": g.end_line,
+                "evaluated": g.evaluated,
+                "arms": [
+                    {
+                        "kind": a.kind,
+                        "condition": a.condition,
+                        "line": a.line,
+                        "taken": a.taken,
+                    }
+                    for a in g.arms
+                ],
+            }
+            for g in report.groups
+        ],
+        "retained_ranges": [list(r) for r in report.retained_ranges],
+        "retained_text": retained_text,
+    }
+    text = []
     for g in report.groups:
         state = "evaluated" if g.evaluated else "inactive region"
-        print(f"conditional group, lines {g.start_line}..{g.end_line} ({state})")
+        text.append(f"conditional group, lines {g.start_line}..{g.end_line} ({state})")
         for a in g.arms:
             cond = f" {a.condition}" if a.condition else ""
             mark = {True: "TAKEN", False: "not taken", None: "skipped"}[a.taken]
-            print(f"  line {a.line}: #{a.kind}{cond}  ->  {mark}")
+            text.append(f"  line {a.line}: #{a.kind}{cond}  ->  {mark}")
     ranges = ", ".join(
         f"{a}" if a == b else f"{a}-{b}" for a, b in report.retained_ranges
     )
-    print(f"retained lines: {ranges if ranges else '(none)'}")
-    if args.show_retained:
-        sys.stdout.write(report.retained_text)
-    return EXIT_OK
+    text.append(f"retained lines: {ranges if ranges else '(none)'}")
+    return Result(doc, _text(text) + (retained_text or ""))
 
 
 # --- include subcommand --------------------------------------------------------
 
 
-def cmd_include_resolve(args, cfg: CliConfig) -> int:
-    profile = cfg.profile()
+def cmd_include_resolve(args) -> Result:
+    profile = _profile(args)
     if args.manifest:
         fs = FileSystemModel.from_manifest(_read_text(args.manifest), cwd=args.cwd)
     elif args.root:
@@ -515,38 +357,24 @@ def cmd_include_resolve(args, cfg: CliConfig) -> int:
     form = IncludeForm(args.form)
     directive = IncludeDirective(args.header, form, args.includer)
     resolution = resolve_include(directive, inv, fs)
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "header": args.header,
-                "form": form.value,
-                "including_file": args.includer,
-                "search_order": search_paths(inv, form, args.includer),
-                "found": resolution.found,
-                "trace": [
-                    {"candidate": p.candidate, "hit": p.hit} for p in resolution.trace
-                ],
-            }
-        )
-    else:
-        for p in resolution.trace:
-            print(f"{'hit ' if p.hit else 'miss'}  {p.candidate}")
-        if resolution.found:
-            print(f"resolved: {resolution.found}")
-        else:
-            print("not found")
-    return EXIT_OK if resolution.found else EXIT_FINDINGS
+    doc = {
+        "header": args.header,
+        "form": form.value,
+        "including_file": args.includer,
+        "search_order": search_paths(inv, form, args.includer),
+        "found": resolution.found,
+        "trace": [{"candidate": p.candidate, "hit": p.hit} for p in resolution.trace],
+    }
+    text = [f"{'hit ' if p.hit else 'miss'}  {p.candidate}" for p in resolution.trace]
+    text.append(f"resolved: {resolution.found}" if resolution.found else "not found")
+    return Result(doc, _text(text), EXIT_OK if resolution.found else EXIT_FINDINGS)
 
 
 # --- promote subcommand ----------------------------------------------------------
 
 
 def _models_from_args(args) -> list[TypeModel]:
-    if args.all_models:
-        return [
-            TypeModel.from_widths(widths) for widths in enumerate_integer_size_models()
-        ]
-    if args.model:
+    if args.model and not args.all_models:
         parts = [p.strip() for p in args.model.split(",")]
         if len(parts) != 5:
             raise DialectValueError(
@@ -557,185 +385,257 @@ def _models_from_args(args) -> list[TypeModel]:
         except ValueError:
             raise DialectValueError(f"bad --model widths {args.model!r}") from None
         return [TypeModel.from_widths(widths, char_is_signed=not args.unsigned_char)]
-    return [
-        TypeModel.from_widths(widths) for widths in enumerate_integer_size_models()
-    ]
+    return [TypeModel.from_widths(widths) for widths in enumerate_integer_size_models()]
 
 
-def cmd_promote_check(args, cfg: CliConfig) -> int:
+def cmd_promote_check(args) -> Result:
     operand = parse_ctype(args.operand)
     cast = parse_ctype(args.cast) if args.cast else None
     expr = WrapCheckExpr(operand, cast)
-    models = _models_from_args(args)
-    rows = []
-    any_unreliable = False
-    for m in models:
-        verdict = analyze_wrap_check(expr, m)
-        simulated_ok = None
+    verdicts = []
+    text = [f"expression: {expr.describe()}"]
+    all_reliable = True
+    for m in _models_from_args(args):
+        v = analyze_wrap_check(expr, m)
+        all_reliable = all_reliable and v.reliable
+        agrees = None
+        suffix = ""
         if args.simulate:
+            # Simulation agrees when it finds the check exact on every
+            # boundary pair exactly where the verdict calls it reliable.
             w = operand.width(m)
-            simulated_ok = all(
+            exact = all(
                 simulate_wrap_check(expr, m, x, y) == true_wraparound(w, x, y)
                 for x, y in boundary_pairs(w)
             )
-        rows.append((m, verdict, simulated_ok))
-        if not verdict.reliable:
-            any_unreliable = True
-    if cfg.fmt == "json":
-        _print_json(
+            agrees = exact == v.reliable
+            suffix = "  [simulation agrees]" if agrees else "  [SIMULATION DISAGREES]"
+        verdicts.append(
             {
-                "expression": expr.describe(),
-                "verdicts": [
-                    {
-                        "widths": list(m.widths()),
-                        "verdict": v.label,
-                        "reason": v.reason,
-                        "sum_width": v.sum_width,
-                        "simulation_agrees": simulated,
-                    }
-                    for m, v, simulated in rows
-                ],
+                "widths": list(m.widths()),
+                "verdict": v.label,
+                "reason": v.reason,
+                "sum_width": v.sum_width,
+                "simulation_agrees": agrees,
             }
         )
-    else:
-        print(f"expression: {expr.describe()}")
-        for m, v, simulated in rows:
-            widths = "/".join(str(w) for w in m.widths())
-            suffix = ""
-            if simulated is not None:
-                suffix = "  [simulation agrees]" if simulated else "  [SIMULATION DISAGREES]"
-            print(f"  widths {widths:<14} {v.label}: {v.reason}{suffix}")
-    return EXIT_FINDINGS if any_unreliable else EXIT_OK
+        widths = "/".join(str(w) for w in m.widths())
+        text.append(f"  widths {widths:<14} {v.label}: {v.reason}{suffix}")
+    doc = {"expression": expr.describe(), "verdicts": verdicts}
+    return Result(doc, _text(text), EXIT_OK if all_reliable else EXIT_FINDINGS)
 
 
 # --- space subcommands ------------------------------------------------------------
 
 
-def cmd_space_count(args, cfg: CliConfig) -> int:
+def cmd_space_count(args) -> Result:
     exact = dialect_count_lower_bound(args.behaviors)
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "behaviors": args.behaviors,
-                "exact": str(exact),
-                "scientific": decimal_scientific(exact),
-                "e_notation": e_notation(exact),
-            }
-        )
-    else:
-        print(f"2^{args.behaviors} = {exact}")
-        print(f"≈{decimal_scientific(exact)}")
-    return EXIT_OK
+    scientific = decimal_scientific(exact)
+    doc = {
+        "behaviors": args.behaviors,
+        "exact": str(exact),
+        "scientific": scientific,
+        "e_notation": e_notation(exact),
+    }
+    return Result(doc, _text([f"2^{args.behaviors} = {exact}", f"≈{scientific}"]))
 
 
-def cmd_space_models(args, cfg: CliConfig) -> int:
+def cmd_space_models(args) -> Result:
     models = enumerate_integer_size_models()
-    if cfg.fmt == "json":
-        _print_json({"count": len(models), "models": [list(m) for m in models]})
-    else:
-        print("char short int long llong")
-        for widths in models:
-            print("  ".join(f"{w:<4}" for w in widths).rstrip())
-        print(f"{len(models)} models")
-    return EXIT_OK
+    text = ["char short int long llong"]
+    text += ["  ".join(f"{w:<4}" for w in widths).rstrip() for widths in models]
+    text.append(f"{len(models)} models")
+    doc = {"count": len(models), "models": [list(m) for m in models]}
+    return Result(doc, _text(text))
 
 
 # --- build subcommands --------------------------------------------------------------
 
 
-_THRESHOLDS = {"medium": Severity.MEDIUM, "high": Severity.HIGH}
-
-
-def _print_audit_human(report) -> None:
-    print("file                          value  flags")
+def _audit_result(report, fail_on: str) -> Result:
+    text = ["file                          value  flags"]
+    unauditable = []
     for row in report.per_tu:
         if row.status == "ok":
-            print(f"{row.file:<28}  {row.value:<5}  {' '.join(row.flags)}")
+            text.append(f"{row.file:<28}  {row.value:<5}  {' '.join(row.flags)}")
         else:
-            print(f"{row.file:<28}  -      (unauditable)")
+            text.append(f"{row.file:<28}  -      (unauditable)")
+            unauditable.append(f"unauditable: {row.file} ({row.reason})")
     for inc in report.inconsistencies:
         parts = "; ".join(
             f"{value}: {', '.join(files)}" for value, files in inc.partition
         )
-        print(f"inconsistency [{inc.severity.name.lower()}] {inc.dimension}: {parts}")
+        text.append(
+            f"inconsistency [{inc.severity.name.lower()}] {inc.dimension}: {parts}"
+        )
     for mis in report.mismatches:
-        print(
+        text.append(
             f"mismatch [{mis.severity.name.lower()}] {mis.file} {mis.dimension}:"
             f" TU={mis.tu_value} reference={mis.reference_value}"
         )
-    for file in report.unauditable:
-        print(f"unauditable: {file} (compiler not covered by profile)")
+    text += unauditable
+    if not report.inconsistencies and not report.mismatches and not report.unauditable:
+        text.append("no findings")
+    failed = fail_on != "none" and report.has_findings(Severity[fail_on.upper()])
+    code = EXIT_FINDINGS if failed else EXIT_OK
+    return Result(report.to_json_dict(), _text(text), code)
 
 
-def _finish_audit(report, args, cfg: CliConfig) -> int:
-    if cfg.fmt == "json":
-        _print_json(report.to_json_dict())
-    else:
-        _print_audit_human(report)
-        if not report.inconsistencies and not report.mismatches and not report.unauditable:
-            print("no findings")
-    if args.fail_on == "none":
-        return EXIT_OK
-    return (
-        EXIT_FINDINGS
-        if report.has_findings(_THRESHOLDS[args.fail_on])
-        else EXIT_OK
-    )
+def cmd_build_audit(args) -> Result:
+    capture = load_build(_read_text(args.compile_commands), _profile(args))
+    return _audit_result(audit(capture), args.fail_on)
 
 
-def cmd_build_audit(args, cfg: CliConfig) -> int:
-    capture = load_build(_read_text(args.compile_commands), cfg.profile())
-    return _finish_audit(audit(capture), args, cfg)
-
-
-def cmd_build_check(args, cfg: CliConfig) -> int:
-    profile = cfg.profile()
+def cmd_build_check(args) -> Result:
+    profile = _profile(args)
     capture = load_build(_read_text(args.compile_commands), profile)
     if args.reference_flags is not None:
-        inv = parse_invocation(shlex.split(args.reference_flags), env={}, profile=profile)
+        inv = parse_invocation(
+            shlex.split(args.reference_flags), env={}, profile=profile
+        )
         reference = inv.dialect
     else:
         reference = decode_value(args.reference)
-    return _finish_audit(check_against(capture, reference), args, cfg)
+    return _audit_result(check_against(capture, reference), args.fail_on)
 
 
-# --- parser wiring ---------------------------------------------------------------------
+def cmd_profiles(args) -> Result:
+    names = available_profiles(args.profile_dir or None)
+    return Result({"profiles": names}, _text(names))
 
 
-def _add_env_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--flags",
-        default="",
-        help='compiler flag string establishing the dialect; use the'
-        ' equals form (--flags="-O2 -std=c11") since the string starts'
-        " with a dash",
-    )
-    p.add_argument(
+# --- parser wiring ---------------------------------------------------------------
+
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+_FLAGS = _arg(
+    "--flags",
+    default="",
+    help='compiler flag string; use the equals form (--flags="-O2 -std=c11")'
+    " since the string starts with a dash",
+)
+_ENV = _arg(
+    "--env",
+    action="append",
+    metavar="NAME=VALUE",
+    help="environment variable for the parse (e.g. CPATH=/inc)",
+)
+#: The dialect a macros subcommand works in, and macro edits on top.
+_DIALECT = [
+    _FLAGS,
+    _arg(
         "--value",
         type=int,
         default=None,
         help="dialect value 0..767 instead of --flags",
-    )
-    p.add_argument(
-        "--env",
-        action="append",
-        metavar="NAME=VALUE",
-        help="environment variable for the parse (e.g. CPATH=/inc)",
-    )
-    p.add_argument(
+    ),
+    _ENV,
+    _arg(
         "-D",
         dest="define",
         action="append",
         metavar="NAME[=VALUE]",
         help="extra macro definition applied after the dialect env",
-    )
-    p.add_argument(
+    ),
+    _arg(
         "-U",
         dest="undef",
         action="append",
         metavar="NAME",
         help="macro removal applied after -D options",
-    )
+    ),
+]
+_COMPILE_COMMANDS = _arg("compile_commands", help="compile_commands.json path, or -")
+_FAIL_ON = _arg("--fail-on", choices=("medium", "high", "none"), default="medium")
+
+_GROUPS = {
+    "probe": "dialect probe operations",
+    "invocation": "command-line analysis",
+    "macros": "macro environment operations",
+    "include": "header search simulation",
+    "promote": "integer promotion analysis",
+    "space": "dialect-space counting",
+    "build": "compile-database audits",
+}
+
+#: (group, subcommand or None for a command of its own, help, handler,
+#: arguments).  A list among the arguments is a set of which exactly
+#: one must be given.
+COMMANDS = [
+    ("probe", "emit", "print the probe source", cmd_probe_emit,
+     [_arg("--output", help="write to a file instead of stdout")]),
+    ("probe", "flags", "flags that produce a value", cmd_probe_flags,
+     [_arg("value", type=int)]),
+    ("probe", "explain", "per-dimension breakdown of a value", cmd_probe_explain,
+     [_arg("value", type=int)]),
+    ("probe", "value", "value a flag string produces", cmd_probe_value,
+     [(_FLAGS[0], {**_FLAGS[1], "required": True}), _ENV]),
+    ("probe", "verify", "compile and run the probe with a real compiler",
+     cmd_probe_verify,
+     [
+         _arg("--compiler", default="gcc"),
+         _arg("--values", default="0-767", help="e.g. 0-767 or 0,1,7,42"),
+         _arg("--jobs", type=int, default=8),
+     ]),
+    ("invocation", "parse", "parse compiler arguments (put them after --)",
+     cmd_invocation_parse, [_FLAGS, _ENV, _arg("argv", nargs=argparse.REMAINDER)]),
+    ("macros", "show", "list the macro table for a dialect", cmd_macros_show,
+     _DIALECT),
+    ("macros", "eval", "evaluate a preprocessor condition", cmd_macros_eval,
+     [*_DIALECT, _arg("expression")]),
+    ("macros", "branches", "report taken conditional branches", cmd_macros_branches,
+     [
+         *_DIALECT,
+         _arg("source", help="C source file, or - for stdin"),
+         _arg("--show-retained", action="store_true"),
+     ]),
+    ("include", "resolve", "resolve one include directive", cmd_include_resolve,
+     [
+         _arg("--header", required=True),
+         _arg("--form", choices=("quote", "angle"), required=True),
+         _arg("--includer", required=True, help="file containing the directive"),
+         _arg("--manifest", help="virtual filesystem: one path per line"),
+         _arg("--root", help="snapshot a real directory instead"),
+         _arg("--cwd", default="/", help="working directory for relative paths"),
+         _FLAGS,
+         _ENV,
+     ]),
+    ("promote", "check", "analyze the unsigned wrap-check idiom", cmd_promote_check,
+     [
+         _arg("--operand", required=True, help="e.g. uint16_t"),
+         _arg("--cast", help="cast applied to the sum, e.g. uint16_t"),
+         _arg("--model", help="five widths: char,short,int,long,llong"),
+         _arg("--unsigned-char", action="store_true"),
+         _arg(
+             "--all-models",
+             action="store_true",
+             help="check every admissible width model (default when --model absent)",
+         ),
+         _arg(
+             "--simulate",
+             action="store_true",
+             help="cross-check each verdict against boundary-pair simulation",
+         ),
+     ]),
+    ("space", "count", "2^n lower bound on dialects", cmd_space_count,
+     [_arg("--behaviors", type=int, default=112)]),
+    ("space", "models", "admissible integer width models", cmd_space_models, []),
+    ("build", "audit", "cross-TU dialect consistency", cmd_build_audit,
+     [_COMPILE_COMMANDS, _FAIL_ON]),
+    ("build", "check", "compare TUs against a reference dialect", cmd_build_check,
+     [
+         _COMPILE_COMMANDS,
+         [
+             _arg("--reference", type=int, help="reference dialect value 0..767"),
+             _arg("--reference-flags", help="reference dialect as a flag string"),
+         ],
+         _FAIL_ON,
+     ]),
+    ("profiles", None, "list known compiler profiles", cmd_profiles, []),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -761,162 +661,40 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default human)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # probe
-    probe_p = sub.add_parser("probe", help="dialect probe operations")
-    probe_sub = probe_p.add_subparsers(dest="subcommand", required=True)
-
-    p = probe_sub.add_parser("emit", help="print the probe source")
-    p.add_argument("--output", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_probe_emit)
-
-    p = probe_sub.add_parser("flags", help="flags that produce a value")
-    p.add_argument("value", type=int)
-    p.set_defaults(func=cmd_probe_flags)
-
-    p = probe_sub.add_parser("explain", help="per-dimension breakdown of a value")
-    p.add_argument("value", type=int)
-    p.set_defaults(func=cmd_probe_explain)
-
-    p = probe_sub.add_parser("value", help="value a flag string produces")
-    p.add_argument("--flags", required=True, help="compiler flag string")
-    p.add_argument("--env", action="append", metavar="NAME=VALUE")
-    p.set_defaults(func=cmd_probe_value)
-
-    p = probe_sub.add_parser(
-        "verify", help="compile and run the probe with a real compiler"
-    )
-    p.add_argument("--compiler", default="gcc")
-    p.add_argument("--values", default="0-767", help="e.g. 0-767 or 0,1,7,42")
-    p.add_argument("--jobs", type=int, default=8)
-    p.set_defaults(func=cmd_probe_verify)
-
-    # invocation
-    inv_p = sub.add_parser("invocation", help="command-line analysis")
-    inv_sub = inv_p.add_subparsers(dest="subcommand", required=True)
-    p = inv_sub.add_parser(
-        "parse", help="parse compiler arguments (put them after --)"
-    )
-    p.add_argument("--flags", default="", help="flag string (alternative to argv)")
-    p.add_argument("--env", action="append", metavar="NAME=VALUE")
-    p.add_argument("argv", nargs=argparse.REMAINDER)
-    p.set_defaults(func=cmd_invocation_parse)
-
-    # macros
-    mac_p = sub.add_parser("macros", help="macro environment operations")
-    mac_sub = mac_p.add_subparsers(dest="subcommand", required=True)
-
-    p = mac_sub.add_parser("show", help="list the macro table for a dialect")
-    _add_env_options(p)
-    p.set_defaults(func=cmd_macros_show)
-
-    p = mac_sub.add_parser("eval", help="evaluate a preprocessor condition")
-    _add_env_options(p)
-    p.add_argument("expression")
-    p.set_defaults(func=cmd_macros_eval)
-
-    p = mac_sub.add_parser("branches", help="report taken conditional branches")
-    _add_env_options(p)
-    p.add_argument("source", help="C source file, or - for stdin")
-    p.add_argument("--show-retained", action="store_true")
-    p.set_defaults(func=cmd_macros_branches)
-
-    # include
-    inc_p = sub.add_parser("include", help="header search simulation")
-    inc_sub = inc_p.add_subparsers(dest="subcommand", required=True)
-    p = inc_sub.add_parser("resolve", help="resolve one include directive")
-    p.add_argument("--header", required=True)
-    p.add_argument("--form", choices=("quote", "angle"), required=True)
-    p.add_argument("--includer", required=True, help="file containing the directive")
-    p.add_argument("--manifest", help="virtual filesystem: one path per line")
-    p.add_argument("--root", help="snapshot a real directory instead")
-    p.add_argument("--cwd", default="/", help="working directory for relative paths")
-    p.add_argument("--flags", default="", help="compiler flags (-I, -isystem, ...)")
-    p.add_argument("--env", action="append", metavar="NAME=VALUE")
-    p.set_defaults(func=cmd_include_resolve)
-
-    # promote
-    pro_p = sub.add_parser("promote", help="integer promotion analysis")
-    pro_sub = pro_p.add_subparsers(dest="subcommand", required=True)
-    p = pro_sub.add_parser("check", help="analyze the unsigned wrap-check idiom")
-    p.add_argument("--operand", required=True, help="e.g. uint16_t")
-    p.add_argument("--cast", help="cast applied to the sum, e.g. uint16_t")
-    p.add_argument("--model", help="five widths: char,short,int,long,llong")
-    p.add_argument("--unsigned-char", action="store_true")
-    p.add_argument(
-        "--all-models",
-        action="store_true",
-        help="check every admissible width model (default when --model absent)",
-    )
-    p.add_argument(
-        "--simulate",
-        action="store_true",
-        help="cross-check each verdict against boundary-pair simulation",
-    )
-    p.set_defaults(func=cmd_promote_check)
-
-    # space
-    space_p = sub.add_parser("space", help="dialect-space counting")
-    space_sub = space_p.add_subparsers(dest="subcommand", required=True)
-    p = space_sub.add_parser("count", help="2^n lower bound on dialects")
-    p.add_argument("--behaviors", type=int, default=112)
-    p.set_defaults(func=cmd_space_count)
-    p = space_sub.add_parser("models", help="admissible integer width models")
-    p.set_defaults(func=cmd_space_models)
-
-    # build
-    build_p = sub.add_parser("build", help="compile-database audits")
-    build_sub = build_p.add_subparsers(dest="subcommand", required=True)
-
-    p = build_sub.add_parser("audit", help="cross-TU dialect consistency")
-    p.add_argument("compile_commands", help="compile_commands.json path, or -")
-    p.add_argument("--fail-on", choices=("medium", "high", "none"), default="medium")
-    p.set_defaults(func=cmd_build_audit)
-
-    p = build_sub.add_parser("check", help="compare TUs against a reference dialect")
-    p.add_argument("compile_commands", help="compile_commands.json path, or -")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--reference", type=int, help="reference dialect value 0..767")
-    group.add_argument("--reference-flags", help="reference dialect as a flag string")
-    p.add_argument("--fail-on", choices=("medium", "high", "none"), default="medium")
-    p.set_defaults(func=cmd_build_check)
-
-    # profiles
-    prof_p = sub.add_parser("profiles", help="list known compiler profiles")
-    prof_p.set_defaults(func=cmd_profiles)
-
+    groups = {}
+    for group, name, help_text, handler, arguments in COMMANDS:
+        if name is None:
+            p = sub.add_parser(group, help=help_text)
+        else:
+            if group not in groups:
+                group_parser = sub.add_parser(group, help=_GROUPS[group])
+                groups[group] = group_parser.add_subparsers(
+                    dest="subcommand", required=True
+                )
+            p = groups[group].add_parser(name, help=help_text)
+        for spec in arguments:
+            if isinstance(spec, list):
+                one_of = p.add_mutually_exclusive_group(required=True)
+                for names, kwargs in spec:
+                    one_of.add_argument(*names, **kwargs)
+            else:
+                p.add_argument(*spec[0], **spec[1])
+        p.set_defaults(func=handler)
     return parser
 
 
-def cmd_profiles(args, cfg: CliConfig) -> int:
-    names = available_profiles(list(cfg.profile_dirs) or None)
-    if cfg.fmt == "json":
-        _print_json({"profiles": names})
-    else:
-        for name in names:
-            print(name)
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = CliConfig(
-        profile_name=args.profile,
-        profile_dirs=tuple(args.profile_dir),
-        fmt=args.format,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, cfg)
-    except _INPUT_ERRORS as exc:
+        result = args.func(args)
+    except (OSError, ValueError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.format == "json":
+        print(json.dumps(result.doc, indent=2))
+    else:
+        sys.stdout.write(result.text)
+    return result.code
 
 
 if __name__ == "__main__":

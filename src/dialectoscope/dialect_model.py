@@ -84,6 +84,17 @@ class DialectConfig:
         return sum(1 for d in DIMENSIONS if self.value_of(d) != other.value_of(d))
 
 
+def format_setting(value) -> str:
+    """Text of one dimension's value as reports show it: the mode name
+    for an :class:`AnsiMode`, ``true``/``false`` for a flag, else the
+    number."""
+    if isinstance(value, AnsiMode):
+        return value.name
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def encode_config(config: DialectConfig) -> int:
     """Map a configuration to its integer encoding in 0..767."""
     value = sum(w for f, w in BOOLEAN_WEIGHTS.items() if getattr(config, f))

@@ -232,9 +232,3 @@ def parse_invocation(
         nostdinc=nostdinc,
         profile_defines=tuple(profile_defines),
     )
-
-
-def derive_dialect(inv: CompilerInvocation) -> DialectConfig:
-    """The dialect the invocation selects.  Exists as a named operation
-    so downstream audits depend only on this contract."""
-    return inv.dialect

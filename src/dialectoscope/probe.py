@@ -4,23 +4,28 @@ encodes the eight observable dialect dimensions as additive weights.
 The probe source is a stored fixture, not regenerated text: its byte
 length and checksum are part of the contract, so tests pin both.  Each
 additive term is described by a :class:`ProbeBitSpec` so a value can be
-explained dimension by dimension.
+explained dimension by dimension.  :func:`verify_with_compiler` builds
+and runs the probe under a real compiler, the only code here that
+starts processes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from importlib import resources
 
 from .dialect_model import (
     ANSI_MODE_WEIGHT,
+    ENCODING_SPACE,
     STD_CLASS_WEIGHT,
     DialectConfig,
+    DialectValueError,
     canonical_flags,
     decode_value,
 )
-from .profiles import CompilerProfile
+from .profiles import CompilerProfile, load_profile
 
 PROBE_FILENAME = "probe_return_value.c"
 PROBE_BYTE_LENGTH = 647
@@ -132,3 +137,119 @@ def explain_value(value: int) -> list[tuple[ProbeBitSpec, int]]:
     """
     config = decode_value(value)
     return [(spec, _contribution(spec, config)) for spec in PROBE_BITS]
+
+
+def _parse_values_spec(spec: str) -> list[int]:
+    """Values named by a spec such as ``0-767`` or ``0,1,7,40-47``, sorted
+    and deduplicated.  Every endpoint is checked against 0..767 before a
+    range is expanded, so a huge endpoint cannot allocate a huge list."""
+    values: set[int] = set()
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        a, dash, b = part.partition("-")
+        try:
+            lo = int(a)
+            hi = int(b) if dash else lo
+        except ValueError:
+            raise DialectValueError(f"bad value range {part!r}") from None
+        for v in (lo, hi):
+            if not 0 <= v < ENCODING_SPACE:
+                raise DialectValueError(f"dialect value must be in 0..767, got {v}")
+        if lo > hi:
+            raise DialectValueError(f"reversed value range {part!r}")
+        values.update(range(lo, hi + 1))
+    if not values:
+        raise DialectValueError(f"empty value specification {spec!r}")
+    return sorted(values)
+
+
+@dataclass(frozen=True)
+class VerifyResult:
+    value: int
+    ok: bool
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    status: str  # "ran" | "skipped"
+    compiler: str
+    results: tuple[VerifyResult, ...] = ()
+    skip_reason: str = ""
+
+    @property
+    def failures(self) -> list[VerifyResult]:
+        return [r for r in self.results if not r.ok]
+
+
+_DRIVER_MAIN = """\
+#include <stdio.h>
+unsigned return_value(void);
+int main(void) {
+   printf("%u\\n", return_value());
+   return 0;
+}
+"""
+
+
+def verify_with_compiler(
+    compiler: str = "gcc",
+    values=None,
+    jobs: int = 8,
+    profile=None,
+) -> VerificationReport:
+    """Compile and run the probe for each value with its own flags and
+    compare the printed result.  A missing compiler yields a skipped
+    report, not a failure; -w suppresses trigraph warnings."""
+    # Imported here: only verification starts processes, and these
+    # modules would otherwise add to every import of the package.
+    import shutil
+    import subprocess
+    import tempfile
+    from concurrent.futures import ThreadPoolExecutor
+
+    if profile is None:
+        profile = load_profile()
+    if values is None:
+        values = range(ENCODING_SPACE)
+    values = sorted(set(values))
+    for v in values:
+        if not 0 <= v <= 767:
+            raise DialectValueError(f"dialect value must be in 0..767, got {v}")
+    path = shutil.which(compiler)
+    if path is None:
+        return VerificationReport(
+            "skipped", compiler, skip_reason=f"compiler {compiler!r} not found"
+        )
+
+    with tempfile.TemporaryDirectory(prefix="dialect-verify-") as tmp:
+        probe_c = os.path.join(tmp, "probe.c")
+        main_c = os.path.join(tmp, "main.c")
+        with open(probe_c, "w", encoding="utf-8", newline="") as fh:
+            fh.write(emit_probe_source())
+        with open(main_c, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_DRIVER_MAIN)
+
+        def run_one(v: int) -> VerifyResult:
+            flags = flags_for_value(v, profile)
+            exe = os.path.join(tmp, f"probe{v}")
+            cmd = [path, "-w", *flags, probe_c, main_c, "-o", exe]
+            built = subprocess.run(cmd, capture_output=True, text=True)
+            if built.returncode != 0:
+                detail = built.stderr.strip().splitlines()
+                return VerifyResult(
+                    v, False, f"compile failed ({' '.join(flags)}): {detail[-1] if detail else ''}"
+                )
+            ran = subprocess.run([exe], capture_output=True, text=True)
+            if ran.returncode != 0:
+                return VerifyResult(v, False, f"run exited with status {ran.returncode}")
+            out = ran.stdout.strip()
+            if out == str(v):
+                return VerifyResult(v, True)
+            return VerifyResult(v, False, f"printed {out!r}, expected {v}")
+
+        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+            results = tuple(pool.map(run_one, values))
+    return VerificationReport("ran", path, results)

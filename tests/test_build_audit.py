@@ -102,10 +102,14 @@ def test_load_rejects_malformed_documents(document, fragment, profile):
     assert fragment in str(err.value)
 
 
-def test_load_reports_bad_flags_with_file_name(profile):
-    with pytest.raises(BuildLoadError) as err:
-        capture_of([("z.c", "-std=c2x")], profile)
-    assert "z.c" in str(err.value) and "c2x" in str(err.value)
+def test_load_turns_bad_flags_into_unauditable_row(profile):
+    capture = capture_of([("a.c", "-O2"), ("z.c", "-std=c2x"), ("b.c", "")], profile)
+    assert [e.status for e in capture.entries] == ["ok", "unauditable", "ok"]
+    report = audit(capture)
+    assert report.unauditable == ("z.c",)
+    row = report.per_tu[1]
+    assert (row.file, row.value, row.flags) == ("z.c", None, ())
+    assert "c2x" in row.reason
 
 
 # --- consistency audit --------------------------------------------------------
@@ -180,7 +184,9 @@ def test_audit_counts_unauditable_as_high(profile):
     assert report.max_severity() is Severity.HIGH
     assert report.has_findings(Severity.HIGH)
     row = next(r for r in report.per_tu if r.file == "fw.c")
-    assert row == PerTuRow("fw.c", "unauditable", None, ())
+    assert row == PerTuRow(
+        "fw.c", "unauditable", None, (), reason="compiler not covered by profile"
+    )
 
 
 def test_per_tu_rows_in_capture_order(profile):

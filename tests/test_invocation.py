@@ -8,7 +8,6 @@ from dialectoscope import (
     InvocationError,
     all_configs,
     canonical_flags,
-    derive_dialect,
     encode_config,
     parse_invocation,
 )
@@ -33,7 +32,7 @@ def test_defaults_encode_403(profile):
 def test_round_trip_all_768(profile):
     for config in all_configs():
         inv = parse(canonical_flags(config, profile), profile)
-        assert derive_dialect(inv) == config
+        assert inv.dialect == config
 
 
 def test_last_wins_char_flags(profile):
@@ -164,8 +163,3 @@ def test_nostdinc_flag(profile):
 def test_option_requiring_argument_at_end(profile):
     with pytest.raises(InvocationError):
         parse(["-D"], profile)
-
-
-def test_derive_dialect_is_projection(profile):
-    inv = parse("-std=c99", profile)
-    assert derive_dialect(inv) is inv.dialect

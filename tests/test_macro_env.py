@@ -332,7 +332,7 @@ def _oracle(node, table):
     raise AssertionError(kind)
 
 
-def _render(node):
+def _expression_text(node):
     kind = node[0]
     if kind == "num":
         return f"{node[1]}U" if node[2] else str(node[1])
@@ -341,10 +341,10 @@ def _render(node):
     if kind == "defined":
         return f"defined({node[1]})"
     if kind == "unary":
-        return f"{node[1]}({_render(node[2])})"
+        return f"{node[1]}({_expression_text(node[2])})"
     if kind == "binary":
-        return f"({_render(node[2])}) {node[1]} ({_render(node[3])})"
-    return f"({_render(node[1])}) ? ({_render(node[2])}) : ({_render(node[3])})"
+        return f"({_expression_text(node[2])}) {node[1]} ({_expression_text(node[3])})"
+    return f"({_expression_text(node[1])}) ? ({_expression_text(node[2])}) : ({_expression_text(node[3])})"
 
 
 _NAMES = ("A", "B", "C", "__D")
@@ -390,7 +390,7 @@ def test_eval_condition_matches_oracle(node, table):
     env = MacroEnv.empty()
     for name, (v, u) in table.items():
         env = env.with_define(name, f"{v}U" if u else str(v), "command-line")
-    text = _render(node)
+    text = _expression_text(node)
     try:
         expected_value, expected_unsigned = _oracle(node, table)
     except OracleEvalError:
