@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import posixpath
-import shlex
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping
@@ -24,7 +23,12 @@ from .dialect_model import (
     encode_config,
     format_setting,
 )
-from .invocation import CompilerInvocation, InvocationError, parse_invocation
+from .invocation import (
+    CompilerInvocation,
+    InvocationError,
+    parse_invocation,
+    split_command,
+)
 from .profiles import CompilerProfile, ProfileError
 
 
@@ -159,8 +163,8 @@ class AuditReport:
 
 
 def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
-    """Parse a compile-database document.  Shell-word splitting follows
-    POSIX quoting; no expansions are performed."""
+    """Parse a compile-database document.  A ``command`` is split into
+    words by :func:`split_command`: POSIX quoting, no expansions."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -169,6 +173,7 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
         raise BuildLoadError("capture must be a non-empty JSON array of entries")
 
     entries: list[BuildEntry] = []
+    covered: dict[str, bool] = {}  # compiler basename -> profile covers it
     for index, item in enumerate(data):
         where = f"entry {index}"
         if not isinstance(item, dict):
@@ -190,7 +195,7 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
             if not isinstance(item["command"], str):
                 raise BuildLoadError(f"{where}: 'command' must be a string")
             try:
-                arguments = shlex.split(item["command"], posix=True)
+                arguments = split_command(item["command"])
             except ValueError as exc:
                 raise BuildLoadError(f"{where}: unparseable command: {exc}") from None
         else:
@@ -201,7 +206,9 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
         compiler = posixpath.basename(arguments[0].replace("\\", "/"))
         inv = None
         reason = "compiler not covered by profile"
-        if profile.covers_compiler(compiler):
+        if compiler not in covered:
+            covered[compiler] = profile.covers_compiler(compiler)
+        if covered[compiler]:
             # One entry the profile cannot interpret must not sink the
             # audit of the others: it becomes an unauditable row.
             try:
@@ -225,18 +232,15 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
 
 
 def _per_tu_rows(capture: BuildCapture) -> tuple[PerTuRow, ...]:
+    # A profile without canonical spellings still yields each TU's value;
+    # its rows just carry no flags.
+    renders = capture.profile.canonical is not None
     rows = []
     for e in capture.entries:
         if e.status == OK:
             assert e.dialect is not None
-            rows.append(
-                PerTuRow(
-                    e.file,
-                    OK,
-                    encode_config(e.dialect),
-                    tuple(canonical_flags(e.dialect, capture.profile)),
-                )
-            )
+            flags = canonical_flags(e.dialect, capture.profile) if renders else ()
+            rows.append(PerTuRow(e.file, OK, encode_config(e.dialect), tuple(flags)))
         else:
             rows.append(PerTuRow(e.file, UNAUDITABLE, None, (), e.reason))
     return tuple(rows)

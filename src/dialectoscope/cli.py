@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import shlex
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .build_audit import Severity, audit, check_against, load_build
 from .dialect_model import (
@@ -40,7 +39,12 @@ from .include_resolver import (
     resolve_include,
     search_paths,
 )
-from .invocation import InvocationError, MacroDirective, parse_invocation
+from .invocation import (
+    InvocationError,
+    MacroDirective,
+    parse_invocation,
+    split_command,
+)
 from .macro_env import (
     MacroEnv,
     active_branches,
@@ -74,11 +78,11 @@ EXIT_USAGE = 2
 
 class Result(NamedTuple):
     """What one subcommand produced: the ``--format json`` document, the
-    ``--format human`` text (written verbatim, newlines included) and the
-    exit status."""
+    ``--format human`` text (written verbatim, newlines included, or a
+    function building it when it is costly) and the exit status."""
 
     doc: dict
-    text: str
+    text: str | Callable[[], str]
     code: int = EXIT_OK
 
 
@@ -162,7 +166,7 @@ def cmd_probe_explain(args) -> Result:
 
 def cmd_probe_value(args) -> Result:
     profile = _profile(args)
-    argv = shlex.split(args.flags)
+    argv = split_command(args.flags)
     inv = parse_invocation(argv, env=_env_map(args.env), profile=profile)
     value = encode_config(inv.dialect)
     return Result(
@@ -208,7 +212,7 @@ def cmd_invocation_parse(args) -> Result:
     profile = _profile(args)
     argv = _strip_separator(list(args.argv))
     if args.flags:
-        argv = shlex.split(args.flags) + argv
+        argv = split_command(args.flags) + argv
     inv = parse_invocation(argv, env=_env_map(args.env), profile=profile)
     value = encode_config(inv.dialect)
     config = _config_dict(inv.dialect)
@@ -261,7 +265,7 @@ def _macro_env_from_args(args) -> MacroEnv:
     if args.value is not None:
         env = predefined_macros(decode_value(args.value), profile)
     else:
-        argv = shlex.split(args.flags or "")
+        argv = split_command(args.flags or "")
         inv = parse_invocation(argv, env=_env_map(args.env), profile=profile)
         env = invocation_macro_env(inv)
     extra = [MacroDirective("define", *_split_define(d)) for d in args.define or []]
@@ -352,7 +356,7 @@ def cmd_include_resolve(args) -> Result:
     else:
         raise InvocationError("include resolve needs --manifest or --root")
     inv = parse_invocation(
-        shlex.split(args.flags or ""), env=_env_map(args.env), profile=profile
+        split_command(args.flags or ""), env=_env_map(args.env), profile=profile
     )
     form = IncludeForm(args.form)
     directive = IncludeDirective(args.header, form, args.includer)
@@ -452,12 +456,13 @@ def cmd_space_models(args) -> Result:
 # --- build subcommands --------------------------------------------------------------
 
 
-def _audit_result(report, fail_on: str) -> Result:
+def _audit_text(report) -> str:
     text = ["file                          value  flags"]
     unauditable = []
     for row in report.per_tu:
         if row.status == "ok":
-            text.append(f"{row.file:<28}  {row.value:<5}  {' '.join(row.flags)}")
+            flags = " ".join(row.flags) or "-"
+            text.append(f"{row.file:<28}  {row.value:<5}  {flags}")
         else:
             text.append(f"{row.file:<28}  -      (unauditable)")
             unauditable.append(f"unauditable: {row.file} ({row.reason})")
@@ -476,9 +481,15 @@ def _audit_result(report, fail_on: str) -> Result:
     text += unauditable
     if not report.inconsistencies and not report.mismatches and not report.unauditable:
         text.append("no findings")
+    return _text(text)
+
+
+def _audit_result(report, fail_on: str) -> Result:
     failed = fail_on != "none" and report.has_findings(Severity[fail_on.upper()])
     code = EXIT_FINDINGS if failed else EXIT_OK
-    return Result(report.to_json_dict(), _text(text), code)
+    # The report can run to tens of thousands of rows: its text is built
+    # only when --format human prints it.
+    return Result(report.to_json_dict(), lambda: _audit_text(report), code)
 
 
 def cmd_build_audit(args) -> Result:
@@ -491,7 +502,7 @@ def cmd_build_check(args) -> Result:
     capture = load_build(_read_text(args.compile_commands), profile)
     if args.reference_flags is not None:
         inv = parse_invocation(
-            shlex.split(args.reference_flags), env={}, profile=profile
+            split_command(args.reference_flags), env={}, profile=profile
         )
         reference = inv.dialect
     else:
@@ -686,15 +697,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.func(args)
+        doc, text, code = args.func(args)
     except (OSError, ValueError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # The rendering not printed is dropped first, so that what it holds
+    # (a whole audit report, for the text) is freed before output is built.
     if args.format == "json":
-        print(json.dumps(result.doc, indent=2))
+        del text
+        print(json.dumps(doc, indent=2))
     else:
-        sys.stdout.write(result.text)
-    return result.code
+        del doc
+        sys.stdout.write(text() if callable(text) else text)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,19 @@ from .dialect_model import AnsiMode, DialectConfig
 from .profiles import CompilerProfile, ProfileError
 
 _MACRO_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
+_OPT_LEVEL_RE = re.compile(r"-O[0-9a-zA-Z]+\Z")
+
+# POSIX shell words as shlex.split(s, posix=True) reads them: separated by
+# exactly shlex's whitespace " \t\r\n", made of unquoted runs, backslash
+# escapes, '...' and "..." (where only \\ and \" unescape).  The last
+# alternative matches a quote or backslash where no piece can start, that
+# is an unclosed quote or a trailing backslash.
+_SHELL_WORD = re.compile(
+    r"""(?:[^ \t\r\n'"\\]+|\\.|'[^']*'|"(?:[^"\\]|\\.)*")+|['"\\]""", re.S
+)
+_QUOTED_PIECE = re.compile(r"\\(.)|'([^']*)'" r'|"((?:[^"\\]|\\.)*)"', re.S)
+_DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
+_PLAIN_WORD = re.compile(r"[^ \t\r\n]+")
 
 #: Options that consume the following argument but do not affect the
 #: dialect; both tokens are preserved in ``unrecognized``.
@@ -120,6 +133,35 @@ class _DialectState:
         return DialectConfig(std_class=self.std_class, ansi_mode=mode, **self.booleans)
 
 
+def _unquote(piece: re.Match) -> str:
+    escaped, single, double = piece.groups()
+    if escaped is not None:
+        return escaped
+    if single is not None:
+        return single
+    return _DOUBLE_QUOTED_ESCAPE.sub(r"\1", double)
+
+
+def split_command(command: str) -> list[str]:
+    """Split a command string into words exactly as
+    ``shlex.split(command, posix=True)`` does: POSIX quoting and escapes,
+    no comments, no expansions.  An unclosed quote or a trailing backslash
+    raises shlex's own ``ValueError``."""
+    # Most commands quote nothing; their words are the runs between
+    # separators, found at about half the cost of the full scan.
+    if "'" not in command and '"' not in command and "\\" not in command:
+        return _PLAIN_WORD.findall(command)
+    words = _SHELL_WORD.findall(command)
+    for i, word in enumerate(words):
+        if "'" in word or '"' in word or "\\" in word:
+            if len(word) == 1:  # the scan stopped: let shlex raise its error
+                import shlex
+
+                return shlex.split(command, posix=True)
+            words[i] = _QUOTED_PIECE.sub(_unquote, word)
+    return words
+
+
 def _split_env_path(value: str) -> list[str]:
     # An empty element in CPATH-style variables means the current
     # working directory.
@@ -195,7 +237,7 @@ def parse_invocation(
         elif arg == "-O0":
             state.booleans["optimized"] = False
             opt_level = arg
-        elif arg == "-O" or re.match(r"-O[0-9a-zA-Z]+\Z", arg):
+        elif arg == "-O" or _OPT_LEVEL_RE.match(arg):
             state.booleans["optimized"] = True
             opt_level = arg
         elif arg in profile.flag_vocabulary:

@@ -131,6 +131,18 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _object(value, what: str, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ProfileError(f"{context}: {what} must be a JSON object")
+    return value
+
+
+def _strings(value, what: str, context: str) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ProfileError(f"{context}: {what} must be a list of strings")
+    return tuple(value)
+
+
 def _parse_defaults(data: dict, std_names: Mapping[str, StdName], context: str) -> DialectConfig:
     kwargs = {}
     for f in _CONFIG_BOOL_FIELDS:
@@ -139,7 +151,7 @@ def _parse_defaults(data: dict, std_names: Mapping[str, StdName], context: str) 
             raise ProfileError(f"{context}: {f} must be a boolean")
         kwargs[f] = value
     std = _require(data, "std", context)
-    if std not in std_names:
+    if not isinstance(std, str) or std not in std_names:
         raise ProfileError(f"{context}: default std {std!r} is not in std_names")
     resolved = std_names[std]
     kwargs["std_class"] = resolved.std_class
@@ -147,18 +159,25 @@ def _parse_defaults(data: dict, std_names: Mapping[str, StdName], context: str) 
     return DialectConfig(**kwargs)
 
 
-def _parse_effect(flag: str, data: dict, context: str) -> FlagEffect:
+def _parse_effect(flag: str, data, context: str) -> FlagEffect:
+    data = _object(data, f"flag {flag!r}", context)
     sets = []
-    for f, v in data.get("set", {}).items():
+    for f, v in _object(data.get("set", {}), f"flag {flag!r} set", context).items():
         if f not in _CONFIG_BOOL_FIELDS:
             raise ProfileError(f"{context}: flag {flag!r} sets unknown field {f!r}")
         if not isinstance(v, bool):
             raise ProfileError(f"{context}: flag {flag!r} field {f!r} must be boolean")
         sets.append((f, v))
-    defines = tuple((n, str(v)) for n, v in data.get("define", {}).items())
+    defines = tuple(
+        (n, str(v))
+        for n, v in _object(data.get("define", {}), f"flag {flag!r} define", context).items()
+    )
+    std = data.get("std")
+    if std is not None and not isinstance(std, str):
+        raise ProfileError(f"{context}: flag {flag!r} std must be a string")
     return FlagEffect(
         sets=tuple(sets),
-        std=data.get("std"),
+        std=std,
         trigraphs=bool(data.get("trigraphs", False)),
         nostdinc=bool(data.get("nostdinc", False)),
         defines=defines,
@@ -167,13 +186,14 @@ def _parse_effect(flag: str, data: dict, context: str) -> FlagEffect:
 
 def profile_from_dict(data: dict, source: str = "<dict>") -> CompilerProfile:
     """Validate and build a profile from parsed JSON."""
-    name = _require(data, "name", source)
+    name = _require(_object(data, "the profile", source), "name", source)
     context = f"profile {name!r} ({source})"
 
     std_names = {}
-    for std, entry in _require(data, "std_names", context).items():
+    for std, entry in _object(_require(data, "std_names", context), "std_names", context).items():
+        entry = _object(entry, f"std {std!r}", context)
         std_class = _require(entry, "class", f"{context} std {std!r}")
-        if std_class not in (0, 1, 2, 3):
+        if type(std_class) is not int or std_class not in (0, 1, 2, 3):
             raise ProfileError(f"{context}: std {std!r} has invalid class {std_class!r}")
         mode = _require(entry, "mode", f"{context} std {std!r}")
         if mode not in ("strict", "gnu"):
@@ -182,44 +202,66 @@ def profile_from_dict(data: dict, source: str = "<dict>") -> CompilerProfile:
 
     std_class_names = {}
     stdc_versions = {}
-    for key, entry in _require(data, "std_classes", context).items():
+    for key, entry in _object(_require(data, "std_classes", context), "std_classes", context).items():
+        entry = _object(entry, f"class {key}", context)
+        if key not in ("0", "1", "2", "3"):
+            raise ProfileError(f"{context}: invalid standard class {key!r}")
         std_class = int(key)
         strict_name = _require(entry, "strict", f"{context} class {key}")
         gnu_name = _require(entry, "gnu", f"{context} class {key}")
         for n in (strict_name, gnu_name):
-            if n not in std_names:
+            if not isinstance(n, str) or n not in std_names:
                 raise ProfileError(f"{context}: canonical std {n!r} is not in std_names")
+        stdc_version = entry.get("stdc_version")
+        if stdc_version is not None and not isinstance(stdc_version, str):
+            raise ProfileError(f"{context}: class {key} stdc_version must be a string")
         std_class_names[std_class] = (strict_name, gnu_name)
-        stdc_versions[std_class] = entry.get("stdc_version")
+        stdc_versions[std_class] = stdc_version
 
     flags = {
         flag: _parse_effect(flag, effect, context)
-        for flag, effect in data.get("flags", {}).items()
+        for flag, effect in _object(data.get("flags", {}), "flags", context).items()
     }
 
     canonical = None
     if "canonical" in data:
+        spellings = _object(data["canonical"], "canonical", context)
+        if not all(isinstance(v, str) for v in spellings.values()):
+            raise ProfileError(f"{context}: canonical spellings must be strings")
         try:
-            canonical = CanonicalSpellings(**data["canonical"])
+            canonical = CanonicalSpellings(**spellings)
         except TypeError as exc:
             raise ProfileError(f"{context}: bad canonical section: {exc}") from None
 
     version_range = None
     if data.get("version_range") is not None:
-        lo, hi = data["version_range"]
-        version_range = (int(lo), int(hi))
+        try:
+            lo, hi = data["version_range"]
+            version_range = (int(lo), int(hi))
+        except (TypeError, ValueError):
+            raise ProfileError(f"{context}: version_range must be two integers") from None
 
     return CompilerProfile(
         name=name,
         description=data.get("description", ""),
-        defaults=_parse_defaults(_require(data, "defaults", context), std_names, context),
+        defaults=_parse_defaults(
+            _object(_require(data, "defaults", context), "defaults", context),
+            std_names,
+            context,
+        ),
         std_names=std_names,
         std_class_names=std_class_names,
         stdc_version_by_class=stdc_versions,
         flag_vocabulary=flags,
-        compiler_id_macros={n: str(v) for n, v in data.get("macros", {}).items()},
-        system_include_dirs=tuple(data.get("system_include_dirs", ())),
-        compiler_basenames=tuple(data.get("compiler_basenames", ("*",))),
+        compiler_id_macros={
+            n: str(v) for n, v in _object(data.get("macros", {}), "macros", context).items()
+        },
+        system_include_dirs=_strings(
+            data.get("system_include_dirs", []), "system_include_dirs", context
+        ),
+        compiler_basenames=_strings(
+            data.get("compiler_basenames", ["*"]), "compiler_basenames", context
+        ),
         version_range=version_range,
         canonical=canonical,
     )

@@ -46,14 +46,14 @@ def dispatch_source():
     return DISPATCH_SOURCE
 
 
-def compile_db(entries):
+def compile_db(entries, compiler="gcc"):
     """Build a compile_commands.json document from (file, flags) pairs."""
     return json.dumps(
         [
             {
                 "directory": "/proj",
                 "file": file,
-                "command": f"gcc {flags} -c {file}" if flags else f"gcc -c {file}",
+                "command": f"{compiler} {flags} -c {file}" if flags else f"{compiler} -c {file}",
             }
             for file, flags in entries
         ]

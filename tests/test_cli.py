@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+from importlib import resources
 
 import pytest
 
@@ -418,6 +419,57 @@ def test_build_audit_isolates_unparseable_tu(capsys, tmp_path):
     assert "unauditable: b.c (profile 'gcc8-x86_64' does not know -std=c2x" in out
 
 
+def _mplab_db(tmp_path, *units):
+    db = tmp_path / "cc.json"
+    db.write_text(compile_db(units, compiler="mcc18"))
+    return str(db)
+
+
+def test_build_audit_with_profile_without_flag_spellings(capsys, tmp_path):
+    # The per-TU rows keep their values and carry no canonical flags.
+    db = _mplab_db(tmp_path, ("k.c", "-p18f258"))
+    code, doc = run_json(capsys, "--profile", "mplab-c18", "build", "audit", db)
+    assert code == 0
+    assert doc["per_tu"] == [{"file": "k.c", "status": "ok", "value": 225, "flags": []}]
+    code, out, err = run(capsys, "--profile", "mplab-c18", "build", "audit", db)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"{'k.c':<28}  225    -", "no findings"]
+
+    db = _mplab_db(tmp_path, ("k.c", "-p18f258"), ("o.c", "-O2"))
+    code, doc = run_json(capsys, "--profile", "mplab-c18", "build", "audit", db)
+    assert code == 1
+    assert [r["value"] for r in doc["per_tu"]] == [225, 233]
+    assert [i["dimension"] for i in doc["inconsistencies"]] == ["optimized"]
+
+
+def test_build_check_with_profile_without_flag_spellings(capsys, tmp_path):
+    db = _mplab_db(tmp_path, ("k.c", "-p18f258"))
+    for reference in (["--reference", "225"], ["--reference-flags=-p18f452"]):
+        code, doc = run_json(capsys, "--profile", "mplab-c18", "build", "check", db, *reference)
+        assert code == 0
+        assert doc["mismatches"] == [] and doc["per_tu"][0]["flags"] == []
+    code, doc = run_json(capsys, "--profile", "mplab-c18", "build", "check", db,
+                         "--reference", "224")
+    assert code == 1
+    assert [m["dimension"] for m in doc["mismatches"]] == ["char_is_signed"]
+    code, out, _ = run(capsys, "--profile", "mplab-c18", "build", "check", db,
+                       "--reference", "224")
+    assert code == 1
+    assert f"{'k.c':<28}  225    -" in out
+    assert "mismatch [high] k.c char_is_signed: TU=true reference=false" in out
+
+
+def test_build_json_report_skips_human_text(capsys, tmp_path, monkeypatch):
+    def unused(report):
+        raise AssertionError("human text built for --format json")
+
+    monkeypatch.setattr("dialectoscope.cli._audit_text", unused)
+    db = tmp_path / "cc.json"
+    db.write_text(compile_db([("a.c", "-O2"), ("b.c", "")]))
+    code, doc = run_json(capsys, "build", "audit", str(db))
+    assert code == 1 and doc["inconsistencies"]
+
+
 def test_build_audit_missing_file(capsys):
     code, _, err = run(capsys, "build", "audit", "/no/such/file.json")
     assert code == 2
@@ -444,6 +496,40 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("std_names", [1]),
+        ("std_names", {"c90": 1}),
+        ("std_names", {"c90": {"class": [3], "mode": "strict"}}),
+        ("std_classes", ["c11"]),
+        ("std_classes", {"0": "c11"}),
+        ("std_classes", {"x": {"strict": "c11", "gnu": "gnu11"}}),
+        ("std_classes", {"0": {"strict": ["c11"], "gnu": "gnu11"}}),
+        ("defaults", ["gnu17"]),
+        ("flags", ["-m32"]),
+        ("flags", {"-m32": "pointer_width_64"}),
+        ("flags", {"-m32": {"set": ["pointer_width_64"]}}),
+        ("flags", {"-m32": {"define": ["X"]}}),
+        ("flags", {"-ansi": {"std": 90}}),
+        ("macros", ["__GNUC__"]),
+        ("compiler_basenames", "gcc"),
+        ("compiler_basenames", [1]),
+        ("system_include_dirs", "/usr/include"),
+        ("version_range", 8),
+        ("canonical", ["-fsigned-char"]),
+    ],
+)
+def test_malformed_profile_is_an_input_error(capsys, tmp_path, key, value):
+    data = json.loads((resources.files("dialectoscope") / "data" / "gcc8-x86_64.json").read_text())
+    data.update({"name": "bad", key: value})
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    code, out, err = run(capsys, "--profile", "bad", "--profile-dir", str(tmp_path),
+                         "probe", "flags", "443")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_profile_without_flag_spellings_refuses_to_render(capsys):

@@ -1,5 +1,7 @@
 """Command-line parsing, last-wins semantics, and the flag round trip."""
 
+import shlex
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from dialectoscope import (
     encode_config,
     parse_invocation,
 )
+from dialectoscope.invocation import split_command
 
 
 def parse(flags, profile, env=None):
@@ -163,3 +166,53 @@ def test_nostdinc_flag(profile):
 def test_option_requiring_argument_at_end(profile):
     with pytest.raises(InvocationError):
         parse(["-D"], profile)
+
+
+# --- shell-word splitting ---------------------------------------------------------
+
+
+def _shlex_outcome(split, text):
+    try:
+        return split(text)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# Quotes, backslashes, every whitespace kind (only " \t\r\n" separates
+# words), shell metacharacters shlex.split leaves alone, and word text.
+_SHELL_ALPHABET = "'\"\\" + " \t\r\n\x0b\x0c\x1c\x85\xa0" + "#;|$`*()" + "ab-=é"
+
+
+@given(st.text(alphabet=_SHELL_ALPHABET, max_size=24))
+def test_split_command_matches_shlex(text):
+    assert _shlex_outcome(split_command, text) == _shlex_outcome(
+        lambda s: shlex.split(s, posix=True), text
+    )
+
+
+@pytest.mark.parametrize(
+    "text,words",
+    [
+        ("", []),
+        (" \t\r\n", []),
+        ("''", [""]),
+        ("a''b", ["ab"]),
+        ('"a\\"b\\\\c\\d"', ['a"b\\c\\d']),
+        ("a\\\nb", ["a\nb"]),
+        ("'a\\b' \"'\"", ["a\\b", "'"]),
+        ("x\x0by\xa0z w", ["x\x0by\xa0z", "w"]),
+        ("gcc '-DOPTS=-m32 -std=c90' -c a\\ b.c", ["gcc", "-DOPTS=-m32 -std=c90", "-c", "a b.c"]),
+    ],
+)
+def test_split_command_pinned(text, words):
+    assert split_command(text) == words == shlex.split(text, posix=True)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("gcc 'a", "No closing quotation"), ('"a\\"', "No closing quotation"),
+     ("a\\", "No escaped character"), ('"a\\', "No escaped character")],
+)
+def test_split_command_raises_shlex_errors(text, message):
+    with pytest.raises(ValueError, match=message):
+        split_command(text)
