@@ -78,10 +78,11 @@ EXIT_USAGE = 2
 
 class Result(NamedTuple):
     """What one subcommand produced: the ``--format json`` document, the
-    ``--format human`` text (written verbatim, newlines included, or a
-    function building it when it is costly) and the exit status."""
+    ``--format human`` text (written verbatim, newlines included) and the
+    exit status.  Either rendering may be a function building it, when it
+    is costly; only the one printed is called."""
 
-    doc: dict
+    doc: dict | Callable[[], dict]
     text: str | Callable[[], str]
     code: int = EXIT_OK
 
@@ -329,6 +330,10 @@ def cmd_macros_branches(args) -> Result:
         "retained_ranges": [list(r) for r in report.retained_ranges],
         "retained_text": retained_text,
     }
+    return Result(doc, lambda: _branches_text(report, retained_text))
+
+
+def _branches_text(report, retained_text: str | None) -> str:
     text = []
     for g in report.groups:
         state = "evaluated" if g.evaluated else "inactive region"
@@ -341,7 +346,7 @@ def cmd_macros_branches(args) -> Result:
         f"{a}" if a == b else f"{a}-{b}" for a, b in report.retained_ranges
     )
     text.append(f"retained lines: {ranges if ranges else '(none)'}")
-    return Result(doc, _text(text) + (retained_text or ""))
+    return _text(text) + (retained_text or "")
 
 
 # --- include subcommand --------------------------------------------------------
@@ -487,9 +492,9 @@ def _audit_text(report) -> str:
 def _audit_result(report, fail_on: str) -> Result:
     failed = fail_on != "none" and report.has_findings(Severity[fail_on.upper()])
     code = EXIT_FINDINGS if failed else EXIT_OK
-    # The report can run to tens of thousands of rows: its text is built
-    # only when --format human prints it.
-    return Result(report.to_json_dict(), lambda: _audit_text(report), code)
+    # The report can run to tens of thousands of rows: each rendering is
+    # built only when it is printed.
+    return Result(report.to_json_dict, lambda: _audit_text(report), code)
 
 
 def cmd_build_audit(args) -> Result:
@@ -701,10 +706,13 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # The rendering not printed is dropped first, so that what it holds
-    # (a whole audit report, for the text) is freed before output is built.
+    # The rendering not printed is dropped first, and a built document
+    # replaces the function that built it, so that what they hold (a whole
+    # audit report) is freed before the output is written.
     if args.format == "json":
         del text
+        if callable(doc):
+            doc = doc()
         print(json.dumps(doc, indent=2))
     else:
         del doc

@@ -8,13 +8,21 @@ object-like macro expansion, the unary and binary integer operators,
 Function-like macros may be defined in an environment, but invoking one
 inside a condition raises :class:`UnsupportedMacroError` rather than
 returning a wrong answer.
+
+Expansion and evaluation keep their state on explicit stacks, so nesting
+depth is limited only by memory; expansion stops with
+:class:`ExprEvalError` once it has taken :data:`MAX_EXPANSION_TOKENS`
+tokens from macro bodies, which bounds the memory and time of bodies
+that multiply (``#define A B B``, ``#define B C C``, ...).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from operator import add
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dialect_model import AnsiMode, DialectConfig
 from .invocation import CompilerInvocation, MacroDirective
@@ -31,7 +39,8 @@ class ExprSyntaxError(PreprocessorError):
 
 class ExprEvalError(PreprocessorError):
     """Expression is well-formed but cannot be evaluated (division by
-    zero, out-of-range shift count, oversized constant)."""
+    zero, out-of-range shift count, oversized constant, runaway macro
+    expansion)."""
 
 
 class UnsupportedMacroError(PreprocessorError):
@@ -52,6 +61,9 @@ PREDEFINED = "predefined"
 COMMAND_LINE = "command-line"
 SOURCE = "source"
 
+#: Names an environment's overlay holds before it is merged into a new table.
+_OVERLAY_MAX = 32
+
 
 @dataclass(frozen=True)
 class MacroDefinition:
@@ -62,51 +74,92 @@ class MacroDefinition:
 
 
 class MacroEnv:
-    """Immutable name -> definition table; updates return new tables."""
+    """Immutable name -> definition table; updates return new tables.
 
-    __slots__ = ("_table",)
+    An update shares the table it was made from and records its name in
+    a small overlay (``None`` marks a removed name), so its cost does not
+    grow with the table; an overlay of ``_OVERLAY_MAX`` names is merged
+    into a new table.
+    """
+
+    __slots__ = ("_table", "_overlay")
 
     def __init__(self, table: Mapping[str, MacroDefinition] | None = None):
-        object.__setattr__(self, "_table", dict(table or {}))
+        self._table = dict(table or {})
+        self._overlay: dict[str, MacroDefinition | None] = {}
+
+    @classmethod
+    def _owning(
+        cls,
+        table: dict[str, MacroDefinition],
+        overlay: dict[str, MacroDefinition | None] | None = None,
+    ) -> "MacroEnv":
+        """An environment over ``table`` itself, which no one may mutate
+        afterwards."""
+        env = cls.__new__(cls)
+        env._table = table
+        env._overlay = overlay or {}
+        return env
 
     @classmethod
     def empty(cls) -> "MacroEnv":
         return cls()
 
+    def _to_dict(self) -> dict[str, MacroDefinition]:
+        """A new name -> definition dict the caller may change."""
+        return _merged(self._table, self._overlay)
+
     def lookup(self, name: str) -> MacroDefinition | None:
+        if name in self._overlay:
+            return self._overlay[name]
         return self._table.get(name)
 
     def defined(self, name: str) -> bool:
-        return name in self._table
+        return self.lookup(name) is not None
 
     def definitions(self) -> list[MacroDefinition]:
-        return [self._table[n] for n in sorted(self._table)]
+        table = self._to_dict()
+        return [table[n] for n in sorted(table)]
 
     def with_define(
         self, name: str, body: str, provenance: str, function_like: bool = False
     ) -> "MacroEnv":
-        table = dict(self._table)
-        table[name] = MacroDefinition(name, body, provenance, function_like)
-        return MacroEnv(table)
+        return self._updated(name, MacroDefinition(name, body, provenance, function_like))
 
     def without(self, name: str) -> "MacroEnv":
-        if name not in self._table:
+        if not self.defined(name):
             return self
-        table = dict(self._table)
-        del table[name]
-        return MacroEnv(table)
+        return self._updated(name, None)
+
+    def _updated(self, name: str, definition: MacroDefinition | None) -> "MacroEnv":
+        overlay = {**self._overlay, name: definition}
+        if len(overlay) < _OVERLAY_MAX:
+            return MacroEnv._owning(self._table, overlay)
+        return MacroEnv._owning(_merged(self._table, overlay))
 
     def __contains__(self, name: str) -> bool:
-        return name in self._table
+        return self.defined(name)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._to_dict())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MacroEnv) and self._table == other._table
+        return isinstance(other, MacroEnv) and self._to_dict() == other._to_dict()
 
     def __repr__(self) -> str:
-        return f"MacroEnv({len(self._table)} macros)"
+        return f"MacroEnv({len(self)} macros)"
+
+
+def _merged(
+    table: dict[str, MacroDefinition], overlay: dict[str, MacroDefinition | None]
+) -> dict[str, MacroDefinition]:
+    merged = dict(table)
+    for name, definition in overlay.items():
+        if definition is None:
+            merged.pop(name, None)
+        else:
+            merged[name] = definition
+    return merged
 
 
 def predefined_macros(config: DialectConfig, profile: CompilerProfile) -> MacroEnv:
@@ -130,7 +183,21 @@ def predefined_macros(config: DialectConfig, profile: CompilerProfile) -> MacroE
     pre("__SIZEOF_POINTER__", "8" if config.pointer_width_64 else "4")
     for name, value in profile.compiler_id_macros.items():
         pre(name, value)
-    return MacroEnv(table)
+    return MacroEnv._owning(table)
+
+
+def _apply(
+    table: dict[str, MacroDefinition], directives: Iterable[MacroDirective], provenance: str
+) -> MacroEnv:
+    for d in directives:
+        if d.action == "define":
+            value = d.value if d.value is not None else "1"
+            table[d.name] = MacroDefinition(d.name, value, provenance)
+        elif d.action == "undefine":
+            table.pop(d.name, None)
+        else:
+            raise ValueError(f"unknown directive action {d.action!r}")
+    return MacroEnv._owning(table)
 
 
 def apply_directives(
@@ -138,23 +205,16 @@ def apply_directives(
 ) -> MacroEnv:
     """Apply -D/-U style directives in order; define overwrites,
     undefine removes, undefining an absent name is a no-op."""
-    for d in directives:
-        if d.action == "define":
-            env = env.with_define(d.name, d.value if d.value is not None else "1", provenance)
-        elif d.action == "undefine":
-            env = env.without(d.name)
-        else:
-            raise ValueError(f"unknown directive action {d.action!r}")
-    return env
+    return _apply(env._to_dict(), directives, provenance)
 
 
 def invocation_macro_env(inv: CompilerInvocation) -> MacroEnv:
     """Full macro environment of an invocation: dialect-predefined
     macros, option-conditional profile macros, then -D/-U in order."""
-    env = predefined_macros(inv.dialect, inv.profile)
+    table = predefined_macros(inv.dialect, inv.profile)._to_dict()
     for name, value in inv.profile_defines:
-        env = env.with_define(name, value, PREDEFINED)
-    return apply_directives(env, inv.macro_directives)
+        table[name] = MacroDefinition(name, value, PREDEFINED)
+    return _apply(table, inv.macro_directives, COMMAND_LINE)
 
 
 # --- conditional expression evaluation -----------------------------------
@@ -162,6 +222,10 @@ def invocation_macro_env(inv: CompilerInvocation) -> MacroEnv:
 _U64_MASK = (1 << 64) - 1
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+
+#: Most tokens the macro expansion of one condition may take from macro
+#: bodies; past it evaluation raises ExprEvalError.
+MAX_EXPANSION_TOKENS = 1 << 20
 
 _TOKEN_RE = re.compile(
     r"""\s+
@@ -188,6 +252,7 @@ _BIN_PRECEDENCE = {
 }
 
 _Token = tuple[str, str]
+_Lookup = Callable[[str], MacroDefinition | None]
 
 
 def _tokenize(text: str, context: str = "expression") -> list[_Token]:
@@ -220,46 +285,65 @@ def _read_defined(tokens: Sequence[_Token], i: int) -> tuple[str, int]:
 
 
 def _expand_tokens(
-    tokens: Sequence[_Token], env: MacroEnv, hidden: frozenset[str] = frozenset()
+    tokens: Sequence[_Token], lookup: _Lookup, bodies: dict[str, list[_Token]]
 ) -> list[_Token]:
+    """Replace ``defined`` operators and object-like macros.  A macro's
+    name is hidden while its own body is read, so self-reference stops.
+    ``bodies`` caches each body's tokens by its text."""
     out: list[_Token] = []
-    i = 0
-    while i < len(tokens):
-        kind, text = tokens[i]
-        if kind != "ident":
-            out.append(tokens[i])
-            i += 1
+    hidden: set[str] = set()
+    # Token lists whose reading an expansion interrupted, innermost last,
+    # with the macro each one is the body of (None for the condition).
+    suspended: list[tuple[Sequence[_Token], int, str | None]] = []
+    toks, i, name = tokens, 0, None
+    budget = MAX_EXPANSION_TOKENS
+    while True:
+        if i == len(toks):
+            if not suspended:
+                return out
+            hidden.discard(name)
+            toks, i, name = suspended.pop()
             continue
+        tok = toks[i]
+        i += 1
+        if tok[0] != "ident":
+            out.append(tok)
+            continue
+        text = tok[1]
         if text == "defined":
-            name, i = _read_defined(tokens, i + 1)
-            out.append(("num", "1" if env.defined(name) else "0"))
+            defined_name, i = _read_defined(toks, i)
+            out.append(("num", "1" if lookup(defined_name) is not None else "0"))
             continue
-        macro = env.lookup(text)
+        macro = lookup(text)
         if macro is None or text in hidden:
-            out.append(tokens[i])
-            i += 1
+            out.append(tok)
             continue
         if macro.function_like:
-            if i + 1 < len(tokens) and tokens[i + 1] == ("punct", "("):
+            if i < len(toks) and toks[i] == ("punct", "("):
                 raise UnsupportedMacroError(
                     f"function-like macro {text!r} invoked in a condition"
                 )
-            out.append(tokens[i])  # name without arguments is not expanded
-            i += 1
+            out.append(tok)  # name without arguments is not expanded
             continue
-        body = _tokenize(macro.body, context=f"body of macro {text!r}")
-        out.extend(_expand_tokens(body, env, hidden | {text}))
-        i += 1
-    return out
+        body = bodies.get(macro.body)
+        if body is None:
+            body = bodies[macro.body] = _tokenize(
+                macro.body, context=f"body of macro {text!r}"
+            )
+        budget -= len(body)
+        if budget < 0:
+            raise ExprEvalError(
+                f"macro expansion exceeds {MAX_EXPANSION_TOKENS} tokens"
+            )
+        suspended.append((toks, i, name))
+        hidden.add(text)
+        toks, i, name = body, 0, text
 
 
-@dataclass(frozen=True)
-class _Value:
+class _Value(NamedTuple):
     value: int  # canonical: [0, 2^64) when unsigned, [-2^63, 2^63) when signed
     unsigned: bool
 
-    def truth(self) -> bool:
-        return self.value != 0
 
 
 def _wrap_signed(v: int) -> int:
@@ -286,7 +370,26 @@ def _c_div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
+def _apply_unary(op: str, operand: _Value, live: bool) -> _Value:
+    if op == "!":
+        return _Value(int(operand.value == 0) if live else 0, False)
+    if not live:
+        return _Value(0, operand.unsigned)
+    if op == "+":
+        return operand
+    raw = -operand.value if op == "-" else ~operand.value
+    value = raw & _U64_MASK if operand.unsigned else _wrap_signed(raw)
+    return _Value(value, operand.unsigned)
+
+
 def _apply_binary(op: str, a: _Value, b: _Value, live: bool) -> _Value:
+    if op in ("&&", "||"):
+        if not live:
+            return _Value(0, False)
+        if op == "&&":
+            return _Value(int(a.value != 0 and b.value != 0), False)
+        return _Value(int(a.value != 0 or b.value != 0), False)
+
     if op in ("<", ">", "<=", ">=", "==", "!="):
         if not live:
             return _Value(0, False)
@@ -337,127 +440,139 @@ def _apply_binary(op: str, a: _Value, b: _Value, live: bool) -> _Value:
     return _Value(raw & _U64_MASK if unsigned else _wrap_signed(raw), unsigned)
 
 
-class _Parser:
-    """Precedence-climbing evaluator.  ``live`` is False inside the
-    unevaluated operand of && || ?: where only result signedness is
-    tracked and no arithmetic errors can occur."""
+def _apply_conditional(then: _Value, otherwise: _Value, truth: bool, live: bool) -> _Value:
+    unsigned = then.unsigned or otherwise.unsigned
+    if not live:
+        return _Value(0, unsigned)
+    chosen = then if truth else otherwise
+    return _Value(chosen.value & _U64_MASK if unsigned else chosen.value, unsigned)
 
-    def __init__(self, tokens: Sequence[_Token]):
-        self.tokens = tokens
-        self.pos = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+# Kinds of pending construct on the evaluator's stack.
+_PAREN, _PREFIX, _BINARY, _THEN, _ELSE = range(5)
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
+
+def _evaluate_tokens(tokens: Sequence[_Token]) -> _Value:
+    """Operator-precedence evaluation of expanded tokens.
+
+    Every construct still open sits on ``stack``, innermost last:
+    ``(PAREN, live)``, ``(PREFIX, op)``, ``(BINARY, precedence, op, left,
+    live)``, ``(THEN, live, truth)`` while the ``?`` arm is read and
+    ``(ELSE, live, truth, then)`` while the ``:`` arm is read.  ``live`` is
+    False inside the unevaluated operand of && || ?:, where only result
+    signedness is tracked and no arithmetic errors can occur.
+    """
+    stack: list[tuple] = []
+    live = True
+    pos = 0
+    n = len(tokens)
+    while True:
+        # An operand: prefix operators and "(" open constructs.
+        if pos == n:
             raise ExprSyntaxError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, punct: str) -> None:
-        tok = self.peek()
-        if tok != ("punct", punct):
-            found = tok[1] if tok else "end of expression"
-            raise ExprSyntaxError(f"expected {punct!r}, found {found!r}")
-        self.pos += 1
-
-    def parse(self) -> _Value:
-        result = self.conditional(live=True)
-        if self.peek() is not None:
-            raise ExprSyntaxError(f"unexpected token {self.peek()[1]!r} after expression")
-        return result
-
-    def conditional(self, live: bool) -> _Value:
-        cond = self.binary(1, live)
-        if self.peek() != ("punct", "?"):
-            return cond
-        self.next()
-        truth = cond.truth() if live else False
-        then = self.conditional(live and truth)
-        self.expect(":")
-        otherwise = self.conditional(live and not truth)
-        unsigned = then.unsigned or otherwise.unsigned
-        if not live:
-            return _Value(0, unsigned)
-        chosen = then if truth else otherwise
-        value = chosen.value & _U64_MASK if unsigned else chosen.value
-        return _Value(value, unsigned)
-
-    def binary(self, min_prec: int, live: bool) -> _Value:
-        left = self.unary(live)
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "punct":
-                return left
-            prec = _BIN_PRECEDENCE.get(tok[1])
-            if prec is None or prec < min_prec:
-                return left
-            op = self.next()[1]
-            if op in ("&&", "||"):
-                left_truth = left.truth() if live else False
-                rhs_live = live and (left_truth if op == "&&" else not left_truth)
-                right = self.binary(prec + 1, rhs_live)
-                if live:
-                    if op == "&&":
-                        result = left_truth and right.truth()
-                    else:
-                        result = left_truth or right.truth()
-                    left = _Value(int(result), False)
-                else:
-                    left = _Value(0, False)
-            else:
-                right = self.binary(prec + 1, live)
-                left = _apply_binary(op, left, right, live)
-
-    def unary(self, live: bool) -> _Value:
-        tok = self.peek()
-        if tok is not None and tok[0] == "punct" and tok[1] in ("!", "-", "+", "~"):
-            self.next()
-            operand = self.unary(live)
-            op = tok[1]
-            if op == "!":
-                return _Value(int(not operand.truth()) if live else 0, False)
-            if not live:
-                return _Value(0, operand.unsigned)
-            if op == "+":
-                return operand
-            raw = -operand.value if op == "-" else ~operand.value
-            value = raw & _U64_MASK if operand.unsigned else _wrap_signed(raw)
-            return _Value(value, operand.unsigned)
-        return self.primary(live)
-
-    def primary(self, live: bool) -> _Value:
-        kind, text = self.next()
+        kind, text = tokens[pos]
+        pos += 1
         if kind == "num":
-            return _parse_int(text)
-        if kind == "ident":
+            value = _parse_int(text)
+        elif kind == "ident":
             # Identifiers surviving macro expansion evaluate to 0.
-            return _Value(0, False)
-        if (kind, text) == ("punct", "("):
-            inner = self.conditional(live)
-            self.expect(")")
-            return inner
-        raise ExprSyntaxError(f"unexpected token {text!r}")
+            value = _Value(0, False)
+        elif text in ("!", "-", "+", "~"):
+            stack.append((_PREFIX, text))
+            continue
+        elif text == "(":
+            stack.append((_PAREN, live))
+            continue
+        else:
+            raise ExprSyntaxError(f"unexpected token {text!r}")
+
+        # What follows a complete operand, until the next operand starts.
+        while True:
+            while stack and stack[-1][0] == _PREFIX:
+                value = _apply_unary(stack.pop()[1], value, live)
+            tok = tokens[pos] if pos < n else None
+            prec = _BIN_PRECEDENCE.get(tok[1]) if tok and tok[0] == "punct" else None
+            # Binary operators are left-associative.
+            while stack and stack[-1][0] == _BINARY and (prec is None or stack[-1][1] >= prec):
+                _, _, op, left, live = stack.pop()
+                value = _apply_binary(op, left, value, live)
+            if prec is not None:
+                op = tok[1]
+                pos += 1
+                stack.append((_BINARY, prec, op, value, live))
+                if op == "&&":
+                    live = live and value.value != 0
+                elif op == "||":
+                    live = live and value.value == 0
+                break
+            if tok == ("punct", "?"):
+                pos += 1
+                truth = live and value.value != 0
+                stack.append((_THEN, live, truth))
+                live = truth
+                break
+            while stack and stack[-1][0] == _ELSE:
+                _, live, truth, then = stack.pop()
+                value = _apply_conditional(then, value, truth, live)
+            top = stack[-1][0] if stack else None
+            if top == _THEN and tok == ("punct", ":"):
+                pos += 1
+                _, live, truth = stack.pop()
+                stack.append((_ELSE, live, truth, value))
+                live = live and not truth
+                break
+            if top == _PAREN and tok == ("punct", ")"):
+                pos += 1
+                live = stack.pop()[1]
+                continue
+            if top is None and tok is None:
+                return value
+            # ``tok`` cannot continue the innermost open construct.
+            found = tok[1] if tok else "end of expression"
+            if top == _THEN:
+                raise ExprSyntaxError(f"expected ':', found {found!r}")
+            if top == _PAREN:
+                raise ExprSyntaxError(f"expected ')', found {found!r}")
+            raise ExprSyntaxError(f"unexpected token {found!r} after expression")
+
+
+def _evaluate(expr: str, lookup: _Lookup, bodies: dict[str, list[_Token]]) -> int:
+    tokens = _tokenize(expr)
+    if not tokens:
+        raise ExprSyntaxError("empty conditional expression")
+    return _evaluate_tokens(_expand_tokens(tokens, lookup, bodies)).value
 
 
 def eval_condition(env: MacroEnv, expr: str) -> int:
     """Evaluate a preprocessor constant expression against an
     environment; nonzero means the branch is taken."""
-    tokens = _tokenize(expr)
-    if not tokens:
-        raise ExprSyntaxError("empty conditional expression")
-    expanded = _expand_tokens(tokens, env)
-    return _Parser(expanded).parse().value
+    return _evaluate(expr, env.lookup, {})
 
 
 # --- conditional-compilation branch reports -------------------------------
 
-_DIRECTIVE_RE = re.compile(r"\s*#\s*([A-Za-z_]\w*)?\s*(.*?)\s*\Z", re.S)
-_DEFINE_RE = re.compile(r"([A-Za-z_]\w*)(\(?)(.*)\Z", re.S)
+# A string or character literal (kept; it ends at its quote or at the end of
+# its line), a line comment, a block comment, or the "/*" of a block comment
+# never closed.  Without capturing groups the pattern lets the regex engine
+# skip to the next '"', "'" or "/" at C speed.
+_COMMENT_RE = re.compile(
+    r"""  "(?:[^"\\\n]|\\[^\n])*"?
+        | '(?:[^'\\\n]|\\[^\n])*'?
+        | //[^\n]*
+        | /\*.*?\*/
+        | /\*
+    """,
+    re.S | re.X,
+)
 
-_CONDITIONAL_KINDS = frozenset({"if", "ifdef", "ifndef", "elif", "else", "endif"})
+# The directives that steer the scan; any other line, directive or not, is
+# kept or dropped with its region.
+_DIRECTIVE_RE = re.compile(
+    r"^[^\S\n]*#[^\S\n]*(ifdef|ifndef|if|elif|else|endif|define|undef)(?!\w)"
+    r"[^\S\n]*([^\n]*)",
+    re.M,
+)
+_DEFINE_RE = re.compile(r"([A-Za-z_]\w*)(\(?)(.*)\Z", re.S)
 
 
 @dataclass(frozen=True)
@@ -483,73 +598,48 @@ class BranchReport:
     retained_text: str
 
 
-@dataclass
-class _LogicalLine:
-    text: str
-    start: int
-    end: int
+def _logical_lines(source: str) -> tuple[str, Sequence[int]]:
+    """Join backslash-newline continuations.
+
+    Returns the logical lines as one text separated by ``\\n`` and their
+    physical extents: logical line ``k`` covers physical lines
+    ``starts[k]`` to ``starts[k + 1] - 1`` (1-based), so ``starts`` has one
+    entry more than there are logical lines.  A backslash ending the last
+    line stays.
+    """
+    if not source:
+        return "", [1]
+    body = source[:-1] if source.endswith("\n") else source
+    if "\\\n" not in body:
+        return body, range(1, body.count("\n") + 3)
+    pieces = body.split("\\\n")
+    text = "".join(pieces)
+    # extra[k]: physical lines logical line k takes beyond its first.
+    extra = [0] * (text.count("\n") + 1)
+    k = 0
+    for piece in pieces[:-1]:
+        k += piece.count("\n")
+        extra[k] += 1
+    return text, list(map(add, range(1, len(extra) + 2), accumulate(extra, initial=0)))
 
 
-def _logical_lines(physical: list[str]) -> list[_LogicalLine]:
-    out: list[_LogicalLine] = []
-    i = 0
-    while i < len(physical):
-        start = i
-        parts = []
-        while i < len(physical) - 1 and physical[i].endswith("\\"):
-            parts.append(physical[i][:-1])
-            i += 1
-        parts.append(physical[i])
-        out.append(_LogicalLine("".join(parts), start + 1, i + 1))
-        i += 1
-    return out
+def _strip_comments(text: str, starts: Sequence[int]) -> str:
+    """Replace each comment in ``text`` (logical lines, from
+    :func:`_logical_lines`) with a space, keeping the line breaks a block
+    comment spans so that every line keeps its index."""
 
+    def replace(m: re.Match) -> str:
+        found = m.group()
+        if found[0] != "/":
+            return found  # a string or character literal
+        if found[1] == "/":
+            return ""
+        if len(found) == 2:
+            line = starts[text.count("\n", 0, m.start())]
+            raise ConditionalStructureError("unterminated block comment", line)
+        return "\n" * found.count("\n") + " "
 
-def _strip_comments(lines: list[_LogicalLine]) -> list[str]:
-    stripped = []
-    in_block = False
-    block_start = 0
-    for line in lines:
-        text = line.text
-        res = []
-        i = 0
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if in_block:
-                if c == "*" and i + 1 < n and text[i + 1] == "/":
-                    in_block = False
-                    res.append(" ")
-                    i += 2
-                else:
-                    i += 1
-            elif c == "/" and i + 1 < n and text[i + 1] == "/":
-                break
-            elif c == "/" and i + 1 < n and text[i + 1] == "*":
-                in_block = True
-                block_start = line.start
-                i += 2
-            elif c in "\"'":
-                quote = c
-                res.append(c)
-                i += 1
-                while i < n:
-                    res.append(text[i])
-                    if text[i] == "\\" and i + 1 < n:
-                        res.append(text[i + 1])
-                        i += 2
-                        continue
-                    if text[i] == quote:
-                        i += 1
-                        break
-                    i += 1
-            else:
-                res.append(c)
-                i += 1
-        stripped.append("".join(res))
-    if in_block:
-        raise ConditionalStructureError("unterminated block comment", block_start)
-    return stripped
+    return _COMMENT_RE.sub(replace, text) if "/" in text else text
 
 
 @dataclass
@@ -563,7 +653,12 @@ class _Frame:
 
 
 def _begin_arm(
-    frame: _Frame, kind: str, condition: str | None, line: int, env: MacroEnv
+    frame: _Frame,
+    kind: str,
+    condition: str | None,
+    line: int,
+    table: dict[str, MacroDefinition],
+    bodies: dict[str, list[_Token]],
 ) -> None:
     if not frame.evaluated:
         taken: bool | None = None
@@ -575,12 +670,12 @@ def _begin_arm(
         if kind == "else":
             taken = True
         elif kind == "ifdef":
-            taken = env.defined(condition or "")
+            taken = condition in table
         elif kind == "ifndef":
-            taken = not env.defined(condition or "")
+            taken = condition not in table
         else:  # if / elif
             try:
-                taken = bool(eval_condition(env, condition or ""))
+                taken = bool(_evaluate(condition or "", table.get, bodies))
             except ConditionalStructureError:
                 raise
             except PreprocessorError as exc:
@@ -607,92 +702,92 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
     other non-conditional line in an active region.  Conditional
     directive lines themselves are never retained.
     """
-    physical = source.split("\n")
-    if physical and physical[-1] == "":
-        physical.pop()
-    logical = _logical_lines(physical)
-    stripped = _strip_comments(logical)
+    text, starts = _logical_lines(source)
+    stripped = _strip_comments(text, starts)
 
-    env_work = env
+    table = env._to_dict()
+    bodies: dict[str, list[_Token]] = {}
     frames: list[_Frame] = []
     groups: list[ConditionalGroup] = []
     retained: list[tuple[int, int]] = []
-
-    def context_active() -> bool:
-        return frames[-1].active if frames else True
-
-    def retain(line: _LogicalLine) -> None:
-        if retained and retained[-1][1] + 1 == line.start:
-            retained[-1] = (retained[-1][0], line.end)
-        else:
-            retained.append((line.start, line.end))
-
-    for line, text in zip(logical, stripped):
-        m = _DIRECTIVE_RE.match(text) if text.lstrip().startswith("#") else None
-        kind = m.group(1) if m else None
-        if m is None or kind not in _CONDITIONAL_KINDS:
-            if not context_active():
+    active = True
+    # Logical lines from ``pending`` up to the next conditional directive
+    # share one state: retained when ``active``.
+    pending = 0
+    k = 0  # logical line of the directive matched
+    pos = 0
+    for m in _DIRECTIVE_RE.finditer(stripped):
+        k += stripped.count("\n", pos, m.start())
+        pos = m.start()
+        kind, rest = m.groups()
+        rest = rest.rstrip()
+        line = starts[k]
+        if kind == "define" or kind == "undef":
+            if not active:
                 continue
-            if kind == "define":
-                dm = _DEFINE_RE.match(m.group(2))
-                if dm is None:
-                    raise ConditionalStructureError("malformed #define", line.start)
-                name, paren, body = dm.groups()
-                env_work = env_work.with_define(
-                    name,
-                    (paren + body).strip() if paren else body.strip(),
-                    SOURCE,
-                    function_like=bool(paren),
-                )
-            elif kind == "undef":
-                env_work = env_work.without(_require_name(m.group(2), "undef", line.start))
-            retain(line)
+            if kind == "undef":
+                table.pop(_require_name(rest, "undef", line), None)
+                continue
+            dm = _DEFINE_RE.match(rest)
+            if dm is None:
+                raise ConditionalStructureError("malformed #define", line)
+            name, paren, body = dm.groups()
+            table[name] = MacroDefinition(
+                name,
+                (paren + body).strip() if paren else body.strip(),
+                SOURCE,
+                function_like=bool(paren),
+            )
             continue
 
-        rest = m.group(2)
+        if active and pending < k:
+            retained.append((starts[pending], line - 1))
+        pending = k + 1
         if kind in ("if", "ifdef", "ifndef"):
-            frame = _Frame(arms=[], start_line=line.start, evaluated=context_active())
+            frame = _Frame(arms=[], start_line=line, evaluated=active)
             frames.append(frame)
-            condition = (
-                _require_name(rest, kind, line.start) if kind != "if" else rest
-            )
-            _begin_arm(frame, kind, condition, line.start, env_work)
+            condition = _require_name(rest, kind, line) if kind != "if" else rest
+            _begin_arm(frame, kind, condition, line, table, bodies)
         elif kind == "elif":
             if not frames:
-                raise ConditionalStructureError("#elif without matching #if", line.start)
+                raise ConditionalStructureError("#elif without matching #if", line)
             if frames[-1].in_else:
-                raise ConditionalStructureError("#elif after #else", line.start)
-            _begin_arm(frames[-1], "elif", rest, line.start, env_work)
+                raise ConditionalStructureError("#elif after #else", line)
+            _begin_arm(frames[-1], "elif", rest, line, table, bodies)
         elif kind == "else":
             if not frames:
-                raise ConditionalStructureError("#else without matching #if", line.start)
+                raise ConditionalStructureError("#else without matching #if", line)
             if frames[-1].in_else:
-                raise ConditionalStructureError("duplicate #else", line.start)
+                raise ConditionalStructureError("duplicate #else", line)
             frames[-1].in_else = True
-            _begin_arm(frames[-1], "else", None, line.start, env_work)
-        elif kind == "endif":
+            _begin_arm(frames[-1], "else", None, line, table, bodies)
+        else:  # endif
             if not frames:
-                raise ConditionalStructureError("#endif without matching #if", line.start)
+                raise ConditionalStructureError("#endif without matching #if", line)
             frame = frames.pop()
             groups.append(
                 ConditionalGroup(
                     arms=tuple(frame.arms),
                     start_line=frame.start_line,
-                    end_line=line.end,
+                    end_line=starts[k + 1] - 1,
                     evaluated=frame.evaluated,
                 )
             )
+        active = frames[-1].active if frames else True
 
     if frames:
         raise ConditionalStructureError(
             "unterminated conditional", frames[-1].start_line
         )
+    if pending < len(starts) - 1:
+        retained.append((starts[pending], starts[-1] - 1))
 
     groups.sort(key=lambda g: g.start_line)
+    physical = source.split("\n")
     lines_out: list[str] = []
     for start, end in retained:
         lines_out.extend(physical[start - 1 : end])
-    retained_text = "".join(l + "\n" for l in lines_out)
+    retained_text = "\n".join(lines_out) + "\n" if lines_out else ""
     return BranchReport(
         groups=tuple(groups),
         retained_ranges=tuple(retained),

@@ -159,7 +159,9 @@ def _parse_defaults(data: dict, std_names: Mapping[str, StdName], context: str) 
     return DialectConfig(**kwargs)
 
 
-def _parse_effect(flag: str, data, context: str) -> FlagEffect:
+def _parse_effect(
+    flag: str, data, std_names: Mapping[str, StdName], context: str
+) -> FlagEffect:
     data = _object(data, f"flag {flag!r}", context)
     sets = []
     for f, v in _object(data.get("set", {}), f"flag {flag!r} set", context).items():
@@ -175,6 +177,8 @@ def _parse_effect(flag: str, data, context: str) -> FlagEffect:
     std = data.get("std")
     if std is not None and not isinstance(std, str):
         raise ProfileError(f"{context}: flag {flag!r} std must be a string")
+    if std is not None and std not in std_names:
+        raise ProfileError(f"{context}: flag {flag!r} std {std!r} is not in std_names")
     return FlagEffect(
         sets=tuple(sets),
         std=std,
@@ -219,7 +223,7 @@ def profile_from_dict(data: dict, source: str = "<dict>") -> CompilerProfile:
         stdc_versions[std_class] = stdc_version
 
     flags = {
-        flag: _parse_effect(flag, effect, context)
+        flag: _parse_effect(flag, effect, std_names, context)
         for flag, effect in _object(data.get("flags", {}), "flags", context).items()
     }
 

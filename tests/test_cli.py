@@ -228,6 +228,37 @@ def test_macros_branches_stdin(capsys, monkeypatch):
     assert doc["retained_ranges"] == [[2, 2]]
 
 
+def test_macros_deep_input_and_runaway_expansion(capsys, tmp_path):
+    deep = "(" * 2000 + "1" + ")" * 2000
+    assert run(capsys, "macros", "eval", "--value", "0", deep) == (0, "1\n", "")
+    source = tmp_path / "deep.h"
+    source.write_text(f"#if {deep}\nint deep;\n#endif\n")
+    code, doc = run_json(capsys, "macros", "branches", "--value", "0", str(source))
+    assert code == 0
+    assert [[a["taken"] for a in g["arms"]] for g in doc["groups"]] == [[True]]
+    assert doc["retained_ranges"] == [[2, 2]]
+    chain = ["-D", "A30=1"] + [x for i in range(30) for x in ("-D", f"A{i}=A{i + 1} A{i + 1}")]
+    code, out, err = run(capsys, "macros", "eval", "--value", "0", *chain, "A0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "macro expansion exceeds" in err
+
+
+def test_renderings_not_printed_are_not_built(capsys, tmp_path, monkeypatch):
+    def unused(*args):
+        raise AssertionError("rendering built but not printed")
+
+    monkeypatch.setattr("dialectoscope.build_audit.AuditReport.to_json_dict", unused)
+    monkeypatch.setattr("dialectoscope.cli._branches_text", unused)
+    db = tmp_path / "cc.json"
+    db.write_text(compile_db([("a.c", "-O2"), ("b.c", "")]))
+    code, out, _ = run(capsys, "build", "audit", str(db))
+    assert code == 1 and "inconsistency" in out
+    source = tmp_path / "s.c"
+    source.write_text("#if 1\nx\n#endif\n")
+    code, doc = run_json(capsys, "macros", "branches", str(source))
+    assert code == 0 and doc["retained_ranges"] == [[2, 2]]
+
+
 def test_macros_branches_reports_structure_errors(capsys, tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text("#endif\n")
@@ -520,6 +551,7 @@ def test_missing_subcommand_is_usage_error(capsys):
         ("system_include_dirs", "/usr/include"),
         ("version_range", 8),
         ("canonical", ["-fsigned-char"]),
+        ("flags", {"-ansi": {"std": "c99x"}}),
     ],
 )
 def test_malformed_profile_is_an_input_error(capsys, tmp_path, key, value):
@@ -530,6 +562,8 @@ def test_malformed_profile_is_an_input_error(capsys, tmp_path, key, value):
                          "probe", "flags", "443")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+    if key == "flags" and isinstance(value, dict):
+        assert repr(next(iter(value))) in err  # names the flag
 
 
 def test_profile_without_flag_spellings_refuses_to_render(capsys):

@@ -1,8 +1,11 @@
 """Predefined tables, expression evaluation (with a differential
-oracle), and conditional-branch reporting."""
+oracle), and conditional-branch reporting (with the character-loop
+scanner as the oracle of the line and comment scanner)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from dialectoscope import macro_env
 
 from dialectoscope import (
     AnsiMode,
@@ -104,6 +107,22 @@ def test_env_immutability():
     removed = extended.without("A")
     assert extended.defined("A") and not removed.defined("A")
     assert len(extended) == 2
+
+
+def test_env_updates_past_the_overlay_limit():
+    # Enough updates to merge the overlay into new tables several times;
+    # every intermediate table must stay as it was.
+    envs = [MacroEnv.empty()]
+    for i in range(100):
+        env = envs[-1].with_define(f"M{i}", str(i), "source")
+        envs.append(env.without(f"M{i - 1}") if i % 3 == 0 else env)
+    for i, env in enumerate(envs):
+        expected = {f"M{j}" for j in range(i) if not (j + 1 < i and (j + 1) % 3 == 0)}
+        assert {d.name for d in env.definitions()} == expected
+        assert len(env) == len(expected)
+        assert all(env.defined(name) and name in env for name in expected)
+    assert envs[-1].without("ABSENT") is envs[-1]
+    assert envs[-1] == MacroEnv({d.name: d for d in envs[-1].definitions()})
 
 
 def test_invocation_macro_env(profile):
@@ -208,6 +227,52 @@ def test_macro_expansion():
     assert eval_condition(env, "X") == 1
     assert eval_condition(env_of(), "UNKNOWN_NAME") == 0
     assert eval_condition(env_of(), "UNKNOWN_NAME + 2") == 2
+
+
+def test_deep_expressions_evaluate():
+    env = env_of()
+    assert eval_condition(env, "(" * 2000 + "1" + ")" * 2000) == 1
+    assert eval_condition(env, "!" * 5000 + "0") == 0
+    assert eval_condition(env, "!" * 5001 + "0") == 1
+    assert eval_condition(env, "-" * 3001 + "1") == -1
+    assert eval_condition(env, "1 ? " * 2000 + "7" + " : 0" * 2000) == 7
+    assert eval_condition(env, "0 && " + "(" * 2000 + "1/0" + ")" * 2000) == 0
+    assert eval_condition(env, "1" + " + 1" * 5000) == 5001
+    deep = f"#if {'(' * 2000}1{')' * 2000}\nint deep;\n#endif\n"
+    report = active_branches(env, deep)
+    assert [(g.start_line, g.end_line, [a.taken for a in g.arms]) for g in report.groups] == [
+        (1, 3, [True])
+    ]
+    assert report.retained_ranges == ((2, 2),)
+
+
+def test_deep_macro_chain_expands():
+    table = {f"M{i}": macro_env.MacroDefinition(f"M{i}", f"M{i + 1}", "source")
+             for i in range(3000)}
+    table["M3000"] = macro_env.MacroDefinition("M3000", "0u - 1", "source")
+    assert eval_condition(MacroEnv(table), "M0") == 2**64 - 1
+    source = "".join(f"#define M{i} M{i + 1}\n" for i in range(3000))
+    source += "#define M3000 42\n#if M0 == 42\nyes\n#endif\n"
+    (group,) = active_branches(env_of(), source).groups
+    assert group.arms[0].taken is True
+
+
+def test_multiplying_expansion_stops_at_the_cap():
+    # A0 expands to 2**40 tokens.
+    source = "".join(f"#define A{i} A{i + 1} A{i + 1}\n" for i in range(40))
+    source += "#if A0\n#endif\n"
+    with pytest.raises(ExprEvalError, match=f"line 41: .*{macro_env.MAX_EXPANSION_TOKENS}"):
+        active_branches(env_of(), source)
+    # Bodies that expand to nothing are counted too.
+    source = "".join(f"#define E{i} E{i + 1} E{i + 1}\n" for i in range(40))
+    source += "#define E40\n#if 1 + E0\n#endif\n"
+    with pytest.raises(ExprEvalError):
+        active_branches(env_of(), source)
+    # A quarter of the cap still evaluates: B0 takes 4 * 2**depth - 3 body tokens.
+    depth = macro_env.MAX_EXPANSION_TOKENS.bit_length() - 5
+    source = "".join(f"#define B{i} B{i + 1} + B{i + 1}\n" for i in range(depth))
+    source += f"#define B{depth} 1\n#if B0 == {2 ** depth}\nyes\n#endif\n"
+    assert active_branches(env_of(), source).retained_text.endswith("yes\n")
 
 
 def test_function_like_macros():
@@ -401,6 +466,45 @@ def test_eval_condition_matches_oracle(node, table):
     assert got == (expected_value % U64 if expected_unsigned else expected_value)
 
 
+# Each wrapper puts a primary expression one level deeper, and says what it
+# does to the (value, unsigned) pair.
+_WRAPPERS = {
+    "!{}": lambda v, u: (int(v == 0), False),
+    "-{}": lambda v, u: (_wrap(-v, u), u),
+    "~{}": lambda v, u: (_wrap(~v, u), u),
+    "+{}": lambda v, u: (v, u),
+    "({})": lambda v, u: (v, u),
+    "(0 || {})": lambda v, u: (int(v != 0), False),
+    "(1 && {})": lambda v, u: (int(v != 0), False),
+    "(1 ? {} : 0)": lambda v, u: (v % U64 if u else v, u),
+    "(0 ? 1/0 : {})": lambda v, u: (v % U64 if u else v, u),
+    "({} * 1)": lambda v, u: (v, u),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _exprs,
+    _envs,
+    st.lists(st.tuples(st.sampled_from(sorted(_WRAPPERS)), st.integers(0, 1500)), max_size=4),
+)
+def test_deep_expressions_match_oracle(node, table, layers):
+    env = MacroEnv.empty()
+    for name, (v, u) in table.items():
+        env = env.with_define(name, f"{v}U" if u else str(v), "command-line")
+    try:
+        value, unsigned = _oracle(node, table)
+    except OracleEvalError:
+        return
+    text = f"({_expression_text(node)})"
+    for wrapper, depth in layers:
+        prefix, _, suffix = wrapper.partition("{}")
+        text = prefix * depth + text + suffix * depth
+        for _ in range(depth):
+            value, unsigned = _WRAPPERS[wrapper](value, unsigned)
+    assert eval_condition(env, text) == value
+
+
 # --- branch reports ------------------------------------------------------------
 
 
@@ -553,6 +657,16 @@ def test_all_false_env_keeps_front_matter_and_else():
         assert end_a < start_b
 
 
+def test_many_distinct_defines():
+    n = 32_000
+    source = "".join(f"#define D{i} {i}\n" for i in range(n))
+    source += f"#if D{n - 1} == {n - 1} && defined(D0)\nlast\n#else\nwrong\n#endif\n"
+    report = active_branches(env_of(), source)
+    (group,) = report.groups
+    assert [a.taken for a in group.arms] == [True, False]
+    assert report.retained_ranges == ((1, n), (n + 2, n + 2))
+
+
 def test_ifdef_and_ifndef():
     env = env_of(PRESENT=1)
     report = active_branches(env, "#ifdef PRESENT\na\n#endif\n#ifndef PRESENT\nb\n#endif\n")
@@ -561,3 +675,126 @@ def test_ifdef_and_ifndef():
     assert report.retained_text == "b\n"
     with pytest.raises(ConditionalStructureError):
         active_branches(env, "#ifdef\n#endif\n")
+
+
+# --- line and comment scanner against the character-loop oracle ---------------
+
+
+def _oracle_logical_lines(physical):
+    out = []
+    i = 0
+    while i < len(physical):
+        start = i
+        parts = []
+        while i < len(physical) - 1 and physical[i].endswith("\\"):
+            parts.append(physical[i][:-1])
+            i += 1
+        parts.append(physical[i])
+        out.append(("".join(parts), start + 1, i + 1))
+        i += 1
+    return out
+
+
+def _oracle_strip_comments(lines):
+    stripped = []
+    in_block = False
+    block_start = 0
+    for text, start, _ in lines:
+        res = []
+        i = 0
+        n = len(text)
+        while i < n:
+            c = text[i]
+            if in_block:
+                if c == "*" and i + 1 < n and text[i + 1] == "/":
+                    in_block = False
+                    res.append(" ")
+                    i += 2
+                else:
+                    i += 1
+            elif c == "/" and i + 1 < n and text[i + 1] == "/":
+                break
+            elif c == "/" and i + 1 < n and text[i + 1] == "*":
+                in_block = True
+                block_start = start
+                i += 2
+            elif c in "\"'":
+                quote = c
+                res.append(c)
+                i += 1
+                while i < n:
+                    res.append(text[i])
+                    if text[i] == "\\" and i + 1 < n:
+                        res.append(text[i + 1])
+                        i += 2
+                        continue
+                    if text[i] == quote:
+                        i += 1
+                        break
+                    i += 1
+            else:
+                res.append(c)
+                i += 1
+        stripped.append("".join(res))
+    if in_block:
+        raise ConditionalStructureError("unterminated block comment", block_start)
+    return stripped
+
+
+def _oracle_scan(source):
+    physical = source.split("\n")
+    if physical and physical[-1] == "":
+        physical.pop()
+    lines = _oracle_logical_lines(physical)
+    return [(start, end) for _, start, end in lines], _oracle_strip_comments(lines)
+
+
+def _scan(source):
+    text, starts = macro_env._logical_lines(source)
+    n = len(starts) - 1
+    extents = [(starts[k], starts[k + 1] - 1) for k in range(n)]
+    return extents, macro_env._strip_comments(text, starts).split("\n")[:n]
+
+
+_SCANNER_PIECES = st.sampled_from([
+    "a", "x1", " ", "\t", "#", "#if 1", '"', "'", '\\"', "\\'", "\\", "\\\\",
+    "//", "/*", "*/", "/*/", "/", "*", "\n", "\n", "\\\n", "/* c\n d */",
+    '"s/*"', "'*/'", "\r", "\x0c",
+])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_SCANNER_PIECES, max_size=30).map("".join))
+def test_scanner_matches_character_loop(source):
+    try:
+        expected = _oracle_scan(source)
+    except ConditionalStructureError as exc:
+        with pytest.raises(ConditionalStructureError) as err:
+            _scan(source)
+        assert err.value.line == exc.line
+        return
+    assert _scan(source) == expected
+
+
+@pytest.mark.parametrize("source", [
+    "", "\n", "\n\n", "a", "a\\", "a\\\n", "a\\\n\n", "a\\\nb\\\nc\nd",
+    "a\\\\\n\nb", '"\\', '"a\\"b" // c\nd', "x /* a\n b */ y /* c */ z",
+    "'/*' /* \" */ \"*/\" // '\n", "s /*/ t */ u", "a // b \\\n c\nd",
+])
+def test_scanner_pinned_cases(source):
+    assert _scan(source) == _oracle_scan(source)
+
+
+@pytest.mark.parametrize("source,line", [
+    ("/* never closed\n", 1),
+    ("a\nb /* c */ d\n e /* f\ng\n", 3),
+    ("a\\\nb\\\nc /*\n", 1),
+    ("x\n/* */ /*/\n", 2),
+])
+def test_unterminated_block_comment_line(source, line):
+    with pytest.raises(ConditionalStructureError) as err:
+        _oracle_scan(source)
+    assert err.value.line == line
+    with pytest.raises(ConditionalStructureError) as err:
+        _scan(source)
+    assert err.value.line == line
