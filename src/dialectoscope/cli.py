@@ -41,7 +41,7 @@ from .include_resolver import (
 )
 from .invocation import (
     InvocationError,
-    MacroDirective,
+    _macro_directive,
     parse_invocation,
     split_command,
 )
@@ -269,14 +269,9 @@ def _macro_env_from_args(args) -> MacroEnv:
         argv = split_command(args.flags or "")
         inv = parse_invocation(argv, env=_env_map(args.env), profile=profile)
         env = invocation_macro_env(inv)
-    extra = [MacroDirective("define", *_split_define(d)) for d in args.define or []]
-    extra += [MacroDirective("undefine", u) for u in args.undef or []]
+    extra = [_macro_directive("-D", d) for d in args.define or []]
+    extra += [_macro_directive("-U", u) for u in args.undef or []]
     return apply_directives(env, extra)
-
-
-def _split_define(text: str) -> tuple[str, str]:
-    name, eq, value = text.partition("=")
-    return name, value if eq else "1"
 
 
 def cmd_macros_show(args) -> Result:

@@ -11,7 +11,7 @@ point maps bijectively onto an integer in ``0..767``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import Context, ROUND_HALF_EVEN
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
@@ -110,14 +110,9 @@ def decode_value(value: int) -> DialectConfig:
     if not 0 <= value < ENCODING_SPACE:
         raise DialectValueError(f"dialect value must be in 0..767, got {value}")
     return DialectConfig(
-        char_is_signed=bool(value & 1),
-        bitfield_is_signed=bool(value & 2),
-        short_enums=bool(value & 4),
-        optimized=bool(value & 8),
-        pointer_width_64=bool(value & 16),
-        freestanding=bool(value & 32),
         std_class=(value >> 6) & 3,
         ansi_mode=AnsiMode(value >> 8),
+        **{f: bool(value & w) for f, w in BOOLEAN_WEIGHTS.items()},
     )
 
 
@@ -155,10 +150,17 @@ def canonical_flags(config: DialectConfig, profile: "CompilerProfile") -> list[s
 
 # --- dialect-space counting -------------------------------------------------
 
+#: The largest behavior count whose 2**n prints in at most 4300 decimal
+#: digits, CPython's default limit on converting an int to text.
+MAX_BEHAVIORS = 14284
+
+
 def dialect_count_lower_bound(n_behaviors: int) -> int:
     """Exact 2**n_behaviors: every behavior admits at least two choices."""
     if n_behaviors < 0:
         raise ValueError(f"behavior count must be >= 0, got {n_behaviors}")
+    if n_behaviors > MAX_BEHAVIORS:
+        raise ValueError(f"behavior count must be <= {MAX_BEHAVIORS}, got {n_behaviors}")
     return 1 << n_behaviors
 
 

@@ -95,6 +95,8 @@ class FileSystemModel:
     def from_directory(cls, root: str) -> "FileSystemModel":
         """Snapshot a real directory tree (the only non-hermetic
         constructor)."""
+        if not os.path.isdir(root):
+            raise NotADirectoryError(f"not a directory: {root}")
         root = os.path.abspath(root)
         paths = []
         for base, _dirs, names in os.walk(root):

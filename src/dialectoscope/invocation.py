@@ -11,14 +11,17 @@ drivers process their options.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
-from .dialect_model import AnsiMode, DialectConfig
-from .profiles import CompilerProfile, ProfileError
+from .dialect_model import BOOLEAN_WEIGHTS, AnsiMode, DialectConfig
+from .profiles import CompilerProfile, ProfileError, StdName
 
 _MACRO_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
-_OPT_LEVEL_RE = re.compile(r"-O[0-9a-zA-Z]+\Z")
+_OPT_LEVEL_RE = re.compile(r"-O[0-9a-zA-Z]*\Z")
+#: The options that take a value, joined (``-DX``) or as the next word
+#: (``-D X``); ``-I-`` alone is not one of them.
+_VALUE_OPTION_RE = re.compile(r"(-D|-U|-I(?!-\Z)|-iquote|-isystem)(.*)\Z", re.S)
 
 # POSIX shell words as shlex.split(s, posix=True) reads them: separated by
 # exactly shlex's whitespace " \t\r\n", made of unquoted runs, backslash
@@ -94,45 +97,6 @@ class CompilerInvocation:
     profile_defines: tuple[tuple[str, str], ...] = ()
 
 
-class _DialectState:
-    """Mutable working copy of the dialect while flags are applied."""
-
-    def __init__(self, defaults: DialectConfig):
-        self.booleans = {
-            f: getattr(defaults, f)
-            for f in (
-                "char_is_signed",
-                "bitfield_is_signed",
-                "short_enums",
-                "optimized",
-                "pointer_width_64",
-                "freestanding",
-            )
-        }
-        self.std_class = defaults.std_class
-        self.strict = defaults.ansi_mode is AnsiMode.STRICT
-        # Strict standards process trigraphs; GNU modes leave them off
-        # unless explicitly requested.
-        self.trigraphs = defaults.ansi_mode in (AnsiMode.STRICT, AnsiMode.GNU_TRIGRAPHS)
-
-    def apply_std(self, resolved) -> None:
-        self.std_class = resolved.std_class
-        self.strict = resolved.strict
-        # Selecting a standard resets trigraph processing to that
-        # standard's default, so a later -std overrides an earlier
-        # -trigraphs, as real drivers do.
-        self.trigraphs = resolved.strict
-
-    def config(self) -> DialectConfig:
-        if self.strict:
-            mode = AnsiMode.STRICT
-        elif self.trigraphs:
-            mode = AnsiMode.GNU_TRIGRAPHS
-        else:
-            mode = AnsiMode.GNU
-        return DialectConfig(std_class=self.std_class, ansi_mode=mode, **self.booleans)
-
-
 def _unquote(piece: re.Match) -> str:
     escaped, single, double = piece.groups()
     if escaped is not None:
@@ -179,6 +143,13 @@ def _macro_directive(option: str, text: str) -> MacroDirective:
     return MacroDirective("define", name, value if eq else "1")
 
 
+def _next_word(option: str, words: Iterator[str]) -> str:
+    word = next(words, None)
+    if word is None:
+        raise InvocationError(f"option {option} requires an argument")
+    return word
+
+
 def parse_invocation(
     argv: Sequence[str],
     env: Mapping[str, str] | None = None,
@@ -192,81 +163,72 @@ def parse_invocation(
         profile = load_profile()
     env = env or {}
 
-    state = _DialectState(profile.defaults)
+    defaults = profile.defaults
+    booleans = {f: getattr(defaults, f) for f in BOOLEAN_WEIGHTS}
+    std = StdName(defaults.std_class, defaults.ansi_mode is AnsiMode.STRICT)
+    # Strict standards process trigraphs; GNU modes leave them off unless
+    # explicitly requested.
+    trigraphs = defaults.ansi_mode is not AnsiMode.GNU
     directives: list[MacroDirective] = []
-    quote_dirs: list[str] = []
-    normal_dirs: list[str] = []
-    system_dirs: list[str] = []
+    dirs: dict[str, list[str]] = {"-iquote": [], "-I": [], "-isystem": []}
     sources: list[str] = []
     unrecognized: list[str] = []
     profile_defines: list[tuple[str, str]] = []
     opt_level: str | None = None
     nostdinc = False
 
-    def take_value(option: str, joined: str, i: int) -> tuple[str, int]:
-        if joined:
-            return joined, i
-        if i + 1 >= len(argv):
-            raise InvocationError(f"option {option} requires an argument")
-        return argv[i + 1], i + 1
-
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
+    words = iter(argv)
+    for arg in words:
         if arg == "-" or not arg.startswith("-"):
             sources.append(arg)
-        elif arg.startswith("-D") or arg.startswith("-U"):
-            option = arg[:2]
-            text, i = take_value(option, arg[2:], i)
-            directives.append(_macro_directive(option, text))
-        elif arg.startswith("-I") and arg != "-I-":
-            text, i = take_value("-I", arg[2:], i)
-            normal_dirs.append(text)
-        elif arg == "-iquote" or arg.startswith("-iquote"):
-            text, i = take_value("-iquote", arg[len("-iquote"):], i)
-            quote_dirs.append(text)
-        elif arg == "-isystem" or arg.startswith("-isystem"):
-            text, i = take_value("-isystem", arg[len("-isystem"):], i)
-            system_dirs.append(text)
-        elif arg.startswith("-std=") or arg.startswith("--std="):
-            name = arg.split("=", 1)[1]
+        elif value_option := _VALUE_OPTION_RE.match(arg):
+            option, value = value_option.groups()
+            value = value or _next_word(option, words)
+            if option in dirs:
+                dirs[option].append(value)
+            else:
+                directives.append(_macro_directive(option, value))
+        elif arg.startswith(("-std=", "--std=")):
             try:
-                state.apply_std(profile.resolve_std(name))
+                std = profile.resolve_std(arg.split("=", 1)[1])
             except ProfileError as exc:
                 raise InvocationError(str(exc)) from None
-        elif arg == "-O0":
-            state.booleans["optimized"] = False
-            opt_level = arg
-        elif arg == "-O" or _OPT_LEVEL_RE.match(arg):
-            state.booleans["optimized"] = True
+            # Selecting a standard resets trigraph processing to that
+            # standard's default, so a later -std overrides an earlier
+            # -trigraphs, as real drivers do.
+            trigraphs = std.strict
+        elif _OPT_LEVEL_RE.match(arg):
+            booleans["optimized"] = arg != "-O0"
             opt_level = arg
         elif arg in profile.flag_vocabulary:
             effect = profile.flag_vocabulary[arg]
-            for f, v in effect.sets:
-                state.booleans[f] = v
+            booleans.update(effect.sets)
             if effect.std is not None:
-                state.apply_std(profile.resolve_std(effect.std))
-            if effect.trigraphs:
-                state.trigraphs = True
-            if effect.nostdinc:
-                nostdinc = True
+                std = profile.resolve_std(effect.std)
+                trigraphs = std.strict
+            trigraphs = trigraphs or effect.trigraphs
+            nostdinc = nostdinc or effect.nostdinc
             profile_defines.extend(effect.defines)
         elif arg in _ARG_TAKING_PASSTHROUGH:
-            value, i = take_value(arg, "", i)
-            unrecognized.extend([arg, value])
+            unrecognized.extend([arg, _next_word(arg, words)])
         else:
             unrecognized.append(arg)
-        i += 1
 
-    normal_dirs.extend(_split_env_path(env.get("CPATH", "")))
-    system_dirs.extend(_split_env_path(env.get("C_INCLUDE_PATH", "")))
+    dirs["-I"].extend(_split_env_path(env.get("CPATH", "")))
+    dirs["-isystem"].extend(_split_env_path(env.get("C_INCLUDE_PATH", "")))
+    if std.strict:
+        mode = AnsiMode.STRICT
+    else:
+        mode = AnsiMode.GNU_TRIGRAPHS if trigraphs else AnsiMode.GNU
 
     return CompilerInvocation(
         profile=profile,
-        dialect=state.config(),
+        dialect=DialectConfig(std_class=std.std_class, ansi_mode=mode, **booleans),
         macro_directives=tuple(directives),
         include_dirs=IncludeDirs(
-            quote=tuple(quote_dirs), normal=tuple(normal_dirs), system=tuple(system_dirs)
+            quote=tuple(dirs["-iquote"]),
+            normal=tuple(dirs["-I"]),
+            system=tuple(dirs["-isystem"]),
         ),
         source_files=tuple(sources),
         unrecognized=tuple(unrecognized),

@@ -13,23 +13,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
-from .dialect_model import AnsiMode, DialectConfig
+from .dialect_model import BOOLEAN_WEIGHTS, AnsiMode, DialectConfig
 
 PROFILE_DIR_ENV = "DIALECTOSCOPE_PROFILE_DIR"
 DEFAULT_PROFILE = "gcc8-x86_64"
-
-_CONFIG_BOOL_FIELDS = (
-    "char_is_signed",
-    "bitfield_is_signed",
-    "short_enums",
-    "optimized",
-    "pointer_width_64",
-    "freestanding",
-)
 
 
 class ProfileError(ValueError):
@@ -145,7 +136,7 @@ def _strings(value, what: str, context: str) -> tuple[str, ...]:
 
 def _parse_defaults(data: dict, std_names: Mapping[str, StdName], context: str) -> DialectConfig:
     kwargs = {}
-    for f in _CONFIG_BOOL_FIELDS:
+    for f in BOOLEAN_WEIGHTS:
         value = _require(data, f, context)
         if not isinstance(value, bool):
             raise ProfileError(f"{context}: {f} must be a boolean")
@@ -165,7 +156,7 @@ def _parse_effect(
     data = _object(data, f"flag {flag!r}", context)
     sets = []
     for f, v in _object(data.get("set", {}), f"flag {flag!r} set", context).items():
-        if f not in _CONFIG_BOOL_FIELDS:
+        if f not in BOOLEAN_WEIGHTS:
             raise ProfileError(f"{context}: flag {flag!r} sets unknown field {f!r}")
         if not isinstance(v, bool):
             raise ProfileError(f"{context}: flag {flag!r} field {f!r} must be boolean")

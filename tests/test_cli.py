@@ -203,6 +203,22 @@ def test_macros_eval_with_flags_and_defines(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["macros", "show", "--value", "0", "-D", "9x=1"], "malformed -D argument: '9x=1'"),
+        (["macros", "show", "--value", "0", "-D", "A(x)=x"], "malformed -D argument: 'A(x)=x'"),
+        (["macros", "eval", "--value", "0", "-U", "1+", "1"], "malformed -U argument: '1+'"),
+        (["macros", "show", "--flags=-D9x=1"], "malformed -D argument: '9x=1'"),
+    ],
+)
+def test_macros_define_options_check_names_like_flags(capsys, args, message):
+    # -D/-U given as CLI options are read by the same rule as in --flags.
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_macros_branches_file(capsys, tmp_path):
     source = tmp_path / "dispatch.c"
     source.write_text(DISPATCH_SOURCE)
@@ -310,6 +326,19 @@ def test_include_resolve_root_snapshot(capsys, tmp_path):
     assert doc["found"] == str(tmp_path / "inc" / "h.h")
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_include_resolve_root_must_be_a_directory(capsys, tmp_path, kind):
+    root = tmp_path / "missing"
+    if kind == "file":
+        root.write_text("")
+    code, out, err = run(
+        capsys, "include", "resolve", "--header", "h.h", "--form", "angle",
+        "--includer", "m.c", "--root", str(root),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: not a directory: {root}\n"
+
+
 # --- promote --------------------------------------------------------------------
 
 
@@ -366,6 +395,17 @@ def test_space_count(capsys):
     code, doc = run_json(capsys, "space", "count")
     assert doc["exact"] == "5192296858534827628530496329220096"
     assert doc["scientific"] == "5.19 × 10^33"
+
+
+def test_space_count_is_bounded(capsys):
+    code, doc = run_json(capsys, "space", "count", "--behaviors", "14284")
+    assert code == 0
+    assert len(doc["exact"]) == 4300
+    assert doc["e_notation"] == "8.17e4299"
+    for behaviors in ("14285", "5000000"):
+        code, out, err = run(capsys, "space", "count", "--behaviors", behaviors)
+        assert code == 2 and out == ""
+        assert err == f"error: behavior count must be <= 14284, got {behaviors}\n"
 
 
 def test_space_models(capsys):

@@ -1,19 +1,30 @@
 """Command-line parsing, last-wins semantics, and the flag round trip."""
 
+import re
 import shlex
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dialectoscope import (
     AnsiMode,
+    CompilerInvocation,
+    DialectConfig,
+    IncludeDirs,
     InvocationError,
+    ProfileError,
     all_configs,
     canonical_flags,
     encode_config,
+    load_profile,
     parse_invocation,
 )
-from dialectoscope.invocation import split_command
+from dialectoscope.invocation import (
+    _ARG_TAKING_PASSTHROUGH,
+    _macro_directive,
+    _split_env_path,
+    split_command,
+)
 
 
 def parse(flags, profile, env=None):
@@ -166,6 +177,157 @@ def test_nostdinc_flag(profile):
 def test_option_requiring_argument_at_end(profile):
     with pytest.raises(InvocationError):
         parse(["-D"], profile)
+
+
+# --- the earlier if-chain parser, kept as an oracle ---------------------------
+
+
+_ORACLE_OPT_LEVEL_RE = re.compile(r"-O[0-9a-zA-Z]+\Z")
+
+
+class _OracleDialectState:
+    def __init__(self, defaults):
+        self.booleans = {
+            f: getattr(defaults, f)
+            for f in (
+                "char_is_signed",
+                "bitfield_is_signed",
+                "short_enums",
+                "optimized",
+                "pointer_width_64",
+                "freestanding",
+            )
+        }
+        self.std_class = defaults.std_class
+        self.strict = defaults.ansi_mode is AnsiMode.STRICT
+        self.trigraphs = defaults.ansi_mode in (AnsiMode.STRICT, AnsiMode.GNU_TRIGRAPHS)
+
+    def apply_std(self, resolved):
+        self.std_class = resolved.std_class
+        self.strict = resolved.strict
+        self.trigraphs = resolved.strict
+
+    def config(self):
+        if self.strict:
+            mode = AnsiMode.STRICT
+        elif self.trigraphs:
+            mode = AnsiMode.GNU_TRIGRAPHS
+        else:
+            mode = AnsiMode.GNU
+        return DialectConfig(std_class=self.std_class, ansi_mode=mode, **self.booleans)
+
+
+def _oracle_parse_invocation(argv, env, profile):
+    state = _OracleDialectState(profile.defaults)
+    directives, quote_dirs, normal_dirs, system_dirs = [], [], [], []
+    sources, unrecognized, profile_defines = [], [], []
+    opt_level = None
+    nostdinc = False
+
+    def take_value(option, joined, i):
+        if joined:
+            return joined, i
+        if i + 1 >= len(argv):
+            raise InvocationError(f"option {option} requires an argument")
+        return argv[i + 1], i + 1
+
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg == "-" or not arg.startswith("-"):
+            sources.append(arg)
+        elif arg.startswith("-D") or arg.startswith("-U"):
+            option = arg[:2]
+            text, i = take_value(option, arg[2:], i)
+            directives.append(_macro_directive(option, text))
+        elif arg.startswith("-I") and arg != "-I-":
+            text, i = take_value("-I", arg[2:], i)
+            normal_dirs.append(text)
+        elif arg == "-iquote" or arg.startswith("-iquote"):
+            text, i = take_value("-iquote", arg[len("-iquote"):], i)
+            quote_dirs.append(text)
+        elif arg == "-isystem" or arg.startswith("-isystem"):
+            text, i = take_value("-isystem", arg[len("-isystem"):], i)
+            system_dirs.append(text)
+        elif arg.startswith("-std=") or arg.startswith("--std="):
+            name = arg.split("=", 1)[1]
+            try:
+                state.apply_std(profile.resolve_std(name))
+            except ProfileError as exc:
+                raise InvocationError(str(exc)) from None
+        elif arg == "-O0":
+            state.booleans["optimized"] = False
+            opt_level = arg
+        elif arg == "-O" or _ORACLE_OPT_LEVEL_RE.match(arg):
+            state.booleans["optimized"] = True
+            opt_level = arg
+        elif arg in profile.flag_vocabulary:
+            effect = profile.flag_vocabulary[arg]
+            for f, v in effect.sets:
+                state.booleans[f] = v
+            if effect.std is not None:
+                state.apply_std(profile.resolve_std(effect.std))
+            if effect.trigraphs:
+                state.trigraphs = True
+            if effect.nostdinc:
+                nostdinc = True
+            profile_defines.extend(effect.defines)
+        elif arg in _ARG_TAKING_PASSTHROUGH:
+            value, i = take_value(arg, "", i)
+            unrecognized.extend([arg, value])
+        else:
+            unrecognized.append(arg)
+        i += 1
+
+    normal_dirs.extend(_split_env_path(env.get("CPATH", "")))
+    system_dirs.extend(_split_env_path(env.get("C_INCLUDE_PATH", "")))
+    return CompilerInvocation(
+        profile=profile,
+        dialect=state.config(),
+        macro_directives=tuple(directives),
+        include_dirs=IncludeDirs(
+            quote=tuple(quote_dirs), normal=tuple(normal_dirs), system=tuple(system_dirs)
+        ),
+        source_files=tuple(sources),
+        unrecognized=tuple(unrecognized),
+        opt_level=opt_level,
+        nostdinc=nostdinc,
+        profile_defines=tuple(profile_defines),
+    )
+
+
+def _outcome(parse_fn, argv, env, profile):
+    try:
+        return parse_fn(argv, env, profile)
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+_PROFILES = {name: load_profile(name) for name in ("gcc8-x86_64", "mplab-c18")}
+
+# Joined and separate values, "-I-" and its look-alike, a value option at
+# the end of argv, known and unknown -std names, -O spellings, profile
+# flags of both profiles, argument-taking passthrough, sources and "".
+_TRICKY_WORDS = [
+    "-D", "-DA=1", "-D9", "-U", "-UA", "-I", "-Ix", "-I-", "-I-\n",
+    "-iquote", "-iquoteq", "-isystem", "-std=c11", "--std=c90", "-std=c2x",
+    "-std=", "-O", "-O0", "-Os", "-O-", "-ansi", "-trigraphs", "-nostdinc",
+    "-m32", "-p18f258", "-o", "--param", "-", "a.c", "",
+]
+_ENV_PATHS = st.sampled_from(["", "p", "p::q", ":", "a:b"])
+
+
+@settings(max_examples=500)
+@given(
+    st.sampled_from(sorted(_PROFILES)),
+    st.lists(st.sampled_from(_TRICKY_WORDS), max_size=12),
+    st.fixed_dictionaries({"CPATH": _ENV_PATHS, "C_INCLUDE_PATH": _ENV_PATHS}),
+)
+def test_parse_invocation_matches_oracle(profile_name, argv, env):
+    profile = _PROFILES[profile_name]
+    assert _outcome(parse_invocation, argv, env, profile) == _outcome(
+        _oracle_parse_invocation, argv, env, profile
+    )
 
 
 # --- shell-word splitting ---------------------------------------------------------
