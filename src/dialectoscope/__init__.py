@@ -10,186 +10,53 @@ simulation, include-path resolution, integer-promotion pitfall
 analysis, and consistency audits over multi-TU build captures.
 """
 
-from .dialect_model import (
-    ANSI_MODE_WEIGHT,
-    BOOLEAN_WEIGHTS,
-    DIMENSIONS,
-    ENCODING_SPACE,
-    LP64,
-    STD_CLASS_WEIGHT,
-    AnsiMode,
-    DialectConfig,
-    DialectValueError,
-    TypeModel,
-    all_configs,
-    canonical_flags,
-    decimal_scientific,
-    decode_value,
-    dialect_count_lower_bound,
-    e_notation,
-    encode_config,
-    enumerate_integer_size_models,
-)
-from .profiles import (
-    DEFAULT_PROFILE,
-    PROFILE_DIR_ENV,
-    CompilerProfile,
-    ProfileError,
-    available_profiles,
-    load_profile,
-    profile_from_dict,
-)
-from .invocation import (
-    CompilerInvocation,
-    IncludeDirs,
-    InvocationError,
-    MacroDirective,
-    parse_invocation,
-)
-from .probe import (
-    PROBE_BITS,
-    PROBE_BYTE_LENGTH,
-    PROBE_SHA256,
-    ProbeBitSpec,
-    emit_probe_source,
-    explain_value,
-    flags_for_value,
-)
-from .macro_env import (
-    BranchArm,
-    BranchReport,
-    ConditionalGroup,
-    ConditionalStructureError,
-    ExprEvalError,
-    ExprSyntaxError,
-    MacroDefinition,
-    MacroEnv,
-    PreprocessorError,
-    UnsupportedMacroError,
-    active_branches,
-    apply_directives,
-    eval_condition,
-    invocation_macro_env,
-    predefined_macros,
-)
-from .include_resolver import (
-    FileSystemModel,
-    IncludeDirective,
-    IncludeForm,
-    Probe,
-    Resolution,
-    resolve_include,
-    search_paths,
-)
-from .promotion import (
-    BaseType,
-    CType,
-    WrapCheckExpr,
-    WrapCheckVerdict,
-    analyze_wrap_check,
-    arithmetic_conversion,
-    boundary_pairs,
-    integer_promote,
-    parse_ctype,
-    simulate_wrap_check,
-    true_wraparound,
-)
-from .build_audit import (
-    AuditReport,
-    BuildCapture,
-    BuildEntry,
-    BuildLoadError,
-    Inconsistency,
-    Mismatch,
-    PerTuRow,
-    Severity,
-    audit,
-    check_against,
-    load_build,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANSI_MODE_WEIGHT",
-    "AnsiMode",
-    "AuditReport",
-    "BOOLEAN_WEIGHTS",
-    "BaseType",
-    "BranchArm",
-    "BranchReport",
-    "BuildCapture",
-    "BuildEntry",
-    "BuildLoadError",
-    "CType",
-    "CompilerInvocation",
-    "CompilerProfile",
-    "ConditionalGroup",
-    "ConditionalStructureError",
-    "DEFAULT_PROFILE",
-    "DIMENSIONS",
-    "DialectConfig",
-    "DialectValueError",
-    "ENCODING_SPACE",
-    "ExprEvalError",
-    "ExprSyntaxError",
-    "FileSystemModel",
-    "IncludeDirective",
-    "IncludeDirs",
-    "IncludeForm",
-    "Inconsistency",
-    "InvocationError",
-    "LP64",
-    "MacroDefinition",
-    "MacroDirective",
-    "MacroEnv",
-    "Mismatch",
-    "PROBE_BITS",
-    "PROBE_BYTE_LENGTH",
-    "PROBE_SHA256",
-    "PROFILE_DIR_ENV",
-    "PerTuRow",
-    "PreprocessorError",
-    "Probe",
-    "ProbeBitSpec",
-    "ProfileError",
-    "Resolution",
-    "STD_CLASS_WEIGHT",
-    "Severity",
-    "TypeModel",
-    "UnsupportedMacroError",
-    "WrapCheckExpr",
-    "WrapCheckVerdict",
-    "active_branches",
-    "all_configs",
-    "analyze_wrap_check",
-    "apply_directives",
-    "arithmetic_conversion",
-    "audit",
-    "available_profiles",
-    "boundary_pairs",
-    "canonical_flags",
-    "check_against",
-    "decimal_scientific",
-    "decode_value",
-    "dialect_count_lower_bound",
-    "e_notation",
-    "emit_probe_source",
-    "encode_config",
-    "enumerate_integer_size_models",
-    "eval_condition",
-    "explain_value",
-    "flags_for_value",
-    "integer_promote",
-    "invocation_macro_env",
-    "load_build",
-    "load_profile",
-    "parse_ctype",
-    "parse_invocation",
-    "predefined_macros",
-    "profile_from_dict",
-    "resolve_include",
-    "search_paths",
-    "simulate_wrap_check",
-    "true_wraparound",
-]
+#: Public name -> the submodule defining it.  A name is imported on first
+#: use (PEP 562), so ``import dialectoscope`` loads no submodule and a
+#: command-line call loads only the modules its subcommand runs.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("dialect_model", "ANSI_MODE_WEIGHT BOOLEAN_WEIGHTS DIMENSIONS ENCODING_SPACE"
+         " LP64 STD_CLASS_WEIGHT AnsiMode DialectConfig DialectValueError TypeModel"
+         " all_configs canonical_flags decimal_scientific decode_value"
+         " dialect_count_lower_bound e_notation encode_config"
+         " enumerate_integer_size_models"),
+        ("profiles", "DEFAULT_PROFILE PROFILE_DIR_ENV CompilerProfile ProfileError"
+         " available_profiles load_profile profile_from_dict"),
+        ("invocation", "CompilerInvocation IncludeDirs InvocationError MacroDirective"
+         " parse_invocation"),
+        ("probe", "PROBE_BITS PROBE_BYTE_LENGTH PROBE_SHA256 ProbeBitSpec"
+         " emit_probe_source explain_value flags_for_value"),
+        ("macro_env", "BranchArm BranchReport ConditionalGroup ConditionalStructureError"
+         " ExprEvalError ExprSyntaxError MacroDefinition MacroEnv PreprocessorError"
+         " UnsupportedMacroError active_branches apply_directives eval_condition"
+         " invocation_macro_env predefined_macros"),
+        ("include_resolver", "FileSystemModel IncludeDirective IncludeForm Probe"
+         " Resolution resolve_include search_paths"),
+        ("promotion", "BaseType CType WrapCheckExpr WrapCheckVerdict analyze_wrap_check"
+         " arithmetic_conversion boundary_pairs integer_promote parse_ctype"
+         " simulate_wrap_check true_wraparound"),
+        ("build_audit", "AuditReport BuildCapture BuildEntry BuildLoadError"
+         " Inconsistency Mismatch PerTuRow Severity audit check_against load_build"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import posixpath
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .dialect_model import (
     DIMENSIONS,
@@ -59,8 +58,7 @@ OK = "ok"
 UNAUDITABLE = "unauditable"
 
 
-@dataclass(frozen=True)
-class BuildEntry:
+class BuildEntry(NamedTuple):
     directory: str
     file: str
     arguments: tuple[str, ...]  # verbatim, argv[0] included
@@ -71,8 +69,7 @@ class BuildEntry:
     reason: str = ""  # why an unauditable entry could not be interpreted
 
 
-@dataclass(frozen=True)
-class BuildCapture:
+class BuildCapture(NamedTuple):
     entries: tuple[BuildEntry, ...]
     profile: CompilerProfile
 
@@ -80,8 +77,7 @@ class BuildCapture:
         return [e for e in self.entries if e.status == OK]
 
 
-@dataclass(frozen=True)
-class PerTuRow:
+class PerTuRow(NamedTuple):
     file: str
     status: str
     value: int | None
@@ -89,15 +85,13 @@ class PerTuRow:
     reason: str = ""  # set on unauditable rows; not part of the JSON report
 
 
-@dataclass(frozen=True)
-class Inconsistency:
+class Inconsistency(NamedTuple):
     dimension: str
     partition: tuple[tuple[str, tuple[str, ...]], ...]  # (value, files) by first appearance
     severity: Severity
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     file: str
     dimension: str
     tu_value: str
@@ -105,8 +99,7 @@ class Mismatch:
     severity: Severity
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     per_tu: tuple[PerTuRow, ...]
     inconsistencies: tuple[Inconsistency, ...] = ()
     mismatches: tuple[Mismatch, ...] = ()

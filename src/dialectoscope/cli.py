@@ -10,6 +10,10 @@ input errors.
 
 All subcommands except ``probe verify`` are hermetic: no subprocesses
 and no filesystem access beyond files named on the command line.
+
+A process runs one subcommand, so each handler imports the library
+modules it uses, and :func:`main` parses with a parser holding only the
+subcommand named on the command line.
 """
 
 from __future__ import annotations
@@ -17,59 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .build_audit import Severity, audit, check_against, load_build
-from .dialect_model import (
-    DIMENSIONS,
-    DialectValueError,
-    TypeModel,
-    decimal_scientific,
-    decode_value,
-    dialect_count_lower_bound,
-    e_notation,
-    encode_config,
-    enumerate_integer_size_models,
-    format_setting,
-)
-from .include_resolver import (
-    FileSystemModel,
-    IncludeDirective,
-    IncludeForm,
-    resolve_include,
-    search_paths,
-)
-from .invocation import (
-    InvocationError,
-    _macro_directive,
-    parse_invocation,
-    split_command,
-)
-from .macro_env import (
-    MacroEnv,
-    active_branches,
-    apply_directives,
-    eval_condition,
-    invocation_macro_env,
-    predefined_macros,
-)
-from .probe import (
-    PROBE_SHA256,
-    _parse_values_spec,
-    emit_probe_source,
-    explain_value,
-    flags_for_value,
-    verify_with_compiler,
-)
-from .profiles import DEFAULT_PROFILE, available_profiles, load_profile
-from .promotion import (
-    WrapCheckExpr,
-    analyze_wrap_check,
-    boundary_pairs,
-    parse_ctype,
-    simulate_wrap_check,
-    true_wraparound,
-)
+if TYPE_CHECKING:
+    from .dialect_model import TypeModel
+    from .macro_env import MacroEnv
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -92,14 +48,20 @@ def _text(lines) -> str:
 
 
 def _profile(args):
+    from .profiles import load_profile
+
     return load_profile(args.profile, args.profile_dir or None)
 
 
 def _config_dict(config) -> dict:
+    from .dialect_model import DIMENSIONS, format_setting
+
     return {d: format_setting(config.value_of(d)) for d in DIMENSIONS}
 
 
 def _env_map(pairs: list[str] | None) -> dict[str, str]:
+    from .invocation import InvocationError
+
     env = {}
     for item in pairs or []:
         name, eq, value = item.partition("=")
@@ -120,6 +82,8 @@ def _read_text(path: str) -> str:
 
 
 def cmd_probe_emit(args) -> Result:
+    from .probe import PROBE_SHA256, emit_probe_source
+
     source = emit_probe_source()
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -134,11 +98,16 @@ def cmd_probe_emit(args) -> Result:
 
 
 def cmd_probe_flags(args) -> Result:
+    from .probe import flags_for_value
+
     flags = flags_for_value(args.value, _profile(args))
     return Result({"value": args.value, "flags": flags}, _text([" ".join(flags)]))
 
 
 def cmd_probe_explain(args) -> Result:
+    from .dialect_model import decode_value
+    from .probe import explain_value
+
     rows = explain_value(args.value)
     config = _config_dict(decode_value(args.value))
     text = [f"value {args.value}"]
@@ -166,6 +135,9 @@ def cmd_probe_explain(args) -> Result:
 
 
 def cmd_probe_value(args) -> Result:
+    from .dialect_model import encode_config
+    from .invocation import parse_invocation, split_command
+
     profile = _profile(args)
     argv = split_command(args.flags)
     inv = parse_invocation(argv, env=_env_map(args.env), profile=profile)
@@ -177,6 +149,8 @@ def cmd_probe_value(args) -> Result:
 
 
 def cmd_probe_verify(args) -> Result:
+    from .probe import _parse_values_spec, verify_with_compiler
+
     values = _parse_values_spec(args.values)
     report = verify_with_compiler(
         compiler=args.compiler, values=values, jobs=args.jobs, profile=_profile(args)
@@ -210,6 +184,10 @@ def _strip_separator(argv: list[str]) -> list[str]:
 
 
 def cmd_invocation_parse(args) -> Result:
+    from .dialect_model import encode_config
+    from .invocation import parse_invocation, split_command
+    from .probe import flags_for_value
+
     profile = _profile(args)
     argv = _strip_separator(list(args.argv))
     if args.flags:
@@ -262,6 +240,10 @@ def cmd_invocation_parse(args) -> Result:
 
 
 def _macro_env_from_args(args) -> MacroEnv:
+    from .dialect_model import decode_value
+    from .invocation import _macro_directive, parse_invocation, split_command
+    from .macro_env import apply_directives, invocation_macro_env, predefined_macros
+
     profile = _profile(args)
     if args.value is not None:
         env = predefined_macros(decode_value(args.value), profile)
@@ -293,6 +275,8 @@ def cmd_macros_show(args) -> Result:
 
 
 def cmd_macros_eval(args) -> Result:
+    from .macro_env import eval_condition
+
     value = eval_condition(_macro_env_from_args(args), args.expression)
     return Result(
         {"expression": args.expression, "value": value, "taken": value != 0},
@@ -301,6 +285,8 @@ def cmd_macros_eval(args) -> Result:
 
 
 def cmd_macros_branches(args) -> Result:
+    from .macro_env import active_branches
+
     env = _macro_env_from_args(args)
     report = active_branches(env, _read_text(args.source))
     retained_text = report.retained_text if args.show_retained else None
@@ -348,6 +334,15 @@ def _branches_text(report, retained_text: str | None) -> str:
 
 
 def cmd_include_resolve(args) -> Result:
+    from .include_resolver import (
+        FileSystemModel,
+        IncludeDirective,
+        IncludeForm,
+        resolve_include,
+        search_paths,
+    )
+    from .invocation import InvocationError, parse_invocation, split_command
+
     profile = _profile(args)
     if args.manifest:
         fs = FileSystemModel.from_manifest(_read_text(args.manifest), cwd=args.cwd)
@@ -378,6 +373,8 @@ def cmd_include_resolve(args) -> Result:
 
 
 def _models_from_args(args) -> list[TypeModel]:
+    from .dialect_model import DialectValueError, TypeModel, enumerate_integer_size_models
+
     if args.model and not args.all_models:
         parts = [p.strip() for p in args.model.split(",")]
         if len(parts) != 5:
@@ -393,6 +390,15 @@ def _models_from_args(args) -> list[TypeModel]:
 
 
 def cmd_promote_check(args) -> Result:
+    from .promotion import (
+        WrapCheckExpr,
+        analyze_wrap_check,
+        boundary_pairs,
+        parse_ctype,
+        simulate_wrap_check,
+        true_wraparound,
+    )
+
     operand = parse_ctype(args.operand)
     cast = parse_ctype(args.cast) if args.cast else None
     expr = WrapCheckExpr(operand, cast)
@@ -433,6 +439,8 @@ def cmd_promote_check(args) -> Result:
 
 
 def cmd_space_count(args) -> Result:
+    from .dialect_model import decimal_scientific, dialect_count_lower_bound, e_notation
+
     exact = dialect_count_lower_bound(args.behaviors)
     scientific = decimal_scientific(exact)
     doc = {
@@ -445,6 +453,8 @@ def cmd_space_count(args) -> Result:
 
 
 def cmd_space_models(args) -> Result:
+    from .dialect_model import enumerate_integer_size_models
+
     models = enumerate_integer_size_models()
     text = ["char short int long llong"]
     text += ["  ".join(f"{w:<4}" for w in widths).rstrip() for widths in models]
@@ -485,6 +495,8 @@ def _audit_text(report) -> str:
 
 
 def _audit_result(report, fail_on: str) -> Result:
+    from .build_audit import Severity
+
     failed = fail_on != "none" and report.has_findings(Severity[fail_on.upper()])
     code = EXIT_FINDINGS if failed else EXIT_OK
     # The report can run to tens of thousands of rows: each rendering is
@@ -493,11 +505,17 @@ def _audit_result(report, fail_on: str) -> Result:
 
 
 def cmd_build_audit(args) -> Result:
+    from .build_audit import audit, load_build
+
     capture = load_build(_read_text(args.compile_commands), _profile(args))
     return _audit_result(audit(capture), args.fail_on)
 
 
 def cmd_build_check(args) -> Result:
+    from .build_audit import check_against, load_build
+    from .dialect_model import decode_value
+    from .invocation import parse_invocation, split_command
+
     profile = _profile(args)
     capture = load_build(_read_text(args.compile_commands), profile)
     if args.reference_flags is not None:
@@ -511,6 +529,8 @@ def cmd_build_check(args) -> Result:
 
 
 def cmd_profiles(args) -> Result:
+    from .profiles import available_profiles
+
     names = available_profiles(args.profile_dir or None)
     return Result({"profiles": names}, _text(names))
 
@@ -650,7 +670,14 @@ COMMANDS = [
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser of every subcommand."""
+    return _parser(COMMANDS)
+
+
+def _parser(rows, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    from .profiles import DEFAULT_PROFILE
+
+    parser = parser_class(
         prog="dialectoscope",
         description="Measure, derive, and audit C dialect configurations.",
     )
@@ -673,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for group, name, help_text, handler, arguments in COMMANDS:
+    for group, name, help_text, handler, arguments in rows:
         if name is None:
             p = sub.add_parser(group, help=help_text)
         else:
@@ -694,8 +721,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _NeedsFullParser(Exception):
+    pass
+
+
+class _ReducedParser(argparse.ArgumentParser):
+    """A parser holding one subcommand.  What it would print (help, usage,
+    an error) names the subcommands it lacks, so it raises instead, and
+    :func:`_parse_args` parses again with every subcommand."""
+
+    def print_help(self, file=None):
+        raise _NeedsFullParser
+
+    def error(self, message):
+        raise _NeedsFullParser
+
+
+#: The options before the subcommand; each takes one value.
+_GLOBAL_OPTIONS = ("--profile", "--profile-dir", "--format")
+_GLOBAL_JOINED = tuple(f"{option}=" for option in _GLOBAL_OPTIONS)
+
+
+def _named_rows(argv: list[str]) -> list:
+    """The ``COMMANDS`` row that argv names after the global options, as
+    a list of one, or an empty list when argv names none."""
+    words = iter(argv)
+    for word in words:
+        if word in _GLOBAL_OPTIONS:
+            next(words, None)
+        elif not word.startswith(_GLOBAL_JOINED):
+            break
+    else:
+        return []
+    subcommand = next(words, None)
+    return [r for r in COMMANDS if r[0] == word and r[1] in (None, subcommand)]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # A reduced parse that succeeds is the full parser's parse, since every
+    # option and choice it met is the same in both.
+    rows = _named_rows(argv)
+    if rows:
+        try:
+            return _parser(rows, _ReducedParser).parse_args(argv)
+        except _NeedsFullParser:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         doc, text, code = args.func(args)
     except (OSError, ValueError) as exc:  # every input error is a ValueError
@@ -704,15 +779,59 @@ def main(argv: list[str] | None = None) -> int:
     # The rendering not printed is dropped first, and a built document
     # replaces the function that built it, so that what they hold (a whole
     # audit report) is freed before the output is written.
-    if args.format == "json":
-        del text
-        if callable(doc):
-            doc = doc()
-        print(json.dumps(doc, indent=2))
-    else:
-        del doc
-        sys.stdout.write(text() if callable(text) else text)
+    try:
+        if args.format == "json":
+            del text
+            if callable(doc):
+                doc = doc()
+            print(json.dumps(doc, indent=2))
+        else:
+            del doc
+            sys.stdout.write(text() if callable(text) else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``| head``).  Point stdout at the null
+        # device so that the interpreter's final flush stays quiet.
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
+
+
+#: Library names that ``dialectoscope.cli.NAME`` resolves, by defining
+#: module, for callers that reach the library through this module; the
+#: handlers import what they use themselves.
+_LIBRARY_NAMES = {
+    name: module
+    for module, names in (
+        ("build_audit", "Severity audit check_against load_build"),
+        ("dialect_model", "DIMENSIONS DialectValueError TypeModel decimal_scientific"
+         " decode_value dialect_count_lower_bound e_notation encode_config"
+         " enumerate_integer_size_models format_setting"),
+        ("include_resolver", "FileSystemModel IncludeDirective IncludeForm"
+         " resolve_include search_paths"),
+        ("invocation", "InvocationError _macro_directive parse_invocation split_command"),
+        ("macro_env", "MacroEnv active_branches apply_directives eval_condition"
+         " invocation_macro_env predefined_macros"),
+        ("probe", "PROBE_SHA256 _parse_values_spec emit_probe_source explain_value"
+         " flags_for_value verify_with_compiler"),
+        ("profiles", "DEFAULT_PROFILE available_profiles load_profile"),
+        ("promotion", "WrapCheckExpr analyze_wrap_check boundary_pairs parse_ctype"
+         " simulate_wrap_check true_wraparound"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    module = _LIBRARY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 if __name__ == "__main__":

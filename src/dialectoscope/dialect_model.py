@@ -11,10 +11,8 @@ point maps bijectively onto an integer in ``0..767``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from decimal import Context, ROUND_HALF_EVEN
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .profiles import CompilerProfile
@@ -55,10 +53,23 @@ DIMENSIONS: tuple[str, ...] = tuple(BOOLEAN_WEIGHTS) + ("std_class", "ansi_mode"
 ENCODING_SPACE = 768  # 2**6 booleans * 4 residue classes * 3 modes
 
 
-@dataclass(frozen=True)
-class DialectConfig:
-    """One complete assignment of the eight observable dialect dimensions."""
+class _Validated:
+    """Base of a ``NamedTuple`` record whose ``_validate`` checks its fields:
+    every construction runs it, ``_replace`` included."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # what ``_replace`` builds its result with
+        return cls(*fields)
+
+
+class _DialectFields(NamedTuple):
     char_is_signed: bool
     bitfield_is_signed: bool
     short_enums: bool
@@ -68,7 +79,13 @@ class DialectConfig:
     std_class: int
     ansi_mode: AnsiMode
 
-    def __post_init__(self) -> None:
+
+class DialectConfig(_Validated, _DialectFields):
+    """One complete assignment of the eight observable dialect dimensions."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if self.std_class not in (0, 1, 2, 3):
             raise ValueError(f"std_class must be 0..3, got {self.std_class!r}")
         if not isinstance(self.ansi_mode, AnsiMode):
@@ -168,6 +185,8 @@ def decimal_scientific(n: int, significant_digits: int = 3) -> str:
     """Render a big integer like ``5.19 × 10^33``."""
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
+    from decimal import ROUND_HALF_EVEN, Context
+
     ctx = Context(prec=significant_digits, rounding=ROUND_HALF_EVEN)
     _, digits, exponent = ctx.create_decimal(n).as_tuple()
     mantissa_digits = "".join(map(str, digits))
@@ -191,10 +210,7 @@ ALLOWED_WIDTHS = (8, 16, 32, 64)
 MINIMUM_WIDTHS = {"char": 8, "short": 16, "int": 16, "long": 32, "llong": 64}
 
 
-@dataclass(frozen=True)
-class TypeModel:
-    """Value widths of the standard integer types, plus char signedness."""
-
+class _TypeModelFields(NamedTuple):
     width_char: int
     width_short: int
     width_int: int
@@ -202,7 +218,13 @@ class TypeModel:
     width_llong: int
     char_is_signed: bool = True
 
-    def __post_init__(self) -> None:
+
+class TypeModel(_Validated, _TypeModelFields):
+    """Value widths of the standard integer types, plus char signedness."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         widths = self.widths()
         for name, width in zip(MINIMUM_WIDTHS, widths):
             if width not in ALLOWED_WIDTHS:

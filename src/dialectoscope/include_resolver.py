@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import os
 import posixpath
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
+from .dialect_model import _Validated
 from .invocation import CompilerInvocation
 
 
@@ -20,27 +21,28 @@ class IncludeForm(Enum):
     QUOTE = "quote"
 
 
-@dataclass(frozen=True)
-class IncludeDirective:
+class _IncludeDirectiveFields(NamedTuple):
     header_name: str
     form: IncludeForm
     including_file: str
 
-    def __post_init__(self) -> None:
+
+class IncludeDirective(_Validated, _IncludeDirectiveFields):
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if not self.header_name:
             raise ValueError("header name must be non-empty")
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     """One candidate path, in search order, marked hit or miss."""
 
     candidate: str
     hit: bool
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     found: str | None
     trace: tuple[Probe, ...]
 
@@ -49,29 +51,35 @@ class Resolution:
         return self.found is None
 
 
-@dataclass(frozen=True)
-class FileSystemModel:
-    """Immutable set of absolute, normalized file paths plus a working
-    directory against which relative paths are interpreted."""
+def _normalize(path: str, cwd: str) -> str:
+    if not posixpath.isabs(path):
+        path = posixpath.join(cwd, path)
+    return posixpath.normpath(path)
 
+
+class _FileSystemFields(NamedTuple):
     files: frozenset[str]
     cwd: str = "/"
 
-    def __post_init__(self) -> None:
-        if not posixpath.isabs(self.cwd):
-            raise ValueError(f"cwd must be absolute, got {self.cwd!r}")
-        object.__setattr__(self, "cwd", posixpath.normpath(self.cwd))
-        object.__setattr__(
-            self, "files", frozenset(self._normalize_new(p) for p in self.files)
-        )
 
-    def _normalize_new(self, path: str) -> str:
-        if not posixpath.isabs(path):
-            path = posixpath.join(self.cwd, path)
-        return posixpath.normpath(path)
+class FileSystemModel(_FileSystemFields):
+    """Immutable set of absolute, normalized file paths plus a working
+    directory against which relative paths are interpreted."""
+
+    __slots__ = ()
+
+    def __new__(cls, files, cwd: str = "/") -> "FileSystemModel":
+        if not posixpath.isabs(cwd):
+            raise ValueError(f"cwd must be absolute, got {cwd!r}")
+        cwd = posixpath.normpath(cwd)
+        return super().__new__(cls, frozenset(_normalize(p, cwd) for p in files), cwd)
+
+    @classmethod
+    def _make(cls, fields):  # what ``_replace`` builds its result with
+        return cls(*fields)
 
     def normalize(self, path: str) -> str:
-        return self._normalize_new(path)
+        return _normalize(path, self.cwd)
 
     def __contains__(self, path: str) -> bool:
         return self.normalize(path) in self.files

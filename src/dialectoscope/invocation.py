@@ -11,8 +11,7 @@ drivers process their options.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .dialect_model import BOOLEAN_WEIGHTS, AnsiMode, DialectConfig
 from .profiles import CompilerProfile, ProfileError, StdName
@@ -66,8 +65,7 @@ class InvocationError(ValueError):
     """Malformed or unresolvable command-line input."""
 
 
-@dataclass(frozen=True)
-class MacroDirective:
+class MacroDirective(NamedTuple):
     """One -D or -U occurrence, in command-line order."""
 
     action: str  # "define" | "undefine"
@@ -75,8 +73,7 @@ class MacroDirective:
     value: str | None = None  # None for undefine; defines default to "1"
 
 
-@dataclass(frozen=True)
-class IncludeDirs:
+class IncludeDirs(NamedTuple):
     """Include directories by kind, each in command-line order."""
 
     quote: tuple[str, ...] = ()
@@ -84,8 +81,7 @@ class IncludeDirs:
     system: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CompilerInvocation:
+class CompilerInvocation(NamedTuple):
     profile: CompilerProfile
     dialect: DialectConfig
     macro_directives: tuple[MacroDirective, ...] = ()

@@ -19,7 +19,6 @@ that multiply (``#define A B B``, ``#define B C C``, ...).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -65,8 +64,7 @@ SOURCE = "source"
 _OVERLAY_MAX = 32
 
 
-@dataclass(frozen=True)
-class MacroDefinition:
+class MacroDefinition(NamedTuple):
     name: str
     body: str
     provenance: str  # "predefined" | "command-line" | "source"
@@ -575,24 +573,21 @@ _DIRECTIVE_RE = re.compile(
 _DEFINE_RE = re.compile(r"([A-Za-z_]\w*)(\(?)(.*)\Z", re.S)
 
 
-@dataclass(frozen=True)
-class BranchArm:
+class BranchArm(NamedTuple):
     kind: str  # "if" | "ifdef" | "ifndef" | "elif" | "else"
     condition: str | None  # None for else
     line: int
     taken: bool | None  # None when the group sits in an inactive region
 
 
-@dataclass(frozen=True)
-class ConditionalGroup:
+class ConditionalGroup(NamedTuple):
     arms: tuple[BranchArm, ...]
     start_line: int
     end_line: int
     evaluated: bool
 
 
-@dataclass(frozen=True)
-class BranchReport:
+class BranchReport(NamedTuple):
     groups: tuple[ConditionalGroup, ...]
     retained_ranges: tuple[tuple[int, int], ...]  # 1-based inclusive line spans
     retained_text: str
@@ -642,14 +637,18 @@ def _strip_comments(text: str, starts: Sequence[int]) -> str:
     return _COMMENT_RE.sub(replace, text) if "/" in text else text
 
 
-@dataclass
 class _Frame:
-    arms: list[BranchArm]
-    start_line: int
-    evaluated: bool  # context was active when the group opened
-    taken_seen: bool = False
-    in_else: bool = False
-    active: bool = False
+    """One open conditional group while the scan is inside it."""
+
+    __slots__ = ("arms", "start_line", "evaluated", "taken_seen", "in_else", "active")
+
+    def __init__(self, arms: list[BranchArm], start_line: int, evaluated: bool):
+        self.arms = arms
+        self.start_line = start_line
+        self.evaluated = evaluated  # context was active when the group opened
+        self.taken_seen = False
+        self.in_else = False
+        self.active = False
 
 
 def _begin_arm(

@@ -11,10 +11,8 @@ starts processes.
 
 from __future__ import annotations
 
-import hashlib
 import os
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .dialect_model import (
     ANSI_MODE_WEIGHT,
@@ -25,15 +23,14 @@ from .dialect_model import (
     canonical_flags,
     decode_value,
 )
-from .profiles import CompilerProfile, load_profile
+from .profiles import DATA_DIR, CompilerProfile, load_profile
 
 PROBE_FILENAME = "probe_return_value.c"
 PROBE_BYTE_LENGTH = 647
 PROBE_SHA256 = "03862b5e1c8b3000513c766caf21ebeb1549114ad0f1a36c56cc0aa34a6ba48d"
 
 
-@dataclass(frozen=True)
-class ProbeBitSpec:
+class ProbeBitSpec(NamedTuple):
     """One additive term of the probe: its weight, the C construct that
     computes it, the dialect dimension it witnesses, and the behavior
     the construct depends on."""
@@ -104,9 +101,10 @@ PROBE_BITS: tuple[ProbeBitSpec, ...] = (
 
 def emit_probe_source() -> str:
     """Return the probe function text, byte-exact."""
-    text = (resources.files(__package__) / "data" / PROBE_FILENAME).read_text(
-        encoding="ascii"
-    )
+    import hashlib
+
+    with open(os.path.join(DATA_DIR, PROBE_FILENAME), encoding="ascii") as fh:
+        text = fh.read()
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     if digest != PROBE_SHA256:
         raise RuntimeError(
@@ -165,15 +163,13 @@ def _parse_values_spec(spec: str) -> list[int]:
     return sorted(values)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     value: int
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     status: str  # "ran" | "skipped"
     compiler: str
     results: tuple[VerifyResult, ...] = ()

@@ -13,30 +13,28 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from importlib import resources
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .dialect_model import BOOLEAN_WEIGHTS, AnsiMode, DialectConfig
 
 PROFILE_DIR_ENV = "DIALECTOSCOPE_PROFILE_DIR"
 DEFAULT_PROFILE = "gcc8-x86_64"
+#: The built-in profiles and the probe fixture.
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 class ProfileError(ValueError):
     """Unknown profile name, unreadable profile file, or invalid contents."""
 
 
-@dataclass(frozen=True)
-class StdName:
+class StdName(NamedTuple):
     """What one ``-std=`` argument means: residue class and strictness."""
 
     std_class: int
     strict: bool
 
 
-@dataclass(frozen=True)
-class FlagEffect:
+class FlagEffect(NamedTuple):
     """Effect of one recognized flag on the working dialect state."""
 
     sets: tuple[tuple[str, bool], ...] = ()
@@ -46,8 +44,7 @@ class FlagEffect:
     defines: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class CanonicalSpellings:
+class CanonicalSpellings(NamedTuple):
     """Flag spellings used when rendering a dialect back to a command line."""
 
     char_signed: str
@@ -64,8 +61,7 @@ class CanonicalSpellings:
     trigraphs: str
 
 
-@dataclass(frozen=True)
-class CompilerProfile:
+class CompilerProfile(NamedTuple):
     """One toolchain's dialect vocabulary and defaults."""
 
     name: str
@@ -284,9 +280,10 @@ def load_profile(
                     return profile_from_dict(json.load(fh), source=path)
             except json.JSONDecodeError as exc:
                 raise ProfileError(f"profile file {path}: invalid JSON: {exc}") from None
-    builtin = resources.files(__package__) / "data" / filename
-    if builtin.is_file():
-        return profile_from_dict(json.loads(builtin.read_text(encoding="utf-8")), source=str(builtin))
+    builtin = os.path.join(DATA_DIR, filename)
+    if os.path.isfile(builtin):
+        with open(builtin, encoding="utf-8") as fh:
+            return profile_from_dict(json.load(fh), source=builtin)
     raise ProfileError(
         f"unknown profile {name!r}; available: {', '.join(available_profiles(profile_dirs))}"
     )
@@ -297,8 +294,5 @@ def available_profiles(profile_dirs: list[str] | None = None) -> list[str]:
     for d in _search_dirs(profile_dirs):
         if os.path.isdir(d):
             names.update(f[:-5] for f in os.listdir(d) if f.endswith(".json"))
-    data_dir = resources.files(__package__) / "data"
-    names.update(
-        entry.name[:-5] for entry in data_dir.iterdir() if entry.name.endswith(".json")
-    )
+    names.update(f[:-5] for f in os.listdir(DATA_DIR) if f.endswith(".json"))
     return sorted(names)

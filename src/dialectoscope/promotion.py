@@ -15,10 +15,10 @@ near-universal implementation-defined choice.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .dialect_model import TypeModel
+from .dialect_model import TypeModel, _Validated
 
 
 class BaseType(Enum):
@@ -50,13 +50,16 @@ _WIDTH_FIELDS = {1: "width_char", 2: "width_short", 3: "width_int",
                  4: "width_long", 5: "width_llong"}
 
 
-@dataclass(frozen=True)
-class CType:
+class _CTypeFields(NamedTuple):
     base: BaseType
     fixed_width: int | None = None
     fixed_unsigned: bool | None = None
 
-    def __post_init__(self) -> None:
+
+class CType(_Validated, _CTypeFields):
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if self.base is BaseType.FIXED:
             if self.fixed_width not in (8, 16, 32, 64):
                 raise ValueError(f"fixed width must be 8/16/32/64, got {self.fixed_width}")
@@ -140,15 +143,18 @@ def arithmetic_conversion(a: CType, b: CType, m: TypeModel) -> CType:
 # --- the wrap-check idiom -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WrapCheckExpr:
-    """`(x + y) < x` or `(T)(x + y) < x` with x, y of an unsigned
-    operand type."""
-
+class _WrapCheckFields(NamedTuple):
     operand_type: CType
     cast_before_compare: CType | None = None
 
-    def __post_init__(self) -> None:
+
+class WrapCheckExpr(_Validated, _WrapCheckFields):
+    """`(x + y) < x` or `(T)(x + y) < x` with x, y of an unsigned
+    operand type."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         base = self.operand_type.base
         definitely_unsigned = base in _ALWAYS_UNSIGNED or (
             base is BaseType.FIXED and self.operand_type.fixed_unsigned
@@ -161,8 +167,7 @@ class WrapCheckExpr:
         return f"{cast}(x + y) < x  with x, y: {self.operand_type.describe()}"
 
 
-@dataclass(frozen=True)
-class WrapCheckVerdict:
+class WrapCheckVerdict(NamedTuple):
     reliable: bool
     reason: str
     operand_width: int

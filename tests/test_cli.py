@@ -1,15 +1,22 @@
 """End-to-end command-line behavior through cli.main()."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
-from dialectoscope import emit_probe_source
+import dialectoscope
+from dialectoscope import cli, emit_probe_source
 from dialectoscope.cli import main
 from conftest import GOLDEN_PAIRS, DISPATCH_SOURCE, compile_db
+from test_cli_golden import CASES
 
 
 def run(capsys, *args):
@@ -620,3 +627,128 @@ def test_error_after_partial_work_prints_no_report(capsys):
         assert code == 2
         assert out == ""
         assert "canonical flag spellings" in err
+
+
+# --- start-up: what a call loads and how it parses ------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dialectoscope.__file__)))
+
+
+#: Modules that none of the one-question calls below runs.
+NOT_ON_START_PATH = (
+    "dialectoscope.build_audit",
+    "dialectoscope.macro_env",
+    "dialectoscope.promotion",
+    "dialectoscope.include_resolver",
+    "dataclasses",
+    "decimal",
+    "hashlib",
+)
+
+
+@pytest.mark.parametrize(
+    "argv,uses",
+    [
+        (["probe", "flags", "443"], ()),
+        (["invocation", "parse", "--", "-O2"], ()),
+        (["space", "count"], ("decimal",)),  # decimal_scientific rounds with it
+        (["space", "models"], ()),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(argv, uses):
+    # Modules loaded before the package (by site, say) do not count.
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from dialectoscope.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(sys.argv[1:])\n"
+        "print(json.dumps([status, sorted(set(sys.modules) - before)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    status, loaded = json.loads(done.stdout)
+    assert status == 0
+    assert sorted(set(NOT_ON_START_PATH) & set(loaded) - set(uses)) == []
+
+
+def _valid_argv(parser):
+    """Every golden case's argv that the full parser accepts."""
+    for argv, _ in CASES.values():
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                parser.parse_args(argv)
+        except SystemExit:
+            continue
+        yield argv
+
+
+def test_reduced_parse_is_the_full_parse(monkeypatch):
+    parser = cli.build_parser()
+    argvs = list(_valid_argv(parser))
+    named = {row[:2] for a in argvs for row in cli._named_rows(a)}
+    assert named == {row[:2] for row in cli.COMMANDS}
+    argvs += [["--format", "json", *a] for a in argvs]
+    argvs += [["--profile=mplab-c18", "--profile-dir", "d", *a] for a in argvs]
+    full = [vars(parser.parse_args(a)) for a in argvs]
+
+    def no_full_parser():
+        raise AssertionError("a valid command line needed the full parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_full_parser)
+    assert [vars(cli._parse_args(a)) for a in argvs] == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["probe", "--help"],
+        ["probe", "flags", "-h"],
+        ["probe", "flags", "--he"],  # an abbreviation of --help
+        ["--format", "json", "profiles", "--help"],
+        ["probe", "flags"],
+        ["probe", "flags", "x"],
+        ["probe", "flag", "1"],
+        ["probe", "flags", "1", "2"],
+        ["--format", "xml", "space", "count"],
+        ["--profile"],
+        ["build", "check", "db.json"],
+        [],
+    ],
+)
+def test_help_and_usage_come_from_the_full_parser(argv):
+    def printed(call):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                call(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    assert printed(main) == printed(cli.build_parser().parse_args)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_ends_quietly(tmp_path, unbuffered):
+    # About 300 kB of JSON: more than a pipe holds, so the call is still
+    # writing when the reader goes.
+    db = tmp_path / "db.json"
+    db.write_text(compile_db([(f"f{i}.c", "-O2") for i in range(2000)]))
+    code = "import sys; from dialectoscope.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "--format", "json", "build", "audit", str(db)],
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "per_t'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0  # the audit's own status: no findings
+    assert err == b""

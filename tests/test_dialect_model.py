@@ -1,7 +1,6 @@
 """Encoding bijection, weight arithmetic, counting, and width models."""
 
 import itertools
-from dataclasses import replace
 from functools import reduce
 from operator import mul
 
@@ -60,7 +59,7 @@ def test_encode_examples():
         ansi_mode=AnsiMode.STRICT,
     )
     assert encode_config(baseline) == 0
-    assert encode_config(replace(baseline, char_is_signed=True)) == 1
+    assert encode_config(baseline._replace(char_is_signed=True)) == 1
     freestanding_gnu17 = DialectConfig(
         char_is_signed=True,
         bitfield_is_signed=True,
@@ -112,7 +111,7 @@ def test_decode_rejects_non_integers(bad):
 @given(values, st.sampled_from(sorted(BOOLEAN_WEIGHTS)))
 def test_boolean_weight_isolation(value, field):
     config = decode_value(value)
-    flipped = replace(config, **{field: not getattr(config, field)})
+    flipped = config._replace(**{field: not getattr(config, field)})
     assert abs(encode_config(flipped) - value) == BOOLEAN_WEIGHTS[field]
 
 
@@ -121,7 +120,7 @@ def test_std_class_weight_isolation(value):
     config = decode_value(value)
     if config.std_class == 3:
         return
-    bumped = replace(config, std_class=config.std_class + 1)
+    bumped = config._replace(std_class=config.std_class + 1)
     assert encode_config(bumped) - value == STD_CLASS_WEIGHT
 
 
