@@ -155,9 +155,138 @@ class AuditReport(NamedTuple):
         }
 
 
+#: Options whose value names one TU, not its flag set: the object file, and
+#: the dependency file and targets that Make and Ninja databases carry.
+_PER_TU_OPTIONS = ("-o", "-MF", "-MT", "-MQ")
+#: Memo marks: a flag set met once so far, and one whose TUs are parsed
+#: one by one (its parse fails, or reads a per-TU word as a flag's value).
+_ONCE, _UNSHARED = object(), object()
+
+
+def _flag_set_key(argv: list[str], file: str, slots: list[str]) -> tuple[tuple, list[str]]:
+    """Put placeholders from ``slots`` in place of the words of ``argv``
+    that name its TU: each occurrence of the entry's ``file`` and the value
+    of each ``-o``, ``-MF``, ``-MT`` and ``-MQ``, but never a word that
+    starts with ``-``.  Returns the key of the flag set left, with the
+    positions replaced, and the words taken out, in placeholder order."""
+    # Set lookups and list scans keep the cost per word in C; the hashes
+    # the set computes serve the key's hash too.  Where no word repeats,
+    # each word's only position is its first.
+    present = set(argv)
+    repeats = len(present) < len(argv)
+    found = []
+    if file in present and file[0] != "-":
+        i = -1
+        for _ in range(argv.count(file) if repeats else 1):
+            i = argv.index(file, i + 1)
+            found.append(i)
+    for option in _PER_TU_OPTIONS:
+        if option in present:
+            i = 0
+            for _ in range(argv.count(option) if repeats else 1):
+                i = argv.index(option, i) + 1  # the value's position
+                if i < len(argv) and argv[i][:1] != "-" and i not in found:
+                    found.append(i)
+    while len(slots) < len(found):
+        slots.append(f"\0per-TU word {len(slots)}")
+    own = []
+    for slot, i in zip(slots, found):
+        own.append(argv[i])
+        argv[i] = slot
+    # The positions keep a real word equal to a placeholder from matching it.
+    return (tuple(found), *argv), own
+
+
+def _shared_parse(argv: list[str], slots: list[str], profile: CompilerProfile):
+    """Parse a flag set whose per-TU words are the placeholder ``slots``:
+    the invocation and, for its sources and unrecognized words, the
+    (index, slot number) pairs where each TU's own words go back.  A parse
+    that fails, or that reads a placeholder as a flag's value (``-I x.o``),
+    gives ``_UNSHARED``."""
+    try:
+        inv = parse_invocation(argv, env={}, profile=profile)
+    except (InvocationError, ProfileError):
+        return _UNSHARED
+    # The parser keeps each word it passes through, so a placeholder is
+    # found by identity, never confused with an equal real word.
+    numbers = {id(slot): k for k, slot in enumerate(slots)}
+    fills = [
+        tuple((i, numbers[id(w)]) for i, w in enumerate(words) if id(w) in numbers)
+        for words in (inv.source_files, inv.unrecognized)
+    ]
+    if len(fills[0]) + len(fills[1]) != len(slots):
+        return _UNSHARED
+    return inv, *fills
+
+
+def _refill(words: tuple[str, ...], fill, own: list[str]) -> tuple[str, ...]:
+    if not fill:
+        return words
+    out = list(words)
+    for i, k in fill:
+        out[i] = own[k]
+    return tuple(out)
+
+
+def _with_own_words(shared, own: list[str]) -> CompilerInvocation:
+    """A flag set's invocation with one TU's own words put back."""
+    inv, source_fill, unrecognized_fill = shared
+    # Positional, in field order: the per-TU path avoids _replace's cost.
+    return CompilerInvocation(
+        inv.profile,
+        inv.dialect,
+        inv.macro_directives,
+        inv.include_dirs,
+        _refill(inv.source_files, source_fill, own),
+        _refill(inv.unrecognized, unrecognized_fill, own),
+        inv.opt_level,
+        inv.nostdinc,
+        inv.profile_defines,
+    )
+
+
+def _entry_arguments(item, index: int) -> tuple[str, str, list[str]]:
+    """(directory, file, argv) of one database entry, or BuildLoadError."""
+    if not isinstance(item, dict):
+        raise BuildLoadError(f"entry {index}: expected an object")
+    file = item.get("file")
+    if not isinstance(file, str) or not file:
+        raise BuildLoadError(f"entry {index}: missing field 'file'")
+    directory = item.get("directory", "")
+    problem = None
+    if not isinstance(directory, str):
+        problem = "field 'directory' must be a string"
+    elif "arguments" in item:
+        arguments = item["arguments"]
+        # JSON yields no str subclasses, so the exact type is the test.
+        if not isinstance(arguments, list) or not set(map(type, arguments)) <= {str}:
+            problem = "'arguments' must be a string array"
+    elif "command" in item:
+        if not isinstance(item["command"], str):
+            problem = "'command' must be a string"
+        else:
+            try:
+                arguments = split_command(item["command"])
+            except ValueError as exc:
+                problem = f"unparseable command: {exc}"
+    else:
+        problem = "needs 'command' or 'arguments'"
+    if problem is None and not arguments:
+        problem = "empty argument list"
+    if problem is not None:
+        raise BuildLoadError(f"entry {index} ({file}): {problem}")
+    return directory, file, arguments
+
+
 def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
     """Parse a compile-database document.  A ``command`` is split into
-    words by :func:`split_command`: POSIX quoting, no expansions."""
+    words by :func:`split_command`: POSIX quoting, no expansions.
+
+    TUs of one flag set differ only in the words that name them (see
+    ``_flag_set_key``), so each flag set met again is parsed once, with
+    those words as placeholders, and each of its TUs gets that invocation
+    with its own words put back.  The first TU of a flag set is parsed as
+    it is, so a database of distinct flag sets pays only for the keys."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -166,49 +295,36 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
         raise BuildLoadError("capture must be a non-empty JSON array of entries")
 
     entries: list[BuildEntry] = []
-    covered: dict[str, bool] = {}  # compiler basename -> profile covers it
+    compilers: dict[str, tuple[str, bool]] = {}  # argv[0] -> (basename, covered)
+    memo: dict = {}  # flag set -> _ONCE, _UNSHARED or _shared_parse's result
+    slots: list[str] = []  # placeholders for per-TU words
     for index, item in enumerate(data):
-        where = f"entry {index}"
-        if not isinstance(item, dict):
-            raise BuildLoadError(f"{where}: expected an object")
-        file = item.get("file")
-        if not isinstance(file, str) or not file:
-            raise BuildLoadError(f"{where}: missing field 'file'")
-        where = f"entry {index} ({file})"
-        directory = item.get("directory", "")
-        if not isinstance(directory, str):
-            raise BuildLoadError(f"{where}: field 'directory' must be a string")
-        if "arguments" in item:
-            arguments = item["arguments"]
-            if not isinstance(arguments, list) or not all(
-                isinstance(a, str) for a in arguments
-            ):
-                raise BuildLoadError(f"{where}: 'arguments' must be a string array")
-        elif "command" in item:
-            if not isinstance(item["command"], str):
-                raise BuildLoadError(f"{where}: 'command' must be a string")
-            try:
-                arguments = split_command(item["command"])
-            except ValueError as exc:
-                raise BuildLoadError(f"{where}: unparseable command: {exc}") from None
-        else:
-            raise BuildLoadError(f"{where}: needs 'command' or 'arguments'")
-        if not arguments:
-            raise BuildLoadError(f"{where}: empty argument list")
-
-        compiler = posixpath.basename(arguments[0].replace("\\", "/"))
+        directory, file, arguments = _entry_arguments(item, index)
+        if arguments[0] not in compilers:
+            basename = posixpath.basename(arguments[0].replace("\\", "/"))
+            compilers[arguments[0]] = basename, profile.covers_compiler(basename)
+        compiler, covered = compilers[arguments[0]]
         inv = None
         reason = "compiler not covered by profile"
-        if compiler not in covered:
-            covered[compiler] = profile.covers_compiler(compiler)
-        if covered[compiler]:
-            # One entry the profile cannot interpret must not sink the
-            # audit of the others: it becomes an unauditable row.
-            try:
-                inv = parse_invocation(arguments[1:], env={}, profile=profile)
+        if covered:
+            argv = arguments[1:]
+            key, own = _flag_set_key(argv, file, slots)
+            shared = memo.get(key)
+            if shared is None:
+                memo[key] = _ONCE
+            elif shared is _ONCE:
+                shared = memo[key] = _shared_parse(argv, slots[: len(own)], profile)
+            if type(shared) is tuple:
+                inv = _with_own_words(shared, own)
                 reason = ""
-            except (InvocationError, ProfileError) as exc:
-                reason = str(exc)
+            else:
+                # One entry the profile cannot interpret must not sink the
+                # audit of the others: it becomes an unauditable row.
+                try:
+                    inv = parse_invocation(arguments[1:], env={}, profile=profile)
+                    reason = ""
+                except (InvocationError, ProfileError) as exc:
+                    reason = str(exc)
         entries.append(
             BuildEntry(
                 directory,
@@ -216,27 +332,44 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
                 tuple(arguments),
                 compiler,
                 UNAUDITABLE if inv is None else OK,
-                invocation=inv,
-                dialect=None if inv is None else inv.dialect,
-                reason=reason,
+                inv,
+                None if inv is None else inv.dialect,
+                reason,
             )
         )
     return BuildCapture(entries=tuple(entries), profile=profile)
 
 
+def _per_dialect(entries, fact) -> list:
+    """``fact(e.dialect)`` for each entry (None where it has no dialect),
+    computed once per distinct dialect: there are at most 768."""
+    facts = {None: None}
+    out = []
+    for e in entries:
+        try:
+            out.append(facts[e.dialect])
+        except KeyError:
+            facts[e.dialect] = fact(e.dialect)
+            out.append(facts[e.dialect])
+    return out
+
+
 def _per_tu_rows(capture: BuildCapture) -> tuple[PerTuRow, ...]:
     # A profile without canonical spellings still yields each TU's value;
     # its rows just carry no flags.
-    renders = capture.profile.canonical is not None
-    rows = []
-    for e in capture.entries:
-        if e.status == OK:
-            assert e.dialect is not None
-            flags = canonical_flags(e.dialect, capture.profile) if renders else ()
-            rows.append(PerTuRow(e.file, OK, encode_config(e.dialect), tuple(flags)))
-        else:
-            rows.append(PerTuRow(e.file, UNAUDITABLE, None, (), e.reason))
-    return tuple(rows)
+    profile = capture.profile
+    renders = profile.canonical is not None
+
+    def row_fields(dialect: DialectConfig) -> tuple[int, tuple[str, ...]]:
+        flags = canonical_flags(dialect, profile) if renders else ()
+        return encode_config(dialect), tuple(flags)
+
+    return tuple(
+        PerTuRow(e.file, OK, *fields)
+        if fields is not None
+        else PerTuRow(e.file, UNAUDITABLE, None, (), e.reason)
+        for e, fields in zip(capture.entries, _per_dialect(capture.entries, row_fields))
+    )
 
 
 def _policy(overrides: Mapping[str, Severity] | None) -> dict[str, Severity]:
@@ -256,13 +389,14 @@ def audit(
     the partition of files by value."""
     policy = _policy(severity_policy)
     ok = capture.ok_entries()
+    settings = _per_dialect(
+        ok, lambda d: tuple(format_setting(d.value_of(dim)) for dim in DIMENSIONS)
+    )
     inconsistencies: list[Inconsistency] = []
-    for dimension in DIMENSIONS:
+    for i, dimension in enumerate(DIMENSIONS):
         partition: dict[str, list[str]] = {}
-        for e in ok:
-            assert e.dialect is not None
-            setting = format_setting(e.dialect.value_of(dimension))
-            partition.setdefault(setting, []).append(e.file)
+        for e, setting in zip(ok, settings):
+            partition.setdefault(setting[i], []).append(e.file)
         if len(partition) >= 2:
             inconsistencies.append(
                 Inconsistency(
@@ -286,22 +420,23 @@ def check_against(
     """Compare every TU dialect against the analysis tool's declared
     dialect; one mismatch row per differing (file, dimension)."""
     policy = _policy(severity_policy)
-    mismatches: list[Mismatch] = []
-    for e in capture.ok_entries():
-        assert e.dialect is not None
-        for dimension in DIMENSIONS:
-            tu_value = e.dialect.value_of(dimension)
-            ref_value = reference.value_of(dimension)
+
+    def differences(dialect: DialectConfig) -> list[tuple]:
+        found = []
+        for dim in DIMENSIONS:
+            tu_value, ref_value = dialect.value_of(dim), reference.value_of(dim)
             if tu_value != ref_value:
-                mismatches.append(
-                    Mismatch(
-                        e.file,
-                        dimension,
-                        format_setting(tu_value),
-                        format_setting(ref_value),
-                        policy[dimension],
-                    )
+                found.append(
+                    (dim, format_setting(tu_value), format_setting(ref_value), policy[dim])
                 )
+        return found
+
+    ok = capture.ok_entries()
+    mismatches = [
+        Mismatch(e.file, *difference)
+        for e, found in zip(ok, _per_dialect(ok, differences))
+        for difference in found
+    ]
     return AuditReport(
         per_tu=_per_tu_rows(capture),
         mismatches=tuple(mismatches),

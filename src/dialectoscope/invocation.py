@@ -28,9 +28,9 @@ _VALUE_OPTION_RE = re.compile(r"(-D|-U|-I(?!-\Z)|-iquote|-isystem)(.*)\Z", re.S)
 # alternative matches a quote or backslash where no piece can start, that
 # is an unclosed quote or a trailing backslash.
 _SHELL_WORD = re.compile(
-    r"""(?:[^ \t\r\n'"\\]+|\\.|'[^']*'|"(?:[^"\\]|\\.)*")+|['"\\]""", re.S
+    r"""(?:[^ \t\r\n'"\\]+|\\.|'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*")+|['"\\]""", re.S
 )
-_QUOTED_PIECE = re.compile(r"\\(.)|'([^']*)'" r'|"((?:[^"\\]|\\.)*)"', re.S)
+_QUOTED_PIECE = re.compile(r"\\(.)|'([^']*)'" r'|"([^"\\]*(?:\\.[^"\\]*)*)"', re.S)
 _DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
 _PLAIN_WORD = re.compile(r"[^ \t\r\n]+")
 
@@ -110,15 +110,24 @@ def split_command(command: str) -> list[str]:
     # Most commands quote nothing; their words are the runs between
     # separators, found at about half the cost of the full scan.
     if "'" not in command and '"' not in command and "\\" not in command:
+        # Printable ASCII has no separator but the space, so str.split(),
+        # whose separators are more than shlex's, splits it the same.
+        if command.isascii() and command.isprintable():
+            return command.split()
         return _PLAIN_WORD.findall(command)
     words = _SHELL_WORD.findall(command)
     for i, word in enumerate(words):
-        if "'" in word or '"' in word or "\\" in word:
+        single, double = "'" in word, '"' in word
+        if single or double or "\\" in word:
             if len(word) == 1:  # the scan stopped: let shlex raise its error
                 import shlex
 
                 return shlex.split(command, posix=True)
-            words[i] = _QUOTED_PIECE.sub(_unquote, word)
+            if (single and double) or "\\" in word:
+                words[i] = _QUOTED_PIECE.sub(_unquote, word)
+            else:
+                # One kind of quote and no backslash: every quote delimits.
+                words[i] = word.replace("'" if single else '"', "")
     return words
 
 
@@ -160,7 +169,8 @@ def parse_invocation(
     env = env or {}
 
     defaults = profile.defaults
-    booleans = {f: getattr(defaults, f) for f in BOOLEAN_WEIGHTS}
+    # The boolean dimensions lead DialectConfig's fields, in BOOLEAN_WEIGHTS order.
+    booleans = dict(zip(BOOLEAN_WEIGHTS, defaults))
     std = StdName(defaults.std_class, defaults.ansi_mode is AnsiMode.STRICT)
     # Strict standards process trigraphs; GNU modes leave them off unless
     # explicitly requested.
@@ -173,18 +183,24 @@ def parse_invocation(
     opt_level: str | None = None
     nostdinc = False
 
+    vocabulary = profile.flag_vocabulary
     words = iter(argv)
     for arg in words:
         if arg == "-" or not arg.startswith("-"):
             sources.append(arg)
-        elif value_option := _VALUE_OPTION_RE.match(arg):
+            continue
+        # A word's second character rules out most branches before any
+        # pattern runs: "-D", "-U", "-I" and "-i" open the value options,
+        # "-s" and "--" the -std= spellings, "-O" the optimisation levels.
+        second = arg[1]
+        if second in "DUIi" and (value_option := _VALUE_OPTION_RE.match(arg)):
             option, value = value_option.groups()
             value = value or _next_word(option, words)
             if option in dirs:
                 dirs[option].append(value)
             else:
                 directives.append(_macro_directive(option, value))
-        elif arg.startswith(("-std=", "--std=")):
+        elif second in "s-" and arg.startswith(("-std=", "--std=")):
             try:
                 std = profile.resolve_std(arg.split("=", 1)[1])
             except ProfileError as exc:
@@ -193,11 +209,10 @@ def parse_invocation(
             # standard's default, so a later -std overrides an earlier
             # -trigraphs, as real drivers do.
             trigraphs = std.strict
-        elif _OPT_LEVEL_RE.match(arg):
+        elif second == "O" and _OPT_LEVEL_RE.match(arg):
             booleans["optimized"] = arg != "-O0"
             opt_level = arg
-        elif arg in profile.flag_vocabulary:
-            effect = profile.flag_vocabulary[arg]
+        elif (effect := vocabulary.get(arg)) is not None:
             booleans.update(effect.sets)
             if effect.std is not None:
                 std = profile.resolve_std(effect.std)
@@ -210,8 +225,9 @@ def parse_invocation(
         else:
             unrecognized.append(arg)
 
-    dirs["-I"].extend(_split_env_path(env.get("CPATH", "")))
-    dirs["-isystem"].extend(_split_env_path(env.get("C_INCLUDE_PATH", "")))
+    if env:
+        dirs["-I"].extend(_split_env_path(env.get("CPATH", "")))
+        dirs["-isystem"].extend(_split_env_path(env.get("C_INCLUDE_PATH", "")))
     if std.strict:
         mode = AnsiMode.STRICT
     else:
@@ -219,7 +235,7 @@ def parse_invocation(
 
     return CompilerInvocation(
         profile=profile,
-        dialect=DialectConfig(std_class=std.std_class, ansi_mode=mode, **booleans),
+        dialect=DialectConfig(*booleans.values(), std.std_class, mode),
         macro_directives=tuple(directives),
         include_dirs=IncludeDirs(
             quote=tuple(dirs["-iquote"]),

@@ -219,10 +219,13 @@ def profile_from_dict(data: dict, source: str = "<dict>") -> CompilerProfile:
         spellings = _object(data["canonical"], "canonical", context)
         if not all(isinstance(v, str) for v in spellings.values()):
             raise ProfileError(f"{context}: canonical spellings must be strings")
-        try:
-            canonical = CanonicalSpellings(**spellings)
-        except TypeError as exc:
-            raise ProfileError(f"{context}: bad canonical section: {exc}") from None
+        unknown = [k for k in spellings if k not in CanonicalSpellings._fields]
+        missing = [k for k in CanonicalSpellings._fields if k not in spellings]
+        if unknown or missing:
+            problems = [f"unknown key {k!r}" for k in unknown]
+            problems += [f"missing {k!r}" for k in missing]
+            raise ProfileError(f"{context}: bad canonical section: {'; '.join(problems)}")
+        canonical = CanonicalSpellings(**spellings)
 
     version_range = None
     if data.get("version_range") is not None:

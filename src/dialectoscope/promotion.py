@@ -111,6 +111,11 @@ def _unsigned_counterpart(t: CType) -> CType:
     return CType(mapping.get(t.base, t.base))
 
 
+#: What every integer promotion yields; built once, since each ``CType``
+#: construction is validated.
+_INT, _UINT = CType(BaseType.INT), CType(BaseType.UINT)
+
+
 def integer_promote(t: CType, m: TypeModel) -> CType:
     """Types ranking at or below int become INT when int holds all
     their values, else UINT; wider types are unchanged."""
@@ -119,7 +124,7 @@ def integer_promote(t: CType, m: TypeModel) -> CType:
     w, u = t.width(m), t.is_unsigned(m)
     iw = m.width_int
     fits_in_int = w < iw or (w == iw and not u)
-    return CType(BaseType.INT) if fits_in_int else CType(BaseType.UINT)
+    return _INT if fits_in_int else _UINT
 
 
 def arithmetic_conversion(a: CType, b: CType, m: TypeModel) -> CType:

@@ -1,9 +1,10 @@
 """Compile-database loading and cross-TU dialect audits."""
 
 import json
+import shlex
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dialectoscope import (
     DIMENSIONS,
@@ -19,6 +20,7 @@ from dialectoscope import (
     load_build,
 )
 from conftest import compile_db
+from test_invocation import _PROFILES, _TRICKY_WORDS
 
 
 def capture_of(entries, profile):
@@ -110,6 +112,114 @@ def test_load_turns_bad_flags_into_unauditable_row(profile):
     row = report.per_tu[1]
     assert (row.file, row.value, row.flags) == ("z.c", None, ())
     assert "c2x" in row.reason
+
+
+# --- each flag set parsed once -------------------------------------------------
+
+
+def _oracle_load_build(document, profile):
+    """The loader before flag sets were memoized: every entry's argv parsed
+    on its own.  Kept as the reference the memoized loader must equal."""
+    import posixpath
+
+    from dialectoscope.build_audit import BuildCapture, BuildEntry
+    from dialectoscope.invocation import InvocationError, parse_invocation, split_command
+    from dialectoscope.profiles import ProfileError
+
+    entries = []
+    for item in json.loads(document):
+        arguments = item["arguments"] if "arguments" in item else split_command(item["command"])
+        compiler = posixpath.basename(arguments[0].replace("\\", "/"))
+        inv, reason = None, "compiler not covered by profile"
+        if profile.covers_compiler(compiler):
+            try:
+                inv = parse_invocation(arguments[1:], env={}, profile=profile)
+                reason = ""
+            except (InvocationError, ProfileError) as exc:
+                reason = str(exc)
+        entries.append(
+            BuildEntry(
+                item.get("directory", ""), item["file"], tuple(arguments), compiler,
+                "unauditable" if inv is None else "ok", inv,
+                None if inv is None else inv.dialect, reason,
+            )
+        )
+    return BuildCapture(tuple(entries), profile)
+
+
+# Per-TU pieces spliced into a shared flag set; "{v}" is a per-TU value and
+# "{f}" the entry's file.  They cover -o as the last word, -D -o and -I -o
+# (where -o is a value, not an option), and a source listed twice.
+_PER_TU_PIECES = [
+    ["-o", "{v}"], ["-MF", "{v}"], ["-MT", "{v}"], ["-MQ", "{v}"], ["-c", "{f}"],
+    ["{f}"], ["-o"], ["-D", "-o", "{v}"], ["-I", "-o", "{v}"], ["-I", "{f}"], ["-D", "{f}"],
+]
+
+
+@st.composite
+def _flag_set(draw):
+    """Flag-set words, and where each TU splices its per-TU pieces in."""
+    words = draw(st.lists(st.sampled_from(_TRICKY_WORDS), max_size=8))
+    pieces = draw(st.lists(st.sampled_from(_PER_TU_PIECES), max_size=4))
+    return words, [(draw(st.integers(0, len(words) + k)), p) for k, p in enumerate(pieces)]
+
+
+@st.composite
+def _databases(draw):
+    profile = _PROFILES[draw(st.sampled_from(sorted(_PROFILES)))]
+    flag_sets = draw(st.lists(_flag_set(), min_size=1, max_size=3))
+    entries = []
+    for i in range(draw(st.integers(1, 10))):
+        # A file may equal an option value or a flag-set word, or start with -.
+        file = draw(st.sampled_from([f"s{i}.c"] * 3 + ["s.c", f"v{i}", "a.c", "-s.c", "-", "-o"]))
+        words, splices = draw(st.sampled_from(flag_sets))
+        words = list(words)
+        for at, piece in splices:
+            value = draw(st.sampled_from([f"v{i}"] * 3 + [file, "", "-", f"-v{i}", "v"]))
+            words[at:at] = [w.format(v=value, f=file) for w in piece]
+        argv = [draw(st.sampled_from(["gcc", "gcc", "mcc18", "clang"])), *words]
+        entry = {"directory": "/p", "file": file}
+        if draw(st.booleans()):
+            entry["arguments"] = argv
+        else:
+            entry["command"] = shlex.join(argv)
+        entries.append(entry)
+    return json.dumps(entries), profile
+
+
+@settings(max_examples=400)
+@given(_databases())
+def test_memoized_load_matches_per_entry_parsing(database):
+    document, profile = database
+    capture = load_build(document, profile)
+    assert capture == _oracle_load_build(document, profile)
+
+
+def test_shared_flag_set_keeps_each_tus_own_words(profile):
+    doc = json.dumps([
+        {"file": f"u{i}.c",
+         "arguments": ["gcc", "-O2", "-MD", "-MT", f"u{i}.o", "-MF", f"u{i}.d",
+                       "-o", f"u{i}.o", "-c", f"u{i}.c"]}
+        for i in range(3)
+    ])
+    entries = load_build(doc, profile).entries
+    assert [e.invocation.source_files for e in entries] == [("u0.c",), ("u1.c",), ("u2.c",)]
+    assert entries[2].invocation.unrecognized == (
+        "-MD", "-MT", "u2.o", "-MF", "u2.d", "-o", "u2.o", "-c"
+    )
+    # TUs of one flag set share everything but their own words.
+    assert entries[1].invocation.macro_directives is entries[2].invocation.macro_directives
+    assert entries[1].dialect is entries[2].dialect
+
+
+def test_unparseable_tus_in_a_shared_flag_set_keep_their_reasons(profile):
+    doc = json.dumps([
+        {"file": f"u{i}.c", "arguments": ["gcc", "-std=c2x", "-o", f"u{i}.o", "-c", f"u{i}.c"]}
+        for i in range(3)
+    ])
+    entries = load_build(doc, profile).entries
+    assert [e.status for e in entries] == ["unauditable"] * 3
+    assert len({e.reason for e in entries}) == 1 and "c2x" in entries[0].reason
 
 
 # --- consistency audit --------------------------------------------------------

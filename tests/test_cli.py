@@ -11,6 +11,7 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dialectoscope
 from dialectoscope import cli, emit_probe_source
@@ -613,6 +614,19 @@ def test_malformed_profile_is_an_input_error(capsys, tmp_path, key, value):
         assert repr(next(iter(value))) in err  # names the flag
 
 
+def test_bad_canonical_section_names_the_keys(capsys, tmp_path):
+    data = json.loads((resources.files("dialectoscope") / "data" / "gcc8-x86_64.json").read_text())
+    del data["canonical"]["char_signed"]
+    data["canonical"]["x"] = "-fx"
+    data["name"] = "bad"
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    code, out, err = run(capsys, "--profile", "bad", "--profile-dir", str(tmp_path),
+                         "probe", "flags", "443")
+    assert (code, out) == (2, "")
+    assert err.endswith("bad canonical section: unknown key 'x'; missing 'char_signed'\n")
+    assert "__new__" not in err
+
+
 def test_profile_without_flag_spellings_refuses_to_render(capsys):
     code, _, err = run(capsys, "--profile", "mplab-c18", "probe", "flags", "100")
     assert code == 2
@@ -752,3 +766,59 @@ def test_closed_pipe_ends_quietly(tmp_path, unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0  # the audit's own status: no findings
     assert err == b""
+
+
+# --- JSON rendering -------------------------------------------------------------
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_JSON_LEAVES = st.one_of(
+    st.text(),
+    st.text(alphabet="\x00\x01\x1f\x7f\n\t\"\\/é€\U0001f600a"),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text().map(_Str),
+    st.integers().map(_Int),
+    st.sampled_from(list(dialectoscope.Severity)),
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(children).map(_List),
+        st.lists(st.text()),
+        st.dictionaries(st.text(), children),
+        st.dictionaries(_JSON_KEYS, children),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200)
+@given(_JSON_VALUES)
+def test_json_text_equals_json_dumps_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_of_report_shapes():
+    rows = [{"file": "a.c", "status": "ok", "value": 443, "flags": ["-O2", "-m64"]},
+            {"file": "bé.c", "status": "unauditable", "value": None, "flags": []}]
+    doc = {"per_tu": rows, "mismatches": [{"file": "a.c", "severity": "high"}],
+           "inconsistencies": [], "empty": {}, "reference_value": None, "ratio": 0.5}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)

@@ -61,6 +61,32 @@ def test_promote_char_and_short():
     assert integer_promote(CType(BaseType.SHORT), INT16) == INT
 
 
+#: SHA-256 of every ``arithmetic_conversion`` result over all width models,
+#: both char signednesses and every standard and fixed-width type pair, as
+#: computed when ``integer_promote`` built a fresh ``CType`` per call.
+CONVERSION_TABLE_SHA256 = "2b0c7e18a3cc176189392a65be560cda323157b36386a8b7d1bea4ac1af47d2c"
+
+
+def test_conversion_table_unchanged_over_every_model():
+    import hashlib
+
+    types = [CType(b) for b in BaseType if b is not BaseType.FIXED]
+    types += [CType(BaseType.FIXED, w, u) for w in (8, 16, 32, 64) for u in (False, True)]
+    lines = []
+    for widths in enumerate_integer_size_models():
+        for signed in (True, False):
+            m = TypeModel(*widths, char_is_signed=signed)
+            for a in types:
+                for b in types:
+                    out = arithmetic_conversion(a, b, m)
+                    lines.append(f"{widths} {signed} {a.describe()} {b.describe()} {out!r}")
+                promoted = integer_promote(a, m)
+                assert promoted is a or promoted in (INT, UINT)
+    assert len(lines) == 16606
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CONVERSION_TABLE_SHA256
+
+
 def test_promotion_is_idempotent():
     types = [
         CType(b)
