@@ -40,6 +40,10 @@ class Severity(IntEnum):
     HIGH = 2
 
 
+#: Each severity's JSON text, so a report's rows look it up, not compute it.
+_SEVERITY_TEXT = {s: s.name.lower() for s in Severity}
+
+
 # Divergence in object layout silently changes what shared data means
 # across TUs; divergence in the macro environment "only" selects
 # different code.  Overridable per audit call.
@@ -132,7 +136,7 @@ class AuditReport(NamedTuple):
             "inconsistencies": [
                 {
                     "dimension": f.dimension,
-                    "severity": f.severity.name.lower(),
+                    "severity": _SEVERITY_TEXT[f.severity],
                     "values": [
                         {"value": value, "files": list(files)}
                         for value, files in f.partition
@@ -146,7 +150,7 @@ class AuditReport(NamedTuple):
                     "dimension": f.dimension,
                     "tu_value": f.tu_value,
                     "reference_value": f.reference_value,
-                    "severity": f.severity.name.lower(),
+                    "severity": _SEVERITY_TEXT[f.severity],
                 }
                 for f in self.mismatches
             ],

@@ -180,14 +180,54 @@ class VerificationReport(NamedTuple):
         return [r for r in self.results if not r.ok]
 
 
-_DRIVER_MAIN = """\
-#include <stdio.h>
+#: The probe's caller, built with no C library: ``_start`` calls
+#: ``return_value()``, writes the value in decimal and a newline to
+#: stdout with a system call, and exits 0.  It needs no libc headers or
+#: libraries for either pointer width.  The system calls are x86 ones,
+#: as are the canonical -m32/-m64 flags.
+_DRIVER_START = """\
 unsigned return_value(void);
-int main(void) {
-   printf("%u\\n", return_value());
-   return 0;
+
+#if defined(__x86_64__)
+static long sys3(long n, long a, long b, long c) {
+   long r;
+   __asm__ volatile ("syscall" : "=a"(r) : "a"(n), "D"(a), "S"(b), "d"(c)
+                     : "rcx", "r11", "memory");
+   return r;
+}
+enum { SYS_WRITE = 1, SYS_EXIT = 60 };
+#elif defined(__i386__)
+static long sys3(long n, long a, long b, long c) {
+   long r;
+   __asm__ volatile ("int $0x80" : "=a"(r) : "a"(n), "b"(a), "c"(b), "d"(c)
+                     : "memory");
+   return r;
+}
+enum { SYS_WRITE = 4, SYS_EXIT = 1 };
+#else
+#error "the probe driver makes x86 system calls: __x86_64__ or __i386__ only"
+#endif
+
+/* The kernel enters _start with the stack aligned as no call leaves it. */
+__attribute__((force_align_arg_pointer, noreturn)) void _start(void) {
+   char text[12];
+   char *p = text + sizeof text;
+   unsigned v = return_value();
+   *--p = '\\n';
+   do {
+      *--p = (char)('0' + v % 10);
+      v /= 10;
+   } while (v);
+   sys3(SYS_WRITE, 1, (long)p, (long)(text + sizeof text - p));
+   for (;;)
+      sys3(SYS_EXIT, 0, 0, 0);
 }
 """
+
+
+def _last_line(stderr: str) -> str:
+    lines = stderr.strip().splitlines()
+    return lines[-1] if lines else ""
 
 
 def verify_with_compiler(
@@ -198,7 +238,11 @@ def verify_with_compiler(
 ) -> VerificationReport:
     """Compile and run the probe for each value with its own flags and
     compare the printed result.  A missing compiler yields a skipped
-    report, not a failure; -w suppresses trigraph warnings."""
+    report, not a failure; -w suppresses trigraph warnings.
+
+    The driver is compiled once per pointer width the values need; each
+    value is then one compile-and-link of the probe with the value's
+    flags against that driver, with no C library, and one run."""
     # Imported here: only verification starts processes, and these
     # modules would otherwise add to every import of the package.
     import shutil
@@ -219,24 +263,39 @@ def verify_with_compiler(
         return VerificationReport(
             "skipped", compiler, skip_reason=f"compiler {compiler!r} not found"
         )
+    spell = profile.canonical_spellings()
+
+    def width_flag(v: int) -> str:
+        return spell.pointer_64 if decode_value(v).pointer_width_64 else spell.pointer_32
 
     with tempfile.TemporaryDirectory(prefix="dialect-verify-") as tmp:
         probe_c = os.path.join(tmp, "probe.c")
-        main_c = os.path.join(tmp, "main.c")
+        driver_c = os.path.join(tmp, "driver.c")
         with open(probe_c, "w", encoding="utf-8", newline="") as fh:
             fh.write(emit_probe_source())
-        with open(main_c, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_DRIVER_MAIN)
+        with open(driver_c, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_DRIVER_START)
+
+        def build_driver(width: str) -> tuple[str, str]:
+            """(object path, "") or ("", failure detail)."""
+            obj = os.path.join(tmp, f"driver{width}.o")
+            cmd = [path, "-w", "-fno-stack-protector", width, "-c", driver_c, "-o", obj]
+            built = subprocess.run(cmd, capture_output=True, text=True)
+            if built.returncode != 0:
+                return "", f"driver build failed ({width}): {_last_line(built.stderr)}"
+            return obj, ""
 
         def run_one(v: int) -> VerifyResult:
             flags = flags_for_value(v, profile)
+            driver, error = drivers[width_flag(v)].result()
+            if error:
+                return VerifyResult(v, False, error)
             exe = os.path.join(tmp, f"probe{v}")
-            cmd = [path, "-w", *flags, probe_c, main_c, "-o", exe]
+            cmd = [path, "-w", *flags, "-nostdlib", "-static", probe_c, driver, "-o", exe]
             built = subprocess.run(cmd, capture_output=True, text=True)
             if built.returncode != 0:
-                detail = built.stderr.strip().splitlines()
                 return VerifyResult(
-                    v, False, f"compile failed ({' '.join(flags)}): {detail[-1] if detail else ''}"
+                    v, False, f"compile failed ({' '.join(flags)}): {_last_line(built.stderr)}"
                 )
             ran = subprocess.run([exe], capture_output=True, text=True)
             if ran.returncode != 0:
@@ -247,5 +306,8 @@ def verify_with_compiler(
             return VerifyResult(v, False, f"printed {out!r}, expected {v}")
 
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+            # The pool starts tasks in the order submitted, so every driver
+            # build has started before a value waits on one.
+            drivers = {w: pool.submit(build_driver, w) for w in sorted(set(map(width_flag, values)))}
             results = tuple(pool.map(run_one, values))
     return VerificationReport("ran", path, results)

@@ -233,34 +233,37 @@ def test_criterion_8_build_audit(profile):
             assert len(got.mismatches) == distance
 
 
-def _gcc_state():
-    """(state, detail): 'absent', 'no-multilib', or 'ready'."""
+def _gcc_state(tmp_path):
+    """(state, detail): 'absent', 'no-m32', or 'ready'.  Verification links
+    the probe with no C library, so the 32-bit values need only a gcc that
+    compiles -m32 code and links it with -nostdlib -static."""
     gcc = shutil.which("gcc")
     if gcc is None:
         return "absent", "no gcc on PATH"
-    probe = subprocess.run(
-        ["gcc", "-m32", "-x", "c", "-", "-o", "/dev/null"],
-        input="int main(void) { return 0; }",
-        capture_output=True,
-        text=True,
-    )
-    if probe.returncode != 0:
-        return "no-multilib", probe.stderr.strip().splitlines()[-1:]
+    source, obj = tmp_path / "start.c", tmp_path / "start.o"
+    source.write_text("void _start(void) { for (;;) {} }\n")
+    for cmd in (
+        [gcc, "-m32", "-c", str(source), "-o", str(obj)],
+        [gcc, "-m32", "-nostdlib", "-static", str(obj), "-o", str(tmp_path / "start")],
+    ):
+        step = subprocess.run(cmd, capture_output=True, text=True)
+        if step.returncode != 0:
+            return "no-m32", step.stderr.strip().splitlines()[-1:]
     return "ready", gcc
 
 
-def test_criterion_9_live_verification(profile):
+def test_criterion_9_live_verification(profile, tmp_path):
     with criterion(9, "live gcc verification of all 768 values"):
-        state, detail = _gcc_state()
+        state, detail = _gcc_state(tmp_path)
         if state == "absent":
             # Without a compiler the command must report SKIPPED and
             # exit 0; that is this criterion's no-compiler branch.
             code, doc = cli_json(["probe", "verify", "--compiler", "gcc"])
             assert code == 0 and doc["status"] == "skipped"
             return
-        if state == "no-multilib":
+        if state == "no-m32":
             pytest.skip(
-                "gcc present but cannot link 32-bit binaries; the 384"
+                "gcc present but cannot build -m32 code; the 384"
                 f" -m32 dialect values are not buildable here ({detail})"
             )
         report = verify_with_compiler(profile=profile, jobs=8)

@@ -134,17 +134,78 @@ def test_probe_verify_checks_values_before_expanding(capsys, spec, fragment):
     assert fragment in err
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a real gcc")
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a real gcc")
+
+
+@needs_gcc
 def test_probe_verify_live_subset(capsys):
-    # 64-bit-pointer values only; 32-bit ones need a multilib setup.
+    # Values 0 and 427 have 32-bit pointers: the driver needs no 32-bit libc.
     code, doc = run_json(
-        capsys, "probe", "verify", "--values", "16,17,443", "--jobs", "3"
+        capsys, "probe", "verify", "--values", "0,16,427,443", "--jobs", "3"
     )
-    if doc["status"] == "skipped":
-        pytest.skip(doc["skip_reason"])
     assert code == 0
-    assert doc["passed"] == 3 and doc["failed"] == 0
+    assert doc["passed"] == 4 and doc["failed"] == 0
     assert doc["failures"] == []
+
+
+def fake_compiler(tmp_path, body):
+    """An executable shell script standing in for the compiler: it logs its
+    arguments, runs ``body`` and then, unless ``body`` exited, runs gcc."""
+    script = tmp_path / "fake-cc"
+    script.write_text(
+        f'#!/bin/sh\necho "$*" >> "{tmp_path}/calls"\n{body}\nexec gcc "$@"\n'
+    )
+    script.chmod(0o755)
+    return str(script)
+
+
+def verify_failures(capsys, compiler, values):
+    code, doc = run_json(
+        capsys, "probe", "verify", "--compiler", compiler, "--values", values
+    )
+    assert code == 1
+    return {f["value"]: f["detail"] for f in doc["failures"]}
+
+
+@needs_gcc
+def test_probe_verify_reports_driver_failure_once_per_width(capsys, tmp_path):
+    cc = fake_compiler(
+        tmp_path,
+        'case " $* " in *" -m32 "*) echo "fake: no 32-bit target" >&2; exit 1;; esac',
+    )
+    failures = verify_failures(capsys, cc, "0,16,427,443")
+    detail = "driver build failed (-m32): fake: no 32-bit target"
+    assert failures == {0: detail, 427: detail}
+    # One 32-bit driver build; no 32-bit value reached the compiler.
+    calls = (tmp_path / "calls").read_text().splitlines()
+    assert sum(" -m32 " in f" {c} " for c in calls) == 1
+
+
+@needs_gcc
+def test_probe_verify_reports_compile_failure(capsys, tmp_path):
+    cc = fake_compiler(
+        tmp_path, 'case " $* " in *" -O2 "*) echo "fake: no -O2" >&2; exit 1;; esac'
+    )
+    flags = " ".join(dialectoscope.flags_for_value(24, dialectoscope.load_profile()))
+    assert "-O2" in flags
+    assert verify_failures(capsys, cc, "16,24") == {
+        24: f"compile failed ({flags}): fake: no -O2"
+    }
+
+
+@pytest.mark.parametrize(
+    "command,detail",
+    [("echo 7", "printed '7', expected 16"), ("exit 3", "run exited with status 3")],
+)
+def test_probe_verify_reports_run_failures(capsys, tmp_path, command, detail):
+    # Every output of this compiler, the driver object too, is a shell
+    # script that runs ``command``.
+    cc = fake_compiler(
+        tmp_path,
+        'while [ "$1" != -o ]; do shift; done\n'
+        f"printf '#!/bin/sh\\n{command}\\n' > \"$2\"; chmod +x \"$2\"; exit 0",
+    )
+    assert verify_failures(capsys, cc, "16") == {16: detail}
 
 
 # --- invocation ----------------------------------------------------------------
