@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
@@ -769,55 +770,70 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+_JSON_SCALARS = frozenset((str, int, bool, type(None)))
+
+
 def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, at C speed for the
-    leaves: dicts with str keys, lists, str, int, bool and None, each of
-    exactly that type, are laid out here, with strings escaped by the C
-    encoder; any other value (a float, a tuple, a subclass, a dict with
-    other keys) goes through ``json.dumps`` itself, indented to its place.
-    CPython's C encoder serves only ``indent=None``."""
-    escape = json.encoder.encode_basestring_ascii
-    chunks: list[str] = []
-    append = chunks.append
+    """``json.dumps(doc, indent=2)``, byte for byte, rendered a column at a
+    time so that the C encoder does the work per value (CPython's C encoder
+    serves only ``indent=None``)."""
+    return _json_cells([doc], "\n")[0]
 
-    def write(value, newline: str) -> None:  # newline: "\n" and the current indent
-        kind = type(value)
-        if kind is str:
-            append(escape(value))
-        elif kind is int:
-            append(int.__repr__(value))
-        elif kind is bool or value is None:
-            append("null" if value is None else "true" if value else "false")
-        elif kind is list and value:
-            inner = newline + "  "
-            if set(map(type, value)) == {str}:
-                append("[" + inner + ("," + inner).join(map(escape, value)) + newline + "]")
-                return
-            separator = "[" + inner
-            for item in value:
-                append(separator)
-                write(item, inner)
-                separator = "," + inner
-            append(newline + "]")
-        elif kind is dict and value and set(map(type, value)) == {str}:
-            inner = newline + "  "
-            if set(map(type, value.values())) == {str}:
-                pairs = map(": ".join, zip(map(escape, value), map(escape, value.values())))
-                append("{" + inner + ("," + inner).join(pairs) + newline + "}")
-                return
-            separator = "{" + inner
-            for key, item in value.items():
-                append(separator + escape(key) + ": ")
-                write(item, inner)
-                separator = "," + inner
-            append(newline + "}")
-        else:
-            # No string json.dumps writes holds a raw newline, so every
-            # newline starts a line to indent.
-            append(json.dumps(value, indent=2).replace("\n", newline))
 
-    write(doc, "\n")
-    return "".join(chunks)
+def _json_cells(values, newline: str) -> list[str]:
+    """The ``json.dumps(value, indent=2)`` text of each item of the list
+    ``values``, laid out at ``newline``, "\\n" and the current indent.
+
+    A column of exact str, int, bool and None is one C call.  A column of
+    lists is rendered as the one column of their items, cut back per list.
+    A column of dicts with str keys is grouped by key tuple, and each key's
+    column is rendered at once.  Any other value (a float, a tuple, a
+    subclass, a dict with other keys) goes through ``json.dumps`` itself."""
+    kinds = set(map(type, values))
+    if kinds <= _JSON_SCALARS:
+        if kinds == {str}:
+            return list(map(json.encoder.encode_basestring_ascii, values))
+        if kinds == {int}:
+            return list(map(int.__repr__, values))
+        # The C encoder escapes every NUL in a string, so a raw one only
+        # separates items.
+        return json.dumps(values, separators=("\x00", ":"))[1:-1].split("\x00") if values else []
+    inner = newline + "  "
+    if kinds == {list}:
+        cells = iter(_json_cells(list(chain.from_iterable(values)), inner))
+        start, separator, end = "[" + inner, "," + inner, newline + "]"
+        return [start + separator.join(islice(cells, n)) + end if n else "[]"
+                for n in map(len, values)]
+    if kinds == {dict}:
+        keys = list(values[0])
+        # A dict's keys are distinct, so the dicts' keys in a row are keys
+        # repeated only when each dict has exactly those keys, in that order.
+        if list(chain.from_iterable(values)) != keys * len(values):
+            groups: dict[tuple, list[int]] = {}
+            for i, shape in enumerate(map(tuple, values)):
+                groups.setdefault(shape, []).append(i)
+            texts = [""] * len(values)
+            for index in groups.values():
+                for i, text in zip(index, _json_cells([values[i] for i in index], newline)):
+                    texts[i] = text
+            return texts
+        if keys and set(map(type, keys)) == {str}:
+            # Each record is its key prefixes and its cells, interleaved.
+            flat = list(chain.from_iterable(map(dict.values, values)))
+            parts: list = []
+            prefix = "{" + inner
+            for j, key in enumerate(keys):
+                key_text = json.encoder.encode_basestring_ascii(key)
+                parts += repeat(prefix + key_text + ": "), _json_cells(flat[j::len(keys)], inner)
+                prefix = "," + inner
+            del flat
+            parts.append(repeat(newline + "}"))
+            return list(map("".join, zip(*parts)))
+    if len(values) > 1:
+        return [_json_cells([value], newline)[0] for value in values]
+    # No string json.dumps writes holds a raw newline, so every newline
+    # starts a line to indent.
+    return [json.dumps(values[0], indent=2).replace("\n", newline)]
 
 
 def main(argv: list[str] | None = None) -> int:

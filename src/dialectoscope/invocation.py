@@ -11,6 +11,7 @@ drivers process their options.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .dialect_model import BOOLEAN_WEIGHTS, AnsiMode, DialectConfig
@@ -24,14 +25,20 @@ _VALUE_OPTION_RE = re.compile(r"(-D|-U|-I(?!-\Z)|-iquote|-isystem)(.*)\Z", re.S)
 
 # POSIX shell words as shlex.split(s, posix=True) reads them: separated by
 # exactly shlex's whitespace " \t\r\n", made of unquoted runs, backslash
-# escapes, '...' and "..." (where only \\ and \" unescape).  The last
-# alternative matches a quote or backslash where no piece can start, that
-# is an unclosed quote or a trailing backslash.
+# escapes, '...' and "..." (where only \\ and \" unescape).  Written as a
+# run followed by (piece run)*, so that a plain word is one run.  Where no
+# piece can start, at an unclosed quote or a trailing backslash, it matches
+# the empty string.
 _SHELL_WORD = re.compile(
-    r"""(?:[^ \t\r\n'"\\]+|\\.|'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*")+|['"\\]""", re.S
+    r"""(?=[^ \t\r\n])[^ \t\r\n'"\\]*"""
+    r"""(?:(?:\\.|'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*")[^ \t\r\n'"\\]*)*""",
+    re.S,
 )
 _QUOTED_PIECE = re.compile(r"\\(.)|'([^']*)'" r'|"([^"\\]*(?:\\.[^"\\]*)*)"', re.S)
 _DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
+#: A C replacement for re.sub: the text of group 1.  A template such as
+#: r"\1" is expanded in Python for each match.
+_FIRST_GROUP = itemgetter(1)
 _PLAIN_WORD = re.compile(r"[^ \t\r\n]+")
 
 #: Options that consume the following argument but do not affect the
@@ -99,7 +106,7 @@ def _unquote(piece: re.Match) -> str:
         return escaped
     if single is not None:
         return single
-    return _DOUBLE_QUOTED_ESCAPE.sub(r"\1", double)
+    return _DOUBLE_QUOTED_ESCAPE.sub(_FIRST_GROUP, double)
 
 
 def split_command(command: str) -> list[str]:
@@ -116,13 +123,13 @@ def split_command(command: str) -> list[str]:
             return command.split()
         return _PLAIN_WORD.findall(command)
     words = _SHELL_WORD.findall(command)
-    for i, word in enumerate(words):
-        single, double = "'" in word, '"' in word
-        if single or double or "\\" in word:
-            if len(word) == 1:  # the scan stopped: let shlex raise its error
-                import shlex
+    if "" in words:  # the scan stopped: let shlex raise its error
+        import shlex
 
-                return shlex.split(command, posix=True)
+        return shlex.split(command, posix=True)
+    for i, word in enumerate(words):
+        if "'" in word or '"' in word or "\\" in word:
+            single, double = "'" in word, '"' in word
             if (single and double) or "\\" in word:
                 words[i] = _QUOTED_PIECE.sub(_unquote, word)
             else:

@@ -877,6 +877,82 @@ def test_json_text_equals_json_dumps_indent_2(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
+# Lists of dicts whose keys come from a few key tuples, so that rows share
+# shapes as report rows do, with awkward keys and strings, and columns that
+# mix floats, int subclasses, bools, ints and None.
+_TRICKY_TEXT = st.text(alphabet='ab\x00\n"\\},{é\U0001f600', max_size=6)
+_KEY_POOL = ["file", "value", "", "\x00", "a\nb", '"q"', "},{", "é\\", "\U0001f600"]
+_RECORD_LEAVES = st.one_of(
+    _TRICKY_TEXT,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.integers().map(_Int),
+)
+
+
+def _records(cells, rows=6):
+    def build(drawn):
+        shapes, values = drawn
+        return [dict(zip(shapes[i % len(shapes)], row)) for i, row in values]
+
+    shape = st.tuples(st.permutations(_KEY_POOL), st.integers(0, 4)).map(lambda p: p[0][: p[1]])
+    row = st.tuples(st.integers(0, 2), st.lists(cells, min_size=4, max_size=4))
+    shapes = st.lists(shape, min_size=1, max_size=3)
+    return st.tuples(shapes, st.lists(row, max_size=rows)).map(build)
+
+
+_RECORD_CELLS = st.one_of(
+    _RECORD_LEAVES,
+    st.lists(_TRICKY_TEXT, max_size=3),
+    st.lists(st.integers(), max_size=3),
+    st.lists(_RECORD_LEAVES, max_size=3),
+    _records(_RECORD_LEAVES, rows=3),
+)
+
+
+@settings(max_examples=1000)
+@given(
+    st.one_of(
+        _records(_RECORD_CELLS),
+        st.dictionaries(st.sampled_from(_KEY_POOL), _RECORD_CELLS),
+    )
+)
+def test_json_text_of_record_lists_equals_json_dumps_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def _cli_doc(*argv):
+    args = cli._parse_args(["--format", "json", *argv])
+    doc = args.func(args).doc
+    return doc() if callable(doc) else doc
+
+
+def test_json_text_of_cli_reports(tmp_path):
+    db = tmp_path / "cc.json"
+    db.write_text(compile_db([("a.c", "-O2 -funsigned-char"), ("b.c", "-O2 -std=c2x"),
+                              ("c.c", "-std=c99 -m32"), ("d.c", "-std=c11")]))
+    check = _cli_doc("build", "check", str(db), "--reference", "228")
+    unauditable = {"file": "b.c", "status": "unauditable", "value": None, "flags": []}
+    assert check["per_tu"][1] == unauditable
+    assert len(check["mismatches"]) > 4
+    audit = _cli_doc("build", "audit", str(db))
+    assert audit["inconsistencies"]
+    assert all(len(f["values"]) > 1 for f in audit["inconsistencies"])
+    header = tmp_path / "h.h"
+    header.write_text(
+        "#if defined(__OPTIMIZE__)\n#  if __SIZEOF_LONG__ == 8\nlong64\n#  elif 0\n#  else\nother\n"
+        "#  endif\n#else\n#  ifdef X\nx\n#  endif\n#endif\nint tail;\n"
+    )
+    branches = _cli_doc("macros", "branches", "--flags=-O2", str(header), "--show-retained")
+    arms = [arm for group in branches["groups"] for arm in group["arms"]]
+    assert None in [arm["condition"] for arm in arms] and None in [arm["taken"] for arm in arms]
+    assert branches["retained_ranges"] == [[6, 6], [13, 13]]
+    for doc in check, audit, branches:
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
 def test_json_text_of_report_shapes():
     rows = [{"file": "a.c", "status": "ok", "value": 443, "flags": ["-O2", "-m64"]},
             {"file": "bé.c", "status": "unauditable", "value": None, "flags": []}]
