@@ -786,9 +786,10 @@ def _json_cells(values, newline: str) -> list[str]:
 
     A column of exact str, int, bool and None is one C call.  A column of
     lists is rendered as the one column of their items, cut back per list.
-    A column of dicts with str keys is grouped by key tuple, and each key's
-    column is rendered at once.  Any other value (a float, a tuple, a
-    subclass, a dict with other keys) goes through ``json.dumps`` itself."""
+    A column of dicts that share one tuple of str keys has each key's column
+    rendered at once; dicts of several shapes are rendered one by one.  Any
+    other value (a float, a tuple, a subclass, a dict with other keys) goes
+    through ``json.dumps`` itself."""
     kinds = set(map(type, values))
     if kinds <= _JSON_SCALARS:
         if kinds == {str}:
@@ -808,16 +809,8 @@ def _json_cells(values, newline: str) -> list[str]:
         keys = list(values[0])
         # A dict's keys are distinct, so the dicts' keys in a row are keys
         # repeated only when each dict has exactly those keys, in that order.
-        if list(chain.from_iterable(values)) != keys * len(values):
-            groups: dict[tuple, list[int]] = {}
-            for i, shape in enumerate(map(tuple, values)):
-                groups.setdefault(shape, []).append(i)
-            texts = [""] * len(values)
-            for index in groups.values():
-                for i, text in zip(index, _json_cells([values[i] for i in index], newline)):
-                    texts[i] = text
-            return texts
-        if keys and set(map(type, keys)) == {str}:
+        if (keys and list(chain.from_iterable(values)) == keys * len(values)
+                and set(map(type, keys)) == {str}):
             # Each record is its key prefixes and its cells, interleaved.
             flat = list(chain.from_iterable(map(dict.values, values)))
             parts: list = []
