@@ -2,10 +2,10 @@
 
 A build capture is the compile_commands.json convention: a JSON array
 of entries with ``directory``, ``file``, and either ``command`` (one
-shell-quoted string) or ``arguments`` (pre-split).  Each entry is
-parsed into an invocation and a dialect; an audit then reports every
-dialect dimension on which translation units disagree, or on which
-they differ from a declared reference dialect.
+shell-quoted string) or ``arguments`` (pre-split).  Each entry's argv
+is parsed into a dialect; an audit then reports every dialect dimension
+on which translation units disagree, or on which they differ from a
+declared reference dialect.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from .dialect_model import (
     encode_config,
     format_setting,
 )
-from .invocation import (
-    CompilerInvocation,
-    InvocationError,
-    parse_invocation,
-    split_command,
-)
+from .invocation import InvocationError, _dialect_key, parse_invocation, split_command
 from .profiles import CompilerProfile, ProfileError
 
 
@@ -68,7 +63,6 @@ class BuildEntry(NamedTuple):
     arguments: tuple[str, ...]  # verbatim, argv[0] included
     compiler: str
     status: str  # "ok" | "unauditable"
-    invocation: CompilerInvocation | None = None
     dialect: DialectConfig | None = None
     reason: str = ""  # why an unauditable entry could not be interpreted
 
@@ -159,96 +153,6 @@ class AuditReport(NamedTuple):
         }
 
 
-#: Options whose value names one TU, not its flag set: the object file, and
-#: the dependency file and targets that Make and Ninja databases carry.
-_PER_TU_OPTIONS = ("-o", "-MF", "-MT", "-MQ")
-#: Memo marks: a flag set met once so far, and one whose TUs are parsed
-#: one by one (its parse fails, or reads a per-TU word as a flag's value).
-_ONCE, _UNSHARED = object(), object()
-
-
-def _flag_set_key(argv: list[str], file: str, slots: list[str]) -> tuple[tuple, list[str]]:
-    """Put placeholders from ``slots`` in place of the words of ``argv``
-    that name its TU: each occurrence of the entry's ``file`` and the value
-    of each ``-o``, ``-MF``, ``-MT`` and ``-MQ``, but never a word that
-    starts with ``-``.  Returns the key of the flag set left, with the
-    positions replaced, and the words taken out, in placeholder order."""
-    # Set lookups and list scans keep the cost per word in C; the hashes
-    # the set computes serve the key's hash too.  Where no word repeats,
-    # each word's only position is its first.
-    present = set(argv)
-    repeats = len(present) < len(argv)
-    found = []
-    if file in present and file[0] != "-":
-        i = -1
-        for _ in range(argv.count(file) if repeats else 1):
-            i = argv.index(file, i + 1)
-            found.append(i)
-    for option in _PER_TU_OPTIONS:
-        if option in present:
-            i = 0
-            for _ in range(argv.count(option) if repeats else 1):
-                i = argv.index(option, i) + 1  # the value's position
-                if i < len(argv) and argv[i][:1] != "-" and i not in found:
-                    found.append(i)
-    while len(slots) < len(found):
-        slots.append(f"\0per-TU word {len(slots)}")
-    own = []
-    for slot, i in zip(slots, found):
-        own.append(argv[i])
-        argv[i] = slot
-    # The positions keep a real word equal to a placeholder from matching it.
-    return (tuple(found), *argv), own
-
-
-def _shared_parse(argv: list[str], slots: list[str], profile: CompilerProfile):
-    """Parse a flag set whose per-TU words are the placeholder ``slots``:
-    the invocation and, for its sources and unrecognized words, the
-    (index, slot number) pairs where each TU's own words go back.  A parse
-    that fails, or that reads a placeholder as a flag's value (``-I x.o``),
-    gives ``_UNSHARED``."""
-    try:
-        inv = parse_invocation(argv, env={}, profile=profile)
-    except (InvocationError, ProfileError):
-        return _UNSHARED
-    # The parser keeps each word it passes through, so a placeholder is
-    # found by identity, never confused with an equal real word.
-    numbers = {id(slot): k for k, slot in enumerate(slots)}
-    fills = [
-        tuple((i, numbers[id(w)]) for i, w in enumerate(words) if id(w) in numbers)
-        for words in (inv.source_files, inv.unrecognized)
-    ]
-    if len(fills[0]) + len(fills[1]) != len(slots):
-        return _UNSHARED
-    return inv, *fills
-
-
-def _refill(words: tuple[str, ...], fill, own: list[str]) -> tuple[str, ...]:
-    if not fill:
-        return words
-    out = list(words)
-    for i, k in fill:
-        out[i] = own[k]
-    return tuple(out)
-
-
-def _with_own_words(shared, own: list[str]) -> CompilerInvocation:
-    """A flag set's invocation with one TU's own words put back."""
-    inv, source_fill, unrecognized_fill = shared
-    # Positional, in field order: the per-TU path avoids _replace's cost.
-    return CompilerInvocation(
-        inv.profile,
-        inv.dialect,
-        inv.macro_directives,
-        inv.include_dirs,
-        _refill(inv.source_files, source_fill, own),
-        _refill(inv.unrecognized, unrecognized_fill, own),
-        inv.opt_level,
-        inv.nostdinc,
-        inv.profile_defines,
-    )
-
-
 def _entry_arguments(item, index: int) -> tuple[str, str, list[str]]:
     """(directory, file, argv) of one database entry, or BuildLoadError."""
     if not isinstance(item, dict):
@@ -286,11 +190,10 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
     """Parse a compile-database document.  A ``command`` is split into
     words by :func:`split_command`: POSIX quoting, no expansions.
 
-    TUs of one flag set differ only in the words that name them (see
-    ``_flag_set_key``), so each flag set met again is parsed once, with
-    those words as placeholders, and each of its TUs gets that invocation
-    with its own words put back.  The first TU of a flag set is parsed as
-    it is, so a database of distinct flag sets pays only for the keys."""
+    An entry's dialect, or the error that leaves it without one, depends
+    only on its argv's ``_dialect_key``, so the first entry of each key is
+    parsed as written and the others share its result.  Build systems
+    give thousands of TUs a few dozen keys."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -300,44 +203,35 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
 
     entries: list[BuildEntry] = []
     compilers: dict[str, tuple[str, bool]] = {}  # argv[0] -> (basename, covered)
-    memo: dict = {}  # flag set -> _ONCE, _UNSHARED or _shared_parse's result
-    slots: list[str] = []  # placeholders for per-TU words
+    memo: dict[tuple[str, ...], tuple[DialectConfig | None, str]] = {}
     for index, item in enumerate(data):
         directory, file, arguments = _entry_arguments(item, index)
         if arguments[0] not in compilers:
             basename = posixpath.basename(arguments[0].replace("\\", "/"))
             compilers[arguments[0]] = basename, profile.covers_compiler(basename)
         compiler, covered = compilers[arguments[0]]
-        inv = None
-        reason = "compiler not covered by profile"
+        dialect, reason = None, "compiler not covered by profile"
         if covered:
             argv = arguments[1:]
-            key, own = _flag_set_key(argv, file, slots)
-            shared = memo.get(key)
-            if shared is None:
-                memo[key] = _ONCE
-            elif shared is _ONCE:
-                shared = memo[key] = _shared_parse(argv, slots[: len(own)], profile)
-            if type(shared) is tuple:
-                inv = _with_own_words(shared, own)
-                reason = ""
-            else:
+            key = _dialect_key(argv)
+            known = memo.get(key)
+            if known is None:
                 # One entry the profile cannot interpret must not sink the
                 # audit of the others: it becomes an unauditable row.
                 try:
-                    inv = parse_invocation(arguments[1:], env={}, profile=profile)
-                    reason = ""
+                    known = parse_invocation(argv, env={}, profile=profile).dialect, ""
                 except (InvocationError, ProfileError) as exc:
-                    reason = str(exc)
+                    known = None, str(exc)
+                memo[key] = known
+            dialect, reason = known
         entries.append(
             BuildEntry(
                 directory,
                 file,
                 tuple(arguments),
                 compiler,
-                UNAUDITABLE if inv is None else OK,
-                inv,
-                None if inv is None else inv.dialect,
+                UNAUDITABLE if dialect is None else OK,
+                dialect,
                 reason,
             )
         )

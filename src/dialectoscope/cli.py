@@ -24,6 +24,8 @@ import sys
 from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from . import _EXPORTS
+
 if TYPE_CHECKING:
     from .dialect_model import TypeModel
     from .macro_env import MacroEnv
@@ -862,33 +864,20 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-#: Library names that ``dialectoscope.cli.NAME`` resolves, by defining
-#: module, for callers that reach the library through this module; the
-#: handlers import what they use themselves.
-_LIBRARY_NAMES = {
-    name: module
-    for module, names in (
-        ("build_audit", "Severity audit check_against load_build"),
-        ("dialect_model", "DIMENSIONS DialectValueError TypeModel decimal_scientific"
-         " decode_value dialect_count_lower_bound e_notation encode_config"
-         " enumerate_integer_size_models format_setting"),
-        ("include_resolver", "FileSystemModel IncludeDirective IncludeForm"
-         " resolve_include search_paths"),
-        ("invocation", "InvocationError _macro_directive parse_invocation split_command"),
-        ("macro_env", "MacroEnv active_branches apply_directives eval_condition"
-         " invocation_macro_env predefined_macros"),
-        ("probe", "PROBE_SHA256 _parse_values_spec emit_probe_source explain_value"
-         " flags_for_value verify_with_compiler"),
-        ("profiles", "DEFAULT_PROFILE available_profiles load_profile"),
-        ("promotion", "WrapCheckExpr analyze_wrap_check boundary_pairs parse_ctype"
-         " simulate_wrap_check true_wraparound"),
-    )
-    for name in names.split()
+#: Library names that ``dialectoscope.cli.NAME`` resolves besides the
+#: package's own, for callers that reach the library through this module;
+#: the handlers import what they use themselves.
+_UNEXPORTED_NAMES = {
+    "format_setting": "dialect_model",
+    "split_command": "invocation",
+    "_macro_directive": "invocation",
+    "_parse_values_spec": "probe",
+    "verify_with_compiler": "probe",
 }
 
 
 def __getattr__(name: str):
-    module = _LIBRARY_NAMES.get(name)
+    module = _EXPORTS.get(name) or _UNEXPORTED_NAMES.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module

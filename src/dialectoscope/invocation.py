@@ -39,7 +39,6 @@ _DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
 #: A C replacement for re.sub: the text of group 1.  A template such as
 #: r"\1" is expanded in Python for each match.
 _FIRST_GROUP = itemgetter(1)
-_PLAIN_WORD = re.compile(r"[^ \t\r\n]+")
 
 #: Options that consume the following argument but do not affect the
 #: dialect; both tokens are preserved in ``unrecognized``.
@@ -114,14 +113,17 @@ def split_command(command: str) -> list[str]:
     ``shlex.split(command, posix=True)`` does: POSIX quoting and escapes,
     no comments, no expansions.  An unclosed quote or a trailing backslash
     raises shlex's own ``ValueError``."""
-    # Most commands quote nothing; their words are the runs between
-    # separators, found at about half the cost of the full scan.
-    if "'" not in command and '"' not in command and "\\" not in command:
-        # Printable ASCII has no separator but the space, so str.split(),
-        # whose separators are more than shlex's, splits it the same.
-        if command.isascii() and command.isprintable():
-            return command.split()
-        return _PLAIN_WORD.findall(command)
+    # Most commands are printable ASCII and quote nothing.  Printable ASCII
+    # has no separator but the space, so str.split(), whose separators are
+    # more than shlex's, splits them the same.
+    if (
+        "'" not in command
+        and '"' not in command
+        and "\\" not in command
+        and command.isascii()
+        and command.isprintable()
+    ):
+        return command.split()
     words = _SHELL_WORD.findall(command)
     if "" in words:  # the scan stopped: let shlex raise its error
         import shlex
@@ -160,6 +162,23 @@ def _next_word(option: str, words: Iterator[str]) -> str:
     if word is None:
         raise InvocationError(f"option {option} requires an argument")
     return word
+
+
+def _dialect_key(argv: Sequence[str]) -> tuple[str, ...]:
+    """``argv`` with every word that does not start with ``-`` blanked to
+    ``""``, except a word directly after an exact ``-D`` or ``-U``.
+
+    :func:`parse_invocation` looks inside such a word only when it is the
+    separate value of ``-D`` or ``-U``; a source, an include directory or a
+    pass-through value is only appended.  So, without an environment, the
+    dialect it derives and any error text it raises are functions of the
+    key, and argv with equal keys can share one parse."""
+    key = [word if word[:1] == "-" else "" for word in argv]
+    if "-D" in key or "-U" in key:
+        for i in range(1, len(key)):
+            if argv[i - 1] == "-D" or argv[i - 1] == "-U":
+                key[i] = argv[i]
+    return tuple(key)
 
 
 def parse_invocation(

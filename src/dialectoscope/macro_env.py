@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate
-from operator import add
+from operator import add, and_, eq, ge, gt, le, lt, mul, ne, or_, sub, xor
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dialect_model import AnsiMode, DialectConfig
@@ -368,6 +368,16 @@ def _c_div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
+def _c_rem(a: int, b: int) -> int:
+    return a - _c_div(a, b) * b
+
+
+_COMPARISONS = {"<": lt, ">": gt, "<=": le, ">=": ge, "==": eq, "!=": ne}
+_ARITHMETIC = {
+    "+": add, "-": sub, "*": mul, "/": _c_div, "%": _c_rem, "&": and_, "^": xor, "|": or_,
+}
+
+
 def _apply_unary(op: str, operand: _Value, live: bool) -> _Value:
     if op == "!":
         return _Value(int(operand.value == 0) if live else 0, False)
@@ -388,17 +398,13 @@ def _apply_binary(op: str, a: _Value, b: _Value, live: bool) -> _Value:
             return _Value(int(a.value != 0 and b.value != 0), False)
         return _Value(int(a.value != 0 or b.value != 0), False)
 
-    if op in ("<", ">", "<=", ">=", "==", "!="):
+    if op in _COMPARISONS:
         if not live:
             return _Value(0, False)
         unsigned = a.unsigned or b.unsigned
         av = a.value & _U64_MASK if unsigned else a.value
         bv = b.value & _U64_MASK if unsigned else b.value
-        result = {
-            "<": av < bv, ">": av > bv, "<=": av <= bv,
-            ">=": av >= bv, "==": av == bv, "!=": av != bv,
-        }[op]
-        return _Value(int(result), False)
+        return _Value(int(_COMPARISONS[op](av, bv)), False)
 
     if op in ("<<", ">>"):
         # Shift result takes the promoted left operand's type.
@@ -417,24 +423,7 @@ def _apply_binary(op: str, a: _Value, b: _Value, live: bool) -> _Value:
     bv = b.value & _U64_MASK if unsigned else b.value
     if op in ("/", "%") and bv == 0:
         raise ExprEvalError("division by zero in conditional expression")
-    if op == "+":
-        raw = av + bv
-    elif op == "-":
-        raw = av - bv
-    elif op == "*":
-        raw = av * bv
-    elif op == "/":
-        raw = _c_div(av, bv)
-    elif op == "%":
-        raw = av - _c_div(av, bv) * bv
-    elif op == "&":
-        raw = av & bv
-    elif op == "^":
-        raw = av ^ bv
-    elif op == "|":
-        raw = av | bv
-    else:  # pragma: no cover - operator table and grammar agree
-        raise AssertionError(op)
+    raw = _ARITHMETIC[op](av, bv)
     return _Value(raw & _U64_MASK if unsigned else _wrap_signed(raw), unsigned)
 
 

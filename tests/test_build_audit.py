@@ -118,8 +118,8 @@ def test_load_turns_bad_flags_into_unauditable_row(profile):
 
 
 def _oracle_load_build(document, profile):
-    """The loader before flag sets were memoized: every entry's argv parsed
-    on its own.  Kept as the reference the memoized loader must equal."""
+    """The loader without a memo: every entry's argv parsed on its own.
+    Kept as the reference the memoized loader must equal."""
     import posixpath
 
     from dialectoscope.build_audit import BuildCapture, BuildEntry
@@ -130,18 +130,17 @@ def _oracle_load_build(document, profile):
     for item in json.loads(document):
         arguments = item["arguments"] if "arguments" in item else split_command(item["command"])
         compiler = posixpath.basename(arguments[0].replace("\\", "/"))
-        inv, reason = None, "compiler not covered by profile"
+        dialect, reason = None, "compiler not covered by profile"
         if profile.covers_compiler(compiler):
             try:
-                inv = parse_invocation(arguments[1:], env={}, profile=profile)
+                dialect = parse_invocation(arguments[1:], env={}, profile=profile).dialect
                 reason = ""
             except (InvocationError, ProfileError) as exc:
                 reason = str(exc)
         entries.append(
             BuildEntry(
                 item.get("directory", ""), item["file"], tuple(arguments), compiler,
-                "unauditable" if inv is None else "ok", inv,
-                None if inv is None else inv.dialect, reason,
+                "unauditable" if dialect is None else "ok", dialect, reason,
             )
         )
     return BuildCapture(tuple(entries), profile)
@@ -149,10 +148,13 @@ def _oracle_load_build(document, profile):
 
 # Per-TU pieces spliced into a shared flag set; "{v}" is a per-TU value and
 # "{f}" the entry's file.  They cover -o as the last word, -D -o and -I -o
-# (where -o is a value, not an option), and a source listed twice.
+# (where -o is a value, not an option), -o -D (where -D is one), a source
+# listed twice, and separate values of -D, -U and of options whose value
+# the parser only appends.
 _PER_TU_PIECES = [
     ["-o", "{v}"], ["-MF", "{v}"], ["-MT", "{v}"], ["-MQ", "{v}"], ["-c", "{f}"],
     ["{f}"], ["-o"], ["-D", "-o", "{v}"], ["-I", "-o", "{v}"], ["-I", "{f}"], ["-D", "{f}"],
+    ["-D", "{v}"], ["-U", "{v}"], ["-I", "{v}"], ["-x", "{v}"], ["-o", "-D", "{v}"],
 ]
 
 
@@ -175,7 +177,9 @@ def _databases(draw):
         words, splices = draw(st.sampled_from(flag_sets))
         words = list(words)
         for at, piece in splices:
-            value = draw(st.sampled_from([f"v{i}"] * 3 + [file, "", "-", f"-v{i}", "v"]))
+            value = draw(st.sampled_from(
+                [f"v{i}"] * 3 + [file, "", "-", f"-v{i}", "v", "9x", "A=1", "-D"]
+            ))
             words[at:at] = [w.format(v=value, f=file) for w in piece]
         argv = [draw(st.sampled_from(["gcc", "gcc", "mcc18", "clang"])), *words]
         entry = {"directory": "/p", "file": file}
@@ -193,23 +197,6 @@ def test_memoized_load_matches_per_entry_parsing(database):
     document, profile = database
     capture = load_build(document, profile)
     assert capture == _oracle_load_build(document, profile)
-
-
-def test_shared_flag_set_keeps_each_tus_own_words(profile):
-    doc = json.dumps([
-        {"file": f"u{i}.c",
-         "arguments": ["gcc", "-O2", "-MD", "-MT", f"u{i}.o", "-MF", f"u{i}.d",
-                       "-o", f"u{i}.o", "-c", f"u{i}.c"]}
-        for i in range(3)
-    ])
-    entries = load_build(doc, profile).entries
-    assert [e.invocation.source_files for e in entries] == [("u0.c",), ("u1.c",), ("u2.c",)]
-    assert entries[2].invocation.unrecognized == (
-        "-MD", "-MT", "u2.o", "-MF", "u2.d", "-o", "u2.o", "-c"
-    )
-    # TUs of one flag set share everything but their own words.
-    assert entries[1].invocation.macro_directives is entries[2].invocation.macro_directives
-    assert entries[1].dialect is entries[2].dialect
 
 
 def test_unparseable_tus_in_a_shared_flag_set_keep_their_reasons(profile):
@@ -239,6 +226,8 @@ def test_audit_flags_char_signedness_split(profile):
     )
     assert report.max_severity() is Severity.HIGH
     assert report.has_findings()
+    # TUs of one flag set share one parse.
+    assert capture.entries[0].dialect is capture.entries[2].dialect
 
 
 def test_audit_consistent_build_is_clean(profile):

@@ -21,6 +21,7 @@ from dialectoscope import (
 )
 from dialectoscope.invocation import (
     _ARG_TAKING_PASSTHROUGH,
+    _dialect_key,
     _macro_directive,
     _split_env_path,
     split_command,
@@ -327,6 +328,26 @@ def test_parse_invocation_matches_oracle(profile_name, argv, env):
     profile = _PROFILES[profile_name]
     assert _outcome(parse_invocation, argv, env, profile) == _outcome(
         _oracle_parse_invocation, argv, env, profile
+    )
+
+
+def _dialect_outcome(argv, profile):
+    try:
+        return parse_invocation(argv, env={}, profile=profile).dialect
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=500)
+@given(
+    st.sampled_from(sorted(_PROFILES)),
+    st.lists(st.sampled_from(_TRICKY_WORDS + ["x.o", "9x", "A=1", "a.c", ""]), max_size=12),
+)
+def test_dialect_key_keeps_the_dialect_and_the_error(profile_name, argv):
+    # "9x" and "A=1" are a malformed and a well-formed separate -D/-U value.
+    profile = _PROFILES[profile_name]
+    assert _dialect_outcome(list(_dialect_key(argv)), profile) == _dialect_outcome(
+        argv, profile
     )
 
 

@@ -111,7 +111,7 @@ U16 = CType(BaseType.FIXED, 16, True)
 ROW = PerTuRow("a.c", "ok", 443, ("-O2",))
 ARM = BranchArm("if", "X", 1, True)
 GROUP = ConditionalGroup((ARM,), 1, 3, True)
-ENTRY = BuildEntry("/p", "a.c", ("gcc", "a.c"), "gcc", "ok", INVOCATION, CONFIG)
+ENTRY = BuildEntry("/p", "a.c", ("gcc", "a.c"), "gcc", "ok", CONFIG)
 
 #: One instance of every record class, built with keywords.
 RECORDS = [
