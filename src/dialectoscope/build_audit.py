@@ -22,7 +22,7 @@ from .dialect_model import (
     encode_config,
     format_setting,
 )
-from .invocation import InvocationError, _dialect_key, parse_invocation, split_command
+from .invocation import InvocationError, _dialect_key, _dialect_of, split_command
 from .profiles import CompilerProfile, ProfileError
 
 
@@ -191,12 +191,13 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
     words by :func:`split_command`: POSIX quoting, no expansions.
 
     An entry's dialect, or the error that leaves it without one, depends
-    only on its argv's ``_dialect_key``, so the first entry of each key is
-    parsed as written and the others share its result.  Build systems
-    give thousands of TUs a few dozen keys."""
+    only on its argv's ``_dialect_key``, so the first entry of each key has
+    its dialect derived from its argv as written and the others share the
+    result.  Build systems give thousands of TUs a few dozen keys."""
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    # json raises RecursionError on arrays or objects nested too deep.
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise BuildLoadError(f"invalid JSON: {exc}") from None
     if not isinstance(data, list) or not data:
         raise BuildLoadError("capture must be a non-empty JSON array of entries")
@@ -219,7 +220,7 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
                 # One entry the profile cannot interpret must not sink the
                 # audit of the others: it becomes an unauditable row.
                 try:
-                    known = parse_invocation(argv, env={}, profile=profile).dialect, ""
+                    known = _dialect_of(argv, profile), ""
                 except (InvocationError, ProfileError) as exc:
                     known = None, str(exc)
                 memo[key] = known

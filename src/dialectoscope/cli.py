@@ -4,7 +4,9 @@ One executable, one subcommand per library operation.  Every
 subcommand honors ``--format human|json``: its handler returns a
 :class:`Result` holding both renderings and the exit status, and
 :func:`main` prints the one asked for, so an error found late prints
-nothing but the error.  Exit status: 0 success, 1 findings (audit
+nothing but the error.  A JSON document is built whole and then written
+a piece at a time (:func:`_json_pieces`), so a long report's text is
+never held in one string.  Exit status: 0 success, 1 findings (audit
 findings, unreliable verdicts, failed or unresolved probes), 2 usage or
 input errors.
 
@@ -36,10 +38,12 @@ EXIT_USAGE = 2
 
 
 class Result(NamedTuple):
-    """What one subcommand produced: the ``--format json`` document, the
+    """What one subcommand produced: the ``--format json`` document
+    (written as ``json.dumps(doc, indent=2)`` and a newline), the
     ``--format human`` text (written verbatim, newlines included) and the
     exit status.  Either rendering may be a function building it, when it
-    is costly; only the one printed is called."""
+    is costly; only the one printed is called, and it is called before
+    anything is written."""
 
     doc: dict | Callable[[], dict]
     text: str | Callable[[], str]
@@ -775,11 +779,34 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 _JSON_SCALARS = frozenset((str, int, bool, type(None)))
 
 
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, rendered a column at a
-    time so that the C encoder does the work per value (CPython's C encoder
-    serves only ``indent=None``)."""
-    return _json_cells([doc], "\n")[0]
+#: The most list items rendered into one piece of ``--format json`` output.
+_CHUNK = 1024
+
+
+def _json_pieces(value, newline: str = "\n"):
+    """``json.dumps(value, indent=2)``, byte for byte, laid out at
+    ``newline``, as consecutive pieces of text: a dict with str keys key by
+    key, a list longer than ``_CHUNK`` that many items at a time, anything
+    else whole.  Each piece is rendered a column at a time by
+    :func:`_json_cells`, so that the C encoder does the work per value
+    (CPython's C encoder serves only ``indent=None``), and no piece holds
+    more than ``_CHUNK`` records of a long list."""
+    inner = newline + "  "
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        prefix = "{" + inner
+        for key, item in value.items():
+            yield prefix + json.encoder.encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(item, inner)
+            prefix = "," + inner
+        yield newline + "}"
+    elif type(value) is list and len(value) > _CHUNK:
+        prefix = "[" + inner
+        for start in range(0, len(value), _CHUNK):
+            yield prefix + ("," + inner).join(_json_cells(value[start:start + _CHUNK], inner))
+            prefix = "," + inner
+        yield newline + "]"
+    else:
+        yield _json_cells([value], newline)[0]
 
 
 def _json_cells(values, newline: str) -> list[str]:
@@ -838,17 +865,17 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # The rendering not printed is dropped first, a built document replaces
-    # the function that built it, and its text replaces the document, so
-    # that what each holds (a whole audit report) is freed before the next
-    # step, and before the output is written.
+    # The rendering not printed is dropped first, and a built document
+    # replaces the function that built it, so that what each holds (a whole
+    # audit report) is freed before the next step.  The whole document is
+    # built before the first write; its text is written a piece at a time.
     try:
         if args.format == "json":
             del text
             if callable(doc):
                 doc = doc()
-            doc = _json_text(doc)
-            print(doc)
+            sys.stdout.writelines(_json_pieces(doc))
+            sys.stdout.write("\n")
         else:
             del doc
             sys.stdout.write(text() if callable(text) else text)

@@ -5,7 +5,9 @@ environment mapping into a :class:`CompilerInvocation`: the dialect
 selected, macro directives in order, include directories by kind,
 source files, and everything else passed through verbatim.  Flags are
 applied in order, so later flags win conflicts, matching how real
-drivers process their options.
+drivers process their options.  Those rules live in :func:`_dialect_of`,
+which derives the dialect alone; compile-database audits call it
+directly.
 """
 
 from __future__ import annotations
@@ -146,14 +148,19 @@ def _split_env_path(value: str) -> list[str]:
     return [p if p else "." for p in value.split(":")] if value else []
 
 
-def _macro_directive(option: str, text: str) -> MacroDirective:
-    if option == "-U":
-        if not _MACRO_NAME_RE.match(text):
-            raise InvocationError(f"malformed {option} argument: {text!r}")
-        return MacroDirective("undefine", text)
-    name, eq, value = text.partition("=")
+def _macro_name(option: str, text: str) -> str:
+    """The macro name of a ``-D`` or ``-U`` argument, or InvocationError."""
+    name = text.partition("=")[0] if option == "-D" else text
     if not _MACRO_NAME_RE.match(name):
         raise InvocationError(f"malformed {option} argument: {text!r}")
+    return name
+
+
+def _macro_directive(option: str, text: str) -> MacroDirective:
+    name = _macro_name(option, text)
+    if option == "-U":
+        return MacroDirective("undefine", name)
+    _, eq, value = text.partition("=")
     return MacroDirective("define", name, value if eq else "1")
 
 
@@ -168,17 +175,72 @@ def _dialect_key(argv: Sequence[str]) -> tuple[str, ...]:
     """``argv`` with every word that does not start with ``-`` blanked to
     ``""``, except a word directly after an exact ``-D`` or ``-U``.
 
-    :func:`parse_invocation` looks inside such a word only when it is the
+    :func:`_dialect_of` looks inside such a word only when it is the
     separate value of ``-D`` or ``-U``; a source, an include directory or a
-    pass-through value is only appended.  So, without an environment, the
-    dialect it derives and any error text it raises are functions of the
-    key, and argv with equal keys can share one parse."""
+    pass-through value is only skipped.  So the dialect it derives and any
+    error text it raises are functions of the key, and argv with equal keys
+    can share one derivation."""
     key = [word if word[:1] == "-" else "" for word in argv]
     if "-D" in key or "-U" in key:
         for i in range(1, len(key)):
             if argv[i - 1] == "-D" or argv[i - 1] == "-U":
                 key[i] = argv[i]
     return tuple(key)
+
+
+def _dialect_of(argv: Sequence[str], profile: CompilerProfile) -> DialectConfig:
+    """The dialect that ``argv`` (without the executable) selects under
+    ``profile``.  Flags apply in order, so the last one to set a dimension
+    wins.  Raises the error :func:`parse_invocation` raises for argv: a
+    missing option argument, a malformed ``-D``/``-U`` name or an unknown
+    ``-std=``, whichever comes first.  Builds nothing else."""
+    defaults = profile.defaults
+    # The boolean dimensions lead DialectConfig's fields, in BOOLEAN_WEIGHTS order.
+    booleans = dict(zip(BOOLEAN_WEIGHTS, defaults))
+    std = StdName(defaults.std_class, defaults.ansi_mode is AnsiMode.STRICT)
+    # Strict standards process trigraphs; GNU modes leave them off unless
+    # explicitly requested.
+    trigraphs = defaults.ansi_mode is not AnsiMode.GNU
+
+    vocabulary = profile.flag_vocabulary
+    words = iter(argv)
+    for arg in words:
+        if arg == "-" or not arg.startswith("-"):
+            continue
+        # A word's second character rules out most branches before any
+        # pattern runs: "-D", "-U", "-I" and "-i" open the value options,
+        # "-s" and "--" the -std= spellings, "-O" the optimisation levels.
+        second = arg[1]
+        if second in "DUIi" and (value_option := _VALUE_OPTION_RE.match(arg)):
+            option, value = value_option.groups()
+            value = value or _next_word(option, words)
+            if second in "DU":
+                _macro_name(option, value)
+        elif second in "s-" and arg.startswith(("-std=", "--std=")):
+            try:
+                std = profile.resolve_std(arg.split("=", 1)[1])
+            except ProfileError as exc:
+                raise InvocationError(str(exc)) from None
+            # Selecting a standard resets trigraph processing to that
+            # standard's default, so a later -std overrides an earlier
+            # -trigraphs, as real drivers do.
+            trigraphs = std.strict
+        elif second == "O" and _OPT_LEVEL_RE.match(arg):
+            booleans["optimized"] = arg != "-O0"
+        elif (effect := vocabulary.get(arg)) is not None:
+            booleans.update(effect.sets)
+            if effect.std is not None:
+                std = profile.resolve_std(effect.std)
+                trigraphs = std.strict
+            trigraphs = trigraphs or effect.trigraphs
+        elif arg in _ARG_TAKING_PASSTHROUGH:
+            _next_word(arg, words)
+
+    if std.strict:
+        mode = AnsiMode.STRICT
+    else:
+        mode = AnsiMode.GNU_TRIGRAPHS if trigraphs else AnsiMode.GNU
+    return DialectConfig(*booleans.values(), std.std_class, mode)
 
 
 def parse_invocation(
@@ -192,15 +254,11 @@ def parse_invocation(
         from .profiles import load_profile
 
         profile = load_profile()
+    # The dialect, and any error in argv, come from _dialect_of; this loop
+    # only collects what else each word names.
+    dialect = _dialect_of(argv, profile)
     env = env or {}
 
-    defaults = profile.defaults
-    # The boolean dimensions lead DialectConfig's fields, in BOOLEAN_WEIGHTS order.
-    booleans = dict(zip(BOOLEAN_WEIGHTS, defaults))
-    std = StdName(defaults.std_class, defaults.ansi_mode is AnsiMode.STRICT)
-    # Strict standards process trigraphs; GNU modes leave them off unless
-    # explicitly requested.
-    trigraphs = defaults.ansi_mode is not AnsiMode.GNU
     directives: list[MacroDirective] = []
     dirs: dict[str, list[str]] = {"-iquote": [], "-I": [], "-isystem": []}
     sources: list[str] = []
@@ -215,53 +273,33 @@ def parse_invocation(
         if arg == "-" or not arg.startswith("-"):
             sources.append(arg)
             continue
-        # A word's second character rules out most branches before any
-        # pattern runs: "-D", "-U", "-I" and "-i" open the value options,
-        # "-s" and "--" the -std= spellings, "-O" the optimisation levels.
         second = arg[1]
         if second in "DUIi" and (value_option := _VALUE_OPTION_RE.match(arg)):
             option, value = value_option.groups()
-            value = value or _next_word(option, words)
+            value = value or next(words)
             if option in dirs:
                 dirs[option].append(value)
             else:
                 directives.append(_macro_directive(option, value))
         elif second in "s-" and arg.startswith(("-std=", "--std=")):
-            try:
-                std = profile.resolve_std(arg.split("=", 1)[1])
-            except ProfileError as exc:
-                raise InvocationError(str(exc)) from None
-            # Selecting a standard resets trigraph processing to that
-            # standard's default, so a later -std overrides an earlier
-            # -trigraphs, as real drivers do.
-            trigraphs = std.strict
+            continue
         elif second == "O" and _OPT_LEVEL_RE.match(arg):
-            booleans["optimized"] = arg != "-O0"
             opt_level = arg
         elif (effect := vocabulary.get(arg)) is not None:
-            booleans.update(effect.sets)
-            if effect.std is not None:
-                std = profile.resolve_std(effect.std)
-                trigraphs = std.strict
-            trigraphs = trigraphs or effect.trigraphs
             nostdinc = nostdinc or effect.nostdinc
             profile_defines.extend(effect.defines)
         elif arg in _ARG_TAKING_PASSTHROUGH:
-            unrecognized.extend([arg, _next_word(arg, words)])
+            unrecognized.extend([arg, next(words)])
         else:
             unrecognized.append(arg)
 
     if env:
         dirs["-I"].extend(_split_env_path(env.get("CPATH", "")))
         dirs["-isystem"].extend(_split_env_path(env.get("C_INCLUDE_PATH", "")))
-    if std.strict:
-        mode = AnsiMode.STRICT
-    else:
-        mode = AnsiMode.GNU_TRIGRAPHS if trigraphs else AnsiMode.GNU
 
     return CompilerInvocation(
         profile=profile,
-        dialect=DialectConfig(*booleans.values(), std.std_class, mode),
+        dialect=dialect,
         macro_directives=tuple(directives),
         include_dirs=IncludeDirs(
             quote=tuple(dirs["-iquote"]),

@@ -280,9 +280,11 @@ def load_profile(
         if os.path.isfile(path):
             try:
                 with open(path, encoding="utf-8") as fh:
-                    return profile_from_dict(json.load(fh), source=path)
-            except json.JSONDecodeError as exc:
+                    data = json.load(fh)
+            # json raises RecursionError on arrays or objects nested too deep.
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ProfileError(f"profile file {path}: invalid JSON: {exc}") from None
+            return profile_from_dict(data, source=path)
     builtin = os.path.join(DATA_DIR, filename)
     if os.path.isfile(builtin):
         with open(builtin, encoding="utf-8") as fh:

@@ -610,6 +610,19 @@ def test_build_json_report_skips_human_text(capsys, tmp_path, monkeypatch):
     assert code == 1 and doc["inconsistencies"]
 
 
+@pytest.mark.parametrize("argv", [["build", "audit", "deep.json"],
+                                  ["--profile", "deep", "probe", "flags", "1"]],
+                         ids=["database", "profile"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, monkeypatch, argv):
+    # json raises RecursionError, not a decoding error, on deep nesting.
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DIALECTOSCOPE_PROFILE_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "invalid JSON: " in err
+
+
 def test_build_audit_missing_file(capsys):
     code, _, err = run(capsys, "build", "audit", "/no/such/file.json")
     assert code == 2
@@ -810,23 +823,27 @@ def test_help_and_usage_come_from_the_full_parser(argv):
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_pipe_ends_quietly(tmp_path, unbuffered):
-    # About 300 kB of JSON: more than a pipe holds, so the call is still
-    # writing when the reader goes.
+    # About 300 kB of JSON for the audit, and 3 MB for the check, whose
+    # 2000 rows and 16 000 mismatches span several output chunks: more than
+    # a pipe holds, so each call is still writing when the reader goes.
     db = tmp_path / "db.json"
     db.write_text(compile_db([(f"f{i}.c", "-O2") for i in range(2000)]))
     code = "import sys; from dialectoscope.cli import main; sys.exit(main())"
-    proc = subprocess.Popen(
-        [sys.executable, "-c", code, "--format", "json", "build", "audit", str(db)],
-        env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered},
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.read(10) == b'{\n  "per_t'
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 0  # the audit's own status: no findings
-    assert err == b""
+    # Each call ends with its own status: the audit finds nothing, and the
+    # check finds that every TU differs from the reference.
+    for argv, status in (["audit", str(db)], 0), (["check", str(db), "--reference", "228"], 1):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "--format", "json", "build", *argv],
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b'{\n  "per_t'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == status
+        assert err == b""
 
 
 # --- JSON rendering -------------------------------------------------------------
@@ -874,7 +891,7 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=200)
 @given(_JSON_VALUES)
 def test_json_text_equals_json_dumps_indent_2(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
 
 
 # Lists of dicts whose keys come from a few key tuples, so that rows share
@@ -920,7 +937,7 @@ _RECORD_CELLS = st.one_of(
     )
 )
 def test_json_text_of_record_lists_equals_json_dumps_indent_2(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
 
 
 def _cli_doc(*argv):
@@ -950,7 +967,7 @@ def test_json_text_of_cli_reports(tmp_path):
     assert None in [arm["condition"] for arm in arms] and None in [arm["taken"] for arm in arms]
     assert branches["retained_ranges"] == [[6, 6], [13, 13]]
     for doc in check, audit, branches:
-        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+        assert "".join(cli._json_pieces(doc)) == json.dumps(doc, indent=2)
 
 
 def test_json_text_of_report_shapes():
@@ -958,4 +975,19 @@ def test_json_text_of_report_shapes():
             {"file": "bé.c", "status": "unauditable", "value": None, "flags": []}]
     doc = {"per_tu": rows, "mismatches": [{"file": "a.c", "severity": "high"}],
            "inconsistencies": [], "empty": {}, "reference_value": None, "ratio": 0.5}
-    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+    assert "".join(cli._json_pieces(doc)) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("n", [cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 2 * cli._CHUNK + 1])
+def test_json_text_of_lists_around_the_chunk_size(n):
+    records = [{"file": f"f{i}.c", "value": i, "flags": ["-O2"] * (i % 3), "extra": {}}
+               for i in range(n)]
+    # A chunk of several kinds of item, and a chunk of one kind, rendered apart.
+    mixed = [{"i": i, "empty": []} if i < cli._CHUNK // 2 else i for i in range(n)]
+    values = [records, mixed, list(range(n)), [records], {}, [], {"": {}, "x": []},
+              {"per_tu": records, "empty": {}, "none": [], "inner": {"rows": mixed, "n": n}}]
+    for value in values:
+        assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
+    # A long list is written a chunk at a time: each chunk, then the "]".
+    chunks = -(-n // cli._CHUNK)
+    assert len(list(cli._json_pieces(records))) == (chunks + 1 if n > cli._CHUNK else 1)

@@ -22,6 +22,7 @@ from dialectoscope import (
 from dialectoscope.invocation import (
     _ARG_TAKING_PASSTHROUGH,
     _dialect_key,
+    _dialect_of,
     _macro_directive,
     _split_env_path,
     split_command,
@@ -349,6 +350,22 @@ def test_dialect_key_keeps_the_dialect_and_the_error(profile_name, argv):
     assert _dialect_outcome(list(_dialect_key(argv)), profile) == _dialect_outcome(
         argv, profile
     )
+
+
+@settings(max_examples=500)
+@given(
+    st.sampled_from(sorted(_PROFILES)),
+    st.lists(st.sampled_from(_TRICKY_WORDS + ["9x", "A=1"]), max_size=12),
+)
+def test_dialect_of_matches_oracle(profile_name, argv):
+    # _dialect_of builds no directive, yet must raise the same error for a
+    # malformed -D/-U value, and for the first of several errors.
+    profile = _PROFILES[profile_name]
+    oracle = _outcome(_oracle_parse_invocation, argv, {}, profile)
+    if isinstance(oracle, CompilerInvocation):
+        oracle = oracle.dialect
+    derived = _outcome(lambda argv, _env, profile: _dialect_of(argv, profile), argv, {}, profile)
+    assert derived == oracle
 
 
 # --- shell-word splitting ---------------------------------------------------------
