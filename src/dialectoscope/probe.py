@@ -6,7 +6,8 @@ length and checksum are part of the contract, so tests pin both.  Each
 additive term is described by a :class:`ProbeBitSpec` so a value can be
 explained dimension by dimension.  :func:`verify_with_compiler` builds
 and runs the probe under a real compiler, the only code here that
-starts processes.
+starts processes: one compile per value, and one assembled driver, one
+link of every compiled value and one run per pointer width.
 """
 
 from __future__ import annotations
@@ -180,54 +181,133 @@ class VerificationReport(NamedTuple):
         return [r for r in self.results if not r.ok]
 
 
-#: The probe's caller, built with no C library: ``_start`` calls
-#: ``return_value()``, writes the value in decimal and a newline to
-#: stdout with a system call, and exits 0.  It needs no libc headers or
-#: libraries for either pointer width.  The system calls are x86 ones,
-#: as are the canonical -m32/-m64 flags.
-_DRIVER_START = """\
-unsigned return_value(void);
-
-#if defined(__x86_64__)
-static long sys3(long n, long a, long b, long c) {
-   long r;
-   __asm__ volatile ("syscall" : "=a"(r) : "a"(n), "D"(a), "S"(b), "d"(c)
-                     : "rcx", "r11", "memory");
-   return r;
-}
-enum { SYS_WRITE = 1, SYS_EXIT = 60 };
-#elif defined(__i386__)
-static long sys3(long n, long a, long b, long c) {
-   long r;
-   __asm__ volatile ("int $0x80" : "=a"(r) : "a"(n), "b"(a), "c"(b), "d"(c)
-                     : "memory");
-   return r;
-}
-enum { SYS_WRITE = 4, SYS_EXIT = 1 };
-#else
-#error "the probe driver makes x86 system calls: __x86_64__ or __i386__ only"
-#endif
-
-/* The kernel enters _start with the stack aligned as no call leaves it. */
-__attribute__((force_align_arg_pointer, noreturn)) void _start(void) {
-   char text[12];
-   char *p = text + sizeof text;
-   unsigned v = return_value();
-   *--p = '\\n';
-   do {
-      *--p = (char)('0' + v % 10);
-      v /= 10;
-   } while (v);
-   sys3(SYS_WRITE, 1, (long)p, (long)(text + sizeof text - p));
-   for (;;)
-      sys3(SYS_EXIT, 0, 0, 0);
-}
+#: The probe's caller, assembled once per pointer width and linked with
+#: no C library.  ``_start`` aligns the stack, calls each entry of
+#: ``probe_table``, a zero-terminated table of function pointers that each
+#: link defines, writes each result in decimal and a newline to stdout
+#: with a ``write`` system call, and exits 0.  The table cursor is kept in
+#: a callee-saved register (rbx, esi), so it survives each call.  The
+#: system calls are x86 ones, as are the canonical -m32/-m64 flags.
+_DRIVER_X86_64 = """\
+   .text
+   .globl _start
+_start:
+   andq $-16, %rsp
+   subq $16, %rsp              # 16 bytes of text buffer, alignment kept
+   leaq probe_table(%rip), %rbx
+.Lnext:
+   movq (%rbx), %rax
+   testq %rax, %rax
+   jz .Ldone
+   call *%rax
+   leaq 15(%rsp), %rsi
+   movb $10, (%rsi)
+   movl $10, %ecx
+.Ldigit:
+   xorl %edx, %edx
+   divl %ecx
+   addb $48, %dl
+   decq %rsi
+   movb %dl, (%rsi)
+   testl %eax, %eax
+   jnz .Ldigit
+   leaq 16(%rsp), %rdx
+   subq %rsi, %rdx
+   movl $1, %edi
+   movl $1, %eax               # write(1, rsi, rdx)
+   syscall
+   addq $8, %rbx
+   jmp .Lnext
+.Ldone:
+   movl $60, %eax              # exit(0)
+   xorl %edi, %edi
+   syscall
+   .section .note.GNU-stack,"",@progbits
 """
+
+_DRIVER_I386 = """\
+   .text
+   .globl _start
+_start:
+   andl $-16, %esp
+   subl $16, %esp              # 16 bytes of text buffer, alignment kept
+   movl $probe_table, %esi
+.Lnext:
+   movl (%esi), %eax
+   testl %eax, %eax
+   jz .Ldone
+   call *%eax
+   leal 15(%esp), %ecx
+   movb $10, (%ecx)
+   movl $10, %ebx
+.Ldigit:
+   xorl %edx, %edx
+   divl %ebx
+   addb $48, %dl
+   decl %ecx
+   movb %dl, (%ecx)
+   testl %eax, %eax
+   jnz .Ldigit
+   leal 16(%esp), %edx
+   subl %ecx, %edx
+   movl $1, %ebx
+   movl $4, %eax               # write(1, ecx, edx)
+   int $0x80
+   addl $4, %esi
+   jmp .Lnext
+.Ldone:
+   movl $1, %eax               # exit(0)
+   xorl %ebx, %ebx
+   int $0x80
+   .section .note.GNU-stack,"",@progbits
+"""
+
+
+def _in_threads(fn, items: list, jobs: int) -> list:
+    """``[fn(x) for x in items]``, computed by at most ``jobs`` threads
+    that drain one shared iterator.  The first exception is re-raised."""
+    import threading
+
+    results = [None] * len(items)
+    todo = iter(range(len(items)))
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            for i in todo:
+                results[i] = fn(items[i])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(min(max(1, jobs), len(items)))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _last_line(stderr: str) -> str:
     lines = stderr.strip().splitlines()
     return lines[-1] if lines else ""
+
+
+def _check_lines(values: list[int], stdout: str, status: int) -> list[VerifyResult]:
+    """Results of one run of a linked table: line *i* of ``stdout``
+    belongs to ``values[i]``."""
+    lines = stdout.splitlines()
+    results = []
+    for i, v in enumerate(values):
+        line = lines[i] if i < len(lines) else None
+        if line == str(v):
+            results.append(VerifyResult(v, True))
+        elif line is None and status != 0:
+            results.append(VerifyResult(v, False, f"run exited with status {status}"))
+        else:
+            results.append(VerifyResult(v, False, f"printed {line or ''!r}, expected {v}"))
+    return results
 
 
 def verify_with_compiler(
@@ -236,19 +316,25 @@ def verify_with_compiler(
     jobs: int = 8,
     profile=None,
 ) -> VerificationReport:
-    """Compile and run the probe for each value with its own flags and
+    """Compile the probe for each value with its own flags, run it, and
     compare the printed result.  A missing compiler yields a skipped
     report, not a failure; -w suppresses trigraph warnings.
 
-    The driver is compiled once per pointer width the values need; each
-    value is then one compile-and-link of the probe with the value's
-    flags against that driver, with no C library, and one run."""
+    Each pointer width the values need costs one assembly of its driver,
+    one link and one run.  Each value costs one compile, with
+    ``-Dreturn_value=return_value_<v>`` so that every value's function
+    has its own name; the probe reads only predefined macros and the
+    compiler's own type choices, so the rename changes no result.  The
+    link puts every compiled value of the width in ``probe_table`` and
+    line *i* of the run's output is checked against entry *i*.  A driver
+    that fails to build fails its width's values uncompiled; a failed
+    compile fails only its value; a failed link fails its width's
+    compiled values."""
     # Imported here: only verification starts processes, and these
     # modules would otherwise add to every import of the package.
     import shutil
     import subprocess
     import tempfile
-    from concurrent.futures import ThreadPoolExecutor
 
     if profile is None:
         profile = load_profile()
@@ -264,50 +350,84 @@ def verify_with_compiler(
             "skipped", compiler, skip_reason=f"compiler {compiler!r} not found"
         )
     spell = profile.canonical_spellings()
+    width_flag = {True: spell.pointer_64, False: spell.pointer_32}
+    is_64 = {v: decode_value(v).pointer_width_64 for v in values}
 
-    def width_flag(v: int) -> str:
-        return spell.pointer_64 if decode_value(v).pointer_width_64 else spell.pointer_32
+    def run(cmd: list[str]) -> subprocess.CompletedProcess:
+        return subprocess.run(cmd, capture_output=True, text=True, errors="replace")
 
     with tempfile.TemporaryDirectory(prefix="dialect-verify-") as tmp:
-        probe_c = os.path.join(tmp, "probe.c")
-        driver_c = os.path.join(tmp, "driver.c")
-        with open(probe_c, "w", encoding="utf-8", newline="") as fh:
-            fh.write(emit_probe_source())
-        with open(driver_c, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_DRIVER_START)
 
-        def build_driver(width: str) -> tuple[str, str]:
+        def write(name: str, text: str) -> str:
+            file = os.path.join(tmp, name)
+            with open(file, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+            return file
+
+        probe_c = write("probe.c", emit_probe_source())
+
+        def build_driver(wide: bool) -> tuple[str, str]:
             """(object path, "") or ("", failure detail)."""
+            width = width_flag[wide]
+            source = write(f"driver{width}.s", _DRIVER_X86_64 if wide else _DRIVER_I386)
             obj = os.path.join(tmp, f"driver{width}.o")
-            cmd = [path, "-w", "-fno-stack-protector", width, "-c", driver_c, "-o", obj]
-            built = subprocess.run(cmd, capture_output=True, text=True)
+            built = run([path, "-w", width, "-c", source, "-o", obj])
             if built.returncode != 0:
                 return "", f"driver build failed ({width}): {_last_line(built.stderr)}"
             return obj, ""
 
-        def run_one(v: int) -> VerifyResult:
+        def compile_one(v: int) -> str:
+            """"" or the failure detail."""
             flags = flags_for_value(v, profile)
-            driver, error = drivers[width_flag(v)].result()
-            if error:
-                return VerifyResult(v, False, error)
-            exe = os.path.join(tmp, f"probe{v}")
-            cmd = [path, "-w", *flags, "-nostdlib", "-static", probe_c, driver, "-o", exe]
-            built = subprocess.run(cmd, capture_output=True, text=True)
+            obj = os.path.join(tmp, f"probe{v}.o")
+            built = run(
+                [path, "-pipe", "-w", *flags, f"-Dreturn_value=return_value_{v}",
+                 "-c", probe_c, "-o", obj]
+            )
             if built.returncode != 0:
-                return VerifyResult(
-                    v, False, f"compile failed ({' '.join(flags)}): {_last_line(built.stderr)}"
-                )
-            ran = subprocess.run([exe], capture_output=True, text=True)
-            if ran.returncode != 0:
-                return VerifyResult(v, False, f"run exited with status {ran.returncode}")
-            out = ran.stdout.strip()
-            if out == str(v):
-                return VerifyResult(v, True)
-            return VerifyResult(v, False, f"printed {out!r}, expected {v}")
+                return f"compile failed ({' '.join(flags)}): {_last_line(built.stderr)}"
+            return ""
 
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            # The pool starts tasks in the order submitted, so every driver
-            # build has started before a value waits on one.
-            drivers = {w: pool.submit(build_driver, w) for w in sorted(set(map(width_flag, values)))}
-            results = tuple(pool.map(run_one, values))
-    return VerificationReport("ran", path, results)
+        def link_and_run(wide: bool) -> list[VerifyResult]:
+            width, group = width_flag[wide], compiled[wide]
+            entry = ".quad" if wide else ".long"
+            table = write(
+                f"table{width}.s",
+                "   .data\n   .globl probe_table\n"
+                f"   .balign {8 if wide else 4}\nprobe_table:\n"
+                + "".join(f"   {entry} return_value_{v}\n" for v in group)
+                + f"   {entry} 0\n"
+                '   .section .note.GNU-stack,"",@progbits\n',
+            )
+            exe = os.path.join(tmp, f"probe{width}")
+            objs = [os.path.join(tmp, f"probe{v}.o") for v in group]
+            built = run(
+                [path, "-w", width, "-nostdlib", "-static", drivers[wide][0], table,
+                 *objs, "-o", exe]
+            )
+            if built.returncode != 0:
+                detail = f"link failed ({width}): {_last_line(built.stderr)}"
+                return [VerifyResult(v, False, detail) for v in group]
+            ran = run([exe])
+            return _check_lines(group, ran.stdout, ran.returncode)
+
+        widths = sorted(set(is_64.values()))
+        drivers = dict(zip(widths, _in_threads(build_driver, widths, jobs)))
+        results: dict[int, VerifyResult] = {}
+        todo = []
+        for v in values:
+            error = drivers[is_64[v]][1]
+            if error:
+                results[v] = VerifyResult(v, False, error)
+            else:
+                todo.append(v)
+        compiled: dict[bool, list[int]] = {wide: [] for wide in widths}
+        for v, error in zip(todo, _in_threads(compile_one, todo, jobs)):
+            if error:
+                results[v] = VerifyResult(v, False, error)
+            else:
+                compiled[is_64[v]].append(v)
+        linked = [wide for wide in widths if compiled[wide]]
+        for group in _in_threads(link_and_run, linked, jobs):
+            results.update((r.value, r) for r in group)
+    return VerificationReport("ran", path, tuple(results[v] for v in values))

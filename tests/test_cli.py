@@ -208,6 +208,89 @@ def test_probe_verify_reports_run_failures(capsys, tmp_path, command, detail):
     assert verify_failures(capsys, cc, "16") == {16: detail}
 
 
+def link_body(command):
+    """A fake compiler body whose links (the calls with -static) write a
+    shell script that runs ``command``; every other call goes to gcc."""
+    return (
+        'case " $* " in *" -static "*)\n'
+        '  while [ "$1" != -o ]; do shift; done\n'
+        f"  printf '#!/bin/sh\\n{command}\\n' > \"$2\"; chmod +x \"$2\"; exit 0;;\nesac"
+    )
+
+
+@needs_gcc
+def test_probe_verify_counts_one_compile_per_value_and_one_link_per_width(
+    capsys, tmp_path
+):
+    cc = fake_compiler(tmp_path, "")
+    code, doc = run_json(
+        capsys, "probe", "verify", "--compiler", cc, "--values", "0,16,427,443"
+    )
+    assert code == 0 and doc["passed"] == 4
+    calls = [c.split() for c in (tmp_path / "calls").read_text().splitlines()]
+    drivers = [c for c in calls if "-c" in c and any(w.endswith(".s") for w in c)]
+    compiles = [c for c in calls if "-c" in c and any(w.endswith("/probe.c") for w in c)]
+    links = [c for c in calls if "-static" in c]
+    assert (len(drivers), len(compiles), len(links), len(calls)) == (2, 4, 2, 8)
+    renames = sorted(w for c in compiles for w in c if w.startswith("-Dreturn_value="))
+    assert renames == [f"-Dreturn_value=return_value_{v}" for v in (0, 16, 427, 443)]
+    # The only C source any call names is the probe: no C driver is compiled.
+    assert all(w.endswith("/probe.c") for c in calls for w in c if w.endswith(".c"))
+
+
+@needs_gcc
+def test_probe_verify_checks_each_line_of_a_batched_run(capsys, tmp_path):
+    cc = fake_compiler(tmp_path, link_body("echo 16"))
+    assert verify_failures(capsys, cc, "16,24") == {24: "printed '', expected 24"}
+
+
+@needs_gcc
+def test_probe_verify_reports_link_failure_for_each_value_linked(capsys, tmp_path):
+    cc = fake_compiler(
+        tmp_path, 'case " $* " in *" -static "*) echo "fake: no ld" >&2; exit 1;; esac'
+    )
+    detail = "link failed (-m64): fake: no ld"
+    assert verify_failures(capsys, cc, "16,24") == {16: detail, 24: detail}
+
+
+@needs_gcc
+def test_probe_verify_fails_one_value_on_undecodable_compiler_output(capsys, tmp_path):
+    cc = fake_compiler(
+        tmp_path, r"""case " $* " in *" -O2 "*) printf 'fake: \377\n' >&2; exit 1;; esac"""
+    )
+    flags = " ".join(dialectoscope.flags_for_value(24, dialectoscope.load_profile()))
+    assert verify_failures(capsys, cc, "16,24") == {
+        24: f"compile failed ({flags}): fake: \ufffd"
+    }
+
+
+@needs_gcc
+def test_probe_verify_fails_one_value_on_undecodable_probe_output(capsys, tmp_path):
+    cc = fake_compiler(tmp_path, link_body(r'printf "\\377\\n"'))
+    assert verify_failures(capsys, cc, "16") == {16: "printed '\ufffd', expected 16"}
+
+
+@needs_gcc
+def test_probe_verify_imports_neither_thread_pools_nor_logging():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from dialectoscope.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['probe', 'verify', '--values', '16'])\n"
+        "heavy = ('concurrent.futures', 'logging')\n"
+        "print(json.dumps([status, [m for m in heavy if m in sys.modules]]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dialectoscope.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout) == [0, []]
+
+
 # --- invocation ----------------------------------------------------------------
 
 
