@@ -78,6 +78,18 @@ def _env_map(pairs: list[str] | None) -> dict[str, str]:
     return env
 
 
+def _invocation(args, argv: list[str], profile=None, env=None):
+    """The invocation argv makes, under ``profile`` and ``env`` or, by
+    default, the profile and the ``--env`` pairs that args names."""
+    from .invocation import parse_invocation
+
+    return parse_invocation(
+        argv,
+        profile=_profile(args) if profile is None else profile,
+        env=_env_map(args.env) if env is None else env,
+    )
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -143,11 +155,10 @@ def cmd_probe_explain(args) -> Result:
 
 def cmd_probe_value(args) -> Result:
     from .dialect_model import encode_config
-    from .invocation import parse_invocation, split_command
+    from .invocation import split_command
 
-    profile = _profile(args)
     argv = split_command(args.flags)
-    inv = parse_invocation(argv, env=_env_map(args.env), profile=profile)
+    inv = _invocation(args, argv)
     value = encode_config(inv.dialect)
     return Result(
         {"flags": argv, "value": value, "config": _config_dict(inv.dialect)},
@@ -186,36 +197,24 @@ def cmd_probe_verify(args) -> Result:
 # --- invocation subcommand ---------------------------------------------------
 
 
-def _strip_separator(argv: list[str]) -> list[str]:
-    return argv[1:] if argv and argv[0] == "--" else argv
-
-
 def cmd_invocation_parse(args) -> Result:
     from .dialect_model import encode_config
-    from .invocation import parse_invocation, split_command
+    from .invocation import split_command
     from .probe import flags_for_value
 
-    profile = _profile(args)
-    argv = _strip_separator(list(args.argv))
-    if args.flags:
-        argv = split_command(args.flags) + argv
-    inv = parse_invocation(argv, env=_env_map(args.env), profile=profile)
+    words = args.argv[1:] if args.argv[:1] == ["--"] else args.argv
+    inv = _invocation(args, split_command(args.flags) + words)
+    profile = inv.profile
     value = encode_config(inv.dialect)
     config = _config_dict(inv.dialect)
     flags = flags_for_value(value, profile)
-    include_dirs = {
-        kind: list(getattr(inv.include_dirs, kind))
-        for kind in ("quote", "normal", "system")
-    }
+    include_dirs = inv.include_dirs._asdict()
     doc = {
         "profile": profile.name,
         "value": value,
         "config": config,
         "canonical_flags": flags,
-        "macro_directives": [
-            {"action": d.action, "name": d.name, "value": d.value}
-            for d in inv.macro_directives
-        ],
+        "macro_directives": [d._asdict() for d in inv.macro_directives],
         "include_dirs": include_dirs,
         "nostdinc": inv.nostdinc,
         "sources": list(inv.source_files),
@@ -248,16 +247,13 @@ def cmd_invocation_parse(args) -> Result:
 
 def _macro_env_from_args(args) -> MacroEnv:
     from .dialect_model import decode_value
-    from .invocation import _macro_directive, parse_invocation, split_command
+    from .invocation import _macro_directive, split_command
     from .macro_env import apply_directives, invocation_macro_env, predefined_macros
 
-    profile = _profile(args)
     if args.value is not None:
-        env = predefined_macros(decode_value(args.value), profile)
+        env = predefined_macros(decode_value(args.value), _profile(args))
     else:
-        argv = split_command(args.flags or "")
-        inv = parse_invocation(argv, env=_env_map(args.env), profile=profile)
-        env = invocation_macro_env(inv)
+        env = invocation_macro_env(_invocation(args, split_command(args.flags)))
     extra = [_macro_directive("-D", d) for d in args.define or []]
     extra += [_macro_directive("-U", u) for u in args.undef or []]
     return apply_directives(env, extra)
@@ -266,17 +262,7 @@ def _macro_env_from_args(args) -> MacroEnv:
 def cmd_macros_show(args) -> Result:
     defs = _macro_env_from_args(args).definitions()
     width = max((len(d.name) for d in defs), default=0)
-    doc = {
-        "macros": [
-            {
-                "name": d.name,
-                "body": d.body,
-                "provenance": d.provenance,
-                "function_like": d.function_like,
-            }
-            for d in defs
-        ]
-    }
+    doc = {"macros": [d._asdict() for d in defs]}
     text = [f"{d.name:<{width}}  {d.body:<12}  [{d.provenance}]" for d in defs]
     return Result(doc, _text(text))
 
@@ -348,18 +334,15 @@ def cmd_include_resolve(args) -> Result:
         resolve_include,
         search_paths,
     )
-    from .invocation import InvocationError, parse_invocation, split_command
+    from .invocation import InvocationError, split_command
 
-    profile = _profile(args)
     if args.manifest:
         fs = FileSystemModel.from_manifest(_read_text(args.manifest), cwd=args.cwd)
     elif args.root:
         fs = FileSystemModel.from_directory(args.root)
     else:
         raise InvocationError("include resolve needs --manifest or --root")
-    inv = parse_invocation(
-        split_command(args.flags or ""), env=_env_map(args.env), profile=profile
-    )
+    inv = _invocation(args, split_command(args.flags))
     form = IncludeForm(args.form)
     directive = IncludeDirective(args.header, form, args.includer)
     resolution = resolve_include(directive, inv, fs)
@@ -369,7 +352,7 @@ def cmd_include_resolve(args) -> Result:
         "including_file": args.includer,
         "search_order": search_paths(inv, form, args.includer),
         "found": resolution.found,
-        "trace": [{"candidate": p.candidate, "hit": p.hit} for p in resolution.trace],
+        "trace": [p._asdict() for p in resolution.trace],
     }
     text = [f"{'hit ' if p.hit else 'miss'}  {p.candidate}" for p in resolution.trace]
     text.append(f"resolved: {resolution.found}" if resolution.found else "not found")
@@ -521,15 +504,12 @@ def cmd_build_audit(args) -> Result:
 def cmd_build_check(args) -> Result:
     from .build_audit import check_against, load_build
     from .dialect_model import decode_value
-    from .invocation import parse_invocation, split_command
+    from .invocation import split_command
 
     profile = _profile(args)
     capture = load_build(_read_text(args.compile_commands), profile)
     if args.reference_flags is not None:
-        inv = parse_invocation(
-            split_command(args.reference_flags), env={}, profile=profile
-        )
-        reference = inv.dialect
+        reference = _invocation(args, split_command(args.reference_flags), profile, env={}).dialect
     else:
         reference = decode_value(args.reference)
     return _audit_result(check_against(capture, reference), args.fail_on)

@@ -289,11 +289,6 @@ def _in_threads(fn, items: list, jobs: int) -> list:
     return results
 
 
-def _last_line(stderr: str) -> str:
-    lines = stderr.strip().splitlines()
-    return lines[-1] if lines else ""
-
-
 def _check_lines(values: list[int], stdout: str, status: int) -> list[VerifyResult]:
     """Results of one run of a linked table: line *i* of ``stdout``
     belongs to ``values[i]``."""
@@ -341,9 +336,7 @@ def verify_with_compiler(
     if values is None:
         values = range(ENCODING_SPACE)
     values = sorted(set(values))
-    for v in values:
-        if not 0 <= v <= 767:
-            raise DialectValueError(f"dialect value must be in 0..767, got {v}")
+    is_64 = {v: decode_value(v).pointer_width_64 for v in values}
     path = shutil.which(compiler)
     if path is None:
         return VerificationReport(
@@ -351,10 +344,16 @@ def verify_with_compiler(
         )
     spell = profile.canonical_spellings()
     width_flag = {True: spell.pointer_64, False: spell.pointer_32}
-    is_64 = {v: decode_value(v).pointer_width_64 for v in values}
 
     def run(cmd: list[str]) -> subprocess.CompletedProcess:
         return subprocess.run(cmd, capture_output=True, text=True, errors="replace")
+
+    def gcc(*words: str) -> str:
+        """Run the compiler quietly: "" when it succeeds, else ": " and the
+        last line of its stderr."""
+        built = run([path, "-w", *words])
+        lines = built.stderr.strip().splitlines()
+        return "" if built.returncode == 0 else f": {lines[-1] if lines else ''}"
 
     with tempfile.TemporaryDirectory(prefix="dialect-verify-") as tmp:
 
@@ -366,31 +365,22 @@ def verify_with_compiler(
 
         probe_c = write("probe.c", emit_probe_source())
 
-        def build_driver(wide: bool) -> tuple[str, str]:
-            """(object path, "") or ("", failure detail)."""
+        def build_driver(wide: bool) -> str:
             width = width_flag[wide]
             source = write(f"driver{width}.s", _DRIVER_X86_64 if wide else _DRIVER_I386)
-            obj = os.path.join(tmp, f"driver{width}.o")
-            built = run([path, "-w", width, "-c", source, "-o", obj])
-            if built.returncode != 0:
-                return "", f"driver build failed ({width}): {_last_line(built.stderr)}"
-            return obj, ""
+            error = gcc(width, "-c", source, "-o", os.path.join(tmp, f"driver{width}.o"))
+            return error and f"driver build failed ({width}){error}"
 
         def compile_one(v: int) -> str:
-            """"" or the failure detail."""
             flags = flags_for_value(v, profile)
             obj = os.path.join(tmp, f"probe{v}.o")
-            built = run(
-                [path, "-pipe", "-w", *flags, f"-Dreturn_value=return_value_{v}",
-                 "-c", probe_c, "-o", obj]
-            )
-            if built.returncode != 0:
-                return f"compile failed ({' '.join(flags)}): {_last_line(built.stderr)}"
-            return ""
+            error = gcc("-pipe", *flags, f"-Dreturn_value=return_value_{v}",
+                        "-c", probe_c, "-o", obj)
+            return error and f"compile failed ({' '.join(flags)}){error}"
 
-        def link_and_run(wide: bool) -> list[VerifyResult]:
-            width, group = width_flag[wide], compiled[wide]
-            entry = ".quad" if wide else ".long"
+        def link_and_run(group: list[int]) -> list[VerifyResult]:
+            wide = is_64[group[0]]
+            width, entry = width_flag[wide], ".quad" if wide else ".long"
             table = write(
                 f"table{width}.s",
                 "   .data\n   .globl probe_table\n"
@@ -401,33 +391,23 @@ def verify_with_compiler(
             )
             exe = os.path.join(tmp, f"probe{width}")
             objs = [os.path.join(tmp, f"probe{v}.o") for v in group]
-            built = run(
-                [path, "-w", width, "-nostdlib", "-static", drivers[wide][0], table,
-                 *objs, "-o", exe]
-            )
-            if built.returncode != 0:
-                detail = f"link failed ({width}): {_last_line(built.stderr)}"
-                return [VerifyResult(v, False, detail) for v in group]
+            error = gcc(width, "-nostdlib", "-static", os.path.join(tmp, f"driver{width}.o"),
+                        table, *objs, "-o", exe)
+            if error:
+                return [VerifyResult(v, False, f"link failed ({width}){error}") for v in group]
             ran = run([exe])
             return _check_lines(group, ran.stdout, ran.returncode)
 
+        # The failure detail of each value that has failed so far.
+        failed: dict[int, str] = {}
         widths = sorted(set(is_64.values()))
-        drivers = dict(zip(widths, _in_threads(build_driver, widths, jobs)))
-        results: dict[int, VerifyResult] = {}
-        todo = []
-        for v in values:
-            error = drivers[is_64[v]][1]
+        for wide, error in zip(widths, _in_threads(build_driver, widths, jobs)):
             if error:
-                results[v] = VerifyResult(v, False, error)
-            else:
-                todo.append(v)
-        compiled: dict[bool, list[int]] = {wide: [] for wide in widths}
-        for v, error in zip(todo, _in_threads(compile_one, todo, jobs)):
-            if error:
-                results[v] = VerifyResult(v, False, error)
-            else:
-                compiled[is_64[v]].append(v)
-        linked = [wide for wide in widths if compiled[wide]]
-        for group in _in_threads(link_and_run, linked, jobs):
+                failed.update((v, error) for v in values if is_64[v] == wide)
+        pending = [v for v in values if v not in failed]
+        failed.update((v, e) for v, e in zip(pending, _in_threads(compile_one, pending, jobs)) if e)
+        results = {v: VerifyResult(v, False, error) for v, error in failed.items()}
+        groups = [[v for v in values if is_64[v] == wide and v not in failed] for wide in widths]
+        for group in _in_threads(link_and_run, [g for g in groups if g], jobs):
             results.update((r.value, r) for r in group)
     return VerificationReport("ran", path, tuple(results[v] for v in values))

@@ -266,6 +266,7 @@ def _search_dirs(extra_dirs: tuple[str, ...] | list[str] | None = None) -> list[
     env = os.environ.get(PROFILE_DIR_ENV)
     if env:
         dirs.extend(p for p in env.split(os.pathsep) if p)
+    dirs.append(DATA_DIR)
     return dirs
 
 
@@ -285,10 +286,6 @@ def load_profile(
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise ProfileError(f"profile file {path}: invalid JSON: {exc}") from None
             return profile_from_dict(data, source=path)
-    builtin = os.path.join(DATA_DIR, filename)
-    if os.path.isfile(builtin):
-        with open(builtin, encoding="utf-8") as fh:
-            return profile_from_dict(json.load(fh), source=builtin)
     raise ProfileError(
         f"unknown profile {name!r}; available: {', '.join(available_profiles(profile_dirs))}"
     )
@@ -299,5 +296,4 @@ def available_profiles(profile_dirs: list[str] | None = None) -> list[str]:
     for d in _search_dirs(profile_dirs):
         if os.path.isdir(d):
             names.update(f[:-5] for f in os.listdir(d) if f.endswith(".json"))
-    names.update(f[:-5] for f in os.listdir(DATA_DIR) if f.endswith(".json"))
     return sorted(names)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dialectoscope
-from dialectoscope import cli, emit_probe_source
+from dialectoscope import cli, emit_probe_source, profiles
 from dialectoscope.cli import main
 from conftest import GOLDEN_PAIRS, DISPATCH_SOURCE, compile_db
 from test_cli_golden import CASES
@@ -704,6 +705,39 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, monkeypatch, arg
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "invalid JSON: " in err
+
+
+def test_deeply_nested_builtin_profile_is_a_profile_error(tmp_path, monkeypatch):
+    (tmp_path / "gcc8-x86_64.json").write_text("[" * 100_000 + "]" * 100_000)
+    monkeypatch.setattr(profiles, "DATA_DIR", str(tmp_path))
+    monkeypatch.delenv("DIALECTOSCOPE_PROFILE_DIR", raising=False)
+    with pytest.raises(profiles.ProfileError, match="invalid JSON"):
+        profiles.load_profile("gcc8-x86_64")
+
+
+def test_readme_profile_example_loads():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"## Compiler profiles.*?```json\n(.*?)```", fh.read(), re.S)[1]
+    example = profiles.profile_from_dict(json.loads(block), source="README.md")
+    # Complete: every dialect value renders to flags that derive it again.
+    for value in range(768):
+        flags = dialectoscope.flags_for_value(value, example)
+        inv = dialectoscope.parse_invocation(flags, env={}, profile=example)
+        assert dialectoscope.encode_config(inv.dialect) == value
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [("-std=c2x", "profile 'gcc8-x86_64' does not know -std=c2x"),
+     ("-DX='a", "No closing quotation")],
+)
+def test_build_check_bad_reference_flags_is_an_input_error(capsys, tmp_path, flags, message):
+    db = tmp_path / "cc.json"
+    db.write_text(compile_db([("a.c", "-O2")]))
+    code, out, err = run(capsys, "build", "check", str(db), f"--reference-flags={flags}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_build_audit_missing_file(capsys):

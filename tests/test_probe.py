@@ -16,6 +16,7 @@ from dialectoscope import (
     flags_for_value,
     parse_invocation,
 )
+from dialectoscope.probe import verify_with_compiler
 
 from conftest import GOLDEN_PAIRS
 
@@ -92,3 +93,8 @@ def test_explain_examples():
 def test_explain_range_checked():
     with pytest.raises(DialectValueError):
         explain_value(768)
+
+
+def test_verify_checks_values_without_a_compiler():
+    with pytest.raises(DialectValueError, match=r"^dialect value must be in 0\.\.767, got 768$"):
+        verify_with_compiler(compiler="no-such-cc", values=[5, 768])
