@@ -19,7 +19,7 @@ that multiply (``#define A B B``, ``#define B C C``, ...).
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, and_, eq, ge, gt, le, lt, mul, ne, or_, sub, xor
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -60,9 +60,6 @@ PREDEFINED = "predefined"
 COMMAND_LINE = "command-line"
 SOURCE = "source"
 
-#: Names an environment's overlay holds before it is merged into a new table.
-_OVERLAY_MAX = 32
-
 
 class MacroDefinition(NamedTuple):
     name: str
@@ -74,90 +71,60 @@ class MacroDefinition(NamedTuple):
 class MacroEnv:
     """Immutable name -> definition table; updates return new tables.
 
-    An update shares the table it was made from and records its name in
-    a small overlay (``None`` marks a removed name), so its cost does not
-    grow with the table; an overlay of ``_OVERLAY_MAX`` names is merged
-    into a new table.
+    Each update copies the whole table, so a caller making many edits
+    should build a dict and wrap it once with ``MacroEnv(table)``.
     """
 
-    __slots__ = ("_table", "_overlay")
+    __slots__ = ("_table",)
 
     def __init__(self, table: Mapping[str, MacroDefinition] | None = None):
         self._table = dict(table or {})
-        self._overlay: dict[str, MacroDefinition | None] = {}
 
     @classmethod
-    def _owning(
-        cls,
-        table: dict[str, MacroDefinition],
-        overlay: dict[str, MacroDefinition | None] | None = None,
-    ) -> "MacroEnv":
+    def _owning(cls, table: dict[str, MacroDefinition]) -> "MacroEnv":
         """An environment over ``table`` itself, which no one may mutate
         afterwards."""
         env = cls.__new__(cls)
         env._table = table
-        env._overlay = overlay or {}
         return env
 
     @classmethod
     def empty(cls) -> "MacroEnv":
         return cls()
 
-    def _to_dict(self) -> dict[str, MacroDefinition]:
-        """A new name -> definition dict the caller may change."""
-        return _merged(self._table, self._overlay)
-
     def lookup(self, name: str) -> MacroDefinition | None:
-        if name in self._overlay:
-            return self._overlay[name]
         return self._table.get(name)
 
     def defined(self, name: str) -> bool:
-        return self.lookup(name) is not None
+        return name in self._table
 
     def definitions(self) -> list[MacroDefinition]:
-        table = self._to_dict()
-        return [table[n] for n in sorted(table)]
+        return [self._table[n] for n in sorted(self._table)]
 
     def with_define(
         self, name: str, body: str, provenance: str, function_like: bool = False
     ) -> "MacroEnv":
-        return self._updated(name, MacroDefinition(name, body, provenance, function_like))
+        definition = MacroDefinition(name, body, provenance, function_like)
+        return MacroEnv._owning({**self._table, name: definition})
 
     def without(self, name: str) -> "MacroEnv":
-        if not self.defined(name):
+        if name not in self._table:
             return self
-        return self._updated(name, None)
-
-    def _updated(self, name: str, definition: MacroDefinition | None) -> "MacroEnv":
-        overlay = {**self._overlay, name: definition}
-        if len(overlay) < _OVERLAY_MAX:
-            return MacroEnv._owning(self._table, overlay)
-        return MacroEnv._owning(_merged(self._table, overlay))
+        table = dict(self._table)
+        del table[name]
+        return MacroEnv._owning(table)
 
     def __contains__(self, name: str) -> bool:
-        return self.defined(name)
+        return name in self._table
 
     def __len__(self) -> int:
-        return len(self._to_dict())
+        return len(self._table)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MacroEnv) and self._to_dict() == other._to_dict()
+        return isinstance(other, MacroEnv) and self._table == other._table
 
     def __repr__(self) -> str:
         return f"MacroEnv({len(self)} macros)"
-
-
-def _merged(
-    table: dict[str, MacroDefinition], overlay: dict[str, MacroDefinition | None]
-) -> dict[str, MacroDefinition]:
-    merged = dict(table)
-    for name, definition in overlay.items():
-        if definition is None:
-            merged.pop(name, None)
-        else:
-            merged[name] = definition
-    return merged
 
 
 def predefined_macros(config: DialectConfig, profile: CompilerProfile) -> MacroEnv:
@@ -203,13 +170,13 @@ def apply_directives(
 ) -> MacroEnv:
     """Apply -D/-U style directives in order; define overwrites,
     undefine removes, undefining an absent name is a no-op."""
-    return _apply(env._to_dict(), directives, provenance)
+    return _apply(dict(env._table), directives, provenance)
 
 
 def invocation_macro_env(inv: CompilerInvocation) -> MacroEnv:
     """Full macro environment of an invocation: dialect-predefined
     macros, option-conditional profile macros, then -D/-U in order."""
-    table = predefined_macros(inv.dialect, inv.profile)._to_dict()
+    table = predefined_macros(inv.dialect, inv.profile)._table
     for name, value in inv.profile_defines:
         table[name] = MacroDefinition(name, value, PREDEFINED)
     return _apply(table, inv.macro_directives, COMMAND_LINE)
@@ -607,12 +574,18 @@ def _logical_lines(source: str) -> tuple[str, Sequence[int]]:
     return text, list(map(add, range(1, len(extra) + 2), accumulate(extra, initial=0)))
 
 
-def _strip_comments(text: str, starts: Sequence[int]) -> str:
+def _strip_comments(text: str, starts: Sequence[int]) -> tuple[str, Sequence[int]]:
     """Replace each comment in ``text`` (logical lines, from
-    :func:`_logical_lines`) with a space, keeping the line breaks a block
-    comment spans so that every line keeps its index."""
+    :func:`_logical_lines`) with a space, and return the new text and
+    extents.  A block comment's line breaks go with it, so the lines it
+    spans become one logical line, as a backslash-newline joins them."""
+    if "/" not in text:
+        return text, starts
+    runs: list[Sequence[int]] = []  # the entries of ``starts`` kept, in runs
+    k = pos = done = 0  # line at ``pos``; ``runs`` holds ``starts[:done]``
 
     def replace(m: re.Match) -> str:
+        nonlocal k, pos, done
         found = m.group()
         if found[0] != "/":
             return found  # a string or character literal
@@ -621,9 +594,20 @@ def _strip_comments(text: str, starts: Sequence[int]) -> str:
         if len(found) == 2:
             line = starts[text.count("\n", 0, m.start())]
             raise ConditionalStructureError("unterminated block comment", line)
-        return "\n" * found.count("\n") + " "
+        breaks = found.count("\n")
+        if breaks:
+            k += text.count("\n", pos, m.start())
+            runs.append(starts[done : k + 1])
+            k += breaks
+            done = k + 1
+            pos = m.end()
+        return " "
 
-    return _COMMENT_RE.sub(replace, text) if "/" in text else text
+    stripped = _COMMENT_RE.sub(replace, text)
+    if not runs:
+        return stripped, starts
+    runs.append(starts[done:])
+    return stripped, list(chain.from_iterable(runs))
 
 
 class _Frame:
@@ -690,10 +674,9 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
     other non-conditional line in an active region.  Conditional
     directive lines themselves are never retained.
     """
-    text, starts = _logical_lines(source)
-    stripped = _strip_comments(text, starts)
+    stripped, starts = _strip_comments(*_logical_lines(source))
 
-    table = env._to_dict()
+    table = dict(env._table)
     bodies: dict[str, list[_Token]] = {}
     frames: list[_Frame] = []
     groups: list[ConditionalGroup] = []

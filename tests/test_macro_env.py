@@ -1,6 +1,11 @@
 """Predefined tables, expression evaluation (with a differential
 oracle), and conditional-branch reporting (with the character-loop
-scanner as the oracle of the line and comment scanner)."""
+scanner as the oracle of the line and comment scanner, and with GCC's
+own preprocessor where one is installed)."""
+
+import re
+import shutil
+import subprocess
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +18,7 @@ from dialectoscope import (
     DialectConfig,
     ExprEvalError,
     ExprSyntaxError,
+    MacroDefinition,
     MacroDirective,
     MacroEnv,
     UnsupportedMacroError,
@@ -123,6 +129,27 @@ def test_env_updates_past_the_overlay_limit():
         assert all(env.defined(name) and name in env for name in expected)
     assert envs[-1].without("ABSENT") is envs[-1]
     assert envs[-1] == MacroEnv({d.name: d for d in envs[-1].definitions()})
+
+
+def test_env_never_aliases_its_input():
+    table = {"A": MacroDefinition("A", "1", "command-line")}
+    env = MacroEnv(table)
+    snapshot = MacroEnv(dict(table))
+    table["B"] = MacroDefinition("B", "2", "command-line")
+    del table["A"]
+    assert env == snapshot and env.defined("A") and not env.defined("B")
+    directives = [
+        MacroDirective("define", "A", "2"),
+        MacroDirective("define", "C", "3"),
+        MacroDirective("undefine", "A"),
+    ]
+    assert apply_directives(env, directives) != env
+    assert env.with_define("A", "9", "source").lookup("A").body == "9"
+    assert not env.without("A").defined("A")
+    source = "#undef A\n#define D 1\n#if defined(D) && !defined(A)\nx\n#endif\n"
+    report = active_branches(env, source)
+    assert report.retained_text.endswith("x\n")
+    assert env == snapshot and env.lookup("A").body == "1" and len(env) == 1
 
 
 def test_invocation_macro_env(profile):
@@ -696,11 +723,18 @@ def _oracle_logical_lines(physical):
 
 
 def _oracle_strip_comments(lines):
-    stripped = []
+    """Strip comments from logical lines ``(text, start, end)``.  A block
+    comment that runs past the end of a line joins it to the next, as in
+    translation phase 3, so the result has one entry per joined line."""
+    joined = []
     in_block = False
     block_start = 0
-    for text, start, _ in lines:
-        res = []
+    for text, start, end in lines:
+        if in_block:
+            res, first, _ = joined.pop()
+        else:
+            res, first = [], start
+        joined.append((res, first, end))
         i = 0
         n = len(text)
         while i < n:
@@ -735,25 +769,24 @@ def _oracle_strip_comments(lines):
             else:
                 res.append(c)
                 i += 1
-        stripped.append("".join(res))
     if in_block:
         raise ConditionalStructureError("unterminated block comment", block_start)
-    return stripped
+    return [("".join(res), first, end) for res, first, end in joined]
 
 
 def _oracle_scan(source):
     physical = source.split("\n")
     if physical and physical[-1] == "":
         physical.pop()
-    lines = _oracle_logical_lines(physical)
-    return [(start, end) for _, start, end in lines], _oracle_strip_comments(lines)
+    lines = _oracle_strip_comments(_oracle_logical_lines(physical))
+    return [(start, end) for _, start, end in lines], [text for text, _, _ in lines]
 
 
 def _scan(source):
-    text, starts = macro_env._logical_lines(source)
+    text, starts = macro_env._strip_comments(*macro_env._logical_lines(source))
     n = len(starts) - 1
     extents = [(starts[k], starts[k + 1] - 1) for k in range(n)]
-    return extents, macro_env._strip_comments(text, starts).split("\n")[:n]
+    return extents, text.split("\n")[:n]
 
 
 _SCANNER_PIECES = st.sampled_from([
@@ -780,6 +813,7 @@ def test_scanner_matches_character_loop(source):
     "", "\n", "\n\n", "a", "a\\", "a\\\n", "a\\\n\n", "a\\\nb\\\nc\nd",
     "a\\\\\n\nb", '"\\', '"a\\"b" // c\nd', "x /* a\n b */ y /* c */ z",
     "'/*' /* \" */ \"*/\" // '\n", "s /*/ t */ u", "a // b \\\n c\nd",
+    "a /* b\n */ c /* d\n\n */ e // f\ng", "a /* b \\\n c\n */ d\ne",
 ])
 def test_scanner_pinned_cases(source):
     assert _scan(source) == _oracle_scan(source)
@@ -790,6 +824,7 @@ def test_scanner_pinned_cases(source):
     ("a\nb /* c */ d\n e /* f\ng\n", 3),
     ("a\\\nb\\\nc /*\n", 1),
     ("x\n/* */ /*/\n", 2),
+    ("a /* b\n */ c /*\nd\n", 2),
 ])
 def test_unterminated_block_comment_line(source, line):
     with pytest.raises(ConditionalStructureError) as err:
@@ -798,3 +833,52 @@ def test_unterminated_block_comment_line(source, line):
     with pytest.raises(ConditionalStructureError) as err:
         _scan(source)
     assert err.value.line == line
+
+
+# --- branch reports against GCC ------------------------------------------------
+
+# Each snippet defines every macro it tests, so the model's small predefined
+# table and GCC's much larger one do not matter.  The ``mark`` words show the
+# lines each one keeps; the first three have a block comment that spans lines.
+_GCC_SNIPPETS = {
+    "comment-in-if": "#if 1 /* a\n b */ && 0\nmark1\n#endif\nmark2\n",
+    "comment-in-define": "#define A 1 /* x\n y */ + 1\n#if A == 2\nmark1\n#endif\n",
+    "comment-before-hash": "z /* d\n */ #define W 1\n#ifdef W\nmark1\n#endif\nmark2\n",
+    "comment-then-directive": "/* c\n */ #define X 1\n#ifdef X\nmark1\n#endif\n",
+    "comment-hides-directives": "/*\n#if 0\n*/\nmark1\n",
+    "one-line-comments": (
+        "a /* b */ c\n#define X 1 // d\n#if X /* e */\nmark1\n#else\nmark2\n#endif\n"
+    ),
+    "continuation": "#if 0 || \\\n 1\nmark1\n#endif\nmark2\n",
+    "string-shields-comment": 'const char *s = "/*";\n#if 1\nmark1\n#endif\n',
+    "nested": (
+        "#define V 2\n#if V > 1\n#ifndef U\nmark1\n#elif 1\nmark2\n#endif\n"
+        "#else\nmark3\n#endif\nmark4\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("source,arms,ranges", [
+    # A comment that spans lines joins them into one logical line; line
+    # numbers stay physical.
+    (_GCC_SNIPPETS["comment-in-if"], [("if", 1, False)], ((5, 5),)),
+    (_GCC_SNIPPETS["comment-in-define"], [("if", 3, True)], ((1, 2), (4, 4))),
+    (_GCC_SNIPPETS["comment-before-hash"], [("ifdef", 3, False)], ((1, 2), (6, 6))),
+])
+def test_multiline_comment_reports(source, arms, ranges):
+    report = active_branches(MacroEnv(), source)
+    assert [(a.kind, a.line, a.taken) for g in report.groups for a in g.arms] == arms
+    assert report.retained_ranges == ranges
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@pytest.mark.parametrize("name", sorted(_GCC_SNIPPETS))
+def test_branch_markers_match_gcc(name):
+    source = _GCC_SNIPPETS[name]
+    gcc = subprocess.run(
+        [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
+        input=source, capture_output=True, text=True, check=True,
+    )
+    model = active_branches(MacroEnv(), source).retained_text
+    markers = re.compile(r"\bmark\d+\b")
+    assert markers.findall(model) == markers.findall(gcc.stdout)
