@@ -22,7 +22,7 @@ from .dialect_model import (
     encode_config,
     format_setting,
 )
-from .invocation import InvocationError, _dialect_key, _dialect_of, split_command
+from .invocation import InvocationError, _dialect_of, _WordEffects, split_command
 from .profiles import CompilerProfile, ProfileError
 
 
@@ -190,10 +190,11 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
     """Parse a compile-database document.  A ``command`` is split into
     words by :func:`split_command`: POSIX quoting, no expansions.
 
-    An entry's dialect, or the error that leaves it without one, depends
-    only on its argv's ``_dialect_key``, so the first entry of each key has
-    its dialect derived from its argv as written and the others share the
-    result.  Build systems give thousands of TUs a few dozen keys."""
+    Each entry's dialect is derived from its argv as written, by one fold
+    over a table of word effects that the whole load shares: a word's
+    effect, or the error it raises, is worked out the first time the word
+    is seen.  Build systems repeat most words across TUs even where whole
+    command lines differ."""
     try:
         data = json.loads(document)
     # json raises RecursionError on arrays or objects nested too deep.
@@ -204,7 +205,7 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
 
     entries: list[BuildEntry] = []
     compilers: dict[str, tuple[str, bool]] = {}  # argv[0] -> (basename, covered)
-    memo: dict[tuple[str, ...], tuple[DialectConfig | None, str]] = {}
+    effects = _WordEffects(profile)
     for index, item in enumerate(data):
         directory, file, arguments = _entry_arguments(item, index)
         if arguments[0] not in compilers:
@@ -213,18 +214,12 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
         compiler, covered = compilers[arguments[0]]
         dialect, reason = None, "compiler not covered by profile"
         if covered:
-            argv = arguments[1:]
-            key = _dialect_key(argv)
-            known = memo.get(key)
-            if known is None:
-                # One entry the profile cannot interpret must not sink the
-                # audit of the others: it becomes an unauditable row.
-                try:
-                    known = _dialect_of(argv, profile), ""
-                except (InvocationError, ProfileError) as exc:
-                    known = None, str(exc)
-                memo[key] = known
-            dialect, reason = known
+            # One entry the profile cannot interpret must not sink the
+            # audit of the others: it becomes an unauditable row.
+            try:
+                dialect, reason = _dialect_of(arguments[1:], effects), ""
+            except (InvocationError, ProfileError) as exc:
+                reason = str(exc)
         entries.append(
             BuildEntry(
                 directory,

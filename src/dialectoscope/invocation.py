@@ -6,20 +6,36 @@ selected, macro directives in order, include directories by kind,
 source files, and everything else passed through verbatim.  Flags are
 applied in order, so later flags win conflicts, matching how real
 drivers process their options.  Those rules live in :func:`_dialect_of`,
-which derives the dialect alone; compile-database audits call it
-directly.
+one fold over argv that derives the dialect alone.  It looks each word's
+effect up in a :class:`_WordEffects` table, which works the effect out
+the first time it sees the word; compile-database audits share one
+table across all their entries.
 """
 
 from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .dialect_model import BOOLEAN_WEIGHTS, AnsiMode, DialectConfig
+from .dialect_model import (
+    ANSI_MODE_WEIGHT,
+    BOOLEAN_WEIGHTS,
+    STD_CLASS_WEIGHT,
+    AnsiMode,
+    DialectConfig,
+    decode_value,
+    encode_config,
+)
 from .profiles import CompilerProfile, ProfileError, StdName
 
 _MACRO_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
+#: A function-like macro's name and parameter list (group 1) as GCC reads
+#: them in -D: identifiers, then "..." alone or after the last one.
+_FUNCTION_HEAD_RE = re.compile(
+    r"[A-Za-z_]\w*\((\s*(?:(?:[A-Za-z_]\w*\s*,\s*)*"
+    r"(?:[A-Za-z_]\w*\s*(?:\.\.\.\s*)?|\.\.\.\s*))?)\)\Z"
+)
 _OPT_LEVEL_RE = re.compile(r"-O[0-9a-zA-Z]*\Z")
 #: The options that take a value, joined (``-DX``) or as the next word
 #: (``-D X``); ``-I-`` alone is not one of them.
@@ -77,7 +93,7 @@ class MacroDirective(NamedTuple):
     """One -D or -U occurrence, in command-line order."""
 
     action: str  # "define" | "undefine"
-    name: str
+    name: str  # a function-like define's name carries its parameter list: "F(x)"
     value: str | None = None  # None for undefine; defines default to "1"
 
 
@@ -149,11 +165,18 @@ def _split_env_path(value: str) -> list[str]:
 
 
 def _macro_name(option: str, text: str) -> str:
-    """The macro name of a ``-D`` or ``-U`` argument, or InvocationError."""
+    """The macro name of a ``-D`` or ``-U`` argument, followed for a
+    function-like ``-D`` by its parameter list, or InvocationError."""
     name = text.partition("=")[0] if option == "-D" else text
-    if not _MACRO_NAME_RE.match(name):
-        raise InvocationError(f"malformed {option} argument: {text!r}")
-    return name
+    # An ASCII identifier is what the pattern matches in ASCII; the C test
+    # is quicker.
+    if name.isascii() and name.isidentifier() or _MACRO_NAME_RE.match(name):
+        return name
+    if option == "-D" and (head := _FUNCTION_HEAD_RE.match(name)):
+        params = re.findall(r"\w+", head[1])
+        if len(set(params)) == len(params):
+            return name
+    raise InvocationError(f"malformed {option} argument: {text!r}")
 
 
 def _macro_directive(option: str, text: str) -> MacroDirective:
@@ -164,83 +187,148 @@ def _macro_directive(option: str, text: str) -> MacroDirective:
     return MacroDirective("define", name, value if eq else "1")
 
 
-def _next_word(option: str, words: Iterator[str]) -> str:
-    word = next(words, None)
-    if word is None:
-        raise InvocationError(f"option {option} requires an argument")
-    return word
+# --- the dialect fold ------------------------------------------------------------
+#
+# The fold's working state is one int: the six boolean dimensions at their
+# BOOLEAN_WEIGHTS, the standard class at STD_CLASS_WEIGHT, then whether the
+# standard is strict and whether trigraphs are processed.  Each word's effect
+# is (keep, put, then): the state becomes ``state & keep | put``, and ``then``
+# is None or (option, reads, error) for a word that raises ``error`` or takes
+# the next word as the value of ``option``.  Most values are only skipped;
+# one is read as a value of ``reads`` ("-D", "-U" or "-std=") when that is
+# set.  No value is looked up in the table.
+
+_DIALECT_BITS = ANSI_MODE_WEIGHT - 1  # the booleans and the class, as encoded
+_STRICT = ANSI_MODE_WEIGHT
+_TRIGRAPHS = 2 * ANSI_MODE_WEIGHT
+_STD_BITS = 3 * STD_CLASS_WEIGHT | _STRICT | _TRIGRAPHS
+_INERT = (-1, 0, None)
 
 
-def _dialect_key(argv: Sequence[str]) -> tuple[str, ...]:
-    """``argv`` with every word that does not start with ``-`` blanked to
-    ``""``, except a word directly after an exact ``-D`` or ``-U``.
-
-    :func:`_dialect_of` looks inside such a word only when it is the
-    separate value of ``-D`` or ``-U``; a source, an include directory or a
-    pass-through value is only skipped.  So the dialect it derives and any
-    error text it raises are functions of the key, and argv with equal keys
-    can share one derivation."""
-    key = [word if word[:1] == "-" else "" for word in argv]
-    if "-D" in key or "-U" in key:
-        for i in range(1, len(key)):
-            if argv[i - 1] == "-D" or argv[i - 1] == "-U":
-                key[i] = argv[i]
-    return tuple(key)
+def _setting(effect: tuple, mask: int, bits: int) -> tuple:
+    """``effect`` followed by setting the state bits ``mask`` to ``bits``."""
+    keep, put, then = effect
+    return keep & ~mask, put & ~mask | bits, then
 
 
-def _dialect_of(argv: Sequence[str], profile: CompilerProfile) -> DialectConfig:
+def _std_bits(std: StdName) -> int:
+    """The ``_STD_BITS`` that selecting ``std`` sets.  Selecting a standard
+    resets trigraph processing to that standard's default, so a later -std
+    overrides an earlier -trigraphs, as real drivers do."""
+    return STD_CLASS_WEIGHT * std.std_class | (_STRICT | _TRIGRAPHS if std.strict else 0)
+
+
+def _value_effect(option: str, value: str, profile: CompilerProfile) -> tuple:
+    """The effect of ``option`` with ``value``, joined or separate."""
+    try:
+        if option == "-std=":
+            return _setting(_INERT, _STD_BITS, _std_bits(profile.resolve_std(value)))
+        if option == "-D" or option == "-U":
+            _macro_name(option, value)
+    except (InvocationError, ProfileError) as exc:
+        return -1, 0, (None, None, str(exc))
+    return _INERT
+
+
+def _word_effect(word: str, profile: CompilerProfile) -> tuple:
+    """The effect of ``word`` wherever it stands in argv, unless it is the
+    value of the word before it."""
+    if word[:1] != "-" or word == "-":
+        return _INERT
+    # A word's second character rules out most branches before any
+    # pattern runs: "-D", "-U", "-I" and "-i" open the value options,
+    # "-s" and "--" the -std= spellings, "-O" the optimisation levels.
+    second = word[1]
+    if second in "DUIi" and (value_option := _VALUE_OPTION_RE.match(word)):
+        option, value = value_option.groups()
+        if value:
+            return _value_effect(option, value, profile)
+        return -1, 0, (option, option if second in "DU" else None, None)
+    if word == "--std":
+        return -1, 0, (word, "-std=", None)
+    if second in "s-" and word.startswith(("-std=", "--std=")):
+        return _value_effect("-std=", word.split("=", 1)[1], profile)
+    if second == "O" and _OPT_LEVEL_RE.match(word):
+        weight = BOOLEAN_WEIGHTS["optimized"]
+        return _setting(_INERT, weight, 0 if word == "-O0" else weight)
+    flag = profile.flag_vocabulary.get(word)
+    if flag is not None:
+        effect = _INERT
+        for field, on in flag.sets:
+            effect = _setting(effect, BOOLEAN_WEIGHTS[field], BOOLEAN_WEIGHTS[field] * on)
+        if flag.std is not None:
+            effect = _setting(effect, _STD_BITS, _std_bits(profile.resolve_std(flag.std)))
+        if flag.trigraphs:
+            effect = _setting(effect, _TRIGRAPHS, _TRIGRAPHS)
+        return effect
+    if word in _ARG_TAKING_PASSTHROUGH:
+        return -1, 0, (word, None, None)
+    return _INERT
+
+
+class _WordEffects(dict):
+    """Word -> effect under one profile, each computed on first sight.
+
+    An effect never depends on where the word stands, so one table serves
+    every argv of a compile database: build systems repeat most words even
+    where whole command lines differ.  It also interns the dialect of each
+    final state, so each of the at most 768 is built once."""
+
+    __slots__ = ("profile", "initial", "dialects")
+
+    def __init__(self, profile: CompilerProfile):
+        defaults = profile.defaults
+        self.profile = profile
+        self.initial = encode_config(defaults) & _DIALECT_BITS
+        if defaults.ansi_mode is not AnsiMode.GNU:
+            # Strict standards process trigraphs; GNU modes leave them off
+            # unless explicitly requested.
+            self.initial |= _TRIGRAPHS
+        if defaults.ansi_mode is AnsiMode.STRICT:
+            self.initial |= _STRICT
+        self.dialects: dict[int, DialectConfig] = {}
+
+    def __missing__(self, word: str) -> tuple:
+        effect = self[word] = _word_effect(word, self.profile)
+        return effect
+
+    def dialect(self, state: int) -> DialectConfig:
+        """The dialect of a final state of the fold."""
+        dialect = self.dialects.get(state)
+        if dialect is None:
+            if state & _STRICT:
+                mode = AnsiMode.STRICT
+            else:
+                mode = AnsiMode.GNU_TRIGRAPHS if state & _TRIGRAPHS else AnsiMode.GNU
+            dialect = decode_value(state & _DIALECT_BITS | ANSI_MODE_WEIGHT * mode.value)
+            self.dialects[state] = dialect
+        return dialect
+
+
+def _dialect_of(argv: Sequence[str], effects: _WordEffects) -> DialectConfig:
     """The dialect that ``argv`` (without the executable) selects under
-    ``profile``.  Flags apply in order, so the last one to set a dimension
-    wins.  Raises the error :func:`parse_invocation` raises for argv: a
-    missing option argument, a malformed ``-D``/``-U`` name or an unknown
-    ``-std=``, whichever comes first.  Builds nothing else."""
-    defaults = profile.defaults
-    # The boolean dimensions lead DialectConfig's fields, in BOOLEAN_WEIGHTS order.
-    booleans = dict(zip(BOOLEAN_WEIGHTS, defaults))
-    std = StdName(defaults.std_class, defaults.ansi_mode is AnsiMode.STRICT)
-    # Strict standards process trigraphs; GNU modes leave them off unless
-    # explicitly requested.
-    trigraphs = defaults.ansi_mode is not AnsiMode.GNU
-
-    vocabulary = profile.flag_vocabulary
+    ``effects.profile``.  Words apply in order, so the last one to set a
+    dimension wins.  Raises the error :func:`parse_invocation` raises for
+    argv: a missing option argument, a malformed ``-D``/``-U`` name or an
+    unknown ``-std=``, whichever comes first.  Builds nothing else."""
+    state = effects.initial
     words = iter(argv)
-    for arg in words:
-        if arg == "-" or not arg.startswith("-"):
-            continue
-        # A word's second character rules out most branches before any
-        # pattern runs: "-D", "-U", "-I" and "-i" open the value options,
-        # "-s" and "--" the -std= spellings, "-O" the optimisation levels.
-        second = arg[1]
-        if second in "DUIi" and (value_option := _VALUE_OPTION_RE.match(arg)):
-            option, value = value_option.groups()
-            value = value or _next_word(option, words)
-            if second in "DU":
-                _macro_name(option, value)
-        elif second in "s-" and arg.startswith(("-std=", "--std=")):
-            try:
-                std = profile.resolve_std(arg.split("=", 1)[1])
-            except ProfileError as exc:
-                raise InvocationError(str(exc)) from None
-            # Selecting a standard resets trigraph processing to that
-            # standard's default, so a later -std overrides an earlier
-            # -trigraphs, as real drivers do.
-            trigraphs = std.strict
-        elif second == "O" and _OPT_LEVEL_RE.match(arg):
-            booleans["optimized"] = arg != "-O0"
-        elif (effect := vocabulary.get(arg)) is not None:
-            booleans.update(effect.sets)
-            if effect.std is not None:
-                std = profile.resolve_std(effect.std)
-                trigraphs = std.strict
-            trigraphs = trigraphs or effect.trigraphs
-        elif arg in _ARG_TAKING_PASSTHROUGH:
-            _next_word(arg, words)
-
-    if std.strict:
-        mode = AnsiMode.STRICT
-    else:
-        mode = AnsiMode.GNU_TRIGRAPHS if trigraphs else AnsiMode.GNU
-    return DialectConfig(*booleans.values(), std.std_class, mode)
+    for word in words:
+        keep, put, then = effects[word]
+        state = state & keep | put
+        if then is not None:
+            option, reads, error = then
+            if error is not None:
+                raise InvocationError(error)
+            value = next(words, None)
+            if value is None:
+                raise InvocationError(f"option {option} requires an argument")
+            if reads is not None:
+                keep, put, then = _value_effect(reads, value, effects.profile)
+                if then is not None:
+                    raise InvocationError(then[2])
+                state = state & keep | put
+    return effects.dialect(state)
 
 
 def parse_invocation(
@@ -256,7 +344,7 @@ def parse_invocation(
         profile = load_profile()
     # The dialect, and any error in argv, come from _dialect_of; this loop
     # only collects what else each word names.
-    dialect = _dialect_of(argv, profile)
+    dialect = _dialect_of(argv, _WordEffects(profile))
     env = env or {}
 
     directives: list[MacroDirective] = []
@@ -283,6 +371,8 @@ def parse_invocation(
                 directives.append(_macro_directive(option, value))
         elif second in "s-" and arg.startswith(("-std=", "--std=")):
             continue
+        elif arg == "--std":
+            next(words)
         elif second == "O" and _OPT_LEVEL_RE.match(arg):
             opt_level = arg
         elif (effect := vocabulary.get(arg)) is not None:

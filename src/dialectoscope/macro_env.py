@@ -157,7 +157,15 @@ def _apply(
     for d in directives:
         if d.action == "define":
             value = d.value if d.value is not None else "1"
-            table[d.name] = MacroDefinition(d.name, value, provenance)
+            name, paren, params = d.name.partition("(")
+            if paren:
+                # -D'F(x)=x+1' means "#define F(x) x+1": the body is stored
+                # as a source #define stores it.
+                table[name] = MacroDefinition(
+                    name, f"({params} {value}".strip(), provenance, function_like=True
+                )
+            else:
+                table[name] = MacroDefinition(name, value, provenance)
         elif d.action == "undefine":
             table.pop(d.name, None)
         else:

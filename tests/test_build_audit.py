@@ -118,8 +118,8 @@ def test_load_turns_bad_flags_into_unauditable_row(profile):
 
 
 def _oracle_load_build(document, profile):
-    """The loader without a memo: every entry's argv parsed on its own.
-    Kept as the reference the memoized loader must equal."""
+    """The loader without a shared word table: every entry's argv parsed
+    on its own.  Kept as the reference the loader must equal."""
     import posixpath
 
     from dialectoscope.build_audit import BuildCapture, BuildEntry
@@ -149,12 +149,13 @@ def _oracle_load_build(document, profile):
 # Per-TU pieces spliced into a shared flag set; "{v}" is a per-TU value and
 # "{f}" the entry's file.  They cover -o as the last word, -D -o and -I -o
 # (where -o is a value, not an option), -o -D (where -D is one), a source
-# listed twice, and separate values of -D, -U and of options whose value
-# the parser only appends.
+# listed twice, separate values of -D, -U, --std and of options whose value
+# the parser only appends, and a per-TU function-like -D.
 _PER_TU_PIECES = [
     ["-o", "{v}"], ["-MF", "{v}"], ["-MT", "{v}"], ["-MQ", "{v}"], ["-c", "{f}"],
     ["{f}"], ["-o"], ["-D", "-o", "{v}"], ["-I", "-o", "{v}"], ["-I", "{f}"], ["-D", "{f}"],
     ["-D", "{v}"], ["-U", "{v}"], ["-I", "{v}"], ["-x", "{v}"], ["-o", "-D", "{v}"],
+    ["--std", "{v}"], ["--std", "gnu89"], ["-D{v}(x)=1"],
 ]
 
 
@@ -178,7 +179,7 @@ def _databases(draw):
         words = list(words)
         for at, piece in splices:
             value = draw(st.sampled_from(
-                [f"v{i}"] * 3 + [file, "", "-", f"-v{i}", "v", "9x", "A=1", "-D"]
+                [f"v{i}"] * 3 + [file, "", "-", f"-v{i}", "v", "9x", "A=1", "-D", "c99"]
             ))
             words[at:at] = [w.format(v=value, f=file) for w in piece]
         argv = [draw(st.sampled_from(["gcc", "gcc", "mcc18", "clang"])), *words]
@@ -199,6 +200,12 @@ def test_memoized_load_matches_per_entry_parsing(database):
     assert capture == _oracle_load_build(document, profile)
 
 
+def test_function_like_define_is_auditable(profile):
+    capture = capture_of([("a.c", "'-DF(x)=x+1' -O2"), ("b.c", "-DF\\(x\\) -O2")], profile)
+    assert [e.status for e in capture.entries] == ["ok", "ok"]
+    assert not audit(capture).has_findings()
+
+
 def test_unparseable_tus_in_a_shared_flag_set_keep_their_reasons(profile):
     doc = json.dumps([
         {"file": f"u{i}.c", "arguments": ["gcc", "-std=c2x", "-o", f"u{i}.o", "-c", f"u{i}.c"]}
@@ -207,6 +214,23 @@ def test_unparseable_tus_in_a_shared_flag_set_keep_their_reasons(profile):
     entries = load_build(doc, profile).entries
     assert [e.status for e in entries] == ["unauditable"] * 3
     assert len({e.reason for e in entries}) == 1 and "c2x" in entries[0].reason
+
+
+@pytest.mark.parametrize(
+    "word, fragment",
+    [("-std=c2x", "does not know -std=c2x"), ("-D9x", "malformed -D argument: '9x'")],
+)
+def test_an_erroring_word_gives_one_reason_in_every_distinct_argv(word, fragment, profile):
+    # The word's error is learned once and raised again in each TU that
+    # holds it, wherever it stands and whatever the other words are.
+    doc = json.dumps([
+        {"file": f"u{i}.c", "arguments": ["gcc", *["-O2"] * i, word, f"-DID={i}", "-c", f"u{i}.c"]}
+        for i in range(4)
+    ] + [{"file": "ok.c", "arguments": ["gcc", "-c", "ok.c"]}])
+    entries = load_build(doc, profile).entries
+    assert [e.status for e in entries] == ["unauditable"] * 4 + ["ok"]
+    reasons = {e.reason for e in entries[:4]}
+    assert len(reasons) == 1 and fragment in reasons.pop()
 
 
 # --- consistency audit --------------------------------------------------------

@@ -305,6 +305,14 @@ def test_invocation_parse_argv(capsys):
     assert {"action": "define", "name": "X", "value": "1"} in doc["macro_directives"]
 
 
+def test_invocation_parse_function_like_define(capsys):
+    code, doc = run_json(capsys, "invocation", "parse", "--", "-DF(x)=x+1", "--std", "c99")
+    assert code == 0 and doc["value"] == 83 and doc["sources"] == []
+    assert doc["macro_directives"] == [{"action": "define", "name": "F(x)", "value": "x+1"}]
+    code, out, _ = run(capsys, "invocation", "parse", "--", "-DF(x)=x+1")
+    assert code == 0 and "macro directives: -DF(x)=x+1\n" in out
+
+
 def test_invocation_parse_flags_option(capsys):
     code, doc = run_json(capsys, "invocation", "parse", "--flags=-std=gnu11 -m32")
     assert code == 0
@@ -360,7 +368,7 @@ def test_macros_eval_with_flags_and_defines(capsys):
     "args,message",
     [
         (["macros", "show", "--value", "0", "-D", "9x=1"], "malformed -D argument: '9x=1'"),
-        (["macros", "show", "--value", "0", "-D", "A(x)=x"], "malformed -D argument: 'A(x)=x'"),
+        (["macros", "show", "--value", "0", "-D", "A(x,x)=x"], "malformed -D argument: 'A(x,x)=x'"),
         (["macros", "eval", "--value", "0", "-U", "1+", "1"], "malformed -U argument: '1+'"),
         (["macros", "show", "--flags=-D9x=1"], "malformed -D argument: '9x=1'"),
     ],

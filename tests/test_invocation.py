@@ -21,8 +21,8 @@ from dialectoscope import (
 )
 from dialectoscope.invocation import (
     _ARG_TAKING_PASSTHROUGH,
-    _dialect_key,
     _dialect_of,
+    _WordEffects,
     _macro_directive,
     _split_env_path,
     split_command,
@@ -150,6 +150,36 @@ def test_malformed_define_rejected(profile):
         parse(["-U"], profile)
 
 
+def test_function_like_defines(profile):
+    inv = parse(["-DF(x)=x+1", "-DG(a, ...)", "-D", "H()=0", "-DV(...)=__VA_ARGS__"], profile)
+    assert [(d.name, d.value) for d in inv.macro_directives] == [
+        ("F(x)", "x+1"), ("G(a, ...)", "1"), ("H()", "0"), ("V(...)", "__VA_ARGS__"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-DF(1)"], ["-DF(x,x)=1"], ["-DF(x"], ["-DF(x,)"], ["-DF (x)=1"], ["-DA B"],
+     ["-UF(x)"], ["-U", "F()"]],
+)
+def test_other_define_shapes_stay_malformed(profile, argv):
+    with pytest.raises(InvocationError, match="malformed -[DU] argument"):
+        parse(argv, profile)
+
+
+def test_separate_std_value(profile):
+    inv = parse(["--std", "c99", "a.c"], profile)
+    assert (inv.dialect.std_class, inv.dialect.ansi_mode) == (1, AnsiMode.STRICT)
+    assert inv.source_files == ("a.c",) and inv.unrecognized == ()
+    with pytest.raises(InvocationError, match="option --std requires an argument"):
+        parse(["--std"], profile)
+    with pytest.raises(InvocationError) as separate:
+        parse(["--std", "c2x"], profile)
+    with pytest.raises(InvocationError) as joined:
+        parse(["-std=c2x"], profile)
+    assert str(separate.value) == str(joined.value)
+
+
 def test_include_dir_order(profile):
     inv = parse(["-Ix", "-I", "y", "-iquote", "q", "-isystem", "s", "-Iz"], profile)
     assert inv.include_dirs.normal == ("x", "y", "z")
@@ -251,8 +281,11 @@ def _oracle_parse_invocation(argv, env, profile):
         elif arg == "-isystem" or arg.startswith("-isystem"):
             text, i = take_value("-isystem", arg[len("-isystem"):], i)
             system_dirs.append(text)
-        elif arg.startswith("-std=") or arg.startswith("--std="):
-            name = arg.split("=", 1)[1]
+        elif arg.startswith("-std=") or arg.startswith("--std=") or arg == "--std":
+            if arg == "--std":
+                name, i = take_value(arg, "", i)
+            else:
+                name = arg.split("=", 1)[1]
             try:
                 state.apply_std(profile.resolve_std(name))
             except ProfileError as exc:
@@ -308,12 +341,15 @@ def _outcome(parse_fn, argv, env, profile):
 _PROFILES = {name: load_profile(name) for name in ("gcc8-x86_64", "mplab-c18")}
 
 # Joined and separate values, "-I-" and its look-alike, a value option at
-# the end of argv, known and unknown -std names, -O spellings, profile
-# flags of both profiles, argument-taking passthrough, sources and "".
+# the end of argv, known and unknown -std names, "--std" and a name to
+# follow it, -O spellings, profile flags of both profiles (GCC's long
+# spellings among them), a function-like -D, argument-taking passthrough,
+# sources and "".
 _TRICKY_WORDS = [
-    "-D", "-DA=1", "-D9", "-U", "-UA", "-I", "-Ix", "-I-", "-I-\n",
+    "-D", "-DA=1", "-D9", "-DF(x)=1", "-U", "-UA", "-I", "-Ix", "-I-", "-I-\n",
     "-iquote", "-iquoteq", "-isystem", "-std=c11", "--std=c90", "-std=c2x",
-    "-std=", "-O", "-O0", "-Os", "-O-", "-ansi", "-trigraphs", "-nostdinc",
+    "-std=", "--std", "c99", "-O", "-O0", "-Os", "-O-", "-ansi", "--ansi",
+    "-trigraphs", "--trigraphs", "--optimize", "-fno-hosted", "-nostdinc",
     "-m32", "-p18f258", "-o", "--param", "-", "a.c", "",
 ]
 _ENV_PATHS = st.sampled_from(["", "p", "p::q", ":", "a:b"])
@@ -332,26 +368,6 @@ def test_parse_invocation_matches_oracle(profile_name, argv, env):
     )
 
 
-def _dialect_outcome(argv, profile):
-    try:
-        return parse_invocation(argv, env={}, profile=profile).dialect
-    except Exception as exc:
-        return (type(exc), str(exc))
-
-
-@settings(max_examples=500)
-@given(
-    st.sampled_from(sorted(_PROFILES)),
-    st.lists(st.sampled_from(_TRICKY_WORDS + ["x.o", "9x", "A=1", "a.c", ""]), max_size=12),
-)
-def test_dialect_key_keeps_the_dialect_and_the_error(profile_name, argv):
-    # "9x" and "A=1" are a malformed and a well-formed separate -D/-U value.
-    profile = _PROFILES[profile_name]
-    assert _dialect_outcome(list(_dialect_key(argv)), profile) == _dialect_outcome(
-        argv, profile
-    )
-
-
 @settings(max_examples=500)
 @given(
     st.sampled_from(sorted(_PROFILES)),
@@ -364,7 +380,9 @@ def test_dialect_of_matches_oracle(profile_name, argv):
     oracle = _outcome(_oracle_parse_invocation, argv, {}, profile)
     if isinstance(oracle, CompilerInvocation):
         oracle = oracle.dialect
-    derived = _outcome(lambda argv, _env, profile: _dialect_of(argv, profile), argv, {}, profile)
+    derived = _outcome(
+        lambda argv, _env, profile: _dialect_of(argv, _WordEffects(profile)), argv, {}, profile
+    )
     assert derived == oracle
 
 

@@ -311,6 +311,18 @@ def test_function_like_macros():
     assert eval_condition(env, "defined(F)") == 1
 
 
+def test_function_like_command_line_defines(profile):
+    env = invocation_macro_env(parse_invocation(["-DF(x)=x+1", "-DG(a,b)"], env={}, profile=profile))
+    # The bodies a source "#define F(x) x+1" and "#define G(a,b)" get.
+    assert env.lookup("F") == MacroDefinition("F", "(x) x+1", "command-line", True)
+    assert env.lookup("G") == MacroDefinition("G", "(a,b) 1", "command-line", True)
+    assert eval_condition(env, "defined(F) && defined G") == 1
+    with pytest.raises(UnsupportedMacroError):
+        eval_condition(env, "F(1)")
+    env = invocation_macro_env(parse_invocation(["-DF(x)=1", "-UF"], env={}, profile=profile))
+    assert "F" not in env
+
+
 # --- differential oracle -----------------------------------------------------
 
 U64 = 2**64
