@@ -16,11 +16,23 @@ and no filesystem access beyond files named on the command line.
 A process runs one subcommand, so each handler imports the library
 modules it uses, and :func:`main` parses with a parser holding only the
 subcommand named on the command line.
+
+A call of :func:`main` runs with the cyclic garbage collector off and
+leaves it on or off as it found it, whether the call returns, exits or
+raises.  Reference counting frees what a call drops as it goes; the
+cycles a call leaves behind are a fixed few (the argparse parser's), not
+a number per TU, line or value.  A call also registers ``gc.freeze`` to
+run at exit, once per process, so that the interpreter's final
+collection has no heap to walk.  Output and exit status are the same as
+with the collector on.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import json
 import sys
 from itertools import chain, islice, repeat
@@ -838,8 +850,27 @@ def _json_cells(values, newline: str) -> list[str]:
     return [json.dumps(values[0], indent=2).replace("\n", newline)]
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Have the interpreter freeze its heap at exit, once per process."""
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    # The collector is off for the call and back as it was after it; see
+    # the module docstring.
+    _freeze_heap_at_exit()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(sys.argv[1:] if argv is None else list(argv))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str]) -> int:
+    args = _parse_args(argv)
     try:
         doc, text, code = args.func(args)
     except (OSError, ValueError) as exc:  # every input error is a ValueError

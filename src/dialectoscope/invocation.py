@@ -36,7 +36,9 @@ _FUNCTION_HEAD_RE = re.compile(
     r"[A-Za-z_]\w*\((\s*(?:(?:[A-Za-z_]\w*\s*,\s*)*"
     r"(?:[A-Za-z_]\w*\s*(?:\.\.\.\s*)?|\.\.\.\s*))?)\)\Z"
 )
-_OPT_LEVEL_RE = re.compile(r"-O[0-9a-zA-Z]*\Z")
+#: An optimisation level in either GCC spelling, -OLEVEL or --optimize=LEVEL;
+#: group 1 is set for a level GCC reads as 0 (decimal or hexadecimal).
+_OPT_LEVEL_RE = re.compile(r"(?:-O|--optimize=)(?:(0+|0[xX]0+)|[0-9a-zA-Z]*)\Z")
 #: The options that take a value, joined (``-DX``) or as the next word
 #: (``-D X``); ``-I-`` alone is not one of them.
 _VALUE_OPTION_RE = re.compile(r"(-D|-U|-I(?!-\Z)|-iquote|-isystem)(.*)\Z", re.S)
@@ -112,7 +114,7 @@ class CompilerInvocation(NamedTuple):
     include_dirs: IncludeDirs = IncludeDirs()
     source_files: tuple[str, ...] = ()
     unrecognized: tuple[str, ...] = ()
-    opt_level: str | None = None
+    opt_level: str | None = None  # the last word that set "optimized", as written
     nostdinc: bool = False
     profile_defines: tuple[tuple[str, str], ...] = ()
 
@@ -237,7 +239,8 @@ def _word_effect(word: str, profile: CompilerProfile) -> tuple:
         return _INERT
     # A word's second character rules out most branches before any
     # pattern runs: "-D", "-U", "-I" and "-i" open the value options,
-    # "-s" and "--" the -std= spellings, "-O" the optimisation levels.
+    # "-s" and "--" the -std= spellings, "-O" and "--" the optimisation
+    # levels.
     second = word[1]
     if second in "DUIi" and (value_option := _VALUE_OPTION_RE.match(word)):
         option, value = value_option.groups()
@@ -248,9 +251,9 @@ def _word_effect(word: str, profile: CompilerProfile) -> tuple:
         return -1, 0, (word, "-std=", None)
     if second in "s-" and word.startswith(("-std=", "--std=")):
         return _value_effect("-std=", word.split("=", 1)[1], profile)
-    if second == "O" and _OPT_LEVEL_RE.match(word):
+    if second in "O-" and (level := _OPT_LEVEL_RE.match(word)):
         weight = BOOLEAN_WEIGHTS["optimized"]
-        return _setting(_INERT, weight, 0 if word == "-O0" else weight)
+        return _setting(_INERT, weight, 0 if level[1] else weight)
     flag = profile.flag_vocabulary.get(word)
     if flag is not None:
         effect = _INERT
@@ -373,11 +376,13 @@ def parse_invocation(
             continue
         elif arg == "--std":
             next(words)
-        elif second == "O" and _OPT_LEVEL_RE.match(arg):
+        elif second in "O-" and _OPT_LEVEL_RE.match(arg):
             opt_level = arg
         elif (effect := vocabulary.get(arg)) is not None:
             nostdinc = nostdinc or effect.nostdinc
             profile_defines.extend(effect.defines)
+            if any(field == "optimized" for field, _ in effect.sets):
+                opt_level = arg
         elif arg in _ARG_TAKING_PASSTHROUGH:
             unrecognized.extend([arg, next(words)])
         else:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through cli.main()."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -969,6 +970,103 @@ def test_closed_pipe_ends_quietly(tmp_path, unbuffered):
         proc.stderr.close()
         assert proc.wait(timeout=60) == status
         assert err == b""
+
+
+# --- the cyclic garbage collector ------------------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv,outcome",
+    [
+        (["probe", "flags", "443"], 0),
+        (["promote", "check", "--operand", "uint16_t", "--all-models"], 1),
+        (["probe", "explain", "9999"], 2),  # an input error, returned
+        (["probe", "flags", "x"], SystemExit),  # a usage error, raised by argparse
+        (["--format", "json", "space", "models"], "closed pipe"),
+        (["probe", "flags", "1"], TypeError),
+    ],
+)
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled, argv, outcome):
+    if outcome == "closed pipe":  # stdout is a pipe whose reader has gone
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = open(write_end, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+    if outcome is TypeError:  # a fault in the program, not in the input
+        monkeypatch.setattr(dialectoscope.probe, "flags_for_value", None)
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                main(argv)
+        else:
+            code = main(argv)
+        state = gc.isenabled(), gc.get_freeze_count()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert state == (enabled, frozen)
+    if outcome == "closed pipe":
+        # main pointed stdout at the null device when the write failed.
+        assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+        stdout.close()
+        assert code == 0
+    elif isinstance(outcome, int):
+        assert code == outcome
+    capsys.readouterr()
+
+
+def test_a_process_that_called_main_freezes_its_heap_at_exit():
+    # atexit runs its hooks last registered first, so this one runs after
+    # the hook that main registered, however many calls registered it.
+    code = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "from dialectoscope.cli import main\n"
+        "main(['probe', 'flags', '1'])\n"
+        "hooks = atexit._ncallbacks()\n"
+        "main(['probe', 'flags', '2'])\n"
+        "print('hooks', atexit._ncallbacks() - hooks)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-2:] == ["hooks 0", "frozen True"]
+
+
+def _cycles_left_by(argv):
+    """How many objects gc.collect() finds unreachable after main(argv)."""
+    gc.collect()
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    return gc.collect()
+
+
+@pytest.mark.parametrize("subcommand", [["audit"], ["check", "--reference", "228"]])
+def test_cycles_left_by_a_build_report_do_not_grow_with_the_database(tmp_path, subcommand):
+    # With the collector off for the call, cyclic garbage made per TU would
+    # stay until the call ends; a fixed count shows that none is made.
+    counts = []
+    for tus in (200, 2000):
+        db = tmp_path / f"db{tus}.json"
+        db.write_text(compile_db([(f"f{i}.c", f"-O{i % 3} -DX{i}=1 -m32") for i in range(tus)]))
+        counts.append(_cycles_left_by(["--format", "json", "build", subcommand[0], str(db),
+                                       *subcommand[1:]]))
+    assert counts[0] == counts[1]
+
+
+def test_cycles_left_by_a_branch_report_do_not_grow_with_the_header(tmp_path):
+    counts = []
+    for groups in (20, 2000):
+        header = tmp_path / f"h{groups}.h"
+        header.write_text("".join(
+            f"#define M{i} {i}\n#if M{i} % 3\n#  ifdef M{i}\nx{i}\n#  endif\n"
+            "#elif 0\n#else\ny\n#endif\n"
+            for i in range(groups)
+        ))
+        counts.append(_cycles_left_by(["--format", "json", "macros", "branches", str(header)]))
+    assert counts[0] == counts[1]
 
 
 # --- JSON rendering -------------------------------------------------------------

@@ -33,7 +33,8 @@ pytestmark = [
 ]
 
 #: Argv that GCC reads through its long spellings, alone and against the
-#: short spellings they must override or be overridden by.
+#: short spellings they must override or be overridden by, and optimisation
+#: levels that GCC reads as 0.
 SPELLINGS = [
     "--std c99",
     "--ansi",
@@ -47,6 +48,15 @@ SPELLINGS = [
     "-ffreestanding -fhosted -fno-hosted",
     "--optimize -O0 --std c99",
     "-O0 --optimize",
+    "--optimize=2",
+    "--optimize=s",
+    "--optimize=0",
+    "--optimize=",
+    "--optimize=00",
+    "-O2 --optimize=0",
+    "--optimize=0 -O",
+    "-O00",
+    "-O0x0",
 ]
 
 

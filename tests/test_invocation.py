@@ -109,6 +109,20 @@ def test_optimization_last_wins(profile):
     assert parse("-O0 -O2", profile).dialect.optimized
 
 
+@pytest.mark.parametrize(
+    "argv,optimized,opt_level",
+    [("--optimize=2", True, "--optimize=2"), ("--optimize=s", True, "--optimize=s"),
+     ("--optimize=", True, "--optimize="), ("--optimize=0", False, "--optimize=0"),
+     ("-O2 --optimize=0", False, "--optimize=0"), ("-O2 --optimize", True, "--optimize"),
+     ("--optimize -O0", False, "-O0"), ("-O00", False, "-O00"), ("-O0x0", False, "-O0x0"),
+     ("-O2 -Wall", True, "-O2")],
+)
+def test_opt_level_is_the_last_word_to_set_optimized(profile, argv, optimized, opt_level):
+    inv = parse(argv, profile)
+    assert inv.dialect.optimized is optimized
+    assert inv.opt_level == opt_level
+
+
 def test_std_resets_trigraphs(profile):
     # A later -std=gnu* returns trigraph processing to that standard's
     # default, discarding an earlier -trigraphs.
@@ -214,7 +228,24 @@ def test_option_requiring_argument_at_end(profile):
 # --- the earlier if-chain parser, kept as an oracle ---------------------------
 
 
-_ORACLE_OPT_LEVEL_RE = re.compile(r"-O[0-9a-zA-Z]+\Z")
+_ORACLE_OPT_LEVEL_RE = re.compile(r"-O([0-9a-zA-Z]*)\Z")
+
+
+def _oracle_opt_level(arg):
+    """The level of -OLEVEL or --optimize=LEVEL, or None for another word."""
+    if arg.startswith("--optimize="):
+        arg = "-O" + arg[len("--optimize="):]
+    match = _ORACLE_OPT_LEVEL_RE.match(arg)
+    return match and match[1]
+
+
+def _oracle_level_is_zero(level):
+    # GCC reads a level of digits in decimal, and "0x" and digits in hex.
+    digits, base = (level[2:], 16) if level[:2] in ("0x", "0X") and level[2:] else (level, 10)
+    try:
+        return int(digits, base) == 0
+    except ValueError:
+        return False
 
 
 class _OracleDialectState:
@@ -290,16 +321,15 @@ def _oracle_parse_invocation(argv, env, profile):
                 state.apply_std(profile.resolve_std(name))
             except ProfileError as exc:
                 raise InvocationError(str(exc)) from None
-        elif arg == "-O0":
-            state.booleans["optimized"] = False
-            opt_level = arg
-        elif arg == "-O" or _ORACLE_OPT_LEVEL_RE.match(arg):
-            state.booleans["optimized"] = True
+        elif (level := _oracle_opt_level(arg)) is not None:
+            state.booleans["optimized"] = not _oracle_level_is_zero(level)
             opt_level = arg
         elif arg in profile.flag_vocabulary:
             effect = profile.flag_vocabulary[arg]
             for f, v in effect.sets:
                 state.booleans[f] = v
+                if f == "optimized":
+                    opt_level = arg
             if effect.std is not None:
                 state.apply_std(profile.resolve_std(effect.std))
             if effect.trigraphs:
@@ -342,13 +372,14 @@ _PROFILES = {name: load_profile(name) for name in ("gcc8-x86_64", "mplab-c18")}
 
 # Joined and separate values, "-I-" and its look-alike, a value option at
 # the end of argv, known and unknown -std names, "--std" and a name to
-# follow it, -O spellings, profile flags of both profiles (GCC's long
-# spellings among them), a function-like -D, argument-taking passthrough,
-# sources and "".
+# follow it, -O and --optimize= spellings (levels GCC reads as 0 among
+# them), profile flags of both profiles (GCC's long spellings among them),
+# a function-like -D, argument-taking passthrough, sources and "".
 _TRICKY_WORDS = [
     "-D", "-DA=1", "-D9", "-DF(x)=1", "-U", "-UA", "-I", "-Ix", "-I-", "-I-\n",
     "-iquote", "-iquoteq", "-isystem", "-std=c11", "--std=c90", "-std=c2x",
-    "-std=", "--std", "c99", "-O", "-O0", "-Os", "-O-", "-ansi", "--ansi",
+    "-std=", "--std", "c99", "-O", "-O0", "-Os", "-O-", "-O00", "-O0x0", "-O0x",
+    "--optimize=2", "--optimize=0", "--optimize=", "--optimize=-1", "-ansi", "--ansi",
     "-trigraphs", "--trigraphs", "--optimize", "-fno-hosted", "-nostdinc",
     "-m32", "-p18f258", "-o", "--param", "-", "a.c", "",
 ]

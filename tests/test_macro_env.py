@@ -115,9 +115,9 @@ def test_env_immutability():
     assert len(extended) == 2
 
 
-def test_env_updates_past_the_overlay_limit():
-    # Enough updates to merge the overlay into new tables several times;
-    # every intermediate table must stay as it was.
+def test_env_chained_updates_leave_every_env_as_it_was():
+    # A hundred chained with_define and without calls, each of which copies
+    # the table: every intermediate environment must stay as it was.
     envs = [MacroEnv.empty()]
     for i in range(100):
         env = envs[-1].with_define(f"M{i}", str(i), "source")
