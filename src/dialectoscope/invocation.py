@@ -36,9 +36,13 @@ _FUNCTION_HEAD_RE = re.compile(
     r"[A-Za-z_]\w*\((\s*(?:(?:[A-Za-z_]\w*\s*,\s*)*"
     r"(?:[A-Za-z_]\w*\s*(?:\.\.\.\s*)?|\.\.\.\s*))?)\)\Z"
 )
-#: An optimisation level in either GCC spelling, -OLEVEL or --optimize=LEVEL;
-#: group 1 is set for a level GCC reads as 0 (decimal or hexadecimal).
-_OPT_LEVEL_RE = re.compile(r"(?:-O|--optimize=)(?:(0+|0[xX]0+)|[0-9a-zA-Z]*)\Z")
+#: An optimisation level in either GCC spelling, -OLEVEL or --optimize=LEVEL,
+#: with an alphanumeric LEVEL.  Group 1 is set for a level GCC reads as 0
+#: (decimal or hexadecimal), group 2 for any other level GCC accepts; with
+#: neither set, GCC rejects the word.
+_OPT_LEVEL_RE = re.compile(
+    r"(?:-O|--optimize=)(?:(0+|0[xX]0+)|([0-9]*|0[xX][0-9a-fA-F]+|[gsz]|fast)|[0-9a-zA-Z]+)\Z"
+)
 #: The options that take a value, joined (``-DX``) or as the next word
 #: (``-D X``); ``-I-`` alone is not one of them.
 _VALUE_OPTION_RE = re.compile(r"(-D|-U|-I(?!-\Z)|-iquote|-isystem)(.*)\Z", re.S)
@@ -252,6 +256,9 @@ def _word_effect(word: str, profile: CompilerProfile) -> tuple:
     if second in "s-" and word.startswith(("-std=", "--std=")):
         return _value_effect("-std=", word.split("=", 1)[1], profile)
     if second in "O-" and (level := _OPT_LEVEL_RE.match(word)):
+        if level[1] is None and level[2] is None:
+            reason = "argument to '-O' should be a non-negative integer, 'g', 's', 'z' or 'fast'"
+            return -1, 0, (None, None, f"{word}: {reason}")
         weight = BOOLEAN_WEIGHTS["optimized"]
         return _setting(_INERT, weight, 0 if level[1] else weight)
     flag = profile.flag_vocabulary.get(word)

@@ -5,9 +5,10 @@ The probe source is a stored fixture, not regenerated text: its byte
 length and checksum are part of the contract, so tests pin both.  Each
 additive term is described by a :class:`ProbeBitSpec` so a value can be
 explained dimension by dimension.  :func:`verify_with_compiler` builds
-and runs the probe under a real compiler, the only code here that
-starts processes: one compile per value, and one assembled driver, one
-link of every compiled value and one run per pointer width.
+and runs the probe under a real compiler through ``_compile_and_run``,
+the only code here that starts processes: one compile per build, and one
+assembled driver, one link of every compiled build and one run per
+pointer width.
 """
 
 from __future__ import annotations
@@ -262,6 +263,10 @@ _start:
    .section .note.GNU-stack,"",@progbits
 """
 
+#: Each width flag's driver, and the directive and alignment of a
+#: ``probe_table`` entry.
+_DRIVERS = {"-m64": (_DRIVER_X86_64, ".quad", 8), "-m32": (_DRIVER_I386, ".long", 4)}
+
 
 def _in_threads(fn, items: list, jobs: int) -> list:
     """``[fn(x) for x in items]``, computed by at most ``jobs`` threads
@@ -289,61 +294,23 @@ def _in_threads(fn, items: list, jobs: int) -> list:
     return results
 
 
-def _check_lines(values: list[int], stdout: str, status: int) -> list[VerifyResult]:
-    """Results of one run of a linked table: line *i* of ``stdout``
-    belongs to ``values[i]``."""
-    lines = stdout.splitlines()
-    results = []
-    for i, v in enumerate(values):
-        line = lines[i] if i < len(lines) else None
-        if line == str(v):
-            results.append(VerifyResult(v, True))
-        elif line is None and status != 0:
-            results.append(VerifyResult(v, False, f"run exited with status {status}"))
-        else:
-            results.append(VerifyResult(v, False, f"printed {line or ''!r}, expected {v}"))
-    return results
+def _compile_and_run(path: str, source: str, function: str, builds: dict, jobs: int):
+    """Build and run ``source`` with the compiler at ``path`` and no C
+    library: the one place that compiles, links and runs.
 
-
-def verify_with_compiler(
-    compiler: str = "gcc",
-    values=None,
-    jobs: int = 8,
-    profile=None,
-) -> VerificationReport:
-    """Compile the probe for each value with its own flags, run it, and
-    compare the printed result.  A missing compiler yields a skipped
-    report, not a failure; -w suppresses trigraph warnings.
-
-    Each pointer width the values need costs one assembly of its driver,
-    one link and one run.  Each value costs one compile, with
-    ``-Dreturn_value=return_value_<v>`` so that every value's function
-    has its own name; the probe reads only predefined macros and the
-    compiler's own type choices, so the rename changes no result.  The
-    link puts every compiled value of the width in ``probe_table`` and
-    line *i* of the run's output is checked against entry *i*.  A driver
-    that fails to build fails its width's values uncompiled; a failed
-    compile fails only its value; a failed link fails its width's
-    compiled values."""
-    # Imported here: only verification starts processes, and these
+    ``builds`` maps a label to a width flag, ``-m64`` or ``-m32``, and
+    compile flags that select that width.  Each build is one compile, with
+    ``-D<function>=<function>_<label>`` so that each build's function has
+    its own name.  Each width costs one driver assembly, one link of its
+    compiled builds into ``probe_table`` and one run, whose line *i* is
+    entry *i*'s.  A failed driver fails its width's builds uncompiled; a
+    failed link, or a run that exits non-zero before their lines, fails its
+    compiled builds.  Returns ``(lines, failures)``: the line each label
+    printed ("" if a run that exits 0 printed none), else its failure text."""
+    # Imported here: only this function starts processes, and these
     # modules would otherwise add to every import of the package.
-    import shutil
     import subprocess
     import tempfile
-
-    if profile is None:
-        profile = load_profile()
-    if values is None:
-        values = range(ENCODING_SPACE)
-    values = sorted(set(values))
-    is_64 = {v: decode_value(v).pointer_width_64 for v in values}
-    path = shutil.which(compiler)
-    if path is None:
-        return VerificationReport(
-            "skipped", compiler, skip_reason=f"compiler {compiler!r} not found"
-        )
-    spell = profile.canonical_spellings()
-    width_flag = {True: spell.pointer_64, False: spell.pointer_32}
 
     def run(cmd: list[str]) -> subprocess.CompletedProcess:
         return subprocess.run(cmd, capture_output=True, text=True, errors="replace")
@@ -352,62 +319,94 @@ def verify_with_compiler(
         """Run the compiler quietly: "" when it succeeds, else ": " and the
         last line of its stderr."""
         built = run([path, "-w", *words])
-        lines = built.stderr.strip().splitlines()
-        return "" if built.returncode == 0 else f": {lines[-1] if lines else ''}"
+        stderr = built.stderr.strip().splitlines()
+        return "" if built.returncode == 0 else f": {stderr[-1] if stderr else ''}"
 
+    by_width: dict[str, list] = {}
+    for label, (width, _) in builds.items():
+        by_width.setdefault(width, []).append(label)
+    lines, failures = {}, {}
     with tempfile.TemporaryDirectory(prefix="dialect-verify-") as tmp:
 
         def write(name: str, text: str) -> str:
-            file = os.path.join(tmp, name)
-            with open(file, "w", encoding="ascii", newline="") as fh:
+            with open(os.path.join(tmp, name), "w", encoding="ascii", newline="") as fh:
                 fh.write(text)
-            return file
+            return fh.name
 
-        probe_c = write("probe.c", emit_probe_source())
+        source_c = write("probe.c", source)
 
-        def build_driver(wide: bool) -> str:
-            width = width_flag[wide]
-            source = write(f"driver{width}.s", _DRIVER_X86_64 if wide else _DRIVER_I386)
-            error = gcc(width, "-c", source, "-o", os.path.join(tmp, f"driver{width}.o"))
+        def build_driver(width: str) -> str:
+            driver = write(f"driver{width}.s", _DRIVERS[width][0])
+            error = gcc(width, "-c", driver, "-o", os.path.join(tmp, f"driver{width}.o"))
             return error and f"driver build failed ({width}){error}"
 
-        def compile_one(v: int) -> str:
-            flags = flags_for_value(v, profile)
-            obj = os.path.join(tmp, f"probe{v}.o")
-            error = gcc("-pipe", *flags, f"-Dreturn_value=return_value_{v}",
-                        "-c", probe_c, "-o", obj)
+        def compile_one(label) -> str:
+            flags = builds[label][1]
+            error = gcc("-pipe", *flags, f"-D{function}={function}_{label}",
+                        "-c", source_c, "-o", os.path.join(tmp, f"{function}_{label}.o"))
             return error and f"compile failed ({' '.join(flags)}){error}"
 
-        def link_and_run(group: list[int]) -> list[VerifyResult]:
-            wide = is_64[group[0]]
-            width, entry = width_flag[wide], ".quad" if wide else ".long"
+        def link_and_run(width: str) -> tuple[dict, dict]:
+            """The lines and the failures of the width's compiled builds."""
+            group = [label for label in by_width[width] if label not in failures]
+            if not group:
+                return {}, {}
+            entry, align = _DRIVERS[width][1:]
             table = write(
                 f"table{width}.s",
-                "   .data\n   .globl probe_table\n"
-                f"   .balign {8 if wide else 4}\nprobe_table:\n"
-                + "".join(f"   {entry} return_value_{v}\n" for v in group)
+                f"   .data\n   .globl probe_table\n   .balign {align}\nprobe_table:\n"
+                + "".join(f"   {entry} {function}_{label}\n" for label in group)
                 + f"   {entry} 0\n"
                 '   .section .note.GNU-stack,"",@progbits\n',
             )
             exe = os.path.join(tmp, f"probe{width}")
-            objs = [os.path.join(tmp, f"probe{v}.o") for v in group]
-            error = gcc(width, "-nostdlib", "-static", os.path.join(tmp, f"driver{width}.o"),
-                        table, *objs, "-o", exe)
+            error = gcc(width, "-nostdlib", "-static", os.path.join(tmp, f"driver{width}.o"), table,
+                        *(os.path.join(tmp, f"{function}_{label}.o") for label in group), "-o", exe)
             if error:
-                return [VerifyResult(v, False, f"link failed ({width}){error}") for v in group]
+                return {}, dict.fromkeys(group, f"link failed ({width}){error}")
             ran = run([exe])
-            return _check_lines(group, ran.stdout, ran.returncode)
+            printed = ran.stdout.splitlines()
+            if ran.returncode == 0:
+                printed += [""] * len(group)
+            status = f"run exited with status {ran.returncode}"
+            return dict(zip(group, printed)), dict.fromkeys(group[len(printed):], status)
 
-        # The failure detail of each value that has failed so far.
-        failed: dict[int, str] = {}
-        widths = sorted(set(is_64.values()))
-        for wide, error in zip(widths, _in_threads(build_driver, widths, jobs)):
+        widths = list(by_width)
+        for width, error in zip(widths, _in_threads(build_driver, widths, jobs)):
             if error:
-                failed.update((v, error) for v in values if is_64[v] == wide)
-        pending = [v for v in values if v not in failed]
-        failed.update((v, e) for v, e in zip(pending, _in_threads(compile_one, pending, jobs)) if e)
-        results = {v: VerifyResult(v, False, error) for v, error in failed.items()}
-        groups = [[v for v in values if is_64[v] == wide and v not in failed] for wide in widths]
-        for group in _in_threads(link_and_run, [g for g in groups if g], jobs):
-            results.update((r.value, r) for r in group)
-    return VerificationReport("ran", path, tuple(results[v] for v in values))
+                failures.update(dict.fromkeys(by_width[width], error))
+        pending = [label for label in builds if label not in failures]
+        compiled = _in_threads(compile_one, pending, jobs)
+        failures.update((label, error) for label, error in zip(pending, compiled) if error)
+        for width_lines, width_failures in _in_threads(link_and_run, widths, jobs):
+            lines.update(width_lines)
+            failures.update(width_failures)
+    return lines, failures
+
+
+def verify_with_compiler(compiler: str = "gcc", values=None, jobs: int = 8,
+                         profile=None) -> VerificationReport:
+    """Compile the probe for each value with its own flags, run it, and
+    compare the printed line with the value; a missing compiler yields a
+    skipped report.  Each value is one build of ``_compile_and_run``,
+    labelled with the value, so its compile renames ``return_value`` to
+    ``return_value_<v>``: the probe reads only predefined macros and the
+    compiler's own type choices, so the rename changes no result."""
+    import shutil
+
+    if profile is None:
+        profile = load_profile()
+    values = sorted(set(range(ENCODING_SPACE) if values is None else values))
+    width = {v: "-m64" if decode_value(v).pointer_width_64 else "-m32" for v in values}
+    path = shutil.which(compiler)
+    if path is None:
+        return VerificationReport(
+            "skipped", compiler, skip_reason=f"compiler {compiler!r} not found"
+        )
+    builds = {v: (width[v], flags_for_value(v, profile)) for v in values}
+    lines, failures = _compile_and_run(path, emit_probe_source(), "return_value", builds, jobs)
+    return VerificationReport("ran", path, tuple(
+        VerifyResult(v, True) if lines.get(v) == str(v)
+        else VerifyResult(v, False, failures.get(v) or f"printed {lines[v]!r}, expected {v}")
+        for v in values
+    ))

@@ -3,11 +3,21 @@ import json
 import pytest
 
 from dialectoscope import load_profile
+from dialectoscope.probe import _compile_and_run
 
 
 @pytest.fixture(scope="session")
 def profile():
     return load_profile()
+
+
+def gcc_m32_failure(gcc):
+    """Why ``gcc`` cannot build and run a -m32 function behind the libc-free
+    driver of ``probe verify``, or "" when it can."""
+    _, failures = _compile_and_run(
+        gcc, "unsigned f(void) { return 32; }\n", "f", {0: ("-m32", ["-m32"])}, jobs=1
+    )
+    return failures.get(0, "")
 
 
 # Golden value <-> flag-list table.  Tests treat this as frozen

@@ -9,7 +9,6 @@ import json
 import operator
 import random
 import shutil
-import subprocess
 import time
 from contextlib import contextmanager, redirect_stdout
 
@@ -41,7 +40,7 @@ from dialectoscope import (
     true_wraparound,
 )
 from dialectoscope.cli import main, verify_with_compiler
-from conftest import GOLDEN_PAIRS, compile_db
+from conftest import GOLDEN_PAIRS, compile_db, gcc_m32_failure
 
 
 @contextmanager
@@ -233,28 +232,20 @@ def test_criterion_8_build_audit(profile):
             assert len(got.mismatches) == distance
 
 
-def _gcc_state(tmp_path):
+def _gcc_state():
     """(state, detail): 'absent', 'no-m32', or 'ready'.  Verification links
     the probe with no C library, so the 32-bit values need only a gcc that
-    compiles -m32 code and links it with -nostdlib -static."""
+    builds a -m32 function, links it behind the driver and runs it."""
     gcc = shutil.which("gcc")
     if gcc is None:
         return "absent", "no gcc on PATH"
-    source, obj = tmp_path / "start.c", tmp_path / "start.o"
-    source.write_text("void _start(void) { for (;;) {} }\n")
-    for cmd in (
-        [gcc, "-m32", "-c", str(source), "-o", str(obj)],
-        [gcc, "-m32", "-nostdlib", "-static", str(obj), "-o", str(tmp_path / "start")],
-    ):
-        step = subprocess.run(cmd, capture_output=True, text=True)
-        if step.returncode != 0:
-            return "no-m32", step.stderr.strip().splitlines()[-1:]
-    return "ready", gcc
+    failure = gcc_m32_failure(gcc)
+    return ("no-m32", failure) if failure else ("ready", gcc)
 
 
-def test_criterion_9_live_verification(profile, tmp_path):
+def test_criterion_9_live_verification(profile):
     with criterion(9, "live gcc verification of all 768 values"):
-        state, detail = _gcc_state(tmp_path)
+        state, detail = _gcc_state()
         if state == "absent":
             # Without a compiler the command must report SKIPPED and
             # exit 0; that is this criterion's no-compiler branch.

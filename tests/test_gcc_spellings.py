@@ -1,10 +1,10 @@
-"""The model against GCC itself on GCC's long option spellings and on
-function-like -D.
+"""The model against GCC itself on GCC's long option spellings, on -O
+levels and on function-like -D.
 
 The probe is compiled by the installed gcc with each argv as written and
-run through the libc-free driver that ``probe verify`` uses; macros are
-checked against ``gcc -E -P``.  Every test skips, with a reason, when no
-gcc is on PATH.
+run through ``probe._compile_and_run``, the primitive that ``probe
+verify`` uses; macros are checked against ``gcc -E -P``.  Every test
+skips, with a reason, when no gcc is on PATH.
 """
 
 import platform
@@ -15,13 +15,14 @@ import subprocess
 import pytest
 
 from dialectoscope import (
+    InvocationError,
     active_branches,
     emit_probe_source,
     encode_config,
     invocation_macro_env,
     parse_invocation,
 )
-from dialectoscope.probe import _DRIVER_X86_64
+from dialectoscope.probe import _compile_and_run
 
 GCC = shutil.which("gcc")
 pytestmark = [
@@ -59,41 +60,42 @@ SPELLINGS = [
     "-O0x0",
 ]
 
-
-def _gcc(*words, **kwargs):
-    return subprocess.run([GCC, *words], capture_output=True, text=True, check=True, **kwargs)
+#: -O levels that GCC 12.2 rejects ("argument to '-O' should be a
+#: non-negative integer, 'g', 's', 'z' or 'fast'"), then levels it accepts.
+#: GCC rejects -O- and -O+1 too, but the model leaves a level that is not
+#: alphanumeric inert, so they are not here.
+O_LEVELS = [
+    "-Ox", "-O0x", "-O1a", "-Ogg", "-Ofas", "--optimize=x", "--optimize=0x",
+    "-O", "--optimize=", "-O99", "-O01", "-O0x1f", "-O0X2", "-Og", "-Os", "-Oz", "-Ofast",
+]
 
 
 @pytest.fixture(scope="module")
-def gcc_values(tmp_path_factory):
-    """Each spelling's probe value under gcc: one compile per spelling, one
-    link of all of them behind the driver, one run."""
-    tmp = tmp_path_factory.mktemp("spellings")
-    probe_c = tmp / "probe.c"
-    probe_c.write_text(emit_probe_source())
-    (tmp / "driver.s").write_text(_DRIVER_X86_64)
-    objects = []
-    for i, spelling in enumerate(SPELLINGS):
-        obj = tmp / f"probe{i}.o"
-        _gcc("-w", *spelling.split(), f"-Dreturn_value=return_value_{i}", "-c", str(probe_c),
-             "-o", str(obj))
-        objects.append(str(obj))
-    (tmp / "table.s").write_text(
-        "   .data\n   .globl probe_table\n   .balign 8\nprobe_table:\n"
-        + "".join(f"   .quad return_value_{i}\n" for i in range(len(SPELLINGS)))
-        + '   .quad 0\n   .section .note.GNU-stack,"",@progbits\n'
-    )
-    exe = tmp / "probe"
-    _gcc("-w", "-nostdlib", "-static", str(tmp / "driver.s"), str(tmp / "table.s"), *objects,
-         "-o", str(exe))
-    lines = subprocess.run([str(exe)], capture_output=True, text=True, check=True).stdout.split()
-    return dict(zip(SPELLINGS, map(int, lines)))
+def gcc_values():
+    """Each spelling's probe value under gcc, or the failure text of a
+    spelling gcc does not build: one build per spelling, all in one call."""
+    spellings = SPELLINGS + O_LEVELS
+    builds = {i: ("-m64", spelling.split()) for i, spelling in enumerate(spellings)}
+    lines, failures = _compile_and_run(GCC, emit_probe_source(), "return_value", builds, jobs=2)
+    return {s: int(lines[i]) if i in lines else failures[i] for i, s in enumerate(spellings)}
 
 
 @pytest.mark.parametrize("spelling", SPELLINGS)
 def test_probe_value_matches_gcc(gcc_values, spelling):
     model = encode_config(parse_invocation(spelling.split(), env={}).dialect)
     assert model == gcc_values[spelling]
+
+
+@pytest.mark.parametrize("level", O_LEVELS)
+def test_o_level_is_an_input_error_exactly_where_gcc_rejects_it(gcc_values, level):
+    gcc = gcc_values[level]
+    rejected = isinstance(gcc, str) and gcc.startswith("compile failed")
+    try:
+        model = encode_config(parse_invocation([level], env={}).dialect)
+    except InvocationError:
+        assert rejected, gcc
+    else:
+        assert model == gcc
 
 
 # --- function-like -D -------------------------------------------------------------
@@ -113,7 +115,10 @@ g_defined
 
 
 def _preprocess(source, defines):
-    return _gcc("-E", "-P", *defines, "-x", "c", "-", input=source).stdout
+    return subprocess.run(
+        [GCC, "-E", "-P", *defines, "-x", "c", "-"],
+        input=source, capture_output=True, text=True, check=True,
+    ).stdout
 
 
 @pytest.mark.parametrize(

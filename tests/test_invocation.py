@@ -2,6 +2,7 @@
 
 import re
 import shlex
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,12 +97,31 @@ def test_ansi_alias(profile):
 @pytest.mark.parametrize(
     "flag,expect",
     [("-O", True), ("-O1", True), ("-O2", True), ("-O3", True),
-     ("-Os", True), ("-Og", True), ("-Ofast", True), ("-O0", False)],
+     ("-Os", True), ("-Og", True), ("-Oz", True), ("-Ofast", True), ("-O0", False),
+     ("-O99", True), ("-O01", True), ("-O0x1f", True), ("-O0X2", True)],
 )
 def test_optimization_levels(profile, flag, expect):
     inv = parse(flag, profile)
     assert inv.dialect.optimized is expect
     assert inv.opt_level == flag
+
+
+@pytest.mark.parametrize(
+    "flag", ["-Ox", "-O0x", "-O1a", "-Ogg", "-Ofas", "--optimize=x", "--optimize=0x"]
+)
+def test_optimization_levels_gcc_rejects_are_input_errors(profile, flag):
+    # GCC 12.2 stops with this reason for each of these words.
+    reason = "argument to '-O' should be a non-negative integer, 'g', 's', 'z' or 'fast'"
+    with pytest.raises(InvocationError) as raised:
+        parse(f"-O2 {flag} -O0", profile)
+    assert str(raised.value) == f"{flag}: {reason}"
+
+
+@pytest.mark.parametrize("flag", ["-O-", "-O+1"])
+def test_optimization_words_with_a_non_alphanumeric_level_stay_inert(profile, flag):
+    inv = parse(f"-O2 {flag}", profile)
+    assert inv.dialect.optimized and inv.opt_level == "-O2"
+    assert inv.unrecognized == (flag,)
 
 
 def test_optimization_last_wins(profile):
@@ -239,13 +259,19 @@ def _oracle_opt_level(arg):
     return match and match[1]
 
 
-def _oracle_level_is_zero(level):
-    # GCC reads a level of digits in decimal, and "0x" and digits in hex.
-    digits, base = (level[2:], 16) if level[:2] in ("0x", "0X") and level[2:] else (level, 10)
-    try:
-        return int(digits, base) == 0
-    except ValueError:
+def _oracle_level_is_zero(arg, level):
+    # GCC reads a level of digits in decimal, "0x" and hex digits in hex,
+    # and "" (1), "g", "s", "z" and "fast" as levels above 0; it rejects
+    # any other level.
+    if level in ("", "g", "s", "z", "fast"):
         return False
+    hexadecimal = level[:2] in ("0x", "0X") and level[2:]
+    digits, base = (level[2:], 16) if hexadecimal else (level, 10)
+    if not set(digits) <= set(string.hexdigits if hexadecimal else string.digits):
+        raise InvocationError(
+            f"{arg}: argument to '-O' should be a non-negative integer, 'g', 's', 'z' or 'fast'"
+        )
+    return int(digits, base) == 0
 
 
 class _OracleDialectState:
@@ -322,7 +348,7 @@ def _oracle_parse_invocation(argv, env, profile):
             except ProfileError as exc:
                 raise InvocationError(str(exc)) from None
         elif (level := _oracle_opt_level(arg)) is not None:
-            state.booleans["optimized"] = not _oracle_level_is_zero(level)
+            state.booleans["optimized"] = not _oracle_level_is_zero(arg, level)
             opt_level = arg
         elif arg in profile.flag_vocabulary:
             effect = profile.flag_vocabulary[arg]
@@ -372,14 +398,16 @@ _PROFILES = {name: load_profile(name) for name in ("gcc8-x86_64", "mplab-c18")}
 
 # Joined and separate values, "-I-" and its look-alike, a value option at
 # the end of argv, known and unknown -std names, "--std" and a name to
-# follow it, -O and --optimize= spellings (levels GCC reads as 0 among
-# them), profile flags of both profiles (GCC's long spellings among them),
-# a function-like -D, argument-taking passthrough, sources and "".
+# follow it, -O and --optimize= spellings (levels GCC reads as 0 and
+# levels GCC rejects among them), profile flags of both profiles (GCC's
+# long spellings among them), a function-like -D, argument-taking
+# passthrough, sources and "".
 _TRICKY_WORDS = [
     "-D", "-DA=1", "-D9", "-DF(x)=1", "-U", "-UA", "-I", "-Ix", "-I-", "-I-\n",
     "-iquote", "-iquoteq", "-isystem", "-std=c11", "--std=c90", "-std=c2x",
     "-std=", "--std", "c99", "-O", "-O0", "-Os", "-O-", "-O00", "-O0x0", "-O0x",
-    "--optimize=2", "--optimize=0", "--optimize=", "--optimize=-1", "-ansi", "--ansi",
+    "-Ox", "-O0x1f", "-Oz", "--optimize=0x", "--optimize=2", "--optimize=0", "--optimize=",
+    "--optimize=-1", "-ansi", "--ansi",
     "-trigraphs", "--trigraphs", "--optimize", "-fno-hosted", "-nostdinc",
     "-m32", "-p18f258", "-o", "--param", "-", "a.c", "",
 ]
