@@ -6,6 +6,15 @@ shell-quoted string) or ``arguments`` (pre-split).  Each entry's argv
 is parsed into a dialect; an audit then reports every dialect dimension
 on which translation units disagree, or on which they differ from a
 declared reference dialect.
+
+What a report says of a TU depends only on the TU's dialect, and a
+database has at most 768 of them.  So an audit or a check works out each
+distinct dialect's facts once (its value, canonical flags, settings and
+differences from the reference) and holds each TU as its file and an index
+into those facts.  :func:`audit` and :func:`check_against` expand that into
+an :class:`AuditReport` of per-TU records; the command line writes the
+facts as text without expanding them, so rows that share a dialect share
+their rendered text.
 """
 
 from __future__ import annotations
@@ -127,17 +136,7 @@ class AuditReport(NamedTuple):
                 }
                 for r in self.per_tu
             ],
-            "inconsistencies": [
-                {
-                    "dimension": f.dimension,
-                    "severity": _SEVERITY_TEXT[f.severity],
-                    "values": [
-                        {"value": value, "files": list(files)}
-                        for value, files in f.partition
-                    ],
-                }
-                for f in self.inconsistencies
-            ],
+            "inconsistencies": list(map(_inconsistency_json, self.inconsistencies)),
             "mismatches": [
                 {
                     "file": f.file,
@@ -151,6 +150,15 @@ class AuditReport(NamedTuple):
             "unauditable": list(self.unauditable),
             "reference_value": self.reference_value,
         }
+
+
+def _inconsistency_json(f: Inconsistency) -> dict:
+    """An inconsistency as the JSON report shows it."""
+    return {
+        "dimension": f.dimension,
+        "severity": _SEVERITY_TEXT[f.severity],
+        "values": [{"value": value, "files": list(files)} for value, files in f.partition],
+    }
 
 
 def _entry_arguments(item, index: int) -> tuple[str, str, list[str]]:
@@ -234,38 +242,6 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
     return BuildCapture(entries=tuple(entries), profile=profile)
 
 
-def _per_dialect(entries, fact) -> list:
-    """``fact(e.dialect)`` for each entry (None where it has no dialect),
-    computed once per distinct dialect: there are at most 768."""
-    facts = {None: None}
-    out = []
-    for e in entries:
-        try:
-            out.append(facts[e.dialect])
-        except KeyError:
-            facts[e.dialect] = fact(e.dialect)
-            out.append(facts[e.dialect])
-    return out
-
-
-def _per_tu_rows(capture: BuildCapture) -> tuple[PerTuRow, ...]:
-    # A profile without canonical spellings still yields each TU's value;
-    # its rows just carry no flags.
-    profile = capture.profile
-    renders = profile.canonical is not None
-
-    def row_fields(dialect: DialectConfig) -> tuple[int, tuple[str, ...]]:
-        flags = canonical_flags(dialect, profile) if renders else ()
-        return encode_config(dialect), tuple(flags)
-
-    return tuple(
-        PerTuRow(e.file, OK, *fields)
-        if fields is not None
-        else PerTuRow(e.file, UNAUDITABLE, None, (), e.reason)
-        for e, fields in zip(capture.entries, _per_dialect(capture.entries, row_fields))
-    )
-
-
 def _policy(overrides: Mapping[str, Severity] | None) -> dict[str, Severity]:
     policy = dict(DEFAULT_SEVERITY_POLICY)
     if overrides:
@@ -276,34 +252,119 @@ def _policy(overrides: Mapping[str, Severity] | None) -> dict[str, Severity]:
     return policy
 
 
+class _DialectFacts(NamedTuple):
+    """What an audit or a check reports of each TU of one dialect."""
+
+    value: int
+    flags: tuple[str, ...]  # canonical flags; () where the profile has no spellings
+    settings: tuple[str, ...]  # each of DIMENSIONS as reports show it
+    #: (dimension, TU setting, reference setting, severity) of each
+    #: dimension on which the dialect differs from the reference; () in an
+    #: audit.
+    differences: tuple[tuple[str, str, str, Severity], ...]
+
+
+class _BuildFacts(NamedTuple):
+    """An audit or a check of one capture, held per distinct dialect."""
+
+    entries: tuple[BuildEntry, ...]
+    #: Each distinct dialect of the ok entries, in order of first appearance.
+    dialects: tuple[_DialectFacts, ...]
+    #: Per entry, its dialect's position in ``dialects``; None where the
+    #: entry is unauditable.
+    index: list[int | None]
+    inconsistencies: tuple[Inconsistency, ...]
+    reference_value: int | None
+
+    def max_severity(self) -> Severity | None:
+        """What :meth:`AuditReport.max_severity` of :meth:`report` gives."""
+        severities = [f.severity for f in self.inconsistencies]
+        severities += [d[3] for facts in self.dialects for d in facts.differences]
+        if None in self.index:
+            severities.append(Severity.HIGH)
+        return max(severities) if severities else None
+
+    def report(self) -> AuditReport:
+        per_tu: list[PerTuRow] = []
+        mismatches: list[Mismatch] = []
+        for e, k in zip(self.entries, self.index):
+            if k is None:
+                per_tu.append(PerTuRow(e.file, UNAUDITABLE, None, (), e.reason))
+                continue
+            facts = self.dialects[k]
+            per_tu.append(PerTuRow(e.file, OK, facts.value, facts.flags))
+            mismatches += [Mismatch(e.file, *d) for d in facts.differences]
+        return AuditReport(
+            per_tu=tuple(per_tu),
+            inconsistencies=self.inconsistencies,
+            mismatches=tuple(mismatches),
+            unauditable=tuple(e.file for e, k in zip(self.entries, self.index) if k is None),
+            reference_value=self.reference_value,
+        )
+
+
+def _build_facts(
+    capture: BuildCapture,
+    reference: DialectConfig | None = None,
+    severity_policy: Mapping[str, Severity] | None = None,
+) -> _BuildFacts:
+    """The facts of an audit of ``capture`` or, given a ``reference``, of a
+    check against it: each distinct dialect's facts are worked out once."""
+    policy = _policy(severity_policy)
+    # An unauditable entry has no dialect: None, first, maps to no position.
+    positions: dict[DialectConfig | None, int | None] = {None: None}
+    index = [positions.setdefault(e.dialect, len(positions) - 1) for e in capture.entries]
+    profile = capture.profile
+    # A profile without canonical spellings still yields each TU's value;
+    # its rows just carry no flags.
+    renders = profile.canonical is not None
+    # A DialectConfig holds its values in DIMENSIONS order.
+    references = () if reference is None else tuple(zip(reference, map(format_setting, reference)))
+    dialects = []
+    for dialect in list(positions)[1:]:
+        settings = tuple(map(format_setting, dialect))
+        differences = tuple(
+            (dim, setting, theirs_text, policy[dim])
+            for dim, mine, setting, (theirs, theirs_text)
+            in zip(DIMENSIONS, dialect, settings, references)
+            if mine != theirs
+        )
+        dialects.append(_DialectFacts(
+            encode_config(dialect),
+            tuple(canonical_flags(dialect, profile)) if renders else (),
+            settings,
+            differences,
+        ))
+    inconsistencies: list[Inconsistency] = []
+    if reference is None:
+        for i, dimension in enumerate(DIMENSIONS):
+            if len({facts.settings[i] for facts in dialects}) < 2:
+                continue
+            column = [facts.settings[i] for facts in dialects]
+            partition: dict[str, list[str]] = {}
+            for e, k in zip(capture.entries, index):
+                if k is not None:
+                    partition.setdefault(column[k], []).append(e.file)
+            inconsistencies.append(Inconsistency(
+                dimension,
+                tuple((v, tuple(files)) for v, files in partition.items()),
+                policy[dimension],
+            ))
+    return _BuildFacts(
+        capture.entries,
+        tuple(dialects),
+        index,
+        tuple(inconsistencies),
+        None if reference is None else encode_config(reference),
+    )
+
+
 def audit(
     capture: BuildCapture, severity_policy: Mapping[str, Severity] | None = None
 ) -> AuditReport:
     """Report each dimension on which the capture's TUs disagree, with
     the partition of files by value."""
-    policy = _policy(severity_policy)
-    ok = capture.ok_entries()
-    settings = _per_dialect(
-        ok, lambda d: tuple(format_setting(d.value_of(dim)) for dim in DIMENSIONS)
-    )
-    inconsistencies: list[Inconsistency] = []
-    for i, dimension in enumerate(DIMENSIONS):
-        partition: dict[str, list[str]] = {}
-        for e, setting in zip(ok, settings):
-            partition.setdefault(setting[i], []).append(e.file)
-        if len(partition) >= 2:
-            inconsistencies.append(
-                Inconsistency(
-                    dimension,
-                    tuple((v, tuple(files)) for v, files in partition.items()),
-                    policy[dimension],
-                )
-            )
-    return AuditReport(
-        per_tu=_per_tu_rows(capture),
-        inconsistencies=tuple(inconsistencies),
-        unauditable=tuple(e.file for e in capture.entries if e.status == UNAUDITABLE),
-    )
+    return _build_facts(capture, severity_policy=severity_policy).report()
 
 
 def check_against(
@@ -313,27 +374,4 @@ def check_against(
 ) -> AuditReport:
     """Compare every TU dialect against the analysis tool's declared
     dialect; one mismatch row per differing (file, dimension)."""
-    policy = _policy(severity_policy)
-
-    def differences(dialect: DialectConfig) -> list[tuple]:
-        found = []
-        for dim in DIMENSIONS:
-            tu_value, ref_value = dialect.value_of(dim), reference.value_of(dim)
-            if tu_value != ref_value:
-                found.append(
-                    (dim, format_setting(tu_value), format_setting(ref_value), policy[dim])
-                )
-        return found
-
-    ok = capture.ok_entries()
-    mismatches = [
-        Mismatch(e.file, *difference)
-        for e, found in zip(ok, _per_dialect(ok, differences))
-        for difference in found
-    ]
-    return AuditReport(
-        per_tu=_per_tu_rows(capture),
-        mismatches=tuple(mismatches),
-        unauditable=tuple(e.file for e in capture.entries if e.status == UNAUDITABLE),
-        reference_value=encode_config(reference),
-    )
+    return _build_facts(capture, reference, severity_policy).report()

@@ -4,11 +4,15 @@ One executable, one subcommand per library operation.  Every
 subcommand honors ``--format human|json``: its handler returns a
 :class:`Result` holding both renderings and the exit status, and
 :func:`main` prints the one asked for, so an error found late prints
-nothing but the error.  A JSON document is built whole and then written
-a piece at a time (:func:`_json_pieces`), so a long report's text is
-never held in one string.  Exit status: 0 success, 1 findings (audit
-findings, unreliable verdicts, failed or unresolved probes), 2 usage or
-input errors.
+nothing but the error.  Output is written a piece at a time, so a long
+report's text is never held in one string.  Most subcommands build a
+JSON document whole, which :func:`_json_pieces` writes.  ``build audit``
+and ``build check`` build none: each distinct dialect's row text is
+rendered once, and rows that share a dialect share it
+(:func:`_audit_json`, :func:`_audit_text`); the text is still exactly
+``json.dumps(doc, indent=2)`` of the report's ``to_json_dict()``.  Exit
+status: 0 success, 1 findings (audit findings, unreliable verdicts,
+failed or unresolved probes), 2 usage or input errors.
 
 All subcommands except ``probe verify`` are hermetic: no subprocesses
 and no filesystem access beyond files named on the command line.
@@ -36,7 +40,7 @@ import gc
 import json
 import sys
 from itertools import chain, islice, repeat
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from . import _EXPORTS
 
@@ -55,10 +59,12 @@ class Result(NamedTuple):
     ``--format human`` text (written verbatim, newlines included) and the
     exit status.  Either rendering may be a function building it, when it
     is costly; only the one printed is called, and it is called before
-    anything is written."""
+    anything is written.  Such a function may instead return an iterator
+    over the pieces of the rendering's text, the document's without the
+    final newline; it must raise no input error."""
 
-    doc: dict | Callable[[], dict]
-    text: str | Callable[[], str]
+    doc: dict | Callable[[], dict | Iterator[str]]
+    text: str | Callable[[], str | Iterator[str]]
     code: int = EXIT_OK
 
 
@@ -468,53 +474,149 @@ def cmd_space_models(args) -> Result:
 # --- build subcommands --------------------------------------------------------------
 
 
-def _audit_text(report) -> str:
-    text = ["file                          value  flags"]
-    unauditable = []
-    for row in report.per_tu:
-        if row.status == "ok":
-            flags = " ".join(row.flags) or "-"
-            text.append(f"{row.file:<28}  {row.value:<5}  {flags}")
-        else:
-            text.append(f"{row.file:<28}  -      (unauditable)")
-            unauditable.append(f"unauditable: {row.file} ({row.reason})")
-    for inc in report.inconsistencies:
-        parts = "; ".join(
-            f"{value}: {', '.join(files)}" for value, files in inc.partition
-        )
-        text.append(
-            f"inconsistency [{inc.severity.name.lower()}] {inc.dimension}: {parts}"
-        )
-    for mis in report.mismatches:
-        text.append(
-            f"mismatch [{mis.severity.name.lower()}] {mis.file} {mis.dimension}:"
-            f" TU={mis.tu_value} reference={mis.reference_value}"
-        )
-    text += unauditable
-    if not report.inconsistencies and not report.mismatches and not report.unauditable:
-        text.append("no findings")
-    return _text(text)
+def _chunks(blocks) -> Iterator[list[str]]:
+    """The texts of ``blocks``, pairs of a text and the number of report
+    rows it holds, in consecutive lists of at most ``_CHUNK`` rows (a block
+    of more rows, alone)."""
+    chunk: list[str] = []
+    rows = 0
+    for text, count in blocks:
+        if rows + count > _CHUNK and chunk:
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(text)
+        rows += count
+    if chunk:
+        yield chunk
 
 
-def _audit_result(report, fail_on: str) -> Result:
+def _around(rows: list[tuple[str, str]], separator: str) -> list[str]:
+    """What rows that share a file name are around it: joined with the
+    name, the texts give ``before + name + after`` of each of ``rows``,
+    one after another with ``separator`` between."""
+    around = [rows[0][0]]
+    around += [after + separator + before for (_, after), (before, _) in zip(rows, rows[1:])]
+    around.append(rows[-1][1])
+    return around
+
+
+def _json_list_pieces(blocks, newline: str) -> Iterator[str]:
+    """``json.dumps(items, indent=2)`` laid out at ``newline``, from
+    ``blocks`` of the items' text as :func:`_chunks` takes them, each
+    block's items already joined by "," and the inner line break."""
+    separator = "," + newline + "  "
+    chunks = _chunks(blocks)
+    first = next(chunks, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[" + newline + "  " + separator.join(first)
+    for chunk in chunks:
+        yield separator + separator.join(chunk)
+    yield newline + "]"
+
+
+def _audit_json(facts) -> Iterator[str]:
+    """``json.dumps(facts.report().to_json_dict(), indent=2)``, byte for
+    byte, as pieces.  A row's text after its file name depends only on the
+    TU's dialect, so it is rendered once per dialect; each row is then its
+    head, the encoded file name and that tail."""
+    from .build_audit import _SEVERITY_TEXT, _inconsistency_json
+
+    encode = json.encoder.encode_basestring_ascii
+    files = list(map(encode, [e.file for e in facts.entries]))
+    head = '{\n      "file": '
+    row_end = "\n    }"
+    tails = {None: ',\n      "status": "unauditable",\n      "value": null,\n      "flags": []' + row_end}
+    mismatches = {}  # position -> (the texts around a file name, rows)
+    for k, dialect in enumerate(facts.dialects):
+        flags = ",\n        ".join(map(encode, dialect.flags))
+        tails[k] = (
+            f',\n      "status": "ok",\n      "value": {dialect.value},\n      "flags": '
+            + (f"[\n        {flags}\n      ]" if flags else "[]") + row_end
+        )
+        if dialect.differences:
+            rows = [
+                (head, f',\n      "dimension": {encode(dim)},\n      "tu_value": {encode(mine)},'
+                       f'\n      "reference_value": {encode(theirs)},'
+                       f'\n      "severity": "{_SEVERITY_TEXT[severity]}"' + row_end)
+                for dim, mine, theirs, severity in dialect.differences
+            ]
+            mismatches[k] = _around(rows, ",\n    "), len(rows)
+    yield '{\n  "per_tu": '
+    yield from _json_list_pieces(
+        ((head + f + tails[k], 1) for f, k in zip(files, facts.index)), "\n  "
+    )
+    yield ',\n  "inconsistencies": '
+    yield from _json_pieces(list(map(_inconsistency_json, facts.inconsistencies)), "\n  ")
+    yield ',\n  "mismatches": '
+    yield from _json_list_pieces(
+        ((f.join(m[0]), m[1]) for f, k in zip(files, facts.index) if (m := mismatches.get(k))),
+        "\n  ",
+    )
+    yield ',\n  "unauditable": '
+    yield from _json_list_pieces(
+        ((f, 1) for f, k in zip(files, facts.index) if k is None), "\n  "
+    )
+    reference = facts.reference_value
+    yield f',\n  "reference_value": {"null" if reference is None else reference}\n}}'
+
+
+def _audit_text(facts) -> Iterator[str]:
+    """The ``--format human`` text of an audit or a check, as pieces; a
+    row's text after its file name is rendered once per dialect."""
+    from .build_audit import _SEVERITY_TEXT
+
+    tails = {None: "  -      (unauditable)\n"}
+    mismatches = {}  # position -> (the texts around a file name, rows)
+    for k, dialect in enumerate(facts.dialects):
+        tails[k] = f"  {dialect.value:<5}  {' '.join(dialect.flags) or '-'}\n"
+        if dialect.differences:
+            rows = [
+                (f"mismatch [{_SEVERITY_TEXT[severity]}] ", f" {dim}: TU={mine} reference={theirs}\n")
+                for dim, mine, theirs, severity in dialect.differences
+            ]
+            mismatches[k] = _around(rows, ""), len(rows)
+    entries, index = facts.entries, facts.index
+    yield "file                          value  flags\n"
+    for chunk in _chunks((e.file.ljust(28) + tails[k], 1) for e, k in zip(entries, index)):
+        yield "".join(chunk)
+    text = []
+    for inc in facts.inconsistencies:
+        parts = "; ".join(f"{value}: {', '.join(files)}" for value, files in inc.partition)
+        text.append(f"inconsistency [{_SEVERITY_TEXT[inc.severity]}] {inc.dimension}: {parts}")
+    yield _text(text)
+    blocks = ((e.file.join(m[0]), m[1]) for e, k in zip(entries, index) if (m := mismatches.get(k)))
+    for chunk in _chunks(blocks):
+        yield "".join(chunk)
+    blocks = ((f"unauditable: {e.file} ({e.reason})\n", 1) for e, k in zip(entries, index) if k is None)
+    for chunk in _chunks(blocks):
+        yield "".join(chunk)
+    if not facts.inconsistencies and not mismatches and None not in index:
+        yield "no findings\n"
+
+
+def _build_result(facts, fail_on: str) -> Result:
     from .build_audit import Severity
 
-    failed = fail_on != "none" and report.has_findings(Severity[fail_on.upper()])
-    code = EXIT_FINDINGS if failed else EXIT_OK
+    top = facts.max_severity()
+    failed = fail_on != "none" and top is not None and top >= Severity[fail_on.upper()]
     # The report can run to tens of thousands of rows: each rendering is
-    # built only when it is printed.
-    return Result(report.to_json_dict, lambda: _audit_text(report), code)
+    # written a piece at a time, and only when it is printed.
+    return Result(
+        lambda: _audit_json(facts), lambda: _audit_text(facts), EXIT_FINDINGS if failed else EXIT_OK
+    )
 
 
 def cmd_build_audit(args) -> Result:
-    from .build_audit import audit, load_build
+    from .build_audit import _build_facts, load_build
 
     capture = load_build(_read_text(args.compile_commands), _profile(args))
-    return _audit_result(audit(capture), args.fail_on)
+    return _build_result(_build_facts(capture), args.fail_on)
 
 
 def cmd_build_check(args) -> Result:
-    from .build_audit import check_against, load_build
+    from .build_audit import _build_facts, load_build
     from .dialect_model import decode_value
     from .invocation import split_command
 
@@ -524,7 +626,7 @@ def cmd_build_check(args) -> Result:
         reference = _invocation(args, split_command(args.reference_flags), profile, env={}).dialect
     else:
         reference = decode_value(args.reference)
-    return _audit_result(check_against(capture, reference), args.fail_on)
+    return _build_result(_build_facts(capture, reference), args.fail_on)
 
 
 def cmd_profiles(args) -> Result:
@@ -877,19 +979,21 @@ def _run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # The rendering not printed is dropped first, and a built document
-    # replaces the function that built it, so that what each holds (a whole
-    # audit report) is freed before the next step.  The whole document is
-    # built before the first write; its text is written a piece at a time.
+    # replaces the function that built it, so that what each holds is
+    # freed before the next step.  A document is built whole before the
+    # first write; its text is written a piece at a time.
     try:
         if args.format == "json":
             del text
             if callable(doc):
                 doc = doc()
-            sys.stdout.writelines(_json_pieces(doc))
+            sys.stdout.writelines(_json_pieces(doc) if type(doc) is dict else doc)
             sys.stdout.write("\n")
         else:
             del doc
-            sys.stdout.write(text() if callable(text) else text)
+            if callable(text):
+                text = text()
+            sys.stdout.writelines((text,) if type(text) is str else text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone (``| head``).  Point stdout at the null

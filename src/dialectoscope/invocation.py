@@ -30,11 +30,19 @@ from .dialect_model import (
 from .profiles import CompilerProfile, ProfileError, StdName
 
 _MACRO_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
-#: A function-like macro's name and parameter list (group 1) as GCC reads
-#: them in -D: identifiers, then "..." alone or after the last one.
-_FUNCTION_HEAD_RE = re.compile(
-    r"[A-Za-z_]\w*\((\s*(?:(?:[A-Za-z_]\w*\s*,\s*)*"
-    r"(?:[A-Za-z_]\w*\s*(?:\.\.\.\s*)?|\.\.\.\s*))?)\)\Z"
+#: The text of a -D argument before its first "=", as GCC reads it after
+#: "#define": white space, the macro name (group 1), a parameter list
+#: (group 2) when "(" follows the name at once, then the start of the body
+#: (group 3).  Parameters are identifiers, then "..." alone or after the
+#: last one.  A body that starts with a character GCC could read as more
+#: of the name (a word character, "$", "\\" or a non-ASCII one), or that
+#: holds a line break, does not match.
+_DEFINE_HEAD_RE = re.compile(
+    r"[ \t\f\v]*([A-Za-z_]\w*)"
+    r"(?:(\([ \t\f\v]*(?:(?:[A-Za-z_]\w*[ \t\f\v]*,[ \t\f\v]*)*"
+    r"(?:[A-Za-z_]\w*[ \t\f\v]*(?:\.\.\.[ \t\f\v]*)?|\.\.\.[ \t\f\v]*))?\))"
+    r"|(?![(\w$\\]|[^\x00-\x7f]))"
+    r"([^\n\r]*)\Z"
 )
 #: An optimisation level in either GCC spelling, -OLEVEL or --optimize=LEVEL,
 #: with an alphanumeric LEVEL.  Group 1 is set for a level GCC reads as 0
@@ -170,27 +178,32 @@ def _split_env_path(value: str) -> list[str]:
     return [p if p else "." for p in value.split(":")] if value else []
 
 
-def _macro_name(option: str, text: str) -> str:
-    """The macro name of a ``-D`` or ``-U`` argument, followed for a
-    function-like ``-D`` by its parameter list, or InvocationError."""
-    name = text.partition("=")[0] if option == "-D" else text
-    # An ASCII identifier is what the pattern matches in ASCII; the C test
-    # is quicker.
-    if name.isascii() and name.isidentifier() or _MACRO_NAME_RE.match(name):
-        return name
-    if option == "-D" and (head := _FUNCTION_HEAD_RE.match(name)):
-        params = re.findall(r"\w+", head[1])
-        if len(set(params)) == len(params):
-            return name
-    raise InvocationError(f"malformed {option} argument: {text!r}")
-
-
 def _macro_directive(option: str, text: str) -> MacroDirective:
-    name = _macro_name(option, text)
+    """The directive of a ``-D`` or ``-U`` argument, or InvocationError.
+
+    ``-U`` takes an identifier.  ``-D`` is read as GCC reads it: as
+    ``#define`` and the argument with its first "=" turned into a space, or
+    with " 1" added when it has none.  So ``-DA=2`` defines ``A`` as ``2``,
+    ``-DF(x)=x+1`` the function-like ``F(x)`` as ``x+1``, ``-D'A B'`` ``A``
+    as ``B 1`` and ``-DF(x)y`` ``F(x)`` as ``y 1``."""
     if option == "-U":
-        return MacroDirective("undefine", name)
-    _, eq, value = text.partition("=")
-    return MacroDirective("define", name, value if eq else "1")
+        # An ASCII identifier is what the pattern matches in ASCII; the C
+        # test is quicker.
+        if text.isascii() and text.isidentifier() or _MACRO_NAME_RE.match(text):
+            return MacroDirective("undefine", text)
+        raise InvocationError(f"malformed -U argument: {text!r}")
+    head, eq, value = text.partition("=")
+    if not eq:
+        value = "1"
+    if head.isascii() and head.isidentifier() or _MACRO_NAME_RE.match(head):
+        return MacroDirective("define", head, value)
+    if define := _DEFINE_HEAD_RE.match(head):
+        name, params, body = define.groups(default="")
+        names = re.findall(r"\w+", params)
+        if len(set(names)) == len(names):
+            body = body.strip(" \t\f\v")
+            return MacroDirective("define", name + params, f"{body} {value}" if body else value)
+    raise InvocationError(f"malformed -D argument: {text!r}")
 
 
 # --- the dialect fold ------------------------------------------------------------
@@ -230,7 +243,7 @@ def _value_effect(option: str, value: str, profile: CompilerProfile) -> tuple:
         if option == "-std=":
             return _setting(_INERT, _STD_BITS, _std_bits(profile.resolve_std(value)))
         if option == "-D" or option == "-U":
-            _macro_name(option, value)
+            _macro_directive(option, value)
     except (InvocationError, ProfileError) as exc:
         return -1, 0, (None, None, str(exc))
     return _INERT

@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dialectoscope
 from dialectoscope import cli, emit_probe_source, profiles
@@ -692,6 +692,35 @@ def test_build_check_with_profile_without_flag_spellings(capsys, tmp_path):
     assert "mismatch [high] k.c char_is_signed: TU=true reference=false" in out
 
 
+def test_build_reports_build_no_row_records(capsys, tmp_path, monkeypatch):
+    # Rows are written from each dialect's facts: no per-TU record, no
+    # document.
+    def unused(*args):
+        raise AssertionError("row record or document built")
+
+    for name in ("Mismatch", "PerTuRow", "AuditReport.to_json_dict"):
+        monkeypatch.setattr(f"dialectoscope.build_audit.{name}", unused)
+    db = tmp_path / "cc.json"
+    db.write_text(compile_db([("a.c", "-O2"), ("b.c", "-std=c2x"), ("c.c", "-m32")]))
+    for output in ("json", "human"):
+        code, out, _ = run(capsys, "--format", output, "build", "audit", str(db))
+        assert code == 1 and "pointer_width_64" in out
+        code, out, _ = run(capsys, "--format", output, "build", "check", str(db),
+                           "--reference", "228")
+        assert code == 1 and "char_is_signed" in out
+
+
+def test_build_reports_are_written_a_chunk_of_rows_at_a_time(tmp_path):
+    db = tmp_path / "cc.json"
+    db.write_text(compile_db([(f"f{i}.c", "-std=c2x" if i % 5 == 0 else f"-O{i % 2} -m32")
+                              for i in range(2 * cli._CHUNK + 1)]))
+    for argv in (["audit", str(db)], ["check", str(db), "--reference", "228"]):
+        for output, row in ("json", '"file": '), ("human", "\n"):
+            args = cli._parse_args(["--format", output, "build", *argv])
+            rows = [piece.count(row) for piece in args.func(args)[output == "human"]()]
+            assert max(rows) <= cli._CHUNK < sum(rows)
+
+
 def test_build_json_report_skips_human_text(capsys, tmp_path, monkeypatch):
     def unused(report):
         raise AssertionError("human text built for --format json")
@@ -1166,7 +1195,9 @@ def test_json_text_of_record_lists_equals_json_dumps_indent_2(value):
 def _cli_doc(*argv):
     args = cli._parse_args(["--format", "json", *argv])
     doc = args.func(args).doc
-    return doc() if callable(doc) else doc
+    doc = doc() if callable(doc) else doc
+    # A build report comes as the pieces of its text, not as a document.
+    return doc if type(doc) is dict else json.loads("".join(doc))
 
 
 def test_json_text_of_cli_reports(tmp_path):
@@ -1191,6 +1222,110 @@ def test_json_text_of_cli_reports(tmp_path):
     assert branches["retained_ranges"] == [[6, 6], [13, 13]]
     for doc in check, audit, branches:
         assert "".join(cli._json_pieces(doc)) == json.dumps(doc, indent=2)
+
+
+def _reference_audit_text(report):
+    """The human text of a report as it was written from the report's
+    records, before rows were rendered per dialect."""
+    text = ["file                          value  flags"]
+    unauditable = []
+    for row in report.per_tu:
+        if row.status == "ok":
+            flags = " ".join(row.flags) or "-"
+            text.append(f"{row.file:<28}  {row.value:<5}  {flags}")
+        else:
+            text.append(f"{row.file:<28}  -      (unauditable)")
+            unauditable.append(f"unauditable: {row.file} ({row.reason})")
+    for inc in report.inconsistencies:
+        parts = "; ".join(f"{value}: {', '.join(files)}" for value, files in inc.partition)
+        text.append(f"inconsistency [{inc.severity.name.lower()}] {inc.dimension}: {parts}")
+    for mis in report.mismatches:
+        text.append(
+            f"mismatch [{mis.severity.name.lower()}] {mis.file} {mis.dimension}:"
+            f" TU={mis.tu_value} reference={mis.reference_value}"
+        )
+    text += unauditable
+    if not report.inconsistencies and not report.mismatches and not report.unauditable:
+        text.append("no findings")
+    return "".join(f"{line}\n" for line in text)
+
+
+#: Per profile: the compilers an entry may name, all but the last covered
+#: by the profile, and the words its flags are drawn from, the last two of
+#: which make a TU unauditable.
+_BUILD_WORDS = {
+    "gcc8-x86_64": (["gcc", "/usr/bin/gcc", "clang"],
+                    ["-O2", "-O0", "-m32", "-funsigned-char", "-fshort-enums", "-ansi",
+                     "-std=c99", "-std=gnu11", "-ffreestanding", "-funsigned-bitfields",
+                     "-std=c2x", "-D9x"]),
+    # No canonical spellings, so every row's flags are empty.
+    "mplab-c18": (["mcc18", "gcc"], ["-p18f258", "-p18f452", "-O2", "-D9x"]),
+}
+
+
+@st.composite
+def _build_cases(draw):
+    profile = draw(st.sampled_from(sorted(_BUILD_WORDS)))
+    compilers, words = _BUILD_WORDS[profile]
+    names = st.text(alphabet='ab.c é"\\\U0001f600\t', min_size=1, max_size=8)
+    entries = draw(st.lists(
+        st.tuples(names, st.sampled_from(compilers), st.lists(st.sampled_from(words), max_size=4)),
+        min_size=1, max_size=5,
+    ))
+    copies = draw(st.sampled_from([1, 1, 1, cli._CHUNK // 2 + 1]))
+    reference = draw(st.one_of(
+        st.none(),
+        st.tuples(st.just("value"), st.integers(0, 767)),
+        st.tuples(st.just("flags"), st.lists(st.sampled_from(words[:-2]), max_size=3).map(" ".join)),
+    ))
+    return profile, entries, copies, reference, draw(st.sampled_from(["medium", "high", "none"]))
+
+
+_CASE_NAMES = [("a.c", "gcc", ["-O2"]), ('é"\\x.c', "clang", []), ("b.c", "gcc", ["-D9x"]),
+               ("c.c", "gcc", ["-std=c99", "-m32"])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_build_cases())
+@example(("gcc8-x86_64", _CASE_NAMES, 1, ("value", 228), "medium"))  # unauditable rows
+@example(("gcc8-x86_64", _CASE_NAMES, cli._CHUNK // 2 + 1, ("value", 228), "high"))
+@example(("gcc8-x86_64", _CASE_NAMES, cli._CHUNK // 2 + 1, None, "medium"))
+@example(("gcc8-x86_64", [("a.c", "gcc", ["-O2"])], 1, ("flags", "-O2"), "medium"))  # no findings
+@example(("mplab-c18", [("k.c", "mcc18", ["-p18f452"]), ("j.c", "gcc", [])], 1,
+          ("value", 224), "medium"))
+def test_build_reports_are_the_text_of_their_records(case):
+    from dialectoscope import (Severity, audit, check_against, decode_value, load_build,
+                               load_profile, parse_invocation)
+
+    profile_name, entries, copies, reference, fail_on = case
+    document = json.dumps([
+        {"directory": "/p", "file": file, "arguments": [compiler, *words, "-c", "x.c"]}
+        for file, compiler, words in entries
+    ] * copies)
+    profile = load_profile(profile_name)
+    capture = load_build(document, profile)
+    argv = ["--profile", profile_name, "build"]
+    if reference is None:
+        report = audit(capture)
+        argv += ["audit", "-"]
+    elif reference[0] == "value":
+        report = check_against(capture, decode_value(reference[1]))
+        argv += ["check", "-", "--reference", str(reference[1])]
+    else:
+        dialect = parse_invocation(reference[1].split(), profile=profile, env={}).dialect
+        report = check_against(capture, dialect)
+        argv += ["check", "-", f"--reference-flags={reference[1]}"]
+    status = 1 if fail_on != "none" and report.has_findings(Severity[fail_on.upper()]) else 0
+    expected = {"json": json.dumps(report.to_json_dict(), indent=2) + "\n",
+                "human": _reference_audit_text(report)}
+    for output, text in expected.items():
+        stdin, sys.stdin = sys.stdin, io.StringIO(document)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(["--format", output, *argv, "--fail-on", fail_on])
+        finally:
+            sys.stdin = stdin
+        assert (code, out.getvalue()) == (status, text)
 
 
 def test_json_text_of_report_shapes():

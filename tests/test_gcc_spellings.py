@@ -1,9 +1,9 @@
 """The model against GCC itself on GCC's long option spellings, on -O
-levels and on function-like -D.
+levels and on -D words that are more than NAME=VALUE.
 
 The probe is compiled by the installed gcc with each argv as written and
 run through ``probe._compile_and_run``, the primitive that ``probe
-verify`` uses; macros are checked against ``gcc -E -P``.  Every test
+verify`` uses; macros are checked against ``gcc -E -P`` and ``gcc -E -dM``.  Every test
 skips, with a reason, when no gcc is on PATH.
 """
 
@@ -154,3 +154,45 @@ def test_function_like_define_bodies_expand_as_in_gcc(define, call, expansion):
     substituted = re.sub(r"\w+", lambda m: args.get(m[0], m[0]), body)
     assert "".join(substituted.split()) == "".join(expansion.split())
 
+
+
+# --- -D text beyond a name ----------------------------------------------------------
+
+#: -D words whose text before the first "=" is more than a macro name, which
+#: GCC reads as "#define" and the word with that "=" made a space, or with
+#: " 1" added; then -D words that GCC rejects: a leading digit, a duplicate
+#: parameter, an unclosed parameter list and the other malformed lists.
+DEFINE_SHAPES = [
+    "-DF(x)y", "-DF (x)=1", "-DA B", "-DA B=C", "-DA+1", "-DF(x)y=2", "-DF(x)(y)",
+    "-D A", "-DA =", "-DF( x , y )z", "-DF(...)x",
+]
+REJECTED_DEFINES = ["-D9x", "-DF(x,x)=1", "-DF(x", "-DF(1)", "-DF(x,)", "-DA(", "-D=1"]
+
+
+def _dm(defines):
+    proc = subprocess.run([GCC, "-E", "-dM", *defines, "-x", "c", "/dev/null"],
+                          capture_output=True, text=True)
+    return proc.returncode, set(proc.stdout.splitlines())
+
+
+def _tokens(text):
+    return re.findall(r"\w+|\.\.\.|\S", text)
+
+
+@pytest.mark.parametrize("define", DEFINE_SHAPES)
+def test_define_text_defines_the_macro_gcc_defines(define):
+    status, lines = _dm([define])
+    added = lines - _dm([])[1]
+    assert status == 0 and len(added) == 1
+    directive = parse_invocation([define], env={}).macro_directives[0]
+    name = directive.name.partition("(")[0]
+    definition = invocation_macro_env(parse_invocation([define], env={})).lookup(name)
+    spacer = "" if definition.function_like else " "
+    assert _tokens(added.pop()) == _tokens(f"#define {name}{spacer}{definition.body}")
+
+
+@pytest.mark.parametrize("define", REJECTED_DEFINES)
+def test_define_is_an_input_error_where_gcc_rejects_it(define):
+    assert _dm([define])[0] != 0
+    with pytest.raises(InvocationError, match="malformed -D argument"):
+        parse_invocation([define], env={})

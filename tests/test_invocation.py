@@ -184,6 +184,17 @@ def test_malformed_define_rejected(profile):
         parse(["-U"], profile)
 
 
+def test_define_text_is_read_as_gcc_reads_it(profile):
+    # GCC defines "NAME BODY" from -D, its first "=" made a space, or with
+    # " 1" added when it has no "=".
+    inv = parse(["-DF(x)y", "-DF (x)=1", "-DA B", "-D", "B C=D", "-DE+1", "-D G", "-DH ="],
+                profile)
+    assert [(d.name, d.value) for d in inv.macro_directives] == [
+        ("F(x)", "y 1"), ("F", "(x) 1"), ("A", "B 1"), ("B", "C D"), ("E", "+1 1"),
+        ("G", "1"), ("H", ""),
+    ]
+
+
 def test_function_like_defines(profile):
     inv = parse(["-DF(x)=x+1", "-DG(a, ...)", "-D", "H()=0", "-DV(...)=__VA_ARGS__"], profile)
     assert [(d.name, d.value) for d in inv.macro_directives] == [
@@ -193,7 +204,7 @@ def test_function_like_defines(profile):
 
 @pytest.mark.parametrize(
     "argv",
-    [["-DF(1)"], ["-DF(x,x)=1"], ["-DF(x"], ["-DF(x,)"], ["-DF (x)=1"], ["-DA B"],
+    [["-DF(1)"], ["-DF(x,x)=1"], ["-DF(x"], ["-DF(x,)"], ["-D9x"], ["-D=1"],
      ["-UF(x)"], ["-U", "F()"]],
 )
 def test_other_define_shapes_stay_malformed(profile, argv):
@@ -400,10 +411,12 @@ _PROFILES = {name: load_profile(name) for name in ("gcc8-x86_64", "mplab-c18")}
 # the end of argv, known and unknown -std names, "--std" and a name to
 # follow it, -O and --optimize= spellings (levels GCC reads as 0 and
 # levels GCC rejects among them), profile flags of both profiles (GCC's
-# long spellings among them), a function-like -D, argument-taking
+# long spellings among them), function-like and object-like -D whose text
+# before "=" is more than a name, -D shapes GCC rejects, argument-taking
 # passthrough, sources and "".
 _TRICKY_WORDS = [
-    "-D", "-DA=1", "-D9", "-DF(x)=1", "-U", "-UA", "-I", "-Ix", "-I-", "-I-\n",
+    "-D", "-DA=1", "-D9", "-DF(x)=1", "-DF(x)y", "-DF (x)=1", "-DA B", "-DF(x,x)",
+    "-DF(x", "-U", "-UA", "-I", "-Ix", "-I-", "-I-\n",
     "-iquote", "-iquoteq", "-isystem", "-std=c11", "--std=c90", "-std=c2x",
     "-std=", "--std", "c99", "-O", "-O0", "-Os", "-O-", "-O00", "-O0x0", "-O0x",
     "-Ox", "-O0x1f", "-Oz", "--optimize=0x", "--optimize=2", "--optimize=0", "--optimize=",
