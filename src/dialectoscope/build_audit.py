@@ -202,7 +202,10 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
     over a table of word effects that the whole load shares: a word's
     effect, or the error it raises, is worked out the first time the word
     is seen.  Build systems repeat most words across TUs even where whole
-    command lines differ."""
+    command lines differ, and a per-TU ``-D<name>=<value>`` whose value
+    holds no "#" shares the effect of its ``-D<name>=`` when that does
+    nothing.  The entries equal those of parsing each argv alone, error
+    text included."""
     try:
         data = json.loads(document)
     # json raises RecursionError on arrays or objects nested too deep.

@@ -8,8 +8,9 @@ applied in order, so later flags win conflicts, matching how real
 drivers process their options.  Those rules live in :func:`_dialect_of`,
 one fold over argv that derives the dialect alone.  It looks each word's
 effect up in a :class:`_WordEffects` table, which works the effect out
-the first time it sees the word; compile-database audits share one
-table across all their entries.
+the first time it sees the word (or the first time it sees a per-TU
+``-D`` word's macro name); compile-database audits share one table
+across all their entries.
 """
 
 from __future__ import annotations
@@ -44,6 +45,18 @@ _DEFINE_HEAD_RE = re.compile(
     r"|(?![(\w$\\]|[^\x00-\x7f]))"
     r"([^\n\r]*)\Z"
 )
+#: The tokens of a -D body as far as GCC's checks of "#" and "##" need them:
+#: a comment, which is skipped (group 1 is empty), or in group 1 a string or
+#: character literal, plain or "L"-prefixed (an unclosed one runs to the
+#: end), "##", "#", a run of identifier characters or any other character.
+#: Digraphs, trigraphs and the "u", "U" and "u8" prefixes are read as plain
+#: characters: GCC reads them as more only under some -std= levels, and a
+#: word's effect may not depend on a later word.  Few bodies hold "#", so
+#: the pattern is compiled (by re's cache) on first use, not on import.
+_BODY_TOKEN = (
+    r"""/\*.*?(?:\*/|\Z)|//.*|(L?"(?:[^"\\]|\\.)*"?|L?'(?:[^'\\]|\\.)*'?|##?|[\w$]+|[^ \t\f\v])"""
+)
+_PASTE_AT_AN_END = "'##' cannot appear at either end of a macro expansion"
 #: An optimisation level in either GCC spelling, -OLEVEL or --optimize=LEVEL,
 #: with an alphanumeric LEVEL.  Group 1 is set for a level GCC reads as 0
 #: (decimal or hexadecimal), group 2 for any other level GCC accepts; with
@@ -178,6 +191,32 @@ def _split_env_path(value: str) -> list[str]:
     return [p if p else "." for p in value.split(":")] if value else []
 
 
+def _body_error(body: str, params: str) -> str | None:
+    """GCC's reason to reject a ``#define`` with this body, or None.
+    ``params`` is a function-like macro's parameter list, parentheses
+    included, and empty for an object-like macro.  As in GCC, the first
+    fault in token order is the one reported."""
+    # The body ends at its first line break, as GCC's #define line does.
+    line = re.match(r"[^\n\r]*", body)[0]
+    tokens = [t for t in re.findall(_BODY_TOKEN, line) if t]
+    if tokens[:1] == ["##"]:
+        return _PASTE_AT_AN_END
+    if params and "#" in tokens:
+        # The stringizing "#" of a function-like macro takes a parameter;
+        # a variadic one also takes __VA_OPT__, and "..." alone __VA_ARGS__.
+        names = set(re.findall(r"\w+", params))
+        if "..." in params:
+            names.add("__VA_OPT__")
+            if re.search(r"[(,][ \t\f\v]*\.\.\.", params):
+                names.add("__VA_ARGS__")
+        for i, token in enumerate(tokens):
+            if token == "#" and (i + 1 == len(tokens) or tokens[i + 1] not in names):
+                return "'#' is not followed by a macro parameter"
+    if tokens[-1:] == ["##"]:
+        return _PASTE_AT_AN_END
+    return None
+
+
 def _macro_directive(option: str, text: str) -> MacroDirective:
     """The directive of a ``-D`` or ``-U`` argument, or InvocationError.
 
@@ -185,25 +224,32 @@ def _macro_directive(option: str, text: str) -> MacroDirective:
     ``#define`` and the argument with its first "=" turned into a space, or
     with " 1" added when it has none.  So ``-DA=2`` defines ``A`` as ``2``,
     ``-DF(x)=x+1`` the function-like ``F(x)`` as ``x+1``, ``-D'A B'`` ``A``
-    as ``B 1`` and ``-DF(x)y`` ``F(x)`` as ``y 1``."""
+    as ``B 1`` and ``-DF(x)y`` ``F(x)`` as ``y 1``.  A body that GCC
+    rejects, with "##" at either end or, in a function-like macro, a "#"
+    not followed by a parameter, is an error that gives GCC's reason."""
     if option == "-U":
         # An ASCII identifier is what the pattern matches in ASCII; the C
         # test is quicker.
         if text.isascii() and text.isidentifier() or _MACRO_NAME_RE.match(text):
             return MacroDirective("undefine", text)
         raise InvocationError(f"malformed -U argument: {text!r}")
-    head, eq, value = text.partition("=")
+    head, eq, body = text.partition("=")
     if not eq:
-        value = "1"
+        body = "1"
     if head.isascii() and head.isidentifier() or _MACRO_NAME_RE.match(head):
-        return MacroDirective("define", head, value)
-    if define := _DEFINE_HEAD_RE.match(head):
-        name, params, body = define.groups(default="")
-        names = re.findall(r"\w+", params)
-        if len(set(names)) == len(names):
-            body = body.strip(" \t\f\v")
-            return MacroDirective("define", name + params, f"{body} {value}" if body else value)
-    raise InvocationError(f"malformed -D argument: {text!r}")
+        name, params = head, ""
+    else:
+        define = _DEFINE_HEAD_RE.match(head)
+        names = re.findall(r"\w+", define[2] or "") if define else ()
+        if not define or len(set(names)) != len(names):
+            raise InvocationError(f"malformed -D argument: {text!r}")
+        name, params, before = define.groups(default="")
+        before = before.strip(" \t\f\v")
+        if before:
+            body = f"{before} {body}"
+    if "#" in body and (reason := _body_error(body, params)):
+        raise InvocationError(f"malformed -D argument: {text!r}: {reason}")
+    return MacroDirective("define", name + params, body)
 
 
 # --- the dialect fold ------------------------------------------------------------
@@ -294,8 +340,15 @@ class _WordEffects(dict):
 
     An effect never depends on where the word stands, so one table serves
     every argv of a compile database: build systems repeat most words even
-    where whole command lines differ.  It also interns the dialect of each
-    final state, so each of the at most 768 is built once."""
+    where whole command lines differ.  Per-TU ``-D`` values (file IDs, TU
+    names, paths) do not repeat, but a ``-D<head>=<value>`` word whose value
+    holds no "#" is inert whenever ``-D<head>=`` is: such a value adds no
+    "#" or "##" to the body, so it cannot leave one at an end or after a
+    "#".  So such a word takes its head's inert effect, worked out once;
+    any other word, such as one with a malformed head or with "#" in its
+    value, is worked out alone, so an error names the word itself.  The
+    table also interns the dialect of each final state, so each of the at
+    most 768 is built once."""
 
     __slots__ = ("profile", "initial", "dialects")
 
@@ -312,6 +365,12 @@ class _WordEffects(dict):
         self.dialects: dict[int, DialectConfig] = {}
 
     def __missing__(self, word: str) -> tuple:
+        if word[:2] == "-D":
+            head, eq, value = word.partition("=")
+            if value and "#" not in value and self[head + eq] == _INERT:
+                # Kept under the word too, so a repeated word is one lookup.
+                self[word] = _INERT
+                return _INERT
         effect = self[word] = _word_effect(word, self.profile)
         return effect
 

@@ -19,8 +19,9 @@ from dialectoscope import (
     encode_config,
     load_build,
 )
+from dialectoscope import invocation
 from conftest import compile_db
-from test_invocation import _PROFILES, _TRICKY_WORDS
+from test_invocation import _PROFILES, _TRICKY_WORDS, _oracle_parse_invocation
 
 
 def capture_of(entries, profile):
@@ -118,12 +119,13 @@ def test_load_turns_bad_flags_into_unauditable_row(profile):
 
 
 def _oracle_load_build(document, profile):
-    """The loader without a shared word table: every entry's argv parsed
-    on its own.  Kept as the reference the loader must equal."""
+    """The loader without a word table: every entry's argv parsed on its
+    own by the reference parser of the invocation tests, word by word.
+    Kept as the reference the loader must equal."""
     import posixpath
 
     from dialectoscope.build_audit import BuildCapture, BuildEntry
-    from dialectoscope.invocation import InvocationError, parse_invocation, split_command
+    from dialectoscope.invocation import InvocationError, split_command
     from dialectoscope.profiles import ProfileError
 
     entries = []
@@ -133,7 +135,7 @@ def _oracle_load_build(document, profile):
         dialect, reason = None, "compiler not covered by profile"
         if profile.covers_compiler(compiler):
             try:
-                dialect = parse_invocation(arguments[1:], env={}, profile=profile).dialect
+                dialect = _oracle_parse_invocation(arguments[1:], {}, profile).dialect
                 reason = ""
             except (InvocationError, ProfileError) as exc:
                 reason = str(exc)
@@ -156,6 +158,16 @@ _PER_TU_PIECES = [
     ["{f}"], ["-o"], ["-D", "-o", "{v}"], ["-I", "-o", "{v}"], ["-I", "{f}"], ["-D", "{f}"],
     ["-D", "{v}"], ["-U", "{v}"], ["-I", "{v}"], ["-x", "{v}"], ["-o", "-D", "{v}"],
     ["--std", "{v}"], ["--std", "gnu89"], ["-D{v}(x)=1"],
+]
+
+
+#: -D words whose heads TUs share, each with a per-TU value "{v}": a plain,
+#: a function-like and a malformed head, and values that hold "#" or "##",
+#: which GCC rejects at either end of a body and, in a function-like macro,
+#: where a "#" takes no parameter.
+_SHARED_HEAD_DEFINES = [
+    "-DID={v}", "-DF(x)={v}", "-D9x={v}", "-DID=#{v}", "-DID=x##{v}", "-DID={v}##",
+    "-DF(x)=#x{v}", "-DF(x)=#{v}", "-DF(x)={v}##x", "-DID ##={v}",
 ]
 
 
@@ -182,6 +194,9 @@ def _databases(draw):
                 [f"v{i}"] * 3 + [file, "", "-", f"-v{i}", "v", "9x", "A=1", "-D", "c99"]
             ))
             words[at:at] = [w.format(v=value, f=file) for w in piece]
+        for define in draw(st.lists(st.sampled_from(_SHARED_HEAD_DEFINES), max_size=3)):
+            value = draw(st.sampled_from([str(i), f"v{i}", "", "#", "##", f"x #{i}"]))
+            words.insert(draw(st.integers(0, len(words))), define.format(v=value))
         argv = [draw(st.sampled_from(["gcc", "gcc", "mcc18", "clang"])), *words]
         entry = {"directory": "/p", "file": file}
         if draw(st.booleans()):
@@ -231,6 +246,28 @@ def test_an_erroring_word_gives_one_reason_in_every_distinct_argv(word, fragment
     assert [e.status for e in entries] == ["unauditable"] * 4 + ["ok"]
     reasons = {e.reason for e in entries[:4]}
     assert len(reasons) == 1 and fragment in reasons.pop()
+
+
+def test_per_tu_define_values_share_their_heads_effect(profile, monkeypatch):
+    # N TUs that each define their own ID cost one effect for the head
+    # "-DID=", not one per TU; malformed heads still get their own reasons.
+    calls = []
+    word_effect = invocation._word_effect
+    monkeypatch.setattr(
+        invocation, "_word_effect", lambda word, p: calls.append(word) or word_effect(word, p)
+    )
+    n = 50
+    doc = json.dumps(
+        [{"file": f"u{i}.c", "arguments": ["gcc", "-O2", f"-DID={i}", "-c", f"u{i}.c"]}
+         for i in range(n)]
+        + [{"file": f"bad{i}.c", "arguments": ["gcc", f"-D9x={i}", f"bad{i}.c"]} for i in (1, 2)]
+    )
+    entries = load_build(doc, profile).entries
+    assert [e.status for e in entries] == ["ok"] * n + ["unauditable"] * 2
+    assert [w for w in calls if w.startswith("-DID")] == ["-DID="]
+    assert [e.reason for e in entries[n:]] == [
+        "malformed -D argument: '9x=1'", "malformed -D argument: '9x=2'"
+    ]
 
 
 # --- consistency audit --------------------------------------------------------

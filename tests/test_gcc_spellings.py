@@ -1,5 +1,6 @@
 """The model against GCC itself on GCC's long option spellings, on -O
-levels and on -D words that are more than NAME=VALUE.
+levels, on -D words that are more than NAME=VALUE and on -D bodies that
+hold "#" or "##".
 
 The probe is compiled by the installed gcc with each argv as written and
 run through ``probe._compile_and_run``, the primitive that ``probe
@@ -167,6 +168,29 @@ DEFINE_SHAPES = [
     "-D A", "-DA =", "-DF( x , y )z", "-DF(...)x",
 ]
 REJECTED_DEFINES = ["-D9x", "-DF(x,x)=1", "-DF(x", "-DF(1)", "-DF(x,)", "-DA(", "-D=1"]
+#: -D words whose body GCC 12.2 rejects, with its reason: "##" at either end
+#: of a body (the body of -D'A ##' is "## 1"), and a "#" in a function-like
+#: macro that no parameter follows.
+REJECTED_BODIES = [
+    ("-DA=##", "'##' cannot appear at either end of a macro expansion"),
+    ("-DA=x##", "'##' cannot appear at either end of a macro expansion"),
+    ("-DA=##x", "'##' cannot appear at either end of a macro expansion"),
+    ("-DA=x ##", "'##' cannot appear at either end of a macro expansion"),
+    ("-DA ##", "'##' cannot appear at either end of a macro expansion"),
+    ("-DA=x##y##", "'##' cannot appear at either end of a macro expansion"),
+    ("-DF(x)=x##", "'##' cannot appear at either end of a macro expansion"),
+    ("-DF(x)=#y", "'#' is not followed by a macro parameter"),
+    ("-DF(x)=#", "'#' is not followed by a macro parameter"),
+    ("-DF()=#x", "'#' is not followed by a macro parameter"),
+    ("-DF(...)=#y", "'#' is not followed by a macro parameter"),
+]
+#: -D words with "#" or "##" in their body that GCC 12.2 accepts: "##"
+#: between tokens, "#" in an object-like macro, "#" and "##" inside literals,
+#: "#" before a parameter, and -DF(x)y##, whose body is "y## 1".
+ACCEPTED_BODIES = [
+    "-DA=x##y", "-DA=#", "-DA=#y", "-DA=# #", '-DA="##"', "-DA='#'", "-DF(x)=#x",
+    "-DF(x)=# x", '-DF(x)="#"y', "-DF(...)=#__VA_ARGS__", "-DF(x)y##",
+]
 
 
 def _dm(defines):
@@ -179,7 +203,7 @@ def _tokens(text):
     return re.findall(r"\w+|\.\.\.|\S", text)
 
 
-@pytest.mark.parametrize("define", DEFINE_SHAPES)
+@pytest.mark.parametrize("define", DEFINE_SHAPES + ACCEPTED_BODIES)
 def test_define_text_defines_the_macro_gcc_defines(define):
     status, lines = _dm([define])
     added = lines - _dm([])[1]
@@ -196,3 +220,18 @@ def test_define_is_an_input_error_where_gcc_rejects_it(define):
     assert _dm([define])[0] != 0
     with pytest.raises(InvocationError, match="malformed -D argument"):
         parse_invocation([define], env={})
+
+
+def _dm_errors(define):
+    proc = subprocess.run([GCC, "-E", "-dM", define, "-x", "c", "/dev/null"],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("define, reason", REJECTED_BODIES)
+def test_define_body_is_an_input_error_with_gccs_reason(define, reason):
+    status, stderr = _dm_errors(define)
+    assert status != 0 and f"error: {reason}" in stderr
+    with pytest.raises(InvocationError) as err:
+        parse_invocation([define], env={})
+    assert str(err.value).endswith(f": {reason}")

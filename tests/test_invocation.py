@@ -26,6 +26,7 @@ from dialectoscope.invocation import (
     _WordEffects,
     _macro_directive,
     _split_env_path,
+    _word_effect,
     split_command,
 )
 
@@ -200,6 +201,53 @@ def test_function_like_defines(profile):
     assert [(d.name, d.value) for d in inv.macro_directives] == [
         ("F(x)", "x+1"), ("G(a, ...)", "1"), ("H()", "0"), ("V(...)", "__VA_ARGS__"),
     ]
+
+
+@pytest.mark.parametrize(
+    "word, reason",
+    [
+        ("-DA=##", "'##' cannot appear at either end of a macro expansion"),
+        ("-DA ##", "'##' cannot appear at either end of a macro expansion"),
+        ("-DF(x)=x##", "'##' cannot appear at either end of a macro expansion"),
+        ("-DF(x)=#y", "'#' is not followed by a macro parameter"),
+        ("-DF(x)=# ## x", "'#' is not followed by a macro parameter"),
+    ],
+)
+def test_define_body_gcc_rejects_gives_gccs_reason(profile, word, reason):
+    with pytest.raises(InvocationError) as err:
+        parse([word], profile)
+    assert str(err.value) == f"malformed -D argument: {word[2:]!r}: {reason}"
+
+
+def test_define_body_checks_read_tokens_as_gcc_does(profile):
+    # A "#" in a literal or a comment is no operator, a comment is white
+    # space, and the body ends at its first line break.
+    inv = parse(['-DA="##"', "-DB='#'", "-DC=x//##", "-DD=x\n##", '-DF(x)="#"y'], profile)
+    assert [d.value for d in inv.macro_directives] == ['"##"', "'#'", "x//##", "x\n##", '"#"y']
+    for word in ["-DA=/**/##", "-DA=##x\ny", "-DF(L)=#L\"a\"", "-DF(x...)=#__VA_ARGS__"]:
+        with pytest.raises(InvocationError, match="malformed -D argument"):
+            parse([word], profile)
+
+
+#: Heads and value text for -D words, with the characters that decide how
+#: GCC reads a body: "#", quotes, comment delimiters and line breaks.
+_DEFINE_HEADS = st.sampled_from(
+    ["-DID", "-DF(x)", "-DV(...)", "-D9x", "-DA B", "-DA ##", "-DA x##", "-DF(x)#",
+     "-DA /*", '-DA "', "-D"]
+)
+_DEFINE_TEXT = st.text(alphabet="x1 #\"'/*\n()=L", max_size=8)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_DEFINE_HEADS | _DEFINE_TEXT.map("-D".__add__), _DEFINE_TEXT)))
+def test_word_effects_table_equals_each_word_alone(heads_and_values):
+    # The table shares a head's effect among -D words whose values hold no
+    # "#"; every word must still have the effect it has alone.
+    profile = _PROFILES["gcc8-x86_64"]
+    effects = _WordEffects(profile)
+    for head, value in heads_and_values:
+        word = f"{head}={value}"
+        assert effects[word] == _word_effect(word, profile)
 
 
 @pytest.mark.parametrize(
@@ -412,11 +460,12 @@ _PROFILES = {name: load_profile(name) for name in ("gcc8-x86_64", "mplab-c18")}
 # follow it, -O and --optimize= spellings (levels GCC reads as 0 and
 # levels GCC rejects among them), profile flags of both profiles (GCC's
 # long spellings among them), function-like and object-like -D whose text
-# before "=" is more than a name, -D shapes GCC rejects, argument-taking
-# passthrough, sources and "".
+# before "=" is more than a name, -D shapes GCC rejects (bodies with "##"
+# at an end or a "#" that takes no parameter among them) and bodies with "#"
+# or "##" that GCC accepts, argument-taking passthrough, sources and "".
 _TRICKY_WORDS = [
     "-D", "-DA=1", "-D9", "-DF(x)=1", "-DF(x)y", "-DF (x)=1", "-DA B", "-DF(x,x)",
-    "-DF(x", "-U", "-UA", "-I", "-Ix", "-I-", "-I-\n",
+    "-DF(x", "-DA=##", "-DF(x)=#y", "-DF(x)=#x", "-DA=x##y", '-DA="##"', "-U", "-UA", "-I", "-Ix", "-I-", "-I-\n",
     "-iquote", "-iquoteq", "-isystem", "-std=c11", "--std=c90", "-std=c2x",
     "-std=", "--std", "c99", "-O", "-O0", "-Os", "-O-", "-O00", "-O0x0", "-O0x",
     "-Ox", "-O0x1f", "-Oz", "--optimize=0x", "--optimize=2", "--optimize=0", "--optimize=",
