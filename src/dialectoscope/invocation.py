@@ -30,7 +30,13 @@ from .dialect_model import (
 )
 from .profiles import CompilerProfile, ProfileError, StdName
 
-_MACRO_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
+#: A character of an identifier after its first, and an identifier, as GCC
+#: reads them: "$" is an identifier character.  The one definition of the
+#: identifier rule for -D/-U names here and for macro_env's names and
+#: condition tokens.
+_IDENT_CHAR = r"[\w$]"
+_IDENT = rf"[A-Za-z_$]{_IDENT_CHAR}*"
+_MACRO_NAME_RE = re.compile(rf"{_IDENT}\Z")
 #: The text of a -D argument before its first "=", as GCC reads it after
 #: "#define": white space, the macro name (group 1), a parameter list
 #: (group 2) when "(" follows the name at once, then the start of the body
@@ -39,23 +45,38 @@ _MACRO_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 #: of the name (a word character, "$", "\\" or a non-ASCII one), or that
 #: holds a line break, does not match.
 _DEFINE_HEAD_RE = re.compile(
-    r"[ \t\f\v]*([A-Za-z_]\w*)"
-    r"(?:(\([ \t\f\v]*(?:(?:[A-Za-z_]\w*[ \t\f\v]*,[ \t\f\v]*)*"
-    r"(?:[A-Za-z_]\w*[ \t\f\v]*(?:\.\.\.[ \t\f\v]*)?|\.\.\.[ \t\f\v]*))?\))"
+    rf"[ \t\f\v]*({_IDENT})"
+    rf"(?:(\([ \t\f\v]*(?:(?:{_IDENT}[ \t\f\v]*,[ \t\f\v]*)*"
+    rf"(?:{_IDENT}[ \t\f\v]*(?:\.\.\.[ \t\f\v]*)?|\.\.\.[ \t\f\v]*))?\))"
     r"|(?![(\w$\\]|[^\x00-\x7f]))"
     r"([^\n\r]*)\Z"
 )
-#: The tokens of a -D body as far as GCC's checks of "#" and "##" need them:
-#: a comment, which is skipped (group 1 is empty), or in group 1 a string or
-#: character literal, plain or "L"-prefixed (an unclosed one runs to the
-#: end), "##", "#", a run of identifier characters or any other character.
+#: The tokens of a -D body without comments, as far as GCC's checks of "#"
+#: and "##" need them: a string or character literal, plain or "L"-prefixed
+#: (an unclosed one runs to the end), "##", "#", a run of identifier
+#: characters or any other character.
 #: Digraphs, trigraphs and the "u", "U" and "u8" prefixes are read as plain
 #: characters: GCC reads them as more only under some -std= levels, and a
 #: word's effect may not depend on a later word.  Few bodies hold "#", so
 #: the pattern is compiled (by re's cache) on first use, not on import.
 _BODY_TOKEN = (
-    r"""/\*.*?(?:\*/|\Z)|//.*|(L?"(?:[^"\\]|\\.)*"?|L?'(?:[^'\\]|\\.)*'?|##?|[\w$]+|[^ \t\f\v])"""
+    r"""L?"(?:[^"\\]|\\.)*"?|L?'(?:[^'\\]|\\.)*'?|##?|"""
+    rf"{_IDENT_CHAR}+|[^ \t\f\v]"
 )
+#: A string or character literal (kept; it ends at its quote or at the end of
+#: its line), a line comment, a block comment, or the "/*" of a block comment
+#: never closed: what translation phase 3 reads, in -D bodies and in the
+#: headers that macro_env scans.  Without capturing groups the pattern lets
+#: the regex engine skip to the next '"', "'" or "/" at C speed.  Few bodies
+#: hold a comment, so here the pattern is compiled (by re's cache) on first
+#: use.
+_COMMENT = r"""(?sx)
+      "(?:[^"\\\n]|\\[^\n])*"?
+    | '(?:[^'\\\n]|\\[^\n])*'?
+    | //[^\n]*
+    | /\*.*?\*/
+    | /\*
+"""
 _PASTE_AT_AN_END = "'##' cannot appear at either end of a macro expansion"
 #: An optimisation level in either GCC spelling, -OLEVEL or --optimize=LEVEL,
 #: with an alphanumeric LEVEL.  Group 1 is set for a level GCC reads as 0
@@ -198,13 +219,13 @@ def _body_error(body: str, params: str) -> str | None:
     fault in token order is the one reported."""
     # The body ends at its first line break, as GCC's #define line does.
     line = re.match(r"[^\n\r]*", body)[0]
-    tokens = [t for t in re.findall(_BODY_TOKEN, line) if t]
+    tokens = re.findall(_BODY_TOKEN, line)
     if tokens[:1] == ["##"]:
         return _PASTE_AT_AN_END
     if params and "#" in tokens:
         # The stringizing "#" of a function-like macro takes a parameter;
         # a variadic one also takes __VA_OPT__, and "..." alone __VA_ARGS__.
-        names = set(re.findall(r"\w+", params))
+        names = set(re.findall(_IDENT, params))
         if "..." in params:
             names.add("__VA_OPT__")
             if re.search(r"[(,][ \t\f\v]*\.\.\.", params):
@@ -217,6 +238,33 @@ def _body_error(body: str, params: str) -> str | None:
     return None
 
 
+def _strip_body_comments(body: str, text: str) -> str:
+    """``body``, of the -D argument ``text``, with each comment replaced by
+    a space, as translation phase 3 does to the ``#define`` line GCC reads
+    the argument as, then without white space at either end.  A block
+    comment may join lines; one never closed on the first line is an
+    error, one on a later line is ignored with that line, as GCC ignores
+    it."""
+    pieces = []
+    pos = 0
+    for m in re.finditer(_COMMENT, body):
+        found = m.group()
+        if found[0] != "/":
+            continue  # a string or character literal
+        pieces.append(body[pos : m.start()])
+        if found == "/*":
+            if not re.search(r"[\n\r]", "".join(pieces)):
+                raise InvocationError(f"malformed -D argument: {text!r}: unterminated comment")
+            pos = len(body)
+            break
+        pieces.append(" ")
+        pos = m.end()
+    if not pieces:
+        return body
+    pieces.append(body[pos:])
+    return "".join(pieces).strip(" \t\f\v")
+
+
 def _macro_directive(option: str, text: str) -> MacroDirective:
     """The directive of a ``-D`` or ``-U`` argument, or InvocationError.
 
@@ -224,9 +272,11 @@ def _macro_directive(option: str, text: str) -> MacroDirective:
     ``#define`` and the argument with its first "=" turned into a space, or
     with " 1" added when it has none.  So ``-DA=2`` defines ``A`` as ``2``,
     ``-DF(x)=x+1`` the function-like ``F(x)`` as ``x+1``, ``-D'A B'`` ``A``
-    as ``B 1`` and ``-DF(x)y`` ``F(x)`` as ``y 1``.  A body that GCC
-    rejects, with "##" at either end or, in a function-like macro, a "#"
-    not followed by a parameter, is an error that gives GCC's reason."""
+    as ``B 1`` and ``-DF(x)y`` ``F(x)`` as ``y 1``.  Comments in that line
+    are replaced by spaces, so ``-DA=1/*c*/+2`` defines ``A`` as ``1 +2``.
+    A body that GCC rejects, with "##" at either end, in a function-like
+    macro a "#" not followed by a parameter, or a block comment never
+    closed, is an error that gives GCC's reason."""
     if option == "-U":
         # An ASCII identifier is what the pattern matches in ASCII; the C
         # test is quicker.
@@ -240,13 +290,15 @@ def _macro_directive(option: str, text: str) -> MacroDirective:
         name, params = head, ""
     else:
         define = _DEFINE_HEAD_RE.match(head)
-        names = re.findall(r"\w+", define[2] or "") if define else ()
+        names = re.findall(_IDENT, define[2] or "") if define else ()
         if not define or len(set(names)) != len(names):
             raise InvocationError(f"malformed -D argument: {text!r}")
         name, params, before = define.groups(default="")
         before = before.strip(" \t\f\v")
         if before:
             body = f"{before} {body}"
+    if "/*" in body or "//" in body:
+        body = _strip_body_comments(body, text)
     if "#" in body and (reason := _body_error(body, params)):
         raise InvocationError(f"malformed -D argument: {text!r}: {reason}")
     return MacroDirective("define", name + params, body)
@@ -342,11 +394,12 @@ class _WordEffects(dict):
     every argv of a compile database: build systems repeat most words even
     where whole command lines differ.  Per-TU ``-D`` values (file IDs, TU
     names, paths) do not repeat, but a ``-D<head>=<value>`` word whose value
-    holds no "#" is inert whenever ``-D<head>=`` is: such a value adds no
-    "#" or "##" to the body, so it cannot leave one at an end or after a
-    "#".  So such a word takes its head's inert effect, worked out once;
-    any other word, such as one with a malformed head or with "#" in its
-    value, is worked out alone, so an error names the word itself.  The
+    holds no "#", "/*" or "//" is inert whenever ``-D<head>=`` is: such a
+    value adds no "#" or "##" to the body, so it cannot leave one at an end
+    or after a "#", and it opens no comment.  So such a word takes its
+    head's inert effect, worked out once; any other word, such as one with
+    a malformed head or with "#" in its value, is worked out alone, so an
+    error names the word itself.  The
     table also interns the dialect of each final state, so each of the at
     most 768 is built once."""
 
@@ -367,7 +420,13 @@ class _WordEffects(dict):
     def __missing__(self, word: str) -> tuple:
         if word[:2] == "-D":
             head, eq, value = word.partition("=")
-            if value and "#" not in value and self[head + eq] == _INERT:
+            if (
+                value
+                and "#" not in value
+                and "/*" not in value
+                and "//" not in value
+                and self[head + eq] == _INERT
+            ):
                 # Kept under the word too, so a repeated word is one lookup.
                 self[word] = _INERT
                 return _INERT

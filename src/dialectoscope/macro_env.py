@@ -24,7 +24,7 @@ from operator import add, and_, eq, ge, gt, le, lt, mul, ne, or_, sub, xor
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dialect_model import AnsiMode, DialectConfig
-from .invocation import CompilerInvocation, MacroDirective
+from .invocation import _COMMENT, _IDENT, _IDENT_CHAR, CompilerInvocation, MacroDirective
 from .profiles import CompilerProfile
 
 
@@ -200,14 +200,17 @@ _INT64_MAX = (1 << 63) - 1
 #: bodies; past it evaluation raises ExprEvalError.
 MAX_EXPANSION_TOKENS = 1 << 20
 
-_TOKEN_RE = re.compile(
-    r"""\s+
-      | (?P<num>\.?[0-9](?:[0-9a-zA-Z_.]|[eEpP][+-])*)
-      | (?P<ident>[A-Za-z_]\w*)
-      | (?P<punct><<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&|^~!<>()?:])
-    """,
-    re.VERBOSE,
+#: A preprocessing token of a condition: a pp-number, an identifier ("$" is
+#: an identifier character, as in GCC) or an operator.
+_TOKEN = (
+    r"\.?[0-9](?:[0-9a-zA-Z_.$]|[eEpP][+-])*"
+    rf"|{_IDENT}"
+    r"|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&|^~!<>()?:]"
 )
+#: Each match is a token, or, from the first character that starts none, the
+#: rest of the text; only the last match can be that rest.
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\S.*)", re.S)
+_WHOLE_TOKEN_RE = re.compile(_TOKEN)
 
 _INT_RE = re.compile(
     r"(?:(?P<hex>0[xX][0-9a-fA-F]+)|(?P<oct>0[0-7]*)|(?P<dec>[1-9][0-9]*))"
@@ -223,51 +226,54 @@ _BIN_PRECEDENCE = {
     "+": 9, "-": 9,
     "*": 10, "/": 10, "%": 10,
 }
+_PREFIX_OPS = frozenset("!-+~")
+#: The characters an identifier starts with, as ``_IDENT`` has them.
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
 
-_Token = tuple[str, str]
 _Lookup = Callable[[str], MacroDefinition | None]
+#: A value as (value, unsigned): ``value`` is canonical, in [0, 2^64) when
+#: unsigned and in [-2^63, 2^63) when signed.
+_Int = tuple[int, bool]
+_ZERO = (0, False)
+_ONE = (1, False)
 
 
-def _tokenize(text: str, context: str = "expression") -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            ch = text[pos]
-            if ch in "\"'":
-                raise ExprSyntaxError(
-                    f"string and character constants are not supported in {context}"
-                )
-            raise ExprSyntaxError(f"unexpected character {ch!r} in {context}")
-        pos = m.end()
-        kind = m.lastgroup
-        if kind is not None:
-            tokens.append((kind, m.group(kind)))
+def _tokenize(text: str, macro: str | None = None) -> list[str]:
+    """The tokens of a condition, or of the body of ``macro``."""
+    tokens = _TOKEN_RE.findall(text)
+    if tokens and not _WHOLE_TOKEN_RE.fullmatch(tokens[-1]):
+        ch = tokens[-1][0]
+        context = "expression" if macro is None else f"body of macro {macro!r}"
+        if ch in "\"'":
+            raise ExprSyntaxError(
+                f"string and character constants are not supported in {context}"
+            )
+        raise ExprSyntaxError(f"unexpected character {ch!r} in {context}")
     return tokens
 
 
-def _read_defined(tokens: Sequence[_Token], i: int) -> tuple[str, int]:
-    if i < len(tokens) and tokens[i] == ("punct", "("):
-        if i + 2 < len(tokens) and tokens[i + 1][0] == "ident" and tokens[i + 2] == ("punct", ")"):
-            return tokens[i + 1][1], i + 3
+def _read_defined(tokens: Sequence[str], i: int) -> tuple[str, int]:
+    if i < len(tokens) and tokens[i] == "(":
+        if i + 2 < len(tokens) and tokens[i + 1][0] in _IDENT_START and tokens[i + 2] == ")":
+            return tokens[i + 1], i + 3
         raise ExprSyntaxError("expected defined(NAME)")
-    if i < len(tokens) and tokens[i][0] == "ident":
-        return tokens[i][1], i + 1
+    if i < len(tokens) and tokens[i][0] in _IDENT_START:
+        return tokens[i], i + 1
     raise ExprSyntaxError("expected a macro name after 'defined'")
 
 
 def _expand_tokens(
-    tokens: Sequence[_Token], lookup: _Lookup, bodies: dict[str, list[_Token]]
-) -> list[_Token]:
+    tokens: Sequence[str], lookup: _Lookup, bodies: dict[str, list[str]]
+) -> list[str]:
     """Replace ``defined`` operators and object-like macros.  A macro's
     name is hidden while its own body is read, so self-reference stops.
-    ``bodies`` caches each body's tokens by its text."""
-    out: list[_Token] = []
+    ``bodies`` caches each body's tokens by its text.  Only identifiers
+    name macros, so every token is looked up as it is."""
+    out: list[str] = []
     hidden: set[str] = set()
     # Token lists whose reading an expansion interrupted, innermost last,
     # with the macro each one is the body of (None for the condition).
-    suspended: list[tuple[Sequence[_Token], int, str | None]] = []
+    suspended: list[tuple[Sequence[str], int, str | None]] = []
     toks, i, name = tokens, 0, None
     budget = MAX_EXPANSION_TOKENS
     while True:
@@ -279,63 +285,56 @@ def _expand_tokens(
             continue
         tok = toks[i]
         i += 1
-        if tok[0] != "ident":
-            out.append(tok)
-            continue
-        text = tok[1]
-        if text == "defined":
+        if tok == "defined":
             defined_name, i = _read_defined(toks, i)
-            out.append(("num", "1" if lookup(defined_name) is not None else "0"))
+            out.append("1" if lookup(defined_name) is not None else "0")
             continue
-        macro = lookup(text)
-        if macro is None or text in hidden:
+        macro = lookup(tok)
+        if macro is None or tok in hidden:
             out.append(tok)
             continue
         if macro.function_like:
-            if i < len(toks) and toks[i] == ("punct", "("):
+            if i < len(toks) and toks[i] == "(":
                 raise UnsupportedMacroError(
-                    f"function-like macro {text!r} invoked in a condition"
+                    f"function-like macro {tok!r} invoked in a condition"
                 )
             out.append(tok)  # name without arguments is not expanded
             continue
         body = bodies.get(macro.body)
         if body is None:
-            body = bodies[macro.body] = _tokenize(
-                macro.body, context=f"body of macro {text!r}"
-            )
+            body = bodies[macro.body] = _tokenize(macro.body, tok)
         budget -= len(body)
         if budget < 0:
             raise ExprEvalError(
                 f"macro expansion exceeds {MAX_EXPANSION_TOKENS} tokens"
             )
         suspended.append((toks, i, name))
-        hidden.add(text)
-        toks, i, name = body, 0, text
-
-
-class _Value(NamedTuple):
-    value: int  # canonical: [0, 2^64) when unsigned, [-2^63, 2^63) when signed
-    unsigned: bool
-
+        hidden.add(tok)
+        toks, i, name = body, 0, tok
 
 
 def _wrap_signed(v: int) -> int:
     return ((v - _INT64_MIN) & _U64_MASK) + _INT64_MIN
 
 
-def _parse_int(text: str) -> _Value:
-    m = _INT_RE.match(text)
+def _operand(tok: str) -> _Int:
+    """The value of an operand token: an integer constant, or 0 for an
+    identifier that survived macro expansion."""
+    if tok[0] in _IDENT_START:
+        return _ZERO
+    if tok[0] not in "0123456789.":
+        raise ExprSyntaxError(f"unexpected token {tok!r}")
+    m = _INT_RE.match(tok)
     if m is None:
-        raise ExprSyntaxError(f"invalid integer constant {text!r}")
+        raise ExprSyntaxError(f"invalid integer constant {tok!r}")
     value = int(m.group("hex") or m.group("oct") or m.group("dec"),
                 16 if m.group("hex") else 8 if m.group("oct") else 10)
     if value > _U64_MASK:
-        raise ExprEvalError(f"integer constant {text!r} does not fit in 64 bits")
+        raise ExprEvalError(f"integer constant {tok!r} does not fit in 64 bits")
     suffix = m.group("suffix") or ""
     # Unsuffixed constants above the signed maximum are treated as
     # unsigned, matching common compiler practice.
-    unsigned = "u" in suffix.lower() or value > _INT64_MAX
-    return _Value(value, unsigned)
+    return value, "u" in suffix.lower() or value > _INT64_MAX
 
 
 def _c_div(a: int, b: int) -> int:
@@ -353,68 +352,71 @@ _ARITHMETIC = {
 }
 
 
-def _apply_unary(op: str, operand: _Value, live: bool) -> _Value:
+def _apply_unary(op: str, operand: _Int, live: bool) -> _Int:
+    value, unsigned = operand
     if op == "!":
-        return _Value(int(operand.value == 0) if live else 0, False)
+        return (int(value == 0) if live else 0), False
     if not live:
-        return _Value(0, operand.unsigned)
+        return 0, unsigned
     if op == "+":
         return operand
-    raw = -operand.value if op == "-" else ~operand.value
-    value = raw & _U64_MASK if operand.unsigned else _wrap_signed(raw)
-    return _Value(value, operand.unsigned)
+    raw = -value if op == "-" else ~value
+    return (raw & _U64_MASK if unsigned else _wrap_signed(raw)), unsigned
 
 
-def _apply_binary(op: str, a: _Value, b: _Value, live: bool) -> _Value:
-    if op in ("&&", "||"):
+def _apply_binary(op: str, a: _Int, b: _Int, live: bool) -> _Int:
+    av, au = a
+    bv, bu = b
+    if op == "&&" or op == "||":
         if not live:
-            return _Value(0, False)
+            return _ZERO
         if op == "&&":
-            return _Value(int(a.value != 0 and b.value != 0), False)
-        return _Value(int(a.value != 0 or b.value != 0), False)
+            return _ONE if av != 0 and bv != 0 else _ZERO
+        return _ONE if av != 0 or bv != 0 else _ZERO
 
-    if op in _COMPARISONS:
+    compare = _COMPARISONS.get(op)
+    if compare is not None:
         if not live:
-            return _Value(0, False)
-        unsigned = a.unsigned or b.unsigned
-        av = a.value & _U64_MASK if unsigned else a.value
-        bv = b.value & _U64_MASK if unsigned else b.value
-        return _Value(int(_COMPARISONS[op](av, bv)), False)
+            return _ZERO
+        if au or bu:
+            return _ONE if compare(av & _U64_MASK, bv & _U64_MASK) else _ZERO
+        return _ONE if compare(av, bv) else _ZERO
 
-    if op in ("<<", ">>"):
+    if op == "<<" or op == ">>":
         # Shift result takes the promoted left operand's type.
         if not live:
-            return _Value(0, a.unsigned)
-        count = b.value & _U64_MASK if b.unsigned else b.value
+            return 0, au
+        count = bv & _U64_MASK if bu else bv
         if count < 0 or count >= 64:
             raise ExprEvalError(f"shift count {count} out of range 0..63")
-        raw = a.value << count if op == "<<" else a.value >> count
-        return _Value(raw & _U64_MASK if a.unsigned else _wrap_signed(raw), a.unsigned)
+        raw = av << count if op == "<<" else av >> count
+        return (raw & _U64_MASK if au else _wrap_signed(raw)), au
 
-    unsigned = a.unsigned or b.unsigned
+    unsigned = au or bu
     if not live:
-        return _Value(0, unsigned)
-    av = a.value & _U64_MASK if unsigned else a.value
-    bv = b.value & _U64_MASK if unsigned else b.value
-    if op in ("/", "%") and bv == 0:
+        return 0, unsigned
+    if unsigned:
+        av &= _U64_MASK
+        bv &= _U64_MASK
+    if bv == 0 and (op == "/" or op == "%"):
         raise ExprEvalError("division by zero in conditional expression")
     raw = _ARITHMETIC[op](av, bv)
-    return _Value(raw & _U64_MASK if unsigned else _wrap_signed(raw), unsigned)
+    return (raw & _U64_MASK if unsigned else _wrap_signed(raw)), unsigned
 
 
-def _apply_conditional(then: _Value, otherwise: _Value, truth: bool, live: bool) -> _Value:
-    unsigned = then.unsigned or otherwise.unsigned
+def _apply_conditional(then: _Int, otherwise: _Int, truth: bool, live: bool) -> _Int:
+    unsigned = then[1] or otherwise[1]
     if not live:
-        return _Value(0, unsigned)
-    chosen = then if truth else otherwise
-    return _Value(chosen.value & _U64_MASK if unsigned else chosen.value, unsigned)
+        return 0, unsigned
+    value = (then if truth else otherwise)[0]
+    return (value & _U64_MASK if unsigned else value), unsigned
 
 
 # Kinds of pending construct on the evaluator's stack.
 _PAREN, _PREFIX, _BINARY, _THEN, _ELSE = range(5)
 
 
-def _evaluate_tokens(tokens: Sequence[_Token]) -> _Value:
+def _evaluate_tokens(tokens: Sequence[str], ints: dict[str, _Int]) -> _Int:
     """Operator-precedence evaluation of expanded tokens.
 
     Every construct still open sits on ``stack``, innermost last:
@@ -422,7 +424,8 @@ def _evaluate_tokens(tokens: Sequence[_Token]) -> _Value:
     live)``, ``(THEN, live, truth)`` while the ``?`` arm is read and
     ``(ELSE, live, truth, then)`` while the ``:`` arm is read.  ``live`` is
     False inside the unevaluated operand of && || ?:, where only result
-    signedness is tracked and no arithmetic errors can occur.
+    signedness is tracked and no arithmetic errors can occur.  ``ints``
+    caches each operand token's value by its text.
     """
     stack: list[tuple] = []
     live = True
@@ -432,44 +435,39 @@ def _evaluate_tokens(tokens: Sequence[_Token]) -> _Value:
         # An operand: prefix operators and "(" open constructs.
         if pos == n:
             raise ExprSyntaxError("unexpected end of expression")
-        kind, text = tokens[pos]
+        tok = tokens[pos]
         pos += 1
-        if kind == "num":
-            value = _parse_int(text)
-        elif kind == "ident":
-            # Identifiers surviving macro expansion evaluate to 0.
-            value = _Value(0, False)
-        elif text in ("!", "-", "+", "~"):
-            stack.append((_PREFIX, text))
-            continue
-        elif text == "(":
-            stack.append((_PAREN, live))
-            continue
-        else:
-            raise ExprSyntaxError(f"unexpected token {text!r}")
+        value = ints.get(tok)
+        if value is None:
+            if tok in _PREFIX_OPS:
+                stack.append((_PREFIX, tok))
+                continue
+            if tok == "(":
+                stack.append((_PAREN, live))
+                continue
+            value = ints[tok] = _operand(tok)
 
         # What follows a complete operand, until the next operand starts.
         while True:
             while stack and stack[-1][0] == _PREFIX:
                 value = _apply_unary(stack.pop()[1], value, live)
             tok = tokens[pos] if pos < n else None
-            prec = _BIN_PRECEDENCE.get(tok[1]) if tok and tok[0] == "punct" else None
+            prec = _BIN_PRECEDENCE.get(tok)
             # Binary operators are left-associative.
             while stack and stack[-1][0] == _BINARY and (prec is None or stack[-1][1] >= prec):
                 _, _, op, left, live = stack.pop()
                 value = _apply_binary(op, left, value, live)
             if prec is not None:
-                op = tok[1]
                 pos += 1
-                stack.append((_BINARY, prec, op, value, live))
-                if op == "&&":
-                    live = live and value.value != 0
-                elif op == "||":
-                    live = live and value.value == 0
+                stack.append((_BINARY, prec, tok, value, live))
+                if tok == "&&":
+                    live = live and value[0] != 0
+                elif tok == "||":
+                    live = live and value[0] == 0
                 break
-            if tok == ("punct", "?"):
+            if tok == "?":
                 pos += 1
-                truth = live and value.value != 0
+                truth = live and value[0] != 0
                 stack.append((_THEN, live, truth))
                 live = truth
                 break
@@ -477,20 +475,20 @@ def _evaluate_tokens(tokens: Sequence[_Token]) -> _Value:
                 _, live, truth, then = stack.pop()
                 value = _apply_conditional(then, value, truth, live)
             top = stack[-1][0] if stack else None
-            if top == _THEN and tok == ("punct", ":"):
+            if top == _THEN and tok == ":":
                 pos += 1
                 _, live, truth = stack.pop()
                 stack.append((_ELSE, live, truth, value))
                 live = live and not truth
                 break
-            if top == _PAREN and tok == ("punct", ")"):
+            if top == _PAREN and tok == ")":
                 pos += 1
                 live = stack.pop()[1]
                 continue
             if top is None and tok is None:
                 return value
             # ``tok`` cannot continue the innermost open construct.
-            found = tok[1] if tok else "end of expression"
+            found = tok if tok is not None else "end of expression"
             if top == _THEN:
                 raise ExprSyntaxError(f"expected ':', found {found!r}")
             if top == _PAREN:
@@ -498,43 +496,45 @@ def _evaluate_tokens(tokens: Sequence[_Token]) -> _Value:
             raise ExprSyntaxError(f"unexpected token {found!r} after expression")
 
 
-def _evaluate(expr: str, lookup: _Lookup, bodies: dict[str, list[_Token]]) -> int:
+def _evaluate(
+    expr: str, lookup: _Lookup, bodies: dict[str, list[str]], ints: dict[str, _Int]
+) -> int:
     tokens = _tokenize(expr)
     if not tokens:
         raise ExprSyntaxError("empty conditional expression")
-    return _evaluate_tokens(_expand_tokens(tokens, lookup, bodies)).value
+    return _evaluate_tokens(_expand_tokens(tokens, lookup, bodies), ints)[0]
 
 
 def eval_condition(env: MacroEnv, expr: str) -> int:
     """Evaluate a preprocessor constant expression against an
     environment; nonzero means the branch is taken."""
-    return _evaluate(expr, env.lookup, {})
+    return _evaluate(expr, env.lookup, {}, {})
 
 
 # --- conditional-compilation branch reports -------------------------------
 
-# A string or character literal (kept; it ends at its quote or at the end of
-# its line), a line comment, a block comment, or the "/*" of a block comment
-# never closed.  Without capturing groups the pattern lets the regex engine
-# skip to the next '"', "'" or "/" at C speed.
-_COMMENT_RE = re.compile(
-    r"""  "(?:[^"\\\n]|\\[^\n])*"?
-        | '(?:[^'\\\n]|\\[^\n])*'?
-        | //[^\n]*
-        | /\*.*?\*/
-        | /\*
-    """,
-    re.S | re.X,
+# Translation phase 3, as -D bodies go through it too.
+_COMMENT_RE = re.compile(_COMMENT)
+#: A macro name, as GCC reads it: an identifier, "$" included, that does not
+#: open a wide character constant or string literal.
+_NAME = rf"(?!L[\"']){_IDENT}"
+# The directive patterns match from the line break before their line, so
+# the regex engine skips to the next line break at C speed; the scan puts a
+# line break before the first line.  Only conditional directives steer the
+# scan; any other line, directive or not, is kept or dropped with its
+# region.
+_CONDITIONAL_RE = re.compile(
+    rf"\n[^\S\n]*#[^\S\n]*(ifdef|ifndef|if|elif|else|endif)(?!{_IDENT_CHAR})[^\S\n]*([^\n]*)"
 )
-
-# The directives that steer the scan; any other line, directive or not, is
-# kept or dropped with its region.
-_DIRECTIVE_RE = re.compile(
-    r"^[^\S\n]*#[^\S\n]*(ifdef|ifndef|if|elif|else|endif|define|undef)(?!\w)"
-    r"[^\S\n]*([^\n]*)",
-    re.M,
+#: A #define or #undef line, or a line whose directive name is one the scan
+#: reads followed by more identifier characters: that name, the characters
+#: after it, the macro name if the operand starts with one, "(" when it
+#: follows the macro name at once, then the rest of the line.
+_DEFINITION_RE = re.compile(
+    r"\n[^\S\n]*#[^\S\n]*(define|undef|e(?:lif|lse|ndif)|if(?:n?def)?)"
+    rf"({_IDENT_CHAR}*)[^\S\n]*({_NAME})?(\(?)([^\n]*)"
 )
-_DEFINE_RE = re.compile(r"([A-Za-z_]\w*)(\(?)(.*)\Z", re.S)
+_NAME_RE = re.compile(_NAME)
 
 
 class BranchArm(NamedTuple):
@@ -623,54 +623,52 @@ class _Frame:
 
     __slots__ = ("arms", "start_line", "evaluated", "taken_seen", "in_else", "active")
 
-    def __init__(self, arms: list[BranchArm], start_line: int, evaluated: bool):
-        self.arms = arms
-        self.start_line = start_line
+    def __init__(self, arm: BranchArm, evaluated: bool):
+        self.arms = [arm]
+        self.start_line = arm.line
         self.evaluated = evaluated  # context was active when the group opened
-        self.taken_seen = False
+        self.taken_seen = self.active = bool(arm.taken)
         self.in_else = False
-        self.active = False
 
 
-def _begin_arm(
-    frame: _Frame,
-    kind: str,
-    condition: str | None,
-    line: int,
-    table: dict[str, MacroDefinition],
-    bodies: dict[str, list[_Token]],
+def _name_error(kind: str, operand: str) -> str:
+    """GCC's reason to reject the operand of a #ifdef, #ifndef or #undef
+    that starts with no macro name."""
+    if operand.strip():
+        return "macro names must be identifiers"
+    return f"no macro name given in #{kind} directive"
+
+
+def _read_definitions(
+    table: dict[str, MacroDefinition], text: str, start: int, end: int, starts: Sequence[int]
 ) -> None:
-    if not frame.evaluated:
-        taken: bool | None = None
-        frame.active = False
-    elif frame.taken_seen:
-        taken = False
-        frame.active = False
-    else:
-        if kind == "else":
-            taken = True
-        elif kind == "ifdef":
-            taken = condition in table
-        elif kind == "ifndef":
-            taken = condition not in table
-        else:  # if / elif
-            try:
-                taken = bool(_evaluate(condition or "", table.get, bodies))
-            except ConditionalStructureError:
-                raise
-            except PreprocessorError as exc:
-                raise type(exc)(f"line {line}: {exc}") from exc
-        frame.active = taken
-        if taken:
-            frame.taken_seen = True
-    frame.arms.append(BranchArm(kind, condition, line, taken))
-
-
-def _require_name(rest: str, kind: str, line: int) -> str:
-    m = re.match(r"([A-Za-z_]\w*)\s*\Z", rest)
-    if m is None:
-        raise ConditionalStructureError(f"#{kind} needs a single macro name", line)
-    return m.group(1)
+    """Apply the #define and #undef lines of ``text[start:end]``, an active
+    region of the scan's text, to ``table``.  A #undef reads its first
+    macro name and ignores the rest of the line, as GCC does.  A directive
+    name made of one the scan reads and more identifier characters, such as
+    #if$x or #definex, is an error, as GCC does not know it; of such names
+    GCC 12.2 knows only #elifdef and #elifndef, which are kept as text."""
+    for m in _DEFINITION_RE.finditer(text, start, end):
+        kind, more, name, paren, rest = m.groups()
+        if more:
+            if kind + more in ("elifdef", "elifndef"):
+                continue
+            line = starts[text.count("\n", 0, m.start())]
+            raise ConditionalStructureError(
+                f"invalid preprocessing directive #{kind}{more}", line
+            )
+        define = kind == "define"
+        if name is None:
+            line = starts[text.count("\n", 0, m.start())]
+            if define:
+                raise ConditionalStructureError("malformed #define", line)
+            raise ConditionalStructureError(_name_error("undef", paren + rest), line)
+        if define:
+            table[name] = MacroDefinition(
+                name, ("(" + rest).rstrip() if paren else rest.strip(), SOURCE, bool(paren)
+            )
+        else:
+            table.pop(name, None)
 
 
 def active_branches(env: MacroEnv, source: str) -> BranchReport:
@@ -680,12 +678,19 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
     ``#define``/``#undef`` lines in active regions update a working copy
     of the environment (provenance "source") and are retained, as is any
     other non-conditional line in an active region.  Conditional
-    directive lines themselves are never retained.
+    directive lines themselves are never retained.  As C11 6.10.1p6 has
+    it, a skipped group is read only for the names of its conditional
+    directives: its #define/#undef lines, and the operands of its
+    #ifdef/#ifndef, are not read at all.  An active #ifdef/#ifndef tests
+    the macro name its operand starts with, as GCC does, which ignores
+    (with a warning) any tokens after it.
     """
     stripped, starts = _strip_comments(*_logical_lines(source))
+    text = "\n" + stripped
 
     table = dict(env._table)
-    bodies: dict[str, list[_Token]] = {}
+    bodies: dict[str, list[str]] = {}
+    ints: dict[str, _Int] = {}
     frames: list[_Frame] = []
     groups: list[ConditionalGroup] = []
     retained: list[tuple[int, int]] = []
@@ -694,53 +699,22 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
     # share one state: retained when ``active``.
     pending = 0
     k = 0  # logical line of the directive matched
-    pos = 0
-    for m in _DIRECTIVE_RE.finditer(stripped):
-        k += stripped.count("\n", pos, m.start())
-        pos = m.start()
+    pos = 0  # where the line break before line ``k`` stands in ``text``
+    unread = 0  # where the text not yet read for #define/#undef starts
+    for m in _CONDITIONAL_RE.finditer(text):
+        start = m.start()
+        if active and unread < start:
+            _read_definitions(table, text, unread, start, starts)
+        unread = m.end()
+        k += text.count("\n", pos, start)
+        pos = start
         kind, rest = m.groups()
-        rest = rest.rstrip()
         line = starts[k]
-        if kind == "define" or kind == "undef":
-            if not active:
-                continue
-            if kind == "undef":
-                table.pop(_require_name(rest, "undef", line), None)
-                continue
-            dm = _DEFINE_RE.match(rest)
-            if dm is None:
-                raise ConditionalStructureError("malformed #define", line)
-            name, paren, body = dm.groups()
-            table[name] = MacroDefinition(
-                name,
-                (paren + body).strip() if paren else body.strip(),
-                SOURCE,
-                function_like=bool(paren),
-            )
-            continue
-
         if active and pending < k:
             retained.append((starts[pending], line - 1))
         pending = k + 1
-        if kind in ("if", "ifdef", "ifndef"):
-            frame = _Frame(arms=[], start_line=line, evaluated=active)
-            frames.append(frame)
-            condition = _require_name(rest, kind, line) if kind != "if" else rest
-            _begin_arm(frame, kind, condition, line, table, bodies)
-        elif kind == "elif":
-            if not frames:
-                raise ConditionalStructureError("#elif without matching #if", line)
-            if frames[-1].in_else:
-                raise ConditionalStructureError("#elif after #else", line)
-            _begin_arm(frames[-1], "elif", rest, line, table, bodies)
-        elif kind == "else":
-            if not frames:
-                raise ConditionalStructureError("#else without matching #if", line)
-            if frames[-1].in_else:
-                raise ConditionalStructureError("duplicate #else", line)
-            frames[-1].in_else = True
-            _begin_arm(frames[-1], "else", None, line, table, bodies)
-        else:  # endif
+
+        if kind == "endif":
             if not frames:
                 raise ConditionalStructureError("#endif without matching #if", line)
             frame = frames.pop()
@@ -752,8 +726,50 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
                     evaluated=frame.evaluated,
                 )
             )
+        elif kind == "else":
+            if not frames:
+                raise ConditionalStructureError("#else without matching #if", line)
+            frame = frames[-1]
+            if frame.in_else:
+                raise ConditionalStructureError("duplicate #else", line)
+            frame.in_else = True
+            if not frame.evaluated:
+                taken = None
+            else:
+                taken = frame.active = not frame.taken_seen
+                frame.taken_seen = True
+            frame.arms.append(BranchArm("else", None, line, taken))
+        elif kind == "elif":
+            if not frames:
+                raise ConditionalStructureError("#elif without matching #if", line)
+            frame = frames[-1]
+            if frame.in_else:
+                raise ConditionalStructureError("#elif after #else", line)
+            rest = rest.rstrip()
+            if not frame.evaluated:
+                taken = None
+            elif frame.taken_seen:
+                taken = frame.active = False
+            else:
+                taken = frame.active = frame.taken_seen = _taken(rest, line, table, bodies, ints)
+            frame.arms.append(BranchArm("elif", rest, line, taken))
+        elif not active:
+            frames.append(_Frame(BranchArm(kind, rest.rstrip(), line, None), False))
+        else:
+            if kind == "if":
+                rest = rest.rstrip()
+                taken = _taken(rest, line, table, bodies, ints)
+            else:
+                name = _NAME_RE.match(rest)
+                if name is None:
+                    raise ConditionalStructureError(_name_error(kind, rest), line)
+                rest = name.group()
+                taken = (rest in table) == (kind == "ifdef")
+            frames.append(_Frame(BranchArm(kind, rest, line, taken), True))
         active = frames[-1].active if frames else True
 
+    if active and unread < len(text):
+        _read_definitions(table, text, unread, len(text), starts)
     if frames:
         raise ConditionalStructureError(
             "unterminated conditional", frames[-1].start_line
@@ -772,3 +788,17 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
         retained_ranges=tuple(retained),
         retained_text=retained_text,
     )
+
+
+def _taken(
+    condition: str,
+    line: int,
+    table: dict[str, MacroDefinition],
+    bodies: dict[str, list[str]],
+    ints: dict[str, _Int],
+) -> bool:
+    """Whether the #if or #elif ``condition`` on ``line`` holds."""
+    try:
+        return bool(_evaluate(condition, table.get, bodies, ints))
+    except PreprocessorError as exc:
+        raise type(exc)(f"line {line}: {exc}") from exc

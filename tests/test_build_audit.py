@@ -162,12 +162,12 @@ _PER_TU_PIECES = [
 
 
 #: -D words whose heads TUs share, each with a per-TU value "{v}": a plain,
-#: a function-like and a malformed head, and values that hold "#" or "##",
+#: a function-like and a malformed head, values that hold "#" or "##",
 #: which GCC rejects at either end of a body and, in a function-like macro,
-#: where a "#" takes no parameter.
+#: where a "#" takes no parameter, and a head that opens a comment.
 _SHARED_HEAD_DEFINES = [
     "-DID={v}", "-DF(x)={v}", "-D9x={v}", "-DID=#{v}", "-DID=x##{v}", "-DID={v}##",
-    "-DF(x)=#x{v}", "-DF(x)=#{v}", "-DF(x)={v}##x", "-DID ##={v}",
+    "-DF(x)=#x{v}", "-DF(x)=#{v}", "-DF(x)={v}##x", "-DID ##={v}", "-DID /*={v}",
 ]
 
 
@@ -195,7 +195,9 @@ def _databases(draw):
             ))
             words[at:at] = [w.format(v=value, f=file) for w in piece]
         for define in draw(st.lists(st.sampled_from(_SHARED_HEAD_DEFINES), max_size=3)):
-            value = draw(st.sampled_from([str(i), f"v{i}", "", "#", "##", f"x #{i}"]))
+            value = draw(st.sampled_from(
+                [str(i), f"v{i}", "", "#", "##", f"x #{i}", f"x/*{i}", f"{i}//c", "*/"]
+            ))
             words.insert(draw(st.integers(0, len(words))), define.format(v=value))
         argv = [draw(st.sampled_from(["gcc", "gcc", "mcc18", "clang"])), *words]
         entry = {"directory": "/p", "file": file}
@@ -268,6 +270,16 @@ def test_per_tu_define_values_share_their_heads_effect(profile, monkeypatch):
     assert [e.reason for e in entries[n:]] == [
         "malformed -D argument: '9x=1'", "malformed -D argument: '9x=2'"
     ]
+
+
+def test_per_tu_define_value_that_opens_a_comment_is_unauditable(profile):
+    # GCC rejects -DID=x/* ("unterminated comment"), whatever the effect
+    # of the head -DID= that the other TUs share.
+    doc = json.dumps([{"file": f"u{i}.c", "arguments": ["gcc", v, f"u{i}.c"]}
+                      for i, v in enumerate(["-DID=1", "-DID=x/*", "-DID=2//c"])])
+    entries = load_build(doc, profile).entries
+    assert [e.status for e in entries] == ["ok", "unauditable", "ok"]
+    assert entries[1].reason == "malformed -D argument: 'ID=x/*': unterminated comment"
 
 
 # --- consistency audit --------------------------------------------------------

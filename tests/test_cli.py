@@ -366,12 +366,26 @@ def test_macros_eval_with_flags_and_defines(capsys):
 
 
 @pytest.mark.parametrize(
+    "args,out",
+    [
+        (["--flags=-DA=1//x", "A"], "1\n"),
+        (["--flags=-DB=1/*c*/+2", "B"], "3\n"),
+        (["--flags=-DA$B=3", "A$B == 3 && !defined A"], "1\n"),
+        (["--value", "0", "-D", "A$B=3", "-U", "A$B", "defined A$B"], "0\n"),
+    ],
+)
+def test_macros_eval_reads_define_comments_and_dollar_names(capsys, args, out):
+    assert run(capsys, "macros", "eval", *args) == (0, out, "")
+
+
+@pytest.mark.parametrize(
     "args,message",
     [
         (["macros", "show", "--value", "0", "-D", "9x=1"], "malformed -D argument: '9x=1'"),
         (["macros", "show", "--value", "0", "-D", "A(x,x)=x"], "malformed -D argument: 'A(x,x)=x'"),
         (["macros", "eval", "--value", "0", "-U", "1+", "1"], "malformed -U argument: '1+'"),
         (["macros", "show", "--flags=-D9x=1"], "malformed -D argument: '9x=1'"),
+        (["macros", "show", "--flags=-DA=x/*"], "malformed -D argument: 'A=x/*': unterminated comment"),
     ],
 )
 def test_macros_define_options_check_names_like_flags(capsys, args, message):

@@ -167,7 +167,9 @@ DEFINE_SHAPES = [
     "-DF(x)y", "-DF (x)=1", "-DA B", "-DA B=C", "-DA+1", "-DF(x)y=2", "-DF(x)(y)",
     "-D A", "-DA =", "-DF( x , y )z", "-DF(...)x",
 ]
-REJECTED_DEFINES = ["-D9x", "-DF(x,x)=1", "-DF(x", "-DF(1)", "-DF(x,)", "-DA(", "-D=1"]
+REJECTED_DEFINES = [
+    "-D9x", "-DF(x,x)=1", "-DF(x", "-DF(1)", "-DF(x,)", "-DA(", "-D=1", "-DF(a$,a$)", "-DA/*",
+]
 #: -D words whose body GCC 12.2 rejects, with its reason: "##" at either end
 #: of a body (the body of -D'A ##' is "## 1"), and a "#" in a function-like
 #: macro that no parameter follows.
@@ -183,6 +185,8 @@ REJECTED_BODIES = [
     ("-DF(x)=#", "'#' is not followed by a macro parameter"),
     ("-DF()=#x", "'#' is not followed by a macro parameter"),
     ("-DF(...)=#y", "'#' is not followed by a macro parameter"),
+    ("-DA=x/*", "unterminated comment"),
+    ("-DA=x/*#*/##", "'##' cannot appear at either end of a macro expansion"),
 ]
 #: -D words with "#" or "##" in their body that GCC 12.2 accepts: "##"
 #: between tokens, "#" in an object-like macro, "#" and "##" inside literals,
@@ -190,6 +194,16 @@ REJECTED_BODIES = [
 ACCEPTED_BODIES = [
     "-DA=x##y", "-DA=#", "-DA=#y", "-DA=# #", '-DA="##"', "-DA='#'", "-DF(x)=#x",
     "-DF(x)=# x", '-DF(x)="#"y', "-DF(...)=#__VA_ARGS__", "-DF(x)y##",
+]
+#: -D words with "$" in a name, which GCC allows in identifiers, and with
+#: comments, which GCC replaces by a space in the "#define" line it reads
+#: (translation phase 3), so "-DB=1/*c*/+2" defines B as "1 +2".  A block
+#: comment may join the body's lines; a comment opened on a later line is
+#: ignored with that line.
+DOLLARS_AND_COMMENTS = [
+    "-DA$B", "-DA$B=3", "-D$", "-DF(a$)=a$", "-DA=1//x", "-DB=1/*c*/+2", "-DA=x /*c*/",
+    "-DA=/*c*/1", "-DA/*x*/B", "-DA/*=*/=1", "-DF/**/(x)=x", "-DA=x/*#*/", '-DA="//x"',
+    "-DA='/*'", "-DA=x/*\n*/+1", "-DA=x\n/*", "-DA=//",
 ]
 
 
@@ -200,10 +214,10 @@ def _dm(defines):
 
 
 def _tokens(text):
-    return re.findall(r"\w+|\.\.\.|\S", text)
+    return re.findall(r"[\w$]+|\.\.\.|\S", text)
 
 
-@pytest.mark.parametrize("define", DEFINE_SHAPES + ACCEPTED_BODIES)
+@pytest.mark.parametrize("define", DEFINE_SHAPES + ACCEPTED_BODIES + DOLLARS_AND_COMMENTS)
 def test_define_text_defines_the_macro_gcc_defines(define):
     status, lines = _dm([define])
     added = lines - _dm([])[1]

@@ -13,6 +13,7 @@ from dialectoscope import (
     DialectConfig,
     IncludeDirs,
     InvocationError,
+    MacroDirective,
     ProfileError,
     all_configs,
     canonical_flags,
@@ -22,6 +23,7 @@ from dialectoscope import (
 )
 from dialectoscope.invocation import (
     _ARG_TAKING_PASSTHROUGH,
+    _INERT,
     _dialect_of,
     _WordEffects,
     _macro_directive,
@@ -221,9 +223,10 @@ def test_define_body_gcc_rejects_gives_gccs_reason(profile, word, reason):
 
 def test_define_body_checks_read_tokens_as_gcc_does(profile):
     # A "#" in a literal or a comment is no operator, a comment is white
-    # space, and the body ends at its first line break.
+    # space (and goes from the body GCC defines), and the body ends at its
+    # first line break.
     inv = parse(['-DA="##"', "-DB='#'", "-DC=x//##", "-DD=x\n##", '-DF(x)="#"y'], profile)
-    assert [d.value for d in inv.macro_directives] == ['"##"', "'#'", "x//##", "x\n##", '"#"y']
+    assert [d.value for d in inv.macro_directives] == ['"##"', "'#'", "x", "x\n##", '"#"y']
     for word in ["-DA=/**/##", "-DA=##x\ny", "-DF(L)=#L\"a\"", "-DF(x...)=#__VA_ARGS__"]:
         with pytest.raises(InvocationError, match="malformed -D argument"):
             parse([word], profile)
@@ -235,19 +238,42 @@ _DEFINE_HEADS = st.sampled_from(
     ["-DID", "-DF(x)", "-DV(...)", "-D9x", "-DA B", "-DA ##", "-DA x##", "-DF(x)#",
      "-DA /*", '-DA "', "-D"]
 )
-_DEFINE_TEXT = st.text(alphabet="x1 #\"'/*\n()=L", max_size=8)
+_DEFINE_TEXT = st.lists(
+    st.sampled_from(list("x1 #\"'/*\n()=L$") + ["/*", "*/", "//"]), max_size=6
+).map("".join)
 
 
 @settings(max_examples=300)
 @given(st.lists(st.tuples(_DEFINE_HEADS | _DEFINE_TEXT.map("-D".__add__), _DEFINE_TEXT)))
 def test_word_effects_table_equals_each_word_alone(heads_and_values):
     # The table shares a head's effect among -D words whose values hold no
-    # "#"; every word must still have the effect it has alone.
+    # "#", "/*" or "//"; every word must still have the effect it has alone.
     profile = _PROFILES["gcc8-x86_64"]
     effects = _WordEffects(profile)
     for head, value in heads_and_values:
         word = f"{head}={value}"
         assert effects[word] == _word_effect(word, profile)
+
+
+def test_define_comments_and_dollar_names_are_read_as_gcc_reads_them(profile):
+    # A comment in the "#define" line a -D word makes is a space, and "$"
+    # is an identifier character.
+    inv = parse(["-DA=1//x", "-DB=1/*c*/+2", "-DC=x\t/*c\n*/ ", "-DA$B=3", "-UA$B", "-D$"], profile)
+    assert inv.macro_directives == (
+        MacroDirective("define", "A", "1"),
+        MacroDirective("define", "B", "1 +2"),
+        MacroDirective("define", "C", "x"),
+        MacroDirective("define", "A$B", "3"),
+        MacroDirective("undefine", "A$B"),
+        MacroDirective("define", "$", "1"),
+    )
+    with pytest.raises(InvocationError) as err:
+        parse(["-DA=x/*"], profile)
+    assert str(err.value) == "malformed -D argument: 'A=x/*': unterminated comment"
+    # A value that opens a comment has an effect of its own, not its head's.
+    effects = _WordEffects(profile)
+    assert effects["-DID=1"] == effects["-DID=x//y"] == _INERT
+    assert effects["-DID=x/*"] == _word_effect("-DID=x/*", profile) != _INERT
 
 
 @pytest.mark.parametrize(

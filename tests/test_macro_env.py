@@ -716,6 +716,106 @@ def test_ifdef_and_ifndef():
         active_branches(env, "#ifdef\n#endif\n")
 
 
+
+def test_ifdef_ifndef_and_undef_read_the_first_macro_name():
+    # GCC tests the first identifier and only warns about the tokens after
+    # it; "$" is an identifier character.
+    env = env_of(A=1)
+    source = "#ifdef A B\na\n#endif\n#ifndef C(x)\nc\n#endif\n#undef A B\n#ifdef A\nz\n#endif\n"
+    report = active_branches(env, source)
+    assert report.retained_text == "a\nc\n#undef A B\n"
+    assert [a.condition for g in report.groups for a in g.arms] == ["A", "C", "A"]
+    report = active_branches(env_of(), "#define A$B 3\n#ifdef A\nx\n#endif\n#ifdef A$B\ny\n#endif\n")
+    assert report.retained_text == "#define A$B 3\ny\n"
+    assert eval_condition(env_of(**{"A$B": 3}), "A$B == 3") == 1
+
+
+#: Directive names GCC does not know, each a name the scan reads followed by
+#: more identifier characters, on the line given.
+_INVALID_DIRECTIVES = [
+    ("#if$x\n#endif\n", 1, "#if$x"),
+    ("#define$x 1\n", 1, "#define$x"),
+    ("#if 1\n#endif$\n#endif\n", 2, "#endif$"),
+    ("#if 1\n#else$\n#endif\n", 2, "#else$"),
+    ("a\n  #  ifdef$ A\n#endif\n", 2, "#ifdef$"),
+    ("#if 0\n#else\n/* c */ #undefx\n#endif\n", 3, "#undefx"),
+    ("#ifx\n", 1, "#ifx"),
+    ("#if 1\n#elif$ 0\n#endif\n", 2, "#elif$"),
+]
+
+
+@pytest.mark.parametrize("source,message", [
+    ("#ifdef\n#endif\n", "line 1: no macro name given in #ifdef directive"),
+    ("x\n#ifndef 3x\n#endif\n", "line 2: macro names must be identifiers"),
+    ('#ifdef L"s"\n#endif\n', "line 1: macro names must be identifiers"),
+    ("#undef\n", "line 1: no macro name given in #undef directive"),
+    ("a\nb\n#undef (x)\n", "line 3: macro names must be identifiers"),
+    ("#if 1\n#else\n#define 3x\n#endif\n#define\n", "line 5: malformed #define"),
+    ("#if 1\n\n#define L'x'\n#endif\n", "line 3: malformed #define"),
+    *((source, f"line {line}: invalid preprocessing directive {name}")
+      for source, line, name in _INVALID_DIRECTIVES),
+])
+def test_active_directive_operands_gcc_rejects_are_errors(source, message):
+    with pytest.raises(ConditionalStructureError) as err:
+        active_branches(env_of(), source)
+    assert str(err.value) == message
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@pytest.mark.parametrize("source,line,name", _INVALID_DIRECTIVES)
+def test_invalid_directive_names_are_gcc_errors(source, line, name):
+    gcc = subprocess.run(
+        [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
+        input=source, capture_output=True, text=True,
+    )
+    assert gcc.returncode != 0
+    assert re.search(rf"^<stdin>:{line}:\d+: error: invalid preprocessing directive "
+                     rf"{re.escape(name)}$", gcc.stderr, re.M)
+
+
+def test_skipped_groups_are_read_only_for_directive_names():
+    # Inside a skipped group no operand is read, so an operand GCC would
+    # reject in an active region is no error; the arm's condition is the
+    # operand as written.
+    source = (
+        "#if 0\n#ifdef 3x\n#endif\n#ifndef\n#undef 3\n#define\n#if$x\n#endif$\n#endif\n"
+        "#elif 0\n#endif\nkept\n"
+    )
+    report = active_branches(env_of(), source)
+    assert report.retained_text == "kept\n"
+    inner = [g.arms[0] for g in report.groups if not g.evaluated]
+    assert [(a.kind, a.condition, a.taken) for a in inner] == [
+        ("ifdef", "3x", None), ("ifndef", "", None)
+    ]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: eval_condition(env_of(), "1 + @"), ExprSyntaxError,
+     "unexpected character '@' in expression"),
+    (lambda: eval_condition(env_of(), "'a' == 97"), ExprSyntaxError,
+     "string and character constants are not supported in expression"),
+    (lambda: eval_condition(env_of(X='"s"'), "X"), ExprSyntaxError,
+     "string and character constants are not supported in body of macro 'X'"),
+    (lambda: eval_condition(env_of(X="1 @"), "1 || X"), ExprSyntaxError,
+     "unexpected character '@' in body of macro 'X'"),
+    (lambda: eval_condition(env_of(), "1 +"), ExprSyntaxError, "unexpected end of expression"),
+    (lambda: eval_condition(env_of(), "1 )"), ExprSyntaxError,
+     "unexpected token ')' after expression"),
+    (lambda: eval_condition(env_of(), "1$ == 1"), ExprSyntaxError,
+     "invalid integer constant '1$'"),
+    (lambda: active_branches(env_of(), "a\n#if 1\n#elif 2 +\n#endif\n#if 1 +\n#endif\n"),
+     ExprSyntaxError, "line 5: unexpected end of expression"),
+    (lambda: active_branches(env_of(X="@"), "a\n\\\n#if X\n#endif\n"), ExprSyntaxError,
+     "line 2: unexpected character '@' in body of macro 'X'"),
+    (lambda: active_branches(env_of(), "#if 0\n#elif 1 % 0\n#endif\n"), ExprEvalError,
+     "line 2: division by zero in conditional expression"),
+])
+def test_evaluator_error_texts(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
 # --- line and comment scanner against the character-loop oracle ---------------
 
 
@@ -847,6 +947,216 @@ def test_unterminated_block_comment_line(source, line):
     assert err.value.line == line
 
 
+# --- whole scan against a directive-by-directive reference ---------------------
+
+_REF_DIRECTIVE = re.compile(r"[^\S\n]*#[^\S\n]*([A-Za-z_$][\w$]*)[^\S\n]*(.*)\Z", re.S)
+_REF_NAME = re.compile(r"([A-Za-z_$][\w$]*)(\(?)(.*)\Z", re.S)
+_REF_CONDITIONALS = ("if", "ifdef", "ifndef", "elif", "else", "endif")
+#: Names GCC 12.2 knows as directives that the scan keeps as text.
+_REF_KEPT = ("elifdef", "elifndef")
+
+
+def _ref_name(operand):
+    """The macro name ``operand`` starts with, its "(" if one follows at
+    once, and the rest, or None where GCC reads no macro name."""
+    m = _REF_NAME.match(operand)
+    if m is None or (m[1] == "L" and not m[2] and m[3][:1] in ('"', "'")):
+        return None
+    return m.groups()
+
+
+def _ref_name_error(kind, operand, line):
+    if operand.strip():
+        return ConditionalStructureError("macro names must be identifiers", line)
+    return ConditionalStructureError(f"no macro name given in #{kind} directive", line)
+
+
+def _reference_branches(env, source):
+    """The branch report, built one logical line at a time: every directive
+    line is matched in order, #define and #undef apply only in an active
+    region, and a skipped group's operands are not read."""
+    extents, texts = _oracle_scan(source)
+    table = {d.name: d for d in env.definitions()}
+    frames = []  # [arms, start, evaluated, taken_seen, in_else, active]
+    groups, kept = [], []
+
+    def taken_by(condition, line):
+        try:
+            return bool(eval_condition(MacroEnv(table), condition))
+        except macro_env.PreprocessorError as exc:
+            raise type(exc)(f"line {line}: {exc}") from None
+
+    for text, (line, end) in zip(texts, extents):
+        active = frames[-1][5] if frames else True
+        m = _REF_DIRECTIVE.match(text)
+        kind = m[1] if m else None
+        if kind not in _REF_CONDITIONALS:
+            if not active:
+                continue
+            if kind and kind not in _REF_KEPT and any(
+                kind.startswith(known) and kind != known
+                for known in _REF_CONDITIONALS + ("define", "undef")
+            ):
+                raise ConditionalStructureError(f"invalid preprocessing directive #{kind}", line)
+            if kept and kept[-1][1] + 1 == line:
+                kept[-1] = (kept[-1][0], end)
+            else:
+                kept.append((line, end))
+            if kind == "define":
+                name = _ref_name(m[2].rstrip())
+                if name is None:
+                    raise ConditionalStructureError("malformed #define", line)
+                name, paren, body = name
+                table[name] = MacroDefinition(
+                    name, (paren + body).strip(), "source", function_like=bool(paren)
+                )
+            elif kind == "undef":
+                name = _ref_name(m[2])
+                if name is None:
+                    raise _ref_name_error("undef", m[2], line)
+                table.pop(name[0], None)
+            continue
+        rest = m[2].rstrip()
+        if kind in ("if", "ifdef", "ifndef"):
+            if not active:
+                frames.append([[(kind, rest, line, None)], line, False, False, False, False])
+                continue
+            if kind == "if":
+                condition, taken = rest, taken_by(rest, line)
+            else:
+                name = _ref_name(rest)
+                if name is None:
+                    raise _ref_name_error(kind, rest, line)
+                condition = name[0]
+                taken = (condition in table) == (kind == "ifdef")
+            frames.append([[(kind, condition, line, taken)], line, True, taken, False, taken])
+            continue
+        if not frames:
+            raise ConditionalStructureError(f"#{kind} without matching #if", line)
+        frame = frames[-1]
+        if kind == "endif":
+            frames.pop()
+            groups.append((tuple(frame[0]), frame[1], end, frame[2]))
+            continue
+        if frame[4]:
+            message = "duplicate #else" if kind == "else" else "#elif after #else"
+            raise ConditionalStructureError(message, line)
+        condition = rest if kind == "elif" else None
+        if not frame[2]:
+            taken = None
+        elif frame[3]:
+            taken = False
+        else:
+            taken = True if kind == "else" else taken_by(rest, line)
+        frame[0].append((kind, condition, line, taken))
+        frame[3] = frame[3] or bool(taken)
+        frame[4] = kind == "else"
+        frame[5] = bool(taken)
+    if frames:
+        raise ConditionalStructureError("unterminated conditional", frames[-1][1])
+    physical = source.split("\n")
+    retained = [line for start, end in kept for line in physical[start - 1 : end]]
+    return (
+        sorted(groups, key=lambda g: g[1]),
+        tuple(kept),
+        "".join(line + "\n" for line in retained),
+    )
+
+
+def _plain_report(env, source):
+    report = active_branches(env, source)
+    groups = [
+        (tuple(tuple(a) for a in g.arms), g.start_line, g.end_line, g.evaluated)
+        for g in report.groups
+    ]
+    return groups, report.retained_ranges, report.retained_text
+
+
+def _outcome(branches, env, source):
+    """What ``branches`` makes of ``source``: its report, or the type and
+    text of the error it raises."""
+    try:
+        return branches(env, source)
+    except macro_env.PreprocessorError as exc:
+        return type(exc), str(exc)
+
+
+def _lines(good, bad):
+    """Lines drawn from ``good`` about 15 times in 16, else from ``bad``."""
+    return st.integers(0, 15).flatmap(lambda i: st.sampled_from(bad if i == 0 else good))
+
+
+_SOUP_OPENERS = _lines(
+    ["#if 1", "#if 0", "#if A", "#if A == 2", "#if defined(B) || C", "#if A$B", "#if B + 1 > 2",
+     "#if C ? A : 0", "#ifdef A", "#ifdef B x", "#ifndef C(x)", "#ifndef A$B", "  # if 1 // c"],
+    ["#ifdef 3x", "#ifdef", "#if 1/0", "#if @", "#if", "#if C(1)", '#ifdef L"x"', "#ifndef (A)"],
+)
+_SOUP_ELIFS = _lines(["#elif 1", "#elif A", "#elif 0", "#elif B == 1"], ["#elif", "#elif @"])
+_SOUP_PLAIN = _lines(
+    ["text", "", "#define A 2", "#define A", "#define B A", "#define C(x) x", "#define A$B 3",
+     "#define C 1", "#undef A", "#undef B junk", "#undef C(x)", "#pragma x", "#elifdef A",
+     "# include <x>", "x /* #endif */ y", "// #else", '"/*"'],
+    ["#define 3x", "#define", "#define L'x'", "#undef", "#undef 3", "#endif", "#else",
+     "#elif 1", "/* c", "#if$x", "#definex", "#else$", "#ifndef$ A"],
+)
+#: What ends a line: mostly a line break, sometimes a backslash-newline or a
+#: comment spanning lines, either of which joins it to the next.
+_SOUP_BREAKS = st.sampled_from(["\n"] * 9 + ["\\\n", " /* c\n */ ", "\n/*\n*/"])
+
+
+def _soup_block(draw, depth):
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        if depth == 2 or draw(st.booleans()):
+            lines.append(draw(_SOUP_PLAIN))
+            continue
+        lines.append(draw(_SOUP_OPENERS))
+        lines += _soup_block(draw, depth + 1)
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(_SOUP_ELIFS))
+            lines += _soup_block(draw, depth + 1)
+        if draw(st.booleans()):
+            lines.append("#else")
+            lines += _soup_block(draw, depth + 1)
+        lines.append("#endif")
+    return lines
+
+
+@st.composite
+def _directive_soups(draw):
+    """Nested groups of directive and text lines, some of them malformed,
+    misordered or left open."""
+    lines = _soup_block(draw, 0)
+    if lines and draw(st.integers(0, 5)) == 0:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    breaks = _SOUP_BREAKS if draw(st.booleans()) else st.just("\n")
+    source = "".join(line + draw(breaks) for line in lines)
+    if source.endswith("\n") and draw(st.booleans()):
+        source = source[:-1]  # a last line with no line break
+    return source
+
+
+_SOUP_ENVS = st.sampled_from([env_of(), env_of(A=2), env_of(B=1, C=0), env_of(**{"A$B": 3})])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SOUP_ENVS, _directive_soups())
+def test_whole_scan_matches_directive_by_directive_reference(env, source):
+    assert _outcome(_plain_report, env, source) == _outcome(_reference_branches, env, source)
+
+
+@pytest.mark.parametrize("source", [
+    "#if 0\n#ifdef 3x\n#endif\n#endif\n",
+    "#if A\n#define A 1\n#elif 1\n#define A 2\n#undef\n#endif\n#if A == 2\nx\n#endif",
+    "#ifdef A B\n#undef A junk\n#else\n#ifdef\n#endif\n#endif\n#ifdef A\n#endif\n",
+    "#define A 2 /* c\n */\n#if A \\\n == 2\nx\n#elif @\n#endif\n#define 3x",
+    "#if 1\n#define 3x\n#if 1/0\n#endif\n",
+])
+def test_whole_scan_pinned_cases(source):
+    for env in (env_of(), env_of(A=2)):
+        assert _outcome(_plain_report, env, source) == _outcome(_reference_branches, env, source)
+
+
 # --- branch reports against GCC ------------------------------------------------
 
 # Each snippet defines every macro it tests, so the model's small predefined
@@ -866,6 +1176,23 @@ _GCC_SNIPPETS = {
     "nested": (
         "#define V 2\n#if V > 1\n#ifndef U\nmark1\n#elif 1\nmark2\n#endif\n"
         "#else\nmark3\n#endif\nmark4\n"
+    ),
+    # A skipped group is read only for its directive names.
+    "skipped-bad-operand": "#if 0\n#ifdef 3x\nmark1\n#endif\n#endif\nmark2\n",
+    "skipped-no-operand": "#if 0\n#ifdef\n#endif\n#undef 3\n#define\n#else\nmark1\n#endif\n",
+    # A directive name GCC does not know is ignored in a skipped group.
+    "skipped-invalid-directives": (
+        "#if 0\n#if$x\n#else$\n#endif$\n#define$x 1\n#ifx\nmark1\n#endif\nmark2\n"
+    ),
+    # An active #ifdef, #ifndef or #undef takes the first macro name and
+    # only warns about the tokens after it.
+    "extra-tokens": (
+        "#define A\n#ifdef A B\nmark1\n#endif\n#ifndef C(x)\nmark2\n#endif\n"
+        "#undef A B\n#ifdef A\nmark3\n#endif\n"
+    ),
+    "dollar-names": (
+        "#define A$B 3\n#ifdef A\nmark1\n#endif\n#if A$B == 3\nmark2\n#endif\n"
+        "#ifdef A$B\nmark3\n#endif\n#undef A$B\n#ifndef A$B\nmark4\n#endif\n"
     ),
 }
 
@@ -887,6 +1214,81 @@ def test_multiline_comment_reports(source, arms, ranges):
 @pytest.mark.parametrize("name", sorted(_GCC_SNIPPETS))
 def test_branch_markers_match_gcc(name):
     source = _GCC_SNIPPETS[name]
+    gcc = subprocess.run(
+        [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
+        input=source, capture_output=True, text=True, check=True,
+    )
+    model = active_branches(MacroEnv(), source).retained_text
+    markers = re.compile(r"\bmark\d+\b")
+    assert markers.findall(model) == markers.findall(gcc.stdout)
+
+
+#: Conditions and #define/#undef lines over macros the soup defines itself,
+#: none of which GCC predefines; F is function-like, so it is only tested.
+_GCC_CONDITIONS = st.sampled_from([
+    "1", "0", "A", "A == 2", "defined(B) || C", "B + 1 > 2", "!defined A", "A$B == 3",
+    "C ? A : 0", "defined F && A /* c */ < 3", "A \\\n  == 1",
+])
+_GCC_NAMES = st.sampled_from(["A", "B", "C", "F", "A$B"])
+_GCC_DEFINITIONS = st.sampled_from([
+    "#define A 2", "#define A 1", "#define B A", "#define C 0", "#define C (A + 1)",
+    "#define A$B 3", "#define F(x) x", "#undef A", "#undef B junk", "#undef A$B",
+    "  # undef C // c", "#define A /* two\n lines */ 2",
+])
+#: Lines that GCC reads in a skipped group only for the directive name.
+_GCC_SKIPPED = st.sampled_from([
+    "#ifdef 3x", "#ifndef", "#ifdef \"s\"", "#undef 3", "#define 3x", "#define",
+    "#else$", "#endif$", "#define$x 1", "#undefx",
+])
+
+
+def _gcc_block(draw, depth):
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        choice = draw(st.integers(0, 4 if depth < 2 else 1))
+        if choice == 0:
+            lines.append("mark")
+        elif choice == 1:
+            lines.append(draw(_GCC_DEFINITIONS))
+        elif choice == 2:
+            # A group no arm of which GCC reads: a skipped one.
+            lines.append("#if 0")
+            for _ in range(draw(st.integers(1, 3))):
+                line = draw(_GCC_SKIPPED)
+                if line.startswith("#if"):
+                    lines += [line, "mark", "#elif @", "mark", "#endif"]
+                else:
+                    lines.append(line)
+            lines.append("#endif")
+        else:
+            kind = draw(st.sampled_from(["#if", "#ifdef", "#ifndef"]))
+            if kind == "#if":
+                lines.append(f"#if {draw(_GCC_CONDITIONS)}")
+            else:
+                extra = draw(st.sampled_from(["", " x", "(y)"]))
+                lines.append(f"{kind} {draw(_GCC_NAMES)}{extra}")
+            lines += _gcc_block(draw, depth + 1)
+            for _ in range(draw(st.integers(0, 2))):
+                lines.append(f"#elif {draw(_GCC_CONDITIONS)}")
+                lines += _gcc_block(draw, depth + 1)
+            if draw(st.booleans()):
+                lines.append("#else")
+                lines += _gcc_block(draw, depth + 1)
+            lines.append("#endif")
+    return lines
+
+
+@st.composite
+def _well_formed_soups(draw):
+    lines = _gcc_block(draw, 0)
+    marks = iter(range(len(lines)))
+    return "".join(f"mark{next(marks)}\n" if line == "mark" else line + "\n" for line in lines)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@settings(max_examples=60, deadline=None)
+@given(_well_formed_soups())
+def test_well_formed_soup_marks_match_gcc(source):
     gcc = subprocess.run(
         [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
         input=source, capture_output=True, text=True, check=True,
