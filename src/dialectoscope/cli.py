@@ -775,7 +775,19 @@ def build_parser() -> argparse.ArgumentParser:
     return _parser(COMMANDS)
 
 
-def _parser(rows, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+class _Parser(argparse.ArgumentParser):
+    """An argument parser for which a value that argparse turns into a list,
+    as Python 3.11's argparse turns the value of ``--flags=--`` into ``[]``,
+    is a usage error."""
+
+    def _get_values(self, action, arg_strings):
+        value = super()._get_values(action, arg_strings)
+        if action.nargs is None and isinstance(value, list):
+            raise argparse.ArgumentError(action, "expected one argument, not '--'")
+        return value
+
+
+def _parser(rows, parser_class=_Parser) -> argparse.ArgumentParser:
     from .profiles import DEFAULT_PROFILE
 
     parser = parser_class(
@@ -826,7 +838,7 @@ class _NeedsFullParser(Exception):
     pass
 
 
-class _ReducedParser(argparse.ArgumentParser):
+class _ReducedParser(_Parser):
     """A parser holding one subcommand.  What it would print (help, usage,
     an error) names the subcommands it lacks, so it raises instead, and
     :func:`_parse_args` parses again with every subcommand."""

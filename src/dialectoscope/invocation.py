@@ -36,40 +36,45 @@ from .profiles import CompilerProfile, ProfileError, StdName
 #: condition tokens.
 _IDENT_CHAR = r"[\w$]"
 _IDENT = rf"[A-Za-z_$]{_IDENT_CHAR}*"
-_MACRO_NAME_RE = re.compile(rf"{_IDENT}\Z")
-#: The text of a -D argument before its first "=", as GCC reads it after
-#: "#define": white space, the macro name (group 1), a parameter list
-#: (group 2) when "(" follows the name at once, then the start of the body
-#: (group 3).  Parameters are identifiers, then "..." alone or after the
-#: last one.  A body that starts with a character GCC could read as more
-#: of the name (a word character, "$", "\\" or a non-ASCII one), or that
-#: holds a line break, does not match.
-_DEFINE_HEAD_RE = re.compile(
-    rf"[ \t\f\v]*({_IDENT})"
-    rf"(?:(\([ \t\f\v]*(?:(?:{_IDENT}[ \t\f\v]*,[ \t\f\v]*)*"
-    rf"(?:{_IDENT}[ \t\f\v]*(?:\.\.\.[ \t\f\v]*)?|\.\.\.[ \t\f\v]*))?\))"
-    r"|(?![(\w$\\]|[^\x00-\x7f]))"
-    r"([^\n\r]*)\Z"
+#: The operand of a #define, as GCC reads it after translation phase 3, and
+#: the one grammar of -D/-U text here and of macro_env's #define, #undef,
+#: #ifdef and #ifndef lines: white space, the macro name (group "name"),
+#: then, when "(" follows the name at once, the parameter list up to its
+#: first ")" or to the end of the line (group "params"), then white space
+#: and the body up to the first line break (group "body").  The name is an
+#: identifier that opens no wide character constant or string literal; one
+#: that GCC reads as longer, through a non-ASCII character or a universal
+#: character name, is no name.  :func:`_operand_error` checks the rest.
+#: Only "\n" ends the line: with [^\n\r] in place of [^\n], the pattern
+#: took a sixth longer over the benchmark's headers, so a -D/-U argument
+#: has its carriage returns made "\n" first.
+_DEFINE_OPERAND = (
+    r"[ \t\f\v]*"
+    rf"(?:(?!L[\"'])(?P<name>{_IDENT})(?![\w$]|\\[uU]|[^\x00-\x7f])"
+    r"(?P<params>\([^)\n]*\)?)?)?"
+    r"[ \t\f\v]*(?P<body>[^\n]*)"
 )
-#: The tokens of a -D body without comments, as far as GCC's checks of "#"
-#: and "##" need them: a string or character literal, plain or "L"-prefixed
-#: (an unclosed one runs to the end), "##", "#", a run of identifier
+_DEFINE_OPERAND_RE = re.compile(_DEFINE_OPERAND)
+#: The tokens of a parameter list or a body, as far as GCC's checks of them
+#: need them: a string or character literal, plain or "L"-prefixed (an
+#: unclosed one runs to the end), "...", "##", "#", a run of identifier
 #: characters or any other character.
 #: Digraphs, trigraphs and the "u", "U" and "u8" prefixes are read as plain
 #: characters: GCC reads them as more only under some -std= levels, and a
-#: word's effect may not depend on a later word.  Few bodies hold "#", so
-#: the pattern is compiled (by re's cache) on first use, not on import.
-_BODY_TOKEN = (
-    r"""L?"(?:[^"\\]|\\.)*"?|L?'(?:[^'\\]|\\.)*'?|##?|"""
+#: word's effect may not depend on a later word.  Few operands hold "#" or a
+#: parameter list, so the pattern is compiled (by re's cache) on first use,
+#: not on import.
+_OPERAND_TOKEN = (
+    r"""L?"(?:[^"\\]|\\.)*"?|L?'(?:[^'\\]|\\.)*'?|\.\.\.|##?|"""
     rf"{_IDENT_CHAR}+|[^ \t\f\v]"
 )
 #: A string or character literal (kept; it ends at its quote or at the end of
 #: its line), a line comment, a block comment, or the "/*" of a block comment
-#: never closed: what translation phase 3 reads, in -D bodies and in the
+#: never closed: what translation phase 3 reads, in -D/-U text and in the
 #: headers that macro_env scans.  Without capturing groups the pattern lets
-#: the regex engine skip to the next '"', "'" or "/" at C speed.  Few bodies
-#: hold a comment, so here the pattern is compiled (by re's cache) on first
-#: use.
+#: the regex engine skip to the next '"', "'" or "/" at C speed.  Few -D/-U
+#: words hold a comment, so here the pattern is compiled (by re's cache) on
+#: first use.
 _COMMENT = r"""(?sx)
       "(?:[^"\\\n]|\\[^\n])*"?
     | '(?:[^'\\\n]|\\[^\n])*'?
@@ -212,24 +217,53 @@ def _split_env_path(value: str) -> list[str]:
     return [p if p else "." for p in value.split(":")] if value else []
 
 
-def _body_error(body: str, params: str) -> str | None:
-    """GCC's reason to reject a ``#define`` with this body, or None.
-    ``params`` is a function-like macro's parameter list, parentheses
-    included, and empty for an object-like macro.  As in GCC, the first
-    fault in token order is the one reported."""
-    # The body ends at its first line break, as GCC's #define line does.
-    line = re.match(r"[^\n\r]*", body)[0]
-    tokens = re.findall(_BODY_TOKEN, line)
+def _operand_error(kind: str, operand: re.Match) -> str | None:
+    """GCC's reason to reject ``operand``, a match of ``_DEFINE_OPERAND``,
+    as the operand of a ``#kind`` directive ("define", "undef", "ifdef" or
+    "ifndef"), or None.  As in GCC, the first fault in reading order is the
+    one reported: the name, then the parameter list, then the body."""
+    name, params, body = operand["name"], operand["params"], operand["body"]
+    if name is None:
+        if body:
+            return "macro names must be identifiers"
+        return f"no macro name given in #{kind} directive"
+    if name == "defined" and kind in ("define", "undef"):
+        return '"defined" cannot be used as a macro name'
+    if kind != "define":
+        return None
+    # The parameter names, and the names that may follow a stringizing "#":
+    # "..." alone names __VA_ARGS__, and a variadic macro takes __VA_OPT__.
+    names: set[str] = set()
+    if params is not None:
+        # GCC's parse_params.  ``last`` is the last token: "(", ",", "..."
+        # or "x" for a name.
+        last = "("
+        for token in [*re.findall(_OPERAND_TOKEN, params[1:]), None]:
+            if token == ")" and last != ",":
+                break
+            param = "__VA_ARGS__" if token == "..." else token
+            if last == "x" and token in (",", "..."):
+                last = token
+            elif last in "(," and param and re.fullmatch(_IDENT, param):
+                if param in names:
+                    return f'duplicate macro parameter "{param}"'
+                names.add(param)
+                last = "..." if token == "..." else "x"
+            elif last == "...":
+                return "expected ')' after \"...\""
+            elif token is None:
+                if last == "x":
+                    return "expected ')' before end of line"
+                return "expected parameter name before end of line"
+            else:
+                wanted = "',' or ')'" if last == "x" else "parameter name"
+                return f'expected {wanted}, found "{token}"'
+        if last == "...":
+            names.add("__VA_OPT__")
+    tokens = re.findall(_OPERAND_TOKEN, body) if "#" in body else ()
     if tokens[:1] == ["##"]:
         return _PASTE_AT_AN_END
-    if params and "#" in tokens:
-        # The stringizing "#" of a function-like macro takes a parameter;
-        # a variadic one also takes __VA_OPT__, and "..." alone __VA_ARGS__.
-        names = set(re.findall(_IDENT, params))
-        if "..." in params:
-            names.add("__VA_OPT__")
-            if re.search(r"[(,][ \t\f\v]*\.\.\.", params):
-                names.add("__VA_ARGS__")
+    if params is not None:
         for i, token in enumerate(tokens):
             if token == "#" and (i + 1 == len(tokens) or tokens[i + 1] not in names):
                 return "'#' is not followed by a macro parameter"
@@ -238,70 +272,59 @@ def _body_error(body: str, params: str) -> str | None:
     return None
 
 
-def _strip_body_comments(body: str, text: str) -> str:
-    """``body``, of the -D argument ``text``, with each comment replaced by
-    a space, as translation phase 3 does to the ``#define`` line GCC reads
-    the argument as, then without white space at either end.  A block
-    comment may join lines; one never closed on the first line is an
-    error, one on a later line is ignored with that line, as GCC ignores
-    it."""
+def _without_comments(line: str, option: str, text: str) -> str:
+    """``line``, the ``#define`` or ``#undef`` line GCC reads the ``option``
+    argument ``text`` as, with each comment replaced by a space, as
+    translation phase 3 does.  A block comment may join lines; one never
+    closed on the first line is an error, one on a later line is ignored
+    with that line, as GCC ignores it."""
     pieces = []
     pos = 0
-    for m in re.finditer(_COMMENT, body):
+    for m in re.finditer(_COMMENT, line):
         found = m.group()
         if found[0] != "/":
             continue  # a string or character literal
-        pieces.append(body[pos : m.start()])
+        pieces.append(line[pos : m.start()])
         if found == "/*":
-            if not re.search(r"[\n\r]", "".join(pieces)):
-                raise InvocationError(f"malformed -D argument: {text!r}: unterminated comment")
-            pos = len(body)
+            if "\n" not in "".join(pieces):
+                raise InvocationError(f"malformed {option} argument: {text!r}: unterminated comment")
+            pos = len(line)
             break
         pieces.append(" ")
         pos = m.end()
-    if not pieces:
-        return body
-    pieces.append(body[pos:])
-    return "".join(pieces).strip(" \t\f\v")
+    pieces.append(line[pos:])
+    return "".join(pieces)
 
 
 def _macro_directive(option: str, text: str) -> MacroDirective:
     """The directive of a ``-D`` or ``-U`` argument, or InvocationError.
 
-    ``-U`` takes an identifier.  ``-D`` is read as GCC reads it: as
-    ``#define`` and the argument with its first "=" turned into a space, or
-    with " 1" added when it has none.  So ``-DA=2`` defines ``A`` as ``2``,
-    ``-DF(x)=x+1`` the function-like ``F(x)`` as ``x+1``, ``-D'A B'`` ``A``
-    as ``B 1`` and ``-DF(x)y`` ``F(x)`` as ``y 1``.  Comments in that line
-    are replaced by spaces, so ``-DA=1/*c*/+2`` defines ``A`` as ``1 +2``.
-    A body that GCC rejects, with "##" at either end, in a function-like
-    macro a "#" not followed by a parameter, or a block comment never
-    closed, is an error that gives GCC's reason."""
-    if option == "-U":
-        # An ASCII identifier is what the pattern matches in ASCII; the C
-        # test is quicker.
-        if text.isascii() and text.isidentifier() or _MACRO_NAME_RE.match(text):
-            return MacroDirective("undefine", text)
-        raise InvocationError(f"malformed -U argument: {text!r}")
-    head, eq, body = text.partition("=")
-    if not eq:
-        body = "1"
-    if head.isascii() and head.isidentifier() or _MACRO_NAME_RE.match(head):
-        name, params = head, ""
-    else:
-        define = _DEFINE_HEAD_RE.match(head)
-        names = re.findall(_IDENT, define[2] or "") if define else ()
-        if not define or len(set(names)) != len(names):
-            raise InvocationError(f"malformed -D argument: {text!r}")
-        name, params, before = define.groups(default="")
-        before = before.strip(" \t\f\v")
-        if before:
-            body = f"{before} {body}"
-    if "/*" in body or "//" in body:
-        body = _strip_body_comments(body, text)
-    if "#" in body and (reason := _body_error(body, params)):
-        raise InvocationError(f"malformed -D argument: {text!r}: {reason}")
-    return MacroDirective("define", name + params, body)
+    Both are read as GCC reads them, by the grammar of ``#define`` operands
+    (``_DEFINE_OPERAND``) that ``macro_env`` reads header lines by.  ``-U``
+    is read as ``#undef`` and the argument, so ``-U'A B'`` undefines ``A``.
+    ``-D`` is read as ``#define`` and the argument with its first "="
+    turned into a space, or with " 1" added when it has none.  So ``-DA=2``
+    defines ``A`` as ``2``, ``-DF(x)=x+1`` the function-like ``F(x)`` as
+    ``x+1``, ``-D'A B'`` ``A`` as ``B 1`` and ``-DF(x)y`` ``F(x)`` as
+    ``y 1``.  Comments in that line are replaced by spaces, so
+    ``-DA=1/*c*/+2`` defines ``A`` as ``1 +2``, and the body ends at the
+    line's first line break.  A line that GCC rejects is an error that
+    gives GCC's reason, unless it lacks a macro name."""
+    define = option == "-D"
+    line = text.replace("\r", "\n")  # GCC ends the line at "\r" too
+    if define:
+        line = line.replace("=", " ", 1) if "=" in line else line + " 1"
+    if "/*" in line or "//" in line:
+        line = _without_comments(line, option, text)
+    operand = _DEFINE_OPERAND_RE.match(line)
+    name, params, body = operand.groups()
+    reason = _operand_error("define" if define else "undef", operand)
+    if reason is not None:
+        detail = "" if name is None else f": {reason}"
+        raise InvocationError(f"malformed {option} argument: {text!r}{detail}")
+    if not define:
+        return MacroDirective("undefine", name)
+    return MacroDirective("define", name + (params or ""), body.rstrip(" \t\f\v\r"))
 
 
 # --- the dialect fold ------------------------------------------------------------

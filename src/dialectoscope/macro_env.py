@@ -24,7 +24,8 @@ from operator import add, and_, eq, ge, gt, le, lt, mul, ne, or_, sub, xor
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dialect_model import AnsiMode, DialectConfig
-from .invocation import _COMMENT, _IDENT, _IDENT_CHAR, CompilerInvocation, MacroDirective
+from .invocation import _COMMENT, _DEFINE_OPERAND, _DEFINE_OPERAND_RE, _IDENT, _IDENT_CHAR
+from .invocation import CompilerInvocation, MacroDirective, _operand_error
 from .profiles import CompilerProfile
 
 
@@ -513,11 +514,8 @@ def eval_condition(env: MacroEnv, expr: str) -> int:
 
 # --- conditional-compilation branch reports -------------------------------
 
-# Translation phase 3, as -D bodies go through it too.
+# Translation phase 3, as -D/-U text goes through it too.
 _COMMENT_RE = re.compile(_COMMENT)
-#: A macro name, as GCC reads it: an identifier, "$" included, that does not
-#: open a wide character constant or string literal.
-_NAME = rf"(?!L[\"']){_IDENT}"
 # The directive patterns match from the line break before their line, so
 # the regex engine skips to the next line break at C speed; the scan puts a
 # line break before the first line.  Only conditional directives steer the
@@ -528,13 +526,11 @@ _CONDITIONAL_RE = re.compile(
 )
 #: A #define or #undef line, or a line whose directive name is one the scan
 #: reads followed by more identifier characters: that name, the characters
-#: after it, the macro name if the operand starts with one, "(" when it
-#: follows the macro name at once, then the rest of the line.
+#: after it, then the operand, read as a -D/-U argument is read.
 _DEFINITION_RE = re.compile(
     r"\n[^\S\n]*#[^\S\n]*(define|undef|e(?:lif|lse|ndif)|if(?:n?def)?)"
-    rf"({_IDENT_CHAR}*)[^\S\n]*({_NAME})?(\(?)([^\n]*)"
+    rf"({_IDENT_CHAR}*){_DEFINE_OPERAND}"
 )
-_NAME_RE = re.compile(_NAME)
 
 
 class BranchArm(NamedTuple):
@@ -631,25 +627,20 @@ class _Frame:
         self.in_else = False
 
 
-def _name_error(kind: str, operand: str) -> str:
-    """GCC's reason to reject the operand of a #ifdef, #ifndef or #undef
-    that starts with no macro name."""
-    if operand.strip():
-        return "macro names must be identifiers"
-    return f"no macro name given in #{kind} directive"
-
-
 def _read_definitions(
     table: dict[str, MacroDefinition], text: str, start: int, end: int, starts: Sequence[int]
 ) -> None:
     """Apply the #define and #undef lines of ``text[start:end]``, an active
-    region of the scan's text, to ``table``.  A #undef reads its first
-    macro name and ignores the rest of the line, as GCC does.  A directive
+    region of the scan's text, to ``table``.  Operands are read by the
+    grammar of -D/-U words (``invocation._DEFINE_OPERAND``), and one that
+    GCC rejects is an error with GCC's reason; a #define with no macro name
+    is "malformed #define".  A #undef reads its first macro name and
+    ignores the rest of the line, as GCC does.  A directive
     name made of one the scan reads and more identifier characters, such as
     #if$x or #definex, is an error, as GCC does not know it; of such names
     GCC 12.2 knows only #elifdef and #elifndef, which are kept as text."""
     for m in _DEFINITION_RE.finditer(text, start, end):
-        kind, more, name, paren, rest = m.groups()
+        kind, more, name, params, body = m.groups()
         if more:
             if kind + more in ("elifdef", "elifndef"):
                 continue
@@ -658,15 +649,17 @@ def _read_definitions(
                 f"invalid preprocessing directive #{kind}{more}", line
             )
         define = kind == "define"
-        if name is None:
-            line = starts[text.count("\n", 0, m.start())]
-            if define:
-                raise ConditionalStructureError("malformed #define", line)
-            raise ConditionalStructureError(_name_error("undef", paren + rest), line)
+        # Only these lines can hold a fault; most #define lines hold none.
+        if name is None or name == "defined" or define and (params or "#" in body):
+            reason = "malformed #define" if define and name is None else _operand_error(kind, m)
+            if reason is not None:
+                line = starts[text.count("\n", 0, m.start())]
+                raise ConditionalStructureError(reason, line)
         if define:
-            table[name] = MacroDefinition(
-                name, ("(" + rest).rstrip() if paren else rest.strip(), SOURCE, bool(paren)
-            )
+            # A function-like body is held after its parameter list, as _apply
+            # holds a -D one.
+            body = (f"{params} {body}" if params else body).rstrip(" \t\f\v\r")
+            table[name] = MacroDefinition(name, body, SOURCE, bool(params))
         else:
             table.pop(name, None)
 
@@ -760,10 +753,10 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
                 rest = rest.rstrip()
                 taken = _taken(rest, line, table, bodies, ints)
             else:
-                name = _NAME_RE.match(rest)
-                if name is None:
-                    raise ConditionalStructureError(_name_error(kind, rest), line)
-                rest = name.group()
+                operand = _DEFINE_OPERAND_RE.match(rest)
+                if operand["name"] is None:
+                    raise ConditionalStructureError(_operand_error(kind, operand), line)
+                rest = operand["name"]
                 taken = (rest in table) == (kind == "ifdef")
             frames.append(_Frame(BranchArm(kind, rest, line, taken), True))
         active = frames[-1].active if frames else True

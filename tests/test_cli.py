@@ -1,5 +1,6 @@
 """End-to-end command-line behavior through cli.main()."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -382,7 +383,8 @@ def test_macros_eval_reads_define_comments_and_dollar_names(capsys, args, out):
     "args,message",
     [
         (["macros", "show", "--value", "0", "-D", "9x=1"], "malformed -D argument: '9x=1'"),
-        (["macros", "show", "--value", "0", "-D", "A(x,x)=x"], "malformed -D argument: 'A(x,x)=x'"),
+        (["macros", "show", "--value", "0", "-D", "A(x,x)=x"],
+         "malformed -D argument: 'A(x,x)=x': duplicate macro parameter \"x\""),
         (["macros", "eval", "--value", "0", "-U", "1+", "1"], "malformed -U argument: '1+'"),
         (["macros", "show", "--flags=-D9x=1"], "malformed -D argument: '9x=1'"),
         (["macros", "show", "--flags=-DA=x/*"], "malformed -D argument: 'A=x/*': unterminated comment"),
@@ -393,6 +395,39 @@ def test_macros_define_options_check_names_like_flags(capsys, args, message):
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def _value_options():
+    """(argv before the option, option) for each option of each ``COMMANDS``
+    row, and each global option, that takes one value."""
+    for group, name, _, _, arguments in cli.COMMANDS:
+        words = [group] + ([name] if name else [])
+        for spec in arguments:
+            for names, kwargs in spec if isinstance(spec, list) else [spec]:
+                if names[0].startswith("-") and kwargs.get("action", "append") == "append":
+                    yield words, names[0]
+    for option in ("--profile", "--profile-dir", "--format"):
+        yield [], option
+
+
+@pytest.mark.parametrize("words, option", list(_value_options()))
+def test_an_option_value_argparse_turns_into_a_list_is_a_usage_error(
+    capsys, monkeypatch, words, option
+):
+    # Python 3.11's argparse reads the value of --flags=-- as []; the
+    # stand-in parse does so on any version.  No handler may see the list.
+    read = argparse.ArgumentParser._get_values
+
+    def as_python_311(self, action, arg_strings):
+        return [] if arg_strings == ["--"] and action.nargs is None else read(
+            self, action, arg_strings)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_get_values", as_python_311)
+    with pytest.raises(SystemExit) as raised:
+        main([*words, f"{option}=--"])
+    err = capsys.readouterr().err
+    assert raised.value.code == 2
+    assert "Traceback" not in err and f"argument {option}" in err
 
 
 def test_macros_branches_file(capsys, tmp_path):

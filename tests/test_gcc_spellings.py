@@ -161,14 +161,18 @@ def test_function_like_define_bodies_expand_as_in_gcc(define, call, expansion):
 
 #: -D words whose text before the first "=" is more than a macro name, which
 #: GCC reads as "#define" and the word with that "=" made a space, or with
-#: " 1" added; then -D words that GCC rejects: a leading digit, a duplicate
-#: parameter, an unclosed parameter list and the other malformed lists.
+#: " 1" added, and whose "#define" line ends at its first line break, "\n" or
+#: "\r"; then -D words that GCC rejects: a leading digit, a duplicate
+#: parameter, an unclosed parameter list and the other malformed lists, and
+#: names that are no identifiers.
 DEFINE_SHAPES = [
     "-DF(x)y", "-DF (x)=1", "-DA B", "-DA B=C", "-DA+1", "-DF(x)y=2", "-DF(x)(y)",
-    "-D A", "-DA =", "-DF( x , y )z", "-DF(...)x",
+    "-D A", "-DA =", "-DF( x , y )z", "-DF(...)x", "-DD=x\n##", "-DA\nB=1", "-DA= x ",
+    "-DA\\=1", "-D/**/A", "-DA=x\ry",
 ]
 REJECTED_DEFINES = [
     "-D9x", "-DF(x,x)=1", "-DF(x", "-DF(1)", "-DF(x,)", "-DA(", "-D=1", "-DF(a$,a$)", "-DA/*",
+    '-DL"x"', "-D(",
 ]
 #: -D words whose body GCC 12.2 rejects, with its reason: "##" at either end
 #: of a body (the body of -D'A ##' is "## 1"), and a "#" in a function-like
@@ -188,6 +192,21 @@ REJECTED_BODIES = [
     ("-DA=x/*", "unterminated comment"),
     ("-DA=x/*#*/##", "'##' cannot appear at either end of a macro expansion"),
 ]
+#: -D and -U words whose name or parameter list GCC 12.2 rejects, with its
+#: reason.
+REJECTED_OPERANDS = [
+    ("-DF(x,x)=1", 'duplicate macro parameter "x"'),
+    ("-DF(x", "expected ',' or ')', found \"1\""),
+    ("-DF(x,)", 'expected parameter name, found ")"'),
+    ("-DA(", 'expected parameter name, found "1"'),
+    ("-DF(...,x)", "expected ')' after \"...\""),
+    ("-Ddefined", '"defined" cannot be used as a macro name'),
+    ("-Udefined", '"defined" cannot be used as a macro name'),
+    ("-UA/*", "unterminated comment"),
+]
+#: -U words that are more than a macro name: GCC undefines the first name
+#: and ignores the rest.
+UNDEF_SHAPES = ["-UA B", "-UF(x)", "-UF()", "-U/**/A", "-U A=1", "-UG//x"]
 #: -D words with "#" or "##" in their body that GCC 12.2 accepts: "##"
 #: between tokens, "#" in an object-like macro, "#" and "##" inside literals,
 #: "#" before a parameter, and -DF(x)y##, whose body is "y## 1".
@@ -242,10 +261,23 @@ def _dm_errors(define):
     return proc.returncode, proc.stderr
 
 
-@pytest.mark.parametrize("define, reason", REJECTED_BODIES)
+@pytest.mark.parametrize("define, reason", REJECTED_BODIES + REJECTED_OPERANDS)
 def test_define_body_is_an_input_error_with_gccs_reason(define, reason):
     status, stderr = _dm_errors(define)
     assert status != 0 and f"error: {reason}" in stderr
     with pytest.raises(InvocationError) as err:
         parse_invocation([define], env={})
     assert str(err.value).endswith(f": {reason}")
+
+
+@pytest.mark.parametrize("undef", UNDEF_SHAPES)
+def test_undef_text_undefines_the_macro_gcc_undefines(undef):
+    argv = ["-DA", "-DF(y)=y", "-DG", undef]
+    status, lines = _dm(argv)
+    assert status == 0
+    env = invocation_macro_env(parse_invocation(argv, env={}))
+    model = [
+        f"#define {d.name}{'' if d.function_like else ' '}{d.body}"
+        for d in env.definitions() if d.provenance == "command-line"
+    ]
+    assert sorted(map(_tokens, lines - _dm([])[1])) == sorted(map(_tokens, model))

@@ -183,6 +183,8 @@ def test_macro_directives_order_and_forms(profile):
 def test_malformed_define_rejected(profile):
     with pytest.raises(InvocationError):
         parse(["-D9x=1"], profile)
+    with pytest.raises(InvocationError, match="malformed -D argument"):
+        parse(['-DL"x"'], profile)
     with pytest.raises(InvocationError):
         parse(["-U"], profile)
 
@@ -190,11 +192,12 @@ def test_malformed_define_rejected(profile):
 def test_define_text_is_read_as_gcc_reads_it(profile):
     # GCC defines "NAME BODY" from -D, its first "=" made a space, or with
     # " 1" added when it has no "=".
-    inv = parse(["-DF(x)y", "-DF (x)=1", "-DA B", "-D", "B C=D", "-DE+1", "-D G", "-DH ="],
-                profile)
+    # The body loses the white space GCC strips, and keeps a no-break space.
+    inv = parse(["-DF(x)y", "-DF (x)=1", "-DA B", "-D", "B C=D", "-DE+1", "-D G", "-DH =",
+                 "-DI=\tx \xa0 "], profile)
     assert [(d.name, d.value) for d in inv.macro_directives] == [
         ("F(x)", "y 1"), ("F", "(x) 1"), ("A", "B 1"), ("B", "C D"), ("E", "+1 1"),
-        ("G", "1"), ("H", ""),
+        ("G", "1"), ("H", ""), ("I", "x \xa0"),
     ]
 
 
@@ -213,12 +216,19 @@ def test_function_like_defines(profile):
         ("-DF(x)=x##", "'##' cannot appear at either end of a macro expansion"),
         ("-DF(x)=#y", "'#' is not followed by a macro parameter"),
         ("-DF(x)=# ## x", "'#' is not followed by a macro parameter"),
+        ("-DF(x,x)=1", 'duplicate macro parameter "x"'),
+        ("-DF(x", "expected ',' or ')', found \"1\""),
+        ("-DA(", 'expected parameter name, found "1"'),
+        ("-DF(x,)", 'expected parameter name, found ")"'),
+        ("-DF(...,x)", "expected ')' after \"...\""),
+        ("-Ddefined", '"defined" cannot be used as a macro name'),
+        ("-Udefined=1", '"defined" cannot be used as a macro name'),
     ],
 )
 def test_define_body_gcc_rejects_gives_gccs_reason(profile, word, reason):
     with pytest.raises(InvocationError) as err:
         parse([word], profile)
-    assert str(err.value) == f"malformed -D argument: {word[2:]!r}: {reason}"
+    assert str(err.value) == f"malformed {word[:2]} argument: {word[2:]!r}: {reason}"
 
 
 def test_define_body_checks_read_tokens_as_gcc_does(profile):
@@ -226,7 +236,7 @@ def test_define_body_checks_read_tokens_as_gcc_does(profile):
     # space (and goes from the body GCC defines), and the body ends at its
     # first line break.
     inv = parse(['-DA="##"', "-DB='#'", "-DC=x//##", "-DD=x\n##", '-DF(x)="#"y'], profile)
-    assert [d.value for d in inv.macro_directives] == ['"##"', "'#'", "x", "x\n##", '"#"y']
+    assert [d.value for d in inv.macro_directives] == ['"##"', "'#'", "x", "x", '"#"y']
     for word in ["-DA=/**/##", "-DA=##x\ny", "-DF(L)=#L\"a\"", "-DF(x...)=#__VA_ARGS__"]:
         with pytest.raises(InvocationError, match="malformed -D argument"):
             parse([word], profile)
@@ -278,12 +288,18 @@ def test_define_comments_and_dollar_names_are_read_as_gcc_reads_them(profile):
 
 @pytest.mark.parametrize(
     "argv",
-    [["-DF(1)"], ["-DF(x,x)=1"], ["-DF(x"], ["-DF(x,)"], ["-D9x"], ["-D=1"],
-     ["-UF(x)"], ["-U", "F()"]],
+    [["-DF(1)"], ["-DF(x,x)=1"], ["-DF(x"], ["-DF(x,)"], ["-D9x"], ["-D=1"]],
 )
 def test_other_define_shapes_stay_malformed(profile, argv):
     with pytest.raises(InvocationError, match="malformed -[DU] argument"):
         parse(argv, profile)
+
+
+def test_undef_reads_the_first_macro_name(profile):
+    # -U is read as "#undef" and its text, as GCC reads it: the first macro
+    # name counts and the rest is ignored.
+    inv = parse(["-UF(x)", "-U", "F()", "-UA B", "-U/**/C", "-U D=1"], profile)
+    assert [d.name for d in inv.macro_directives] == ["F", "F", "A", "C", "D"]
 
 
 def test_separate_std_value(profile):

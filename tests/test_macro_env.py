@@ -6,11 +6,13 @@ own preprocessor where one is installed)."""
 import re
 import shutil
 import subprocess
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialectoscope import macro_env
+from dialectoscope.invocation import InvocationError, _macro_directive
 
 from dialectoscope import (
     AnsiMode,
@@ -744,6 +746,24 @@ _INVALID_DIRECTIVES = [
 ]
 
 
+#: #define and #undef lines that GCC 12.2 rejects for their name, parameter
+#: list or body, each on the line given, with GCC's reason.
+_REJECTED_DEFINITIONS = [
+    ("#define F(x) #y\n", 1, "'#' is not followed by a macro parameter"),
+    ("a\n#define F(x,x) 1\n", 2, 'duplicate macro parameter "x"'),
+    ("#define F(x 1\n", 1, "expected ',' or ')', found \"1\""),
+    ("#if 1\n#define A ## B\n#endif\n", 2, "'##' cannot appear at either end of a macro expansion"),
+    ("#define A B ##\n", 1, "'##' cannot appear at either end of a macro expansion"),
+    ("#define F(x) x ##\n", 1, "'##' cannot appear at either end of a macro expansion"),
+    ("#define defined 1\n", 1, '"defined" cannot be used as a macro name'),
+    ("x\ny\n#undef defined\n", 3, '"defined" cannot be used as a macro name'),
+    ("#define F(x,) 1\n", 1, 'expected parameter name, found ")"'),
+    ("#define F(... x) 1\n", 1, "expected ')' after \"...\""),
+    ("#define F(\n", 1, "expected parameter name before end of line"),
+    ("#define F(x\n", 1, "expected ')' before end of line"),
+]
+
+
 @pytest.mark.parametrize("source,message", [
     ("#ifdef\n#endif\n", "line 1: no macro name given in #ifdef directive"),
     ("x\n#ifndef 3x\n#endif\n", "line 2: macro names must be identifiers"),
@@ -754,6 +774,7 @@ _INVALID_DIRECTIVES = [
     ("#if 1\n\n#define L'x'\n#endif\n", "line 3: malformed #define"),
     *((source, f"line {line}: invalid preprocessing directive {name}")
       for source, line, name in _INVALID_DIRECTIVES),
+    *((source, f"line {line}: {reason}") for source, line, reason in _REJECTED_DEFINITIONS),
 ])
 def test_active_directive_operands_gcc_rejects_are_errors(source, message):
     with pytest.raises(ConditionalStructureError) as err:
@@ -771,6 +792,17 @@ def test_invalid_directive_names_are_gcc_errors(source, line, name):
     assert gcc.returncode != 0
     assert re.search(rf"^<stdin>:{line}:\d+: error: invalid preprocessing directive "
                      rf"{re.escape(name)}$", gcc.stderr, re.M)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@pytest.mark.parametrize("source,line,reason", _REJECTED_DEFINITIONS)
+def test_rejected_definitions_are_gcc_errors(source, line, reason):
+    gcc = subprocess.run(
+        [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
+        input=source, capture_output=True, text=True,
+    )
+    assert gcc.returncode != 0
+    assert re.search(rf"^<stdin>:{line}:\d+: error: {re.escape(reason)}$", gcc.stderr, re.M)
 
 
 def test_skipped_groups_are_read_only_for_directive_names():
@@ -814,6 +846,70 @@ def test_evaluator_error_texts(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert type(err.value) is error and str(err.value) == message
+
+
+# --- -D/-U words and header lines, read by one grammar --------------------------
+
+#: Pieces of -D/-U text: names ("L" may open a wide literal, and "defined" is
+#: no macro name), parameter lists, malformed ones among them, "=", "#",
+#: "##", comments, literals and white space.
+_OPERAND_PIECES = st.sampled_from([
+    "A", "F", "L", "x", "defined", "9", "$", "(x)", "(x,x)", "(x", "()", "(...)", "(x, ...)",
+    "(x...)", "(,)", "(x,)", "(... x)", "=", "=", " ", "#", "##", "/*c*/", "//c", "/*", '"#"',
+    'L"', "'", "1", "__VA_ARGS__",
+])
+_OPERAND_TEXTS = st.lists(_OPERAND_PIECES, max_size=6).map("".join)
+_UNDEF_NAMES = ("A", "F", "L", "x", "defined", "$")
+
+
+def _defined_by_option(option, text, env):
+    """What the -D or -U word with ``text`` makes of ``env``: each
+    definition as (name, function_like, body), or None for an input
+    error."""
+    try:
+        directive = _macro_directive(option, text)
+    except InvocationError:
+        return None
+    return [(d.name, d.function_like, d.body) for d in apply_directives(env, [directive]).definitions()]
+
+
+def _defined_by_header(line, env):
+    """What the header line ``line`` makes of ``env``, as active_branches
+    reads it, in the form of :func:`_defined_by_option`.  Lines that
+    ``#ifdef`` the names of ``_UNDEF_NAMES`` follow it, so that the names
+    it leaves defined are retained."""
+    made = []
+
+    def record(*fields):
+        made.append(MacroDefinition(*fields))
+        return made[-1]
+
+    tests = "".join(f"#ifdef {name}\n{name}\n#endif\n" for name in _UNDEF_NAMES)
+    try:
+        with mock.patch.object(macro_env, "MacroDefinition", record):
+            report = active_branches(env, f"{line}\n{tests}")
+    except macro_env.PreprocessorError:
+        return None
+    kept = set(report.retained_text.split("\n")[1:])
+    table = {d.name: d for d in env.definitions() if d.name in kept}
+    table.update((d.name, d) for d in made)
+    return [(d.name, d.function_like, d.body) for d in map(table.get, sorted(table))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_OPERAND_TEXTS)
+def test_define_words_and_define_lines_agree(text):
+    # -D<text> is the line "#define" and the text with its first "=" made a
+    # space, or with " 1" added.
+    line = "#define " + (text.replace("=", " ", 1) if "=" in text else text + " 1")
+    assert _defined_by_option("-D", text, MacroEnv()) == _defined_by_header(line, MacroEnv())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPERAND_TEXTS)
+def test_undef_words_and_undef_lines_agree(text):
+    env = env_of(**{name: 1 for name in _UNDEF_NAMES})
+    assert _defined_by_option("-U", text, env) == _defined_by_header(f"#undef {text}", env)
 
 
 # --- line and comment scanner against the character-loop oracle ---------------
@@ -971,6 +1067,78 @@ def _ref_name_error(kind, operand, line):
     return ConditionalStructureError(f"no macro name given in #{kind} directive", line)
 
 
+_REF_PASTE = "'##' cannot appear at either end of a macro expansion"
+
+
+def _ref_parameters(inside, closed):
+    """GCC's reason to reject the parameter list ``inside`` its "(" (and its
+    ")" when ``closed``), or the names a stringizing "#" may take there.
+    The list is read one comma-separated item at a time."""
+    names = set()
+    items = inside.split(",")
+    variadic = False
+    for i, item in enumerate(items):
+        words = re.findall(r"\.\.\.|[\w$]+|\S", item)
+        if variadic:  # "..." was the last item, and a "," follows it
+            return "expected ')' after \"...\""
+        if not words:
+            if len(items) == 1 and closed:
+                return names  # "()"
+            if i + 1 < len(items):
+                return 'expected parameter name, found ","'
+            return 'expected parameter name, found ")"' if closed else (
+                "expected parameter name before end of line")
+        first, rest = words[0], words[1:]
+        if first == "...":
+            first, variadic = "__VA_ARGS__", True
+        elif not re.fullmatch(r"[A-Za-z_$][\w$]*", first):
+            return f'expected parameter name, found "{first}"'
+        if first in names:
+            return f'duplicate macro parameter "{first}"'
+        names.add(first)
+        if rest[:1] == ["..."] and not variadic:
+            rest, variadic = rest[1:], True
+        if rest:
+            if variadic:
+                return "expected ')' after \"...\""
+            return f"expected ',' or ')', found \"{rest[0]}\""
+    if not closed:
+        return "expected ')' after \"...\"" if variadic else "expected ')' before end of line"
+    if variadic:
+        names.add("__VA_OPT__")
+    return names
+
+
+def _ref_define(operand, line):
+    """The definition of a #define line's ``operand``, by GCC's rules, or
+    the error they give."""
+    name = _ref_name(operand)
+    if name is None:
+        raise ConditionalStructureError("malformed #define", line)
+    name, paren, rest = name
+    if name == "defined":
+        raise ConditionalStructureError('"defined" cannot be used as a macro name', line)
+    names = None
+    if paren:
+        inside, close, rest = rest.partition(")")
+        names = _ref_parameters(inside, bool(close))
+        if isinstance(names, str):
+            raise ConditionalStructureError(names, line)
+    body = rest.strip()
+    tokens = re.findall(r"##|#|[\w$]+|\S", body)
+    if tokens[:1] == ["##"]:
+        raise ConditionalStructureError(_REF_PASTE, line)
+    if names is not None:
+        for token, after in zip(tokens, tokens[1:] + [None]):
+            if token == "#" and after not in names:
+                raise ConditionalStructureError("'#' is not followed by a macro parameter", line)
+    if tokens[-1:] == ["##"]:
+        raise ConditionalStructureError(_REF_PASTE, line)
+    if paren:
+        body = f"({inside}) {body}".strip()
+    return MacroDefinition(name, body, "source", function_like=bool(paren))
+
+
 def _reference_branches(env, source):
     """The branch report, built one logical line at a time: every directive
     line is matched in order, #define and #undef apply only in an active
@@ -1003,17 +1171,16 @@ def _reference_branches(env, source):
             else:
                 kept.append((line, end))
             if kind == "define":
-                name = _ref_name(m[2].rstrip())
-                if name is None:
-                    raise ConditionalStructureError("malformed #define", line)
-                name, paren, body = name
-                table[name] = MacroDefinition(
-                    name, (paren + body).strip(), "source", function_like=bool(paren)
-                )
+                definition = _ref_define(m[2], line)
+                table[definition.name] = definition
             elif kind == "undef":
                 name = _ref_name(m[2])
                 if name is None:
                     raise _ref_name_error("undef", m[2], line)
+                if name[0] == "defined":
+                    raise ConditionalStructureError(
+                        '"defined" cannot be used as a macro name', line
+                    )
                 table.pop(name[0], None)
             continue
         rest = m[2].rstrip()
@@ -1088,16 +1255,21 @@ def _lines(good, bad):
 
 _SOUP_OPENERS = _lines(
     ["#if 1", "#if 0", "#if A", "#if A == 2", "#if defined(B) || C", "#if A$B", "#if B + 1 > 2",
-     "#if C ? A : 0", "#ifdef A", "#ifdef B x", "#ifndef C(x)", "#ifndef A$B", "  # if 1 // c"],
+     "#if C ? A : 0", "#ifdef A", "#ifdef B x", "#ifndef C(x)", "#ifndef A$B", "  # if 1 // c",
+     "#ifdef defined"],
     ["#ifdef 3x", "#ifdef", "#if 1/0", "#if @", "#if", "#if C(1)", '#ifdef L"x"', "#ifndef (A)"],
 )
 _SOUP_ELIFS = _lines(["#elif 1", "#elif A", "#elif 0", "#elif B == 1"], ["#elif", "#elif @"])
 _SOUP_PLAIN = _lines(
     ["text", "", "#define A 2", "#define A", "#define B A", "#define C(x) x", "#define A$B 3",
      "#define C 1", "#undef A", "#undef B junk", "#undef C(x)", "#pragma x", "#elifdef A",
-     "# include <x>", "x /* #endif */ y", "// #else", '"/*"'],
+     "# include <x>", "x /* #endif */ y", "// #else", '"/*"', "#define C( x, ... )#x ## x",
+     "#define B(...) #__VA_ARGS__", "#define C()", "#define A # ## #"],
     ["#define 3x", "#define", "#define L'x'", "#undef", "#undef 3", "#endif", "#else",
-     "#elif 1", "/* c", "#if$x", "#definex", "#else$", "#ifndef$ A"],
+     "#elif 1", "/* c", "#if$x", "#definex", "#else$", "#ifndef$ A", "#define F(x) #y",
+     "#define F(x,x) 1", "#define F(x 1", "#define A ## B", "#define A B ##",
+     "#define F(x) x ##", "#define defined 1", "#undef defined", "#define F(x,) 1",
+     "#define F(... x)", "#define F(", "#define F(x, y"],
 )
 #: What ends a line: mostly a line break, sometimes a backslash-newline or a
 #: comment spanning lines, either of which joins it to the next.
@@ -1189,6 +1361,13 @@ _GCC_SNIPPETS = {
     "extra-tokens": (
         "#define A\n#ifdef A B\nmark1\n#endif\n#ifndef C(x)\nmark2\n#endif\n"
         "#undef A B\n#ifdef A\nmark3\n#endif\n"
+    ),
+    # "defined" is no macro name to define, but #ifdef may test it.
+    "defined-tested": "#ifdef defined\nmark1\n#endif\n#ifndef defined\nmark2\n#endif\n",
+    "parameter-lists": (
+        "#define F(x...) #x\n#define G(...) #__VA_ARGS__\n#define H( x, ... ) #__VA_OPT__(x)\n"
+        "#define E() 1\n#define P(x, y) x ## y\n"
+        "#if defined F && defined G && defined H && defined E && defined P\nmark1\n#endif\n"
     ),
     "dollar-names": (
         "#define A$B 3\n#ifdef A\nmark1\n#endif\n#if A$B == 3\nmark2\n#endif\n"
