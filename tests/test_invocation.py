@@ -288,7 +288,8 @@ def test_define_comments_and_dollar_names_are_read_as_gcc_reads_them(profile):
 
 @pytest.mark.parametrize(
     "argv",
-    [["-DF(1)"], ["-DF(x,x)=1"], ["-DF(x"], ["-DF(x,)"], ["-D9x"], ["-D=1"]],
+    [["-DF(1)"], ["-DF(x,x)=1"], ["-DF(x"], ["-DF(x,)"], ["-D9x"], ["-D=1"],
+     ["-U9x"], ["-U", "(x)"]],
 )
 def test_other_define_shapes_stay_malformed(profile, argv):
     with pytest.raises(InvocationError, match="malformed -[DU] argument"):
