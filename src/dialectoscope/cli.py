@@ -10,7 +10,9 @@ JSON document whole, which :func:`_json_pieces` writes.  ``build audit``
 and ``build check`` build none: each distinct dialect's row text is
 rendered once, and rows that share a dialect share it
 (:func:`_audit_json`, :func:`_audit_text`); the text is still exactly
-``json.dumps(doc, indent=2)`` of the report's ``to_json_dict()``.  Exit
+``json.dumps(doc, indent=2)`` of the report's ``to_json_dict()``.
+``macros branches`` builds none either: each group's text is written from
+the report's records (:func:`_branches_json`).  Exit
 status: 0 success, 1 findings (audit findings, unreliable verdicts,
 failed or unresolved probes), 2 usage or input errors.
 
@@ -301,28 +303,58 @@ def cmd_macros_branches(args) -> Result:
     env = _macro_env_from_args(args)
     report = active_branches(env, _read_text(args.source))
     retained_text = report.retained_text if args.show_retained else None
-    doc = {
-        "groups": [
-            {
-                "start_line": g.start_line,
-                "end_line": g.end_line,
-                "evaluated": g.evaluated,
-                "arms": [
-                    {
-                        "kind": a.kind,
-                        "condition": a.condition,
-                        "line": a.line,
-                        "taken": a.taken,
-                    }
-                    for a in g.arms
-                ],
-            }
-            for g in report.groups
-        ],
-        "retained_ranges": [list(r) for r in report.retained_ranges],
-        "retained_text": retained_text,
-    }
-    return Result(doc, lambda: _branches_text(report, retained_text))
+    # A header can hold thousands of groups: the JSON text is written from
+    # the report's records, with no document between.
+    return Result(
+        lambda: _branches_json(report, retained_text),
+        lambda: _branches_text(report, retained_text),
+    )
+
+
+#: The JSON text of ``True``, ``False`` and ``None``.
+_JSON_WORDS = {True: "true", False: "false", None: "null"}
+#: A group's JSON text in ``--format json`` output of ``macros branches``,
+#: to be filled with its lines, its "evaluated" word and its arms' texts,
+#: and an arm's, per kind, to be filled with its encoded condition (or
+#: "null"), its line and its "taken" word.
+_GROUP_JSON = (
+    '{\n      "start_line": %d,\n      "end_line": %d,\n      "evaluated": %s,'
+    '\n      "arms": [\n        %s\n      ]\n    }'
+)
+_ARM_JSON = {
+    kind: '{\n          "kind": "' + kind + '",\n          "condition": %s,'
+          '\n          "line": %d,\n          "taken": %s\n        }'
+    for kind in ("if", "ifdef", "ifndef", "elif", "else")
+}
+
+
+def _branches_json(report, retained_text: str | None) -> Iterator[str]:
+    """``json.dumps(doc, indent=2)``, byte for byte, as pieces, of the
+    document of ``macros branches``: "groups", each with "start_line",
+    "end_line", "evaluated" and "arms" (each arm its "kind", "condition",
+    "line" and "taken"), "retained_ranges" as pairs of lines, and
+    "retained_text".  Each group is written from its record into a fixed
+    template, with no dict between."""
+    encode = json.encoder.encode_basestring_ascii
+    words, arm_json = _JSON_WORDS, _ARM_JSON
+
+    def groups():
+        for arms, start, end, evaluated in report.groups:
+            texts = [
+                arm_json[kind] % ("null" if cond is None else encode(cond), line, words[taken])
+                for kind, cond, line, taken in arms
+            ]
+            yield _GROUP_JSON % (start, end, words[evaluated], ",\n        ".join(texts)), 1
+
+    yield '{\n  "groups": '
+    yield from _json_list_pieces(groups(), "\n  ")
+    yield ',\n  "retained_ranges": '
+    yield from _json_list_pieces(
+        ((f"[\n      {first},\n      {last}\n    ]", 1) for first, last in report.retained_ranges),
+        "\n  ",
+    )
+    text = "null" if retained_text is None else encode(retained_text)
+    yield ',\n  "retained_text": ' + text + "\n}"
 
 
 def _branches_text(report, retained_text: str | None) -> str:

@@ -524,13 +524,15 @@ _COMMENT_RE = re.compile(_COMMENT)
 _CONDITIONAL_RE = re.compile(
     rf"\n[^\S\n]*#[^\S\n]*(ifdef|ifndef|if|elif|else|endif)(?!{_IDENT_CHAR})[^\S\n]*([^\n]*)"
 )
-#: A #define or #undef line, or a line whose directive name is one the scan
-#: reads followed by more identifier characters: that name, the characters
-#: after it, then the operand, read as a -D/-U argument is read.
-_DEFINITION_RE = re.compile(
-    r"\n[^\S\n]*#[^\S\n]*(define|undef|e(?:lif|lse|ndif)|if(?:n?def)?)"
-    rf"({_IDENT_CHAR}*){_DEFINE_OPERAND}"
-)
+#: A directive line other than a conditional one: its directive name, then
+#: the operand, read as a -D/-U argument is read.
+_DEFINITION_RE = re.compile(rf"\n[^\S\n]*#[^\S\n]*({_IDENT}){_DEFINE_OPERAND}")
+#: The directive names GCC 12.2 knows besides the conditional ones, #define
+#: and #undef: lines that name one are kept as text.
+_KEPT_DIRECTIVES = frozenset((
+    "include", "include_next", "import", "line", "error", "warning", "pragma", "ident", "sccs",
+    "assert", "unassert", "elifdef", "elifndef",
+))
 
 
 class BranchArm(NamedTuple):
@@ -614,19 +616,6 @@ def _strip_comments(text: str, starts: Sequence[int]) -> tuple[str, Sequence[int
     return stripped, list(chain.from_iterable(runs))
 
 
-class _Frame:
-    """One open conditional group while the scan is inside it."""
-
-    __slots__ = ("arms", "start_line", "evaluated", "taken_seen", "in_else", "active")
-
-    def __init__(self, arm: BranchArm, evaluated: bool):
-        self.arms = [arm]
-        self.start_line = arm.line
-        self.evaluated = evaluated  # context was active when the group opened
-        self.taken_seen = self.active = bool(arm.taken)
-        self.in_else = False
-
-
 def _read_definitions(
     table: dict[str, MacroDefinition], text: str, start: int, end: int, starts: Sequence[int]
 ) -> None:
@@ -635,20 +624,19 @@ def _read_definitions(
     grammar of -D/-U words (``invocation._DEFINE_OPERAND``), and one that
     GCC rejects is an error with GCC's reason; a #define with no macro name
     is "malformed #define".  A #undef reads its first macro name and
-    ignores the rest of the line, as GCC does.  A directive
-    name made of one the scan reads and more identifier characters, such as
-    #if$x or #definex, is an error, as GCC does not know it; of such names
-    GCC 12.2 knows only #elifdef and #elifndef, which are kept as text."""
+    ignores the rest of the line, as GCC does.  The other directives GCC
+    knows (``_KEPT_DIRECTIVES``) are kept as text; any other directive name,
+    such as #foo, #if$x or #definex, is an error, as GCC does not know it.
+    A line whose "#" no identifier follows, such as "#", "# 5" or "#!x",
+    is kept as text."""
     for m in _DEFINITION_RE.finditer(text, start, end):
-        kind, more, name, params, body = m.groups()
-        if more:
-            if kind + more in ("elifdef", "elifndef"):
+        kind, name, params, body = m.groups()
+        define = kind == "define"
+        if not define and kind != "undef":
+            if kind in _KEPT_DIRECTIVES:
                 continue
             line = starts[text.count("\n", 0, m.start())]
-            raise ConditionalStructureError(
-                f"invalid preprocessing directive #{kind}{more}", line
-            )
-        define = kind == "define"
+            raise ConditionalStructureError(f"invalid preprocessing directive #{kind}", line)
         # Only these lines can hold a fault; most #define lines hold none.
         if name is None or name == "defined" or define and (params or "#" in body):
             reason = "malformed #define" if define and name is None else _operand_error(kind, m)
@@ -684,7 +672,9 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
     table = dict(env._table)
     bodies: dict[str, list[str]] = {}
     ints: dict[str, _Int] = {}
-    frames: list[_Frame] = []
+    # Each open group: [arms, start_line, evaluated (its context was active
+    # when it opened), taken_seen, in_else, active].
+    frames: list[list] = []
     groups: list[ConditionalGroup] = []
     retained: list[tuple[int, int]] = []
     active = True
@@ -710,44 +700,38 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
         if kind == "endif":
             if not frames:
                 raise ConditionalStructureError("#endif without matching #if", line)
-            frame = frames.pop()
-            groups.append(
-                ConditionalGroup(
-                    arms=tuple(frame.arms),
-                    start_line=frame.start_line,
-                    end_line=starts[k + 1] - 1,
-                    evaluated=frame.evaluated,
-                )
-            )
+            arms, start_line, evaluated = frames.pop()[:3]
+            groups.append(ConditionalGroup(tuple(arms), start_line, starts[k + 1] - 1, evaluated))
         elif kind == "else":
             if not frames:
                 raise ConditionalStructureError("#else without matching #if", line)
             frame = frames[-1]
-            if frame.in_else:
+            if frame[4]:
                 raise ConditionalStructureError("duplicate #else", line)
-            frame.in_else = True
-            if not frame.evaluated:
+            frame[4] = True
+            if not frame[2]:
                 taken = None
             else:
-                taken = frame.active = not frame.taken_seen
-                frame.taken_seen = True
-            frame.arms.append(BranchArm("else", None, line, taken))
+                taken = frame[5] = not frame[3]
+                frame[3] = True
+            frame[0].append(BranchArm("else", None, line, taken))
         elif kind == "elif":
             if not frames:
                 raise ConditionalStructureError("#elif without matching #if", line)
             frame = frames[-1]
-            if frame.in_else:
+            if frame[4]:
                 raise ConditionalStructureError("#elif after #else", line)
             rest = rest.rstrip()
-            if not frame.evaluated:
+            if not frame[2]:
                 taken = None
-            elif frame.taken_seen:
-                taken = frame.active = False
+            elif frame[3]:
+                taken = frame[5] = False
             else:
-                taken = frame.active = frame.taken_seen = _taken(rest, line, table, bodies, ints)
-            frame.arms.append(BranchArm("elif", rest, line, taken))
+                taken = frame[5] = frame[3] = _taken(rest, line, table, bodies, ints)
+            frame[0].append(BranchArm("elif", rest, line, taken))
         elif not active:
-            frames.append(_Frame(BranchArm(kind, rest.rstrip(), line, None), False))
+            arm = BranchArm(kind, rest.rstrip(), line, None)
+            frames.append([[arm], line, False, False, False, False])
         else:
             if kind == "if":
                 rest = rest.rstrip()
@@ -758,14 +742,14 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
                     raise ConditionalStructureError(_operand_error(kind, operand), line)
                 rest = operand["name"]
                 taken = (rest in table) == (kind == "ifdef")
-            frames.append(_Frame(BranchArm(kind, rest, line, taken), True))
-        active = frames[-1].active if frames else True
+            frames.append([[BranchArm(kind, rest, line, taken)], line, True, taken, False, taken])
+        active = frames[-1][5] if frames else True
 
     if active and unread < len(text):
         _read_definitions(table, text, unread, len(text), starts)
     if frames:
         raise ConditionalStructureError(
-            "unterminated conditional", frames[-1].start_line
+            "unterminated conditional", frames[-1][1]
         )
     if pending < len(starts) - 1:
         retained.append((starts[pending], starts[-1] - 1))

@@ -494,6 +494,136 @@ def test_macros_branches_reports_structure_errors(capsys, tmp_path):
     assert "line 1" in err
 
 
+def _main_on_stdin(argv, source):
+    """The status, standard output and standard error of ``main(argv)``
+    with ``source`` as standard input."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(source)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reference_branches_doc(report, show_retained):
+    """The ``macros branches --format json`` document, as the command built
+    it as a dict before it wrote its text from the report's records."""
+    return {
+        "groups": [
+            {
+                "start_line": g.start_line,
+                "end_line": g.end_line,
+                "evaluated": g.evaluated,
+                "arms": [
+                    {
+                        "kind": a.kind,
+                        "condition": a.condition,
+                        "line": a.line,
+                        "taken": a.taken,
+                    }
+                    for a in g.arms
+                ],
+            }
+            for g in report.groups
+        ],
+        "retained_ranges": [list(r) for r in report.retained_ranges],
+        "retained_text": report.retained_text if show_retained else None,
+    }
+
+
+def _assert_branches_json_is_the_reference(source):
+    for options in ([], ["--show-retained"]):
+        argv = ["--format", "json", "macros", "branches", "-", *options]
+        args = cli._parse_args(argv)
+        report = dialectoscope.active_branches(cli._macro_env_from_args(args), source)
+        expected = json.dumps(_reference_branches_doc(report, bool(options)), indent=2) + "\n"
+        assert _main_on_stdin(argv, source) == (0, expected, "")
+
+
+#: Text for conditions that are never evaluated, and for retained lines:
+#: quotes, backslashes, DEL, non-ASCII and "},{".
+_AWKWARD_TEXT = st.text(alphabet='ab "\\\x7fé\U0001f600},{', max_size=8)
+
+
+@st.composite
+def _awkward_lines(draw):
+    """A line of awkward text that does not end in a backslash, sometimes
+    split by a backslash-newline."""
+    line = draw(_AWKWARD_TEXT) + "x"
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(line)))
+        line = line[:cut] + "\\\n" + line[cut:]
+    return line
+
+
+@st.composite
+def _awkward_headers(draw, depth=0):
+    """Nested groups whose conditions, wherever they are not evaluated (in a
+    skipped group, or after a taken arm), are awkward text."""
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        if depth == 2 or draw(st.booleans()):
+            lines.append(draw(_awkward_lines()))
+            continue
+        skipped = draw(st.booleans())
+        if skipped:  # an #if 0 whose arm holds a group of awkward conditions
+            lines.append("#if 0")
+            lines.append(draw(st.sampled_from(["#if ", "#ifdef ", "#ifndef "]))
+                         + draw(_awkward_lines()))
+        else:
+            lines.append("#if 1")
+        lines += draw(_awkward_headers(depth + 1))
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append("#elif " + draw(_awkward_lines()))
+            lines += draw(_awkward_headers(depth + 1))
+        if draw(st.booleans()):
+            lines.append("#else")
+            lines += draw(_awkward_headers(depth + 1))
+        lines.append("#endif")
+        if skipped:
+            lines.append("#endif")
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(_awkward_headers())
+def test_branches_json_is_json_dumps_of_the_report_document(lines):
+    _assert_branches_json_is_the_reference("".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("source", [
+    "",
+    "int x;\n#define A 1\n",
+    # More groups than one piece of output holds.
+    "".join(f"#if {i} % 3\na{i}\n#elif 0\n#else\n#  ifdef B\n#  endif\n#endif\n"
+            for i in range(2500)),
+], ids=["empty", "no-groups", "2500-groups"])
+def test_branches_json_of_fixed_headers_is_json_dumps_of_the_report_document(source):
+    _assert_branches_json_is_the_reference(source)
+
+
+_SOUP_PIECES = st.sampled_from([
+    "#if 1\n", "#if 0\n", "#if A\n", "#ifdef A\n", "#ifndef\n", "#elif 1\n", "#elif\n",
+    "#else\n", "#endif\n", "#define A 1\n", "#define F(x,x) 1\n", "#undef A\n", "#foo\n",
+    "#!x\n", "# 5 \"f.c\"\n", "#pragma x\n", "/*", "*/", "//", "\\\n", "\"", "'", "\x00",
+    "é", "\U0001f600", "text\n", "\n", "#if 1/0\n", "#if (\n",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SOUP_PIECES, max_size=20).map("".join))
+def test_macros_branches_exits_0_or_2_on_directive_soups(source):
+    code, out, err = _main_on_stdin(["--format", "json", "macros", "branches", "-"], source)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == "" and err.startswith("error: ")
+
+
 # --- include --------------------------------------------------------------------
 
 
@@ -1368,13 +1498,8 @@ def test_build_reports_are_the_text_of_their_records(case):
     expected = {"json": json.dumps(report.to_json_dict(), indent=2) + "\n",
                 "human": _reference_audit_text(report)}
     for output, text in expected.items():
-        stdin, sys.stdin = sys.stdin, io.StringIO(document)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                code = main(["--format", output, *argv, "--fail-on", fail_on])
-        finally:
-            sys.stdin = stdin
-        assert (code, out.getvalue()) == (status, text)
+        code, out, _ = _main_on_stdin(["--format", output, *argv, "--fail-on", fail_on], document)
+        assert (code, out) == (status, text)
 
 
 def test_json_text_of_report_shapes():

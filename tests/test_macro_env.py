@@ -732,9 +732,13 @@ def test_ifdef_ifndef_and_undef_read_the_first_macro_name():
     assert eval_condition(env_of(**{"A$B": 3}), "A$B == 3") == 1
 
 
-#: Directive names GCC does not know, each a name the scan reads followed by
-#: more identifier characters, on the line given.
+#: Directive names GCC does not know, on the line given: a name the scan
+#: reads followed by more identifier characters, or any other identifier.
 _INVALID_DIRECTIVES = [
+    ("#foo\n", 1, "#foo"),
+    ("a\n# foo bar\n", 2, "#foo"),
+    ("#if 1\n#defin X\n#endif\n", 2, "#defin"),
+    ("#$x\n", 1, "#$x"),
     ("#if$x\n#endif\n", 1, "#if$x"),
     ("#define$x 1\n", 1, "#define$x"),
     ("#if 1\n#endif$\n#endif\n", 2, "#endif$"),
@@ -792,6 +796,32 @@ def test_invalid_directive_names_are_gcc_errors(source, line, name):
     assert gcc.returncode != 0
     assert re.search(rf"^<stdin>:{line}:\d+: error: invalid preprocessing directive "
                      rf"{re.escape(name)}$", gcc.stderr, re.M)
+
+
+#: Directive lines GCC 12.2 accepts that the scan keeps as text: directives
+#: it knows besides the conditional ones, #define and #undef, line markers
+#: and the null directive.
+_KEPT_DIRECTIVE_LINES = [
+    "#pragma once", '#ident "x"', '#sccs "x"', "#line 5", '# 5 "f.c"', "#", "#123",
+    "#warning w", "#assert a(b)", "#unassert a",
+]
+
+
+@pytest.mark.parametrize("line", _KEPT_DIRECTIVE_LINES)
+def test_known_directive_lines_are_kept_as_text(line):
+    source = f"#if 1\n{line}\n#endif\n"
+    assert active_branches(env_of(), source).retained_text == line + "\n"
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@pytest.mark.parametrize("line", _KEPT_DIRECTIVE_LINES)
+def test_kept_directive_lines_are_gcc_accepted(line):
+    gcc = subprocess.run(
+        [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
+        input=f"#if 1\n{line}\n#endif\n", capture_output=True, text=True,
+    )
+    assert gcc.returncode == 0, gcc.stderr
+    assert "error" not in gcc.stderr
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
@@ -1049,7 +1079,10 @@ _REF_DIRECTIVE = re.compile(r"[^\S\n]*#[^\S\n]*([A-Za-z_$][\w$]*)[^\S\n]*(.*)\Z"
 _REF_NAME = re.compile(r"([A-Za-z_$][\w$]*)(\(?)(.*)\Z", re.S)
 _REF_CONDITIONALS = ("if", "ifdef", "ifndef", "elif", "else", "endif")
 #: Names GCC 12.2 knows as directives that the scan keeps as text.
-_REF_KEPT = ("elifdef", "elifndef")
+_REF_KEPT = (
+    "include", "include_next", "import", "line", "error", "warning", "pragma", "ident", "sccs",
+    "assert", "unassert", "elifdef", "elifndef",
+)
 
 
 def _ref_name(operand):
@@ -1161,10 +1194,7 @@ def _reference_branches(env, source):
         if kind not in _REF_CONDITIONALS:
             if not active:
                 continue
-            if kind and kind not in _REF_KEPT and any(
-                kind.startswith(known) and kind != known
-                for known in _REF_CONDITIONALS + ("define", "undef")
-            ):
+            if kind and kind not in _REF_KEPT + ("define", "undef"):
                 raise ConditionalStructureError(f"invalid preprocessing directive #{kind}", line)
             if kept and kept[-1][1] + 1 == line:
                 kept[-1] = (kept[-1][0], end)
@@ -1264,12 +1294,14 @@ _SOUP_PLAIN = _lines(
     ["text", "", "#define A 2", "#define A", "#define B A", "#define C(x) x", "#define A$B 3",
      "#define C 1", "#undef A", "#undef B junk", "#undef C(x)", "#pragma x", "#elifdef A",
      "# include <x>", "x /* #endif */ y", "// #else", '"/*"', "#define C( x, ... )#x ## x",
-     "#define B(...) #__VA_ARGS__", "#define C()", "#define A # ## #"],
+     "#define B(...) #__VA_ARGS__", "#define C()", "#define A # ## #", "#", '# 5 "f.c"',
+     "#line 5", "#warning w"],
     ["#define 3x", "#define", "#define L'x'", "#undef", "#undef 3", "#endif", "#else",
      "#elif 1", "/* c", "#if$x", "#definex", "#else$", "#ifndef$ A", "#define F(x) #y",
      "#define F(x,x) 1", "#define F(x 1", "#define A ## B", "#define A B ##",
      "#define F(x) x ##", "#define defined 1", "#undef defined", "#define F(x,) 1",
-     "#define F(... x)", "#define F(", "#define F(x, y"],
+     "#define F(... x)", "#define F(", "#define F(x, y", "#foo", "# foo bar", "#defin X",
+     "#$x"],
 )
 #: What ends a line: mostly a line break, sometimes a backslash-newline or a
 #: comment spanning lines, either of which joins it to the next.
