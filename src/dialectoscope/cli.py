@@ -4,15 +4,16 @@ One executable, one subcommand per library operation.  Every
 subcommand honors ``--format human|json``: its handler returns a
 :class:`Result` holding both renderings and the exit status, and
 :func:`main` prints the one asked for, so an error found late prints
-nothing but the error.  Output is written a piece at a time, so a long
-report's text is never held in one string.  Most subcommands build a
-JSON document whole, which :func:`_json_pieces` writes.  ``build audit``
-and ``build check`` build none: each distinct dialect's row text is
-rendered once, and rows that share a dialect share it
-(:func:`_audit_json`, :func:`_audit_text`); the text is still exactly
-``json.dumps(doc, indent=2)`` of the report's ``to_json_dict()``.
-``macros branches`` builds none either: each group's text is written from
-the report's records (:func:`_branches_json`).  Exit
+nothing but the error.  Most subcommands build a small JSON document
+whole, which is written as ``json.dumps(doc, indent=2)``.  The reports
+that can run long are streamed by their own writers, a piece at a time,
+so their text is never held in one string.  ``build audit`` and ``build
+check`` build no document: each distinct dialect's row text is rendered
+once, and rows that share a dialect share it (:func:`_audit_json`,
+:func:`_audit_text`); the text is still exactly ``json.dumps(doc,
+indent=2)`` of the report's ``to_json_dict()``.  ``macros branches``
+builds none either: each group's text is written from the report's
+records (:func:`_branches_json`).  Exit
 status: 0 success, 1 findings (audit findings, unreliable verdicts,
 failed or unresolved probes), 2 usage or input errors.
 
@@ -41,7 +42,6 @@ import functools
 import gc
 import json
 import sys
-from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from . import _EXPORTS
@@ -63,7 +63,8 @@ class Result(NamedTuple):
     is costly; only the one printed is called, and it is called before
     anything is written.  Such a function may instead return an iterator
     over the pieces of the rendering's text, the document's without the
-    final newline; it must raise no input error."""
+    final newline, as the writers of the build and branch reports do; it
+    must raise no input error."""
 
     doc: dict | Callable[[], dict | Iterator[str]]
     text: str | Callable[[], str | Iterator[str]]
@@ -506,6 +507,10 @@ def cmd_space_models(args) -> Result:
 # --- build subcommands --------------------------------------------------------------
 
 
+#: The most report rows written as one piece of a streamed report.
+_CHUNK = 1024
+
+
 def _chunks(blocks) -> Iterator[list[str]]:
     """The texts of ``blocks``, pairs of a text and the number of report
     rows it holds, in consecutive lists of at most ``_CHUNK`` rows (a block
@@ -553,7 +558,7 @@ def _audit_json(facts) -> Iterator[str]:
     byte, as pieces.  A row's text after its file name depends only on the
     TU's dialect, so it is rendered once per dialect; each row is then its
     head, the encoded file name and that tail."""
-    from .build_audit import _SEVERITY_TEXT, _inconsistency_json
+    from .build_audit import _SEVERITY_TEXT
 
     encode = json.encoder.encode_basestring_ascii
     files = list(map(encode, [e.file for e in facts.entries]))
@@ -579,8 +584,20 @@ def _audit_json(facts) -> Iterator[str]:
     yield from _json_list_pieces(
         ((head + f + tails[k], 1) for f, k in zip(files, facts.index)), "\n  "
     )
+
+    def inconsistency(inc) -> str:
+        # An inconsistency has two values or more, each held by one file or more.
+        values = ",\n        ".join(
+            f'{{\n          "value": {encode(value)},\n          "files": [\n            '
+            + ",\n            ".join(map(encode, files)) + "\n          ]\n        }"
+            for value, files in inc.partition
+        )
+        return (f'{{\n      "dimension": {encode(inc.dimension)},\n      "severity": '
+                f'"{_SEVERITY_TEXT[inc.severity]}",\n      "values": [\n        {values}\n      ]'
+                + row_end)
+
     yield ',\n  "inconsistencies": '
-    yield from _json_pieces(list(map(_inconsistency_json, facts.inconsistencies)), "\n  ")
+    yield from _json_list_pieces(((inconsistency(inc), 1) for inc in facts.inconsistencies), "\n  ")
     yield ',\n  "mismatches": '
     yield from _json_list_pieces(
         ((f.join(m[0]), m[1]) for f, k in zip(files, facts.index) if (m := mismatches.get(k))),
@@ -914,88 +931,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-_JSON_SCALARS = frozenset((str, int, bool, type(None)))
-
-
-#: The most list items rendered into one piece of ``--format json`` output.
-_CHUNK = 1024
-
-
-def _json_pieces(value, newline: str = "\n"):
-    """``json.dumps(value, indent=2)``, byte for byte, laid out at
-    ``newline``, as consecutive pieces of text: a dict with str keys key by
-    key, a list longer than ``_CHUNK`` that many items at a time, anything
-    else whole.  Each piece is rendered a column at a time by
-    :func:`_json_cells`, so that the C encoder does the work per value
-    (CPython's C encoder serves only ``indent=None``), and no piece holds
-    more than ``_CHUNK`` records of a long list."""
-    inner = newline + "  "
-    if type(value) is dict and value and set(map(type, value)) == {str}:
-        prefix = "{" + inner
-        for key, item in value.items():
-            yield prefix + json.encoder.encode_basestring_ascii(key) + ": "
-            yield from _json_pieces(item, inner)
-            prefix = "," + inner
-        yield newline + "}"
-    elif type(value) is list and len(value) > _CHUNK:
-        prefix = "[" + inner
-        for start in range(0, len(value), _CHUNK):
-            yield prefix + ("," + inner).join(_json_cells(value[start:start + _CHUNK], inner))
-            prefix = "," + inner
-        yield newline + "]"
-    else:
-        yield _json_cells([value], newline)[0]
-
-
-def _json_cells(values, newline: str) -> list[str]:
-    """The ``json.dumps(value, indent=2)`` text of each item of the list
-    ``values``, laid out at ``newline``, "\\n" and the current indent.
-
-    A column of exact str, int, bool and None is one C call.  A column of
-    lists is rendered as the one column of their items, cut back per list.
-    A column of dicts that share one tuple of str keys has each key's column
-    rendered at once; dicts of several shapes are rendered one by one.  Any
-    other value (a float, a tuple, a subclass, a dict with other keys) goes
-    through ``json.dumps`` itself."""
-    kinds = set(map(type, values))
-    if kinds <= _JSON_SCALARS:
-        if kinds == {str}:
-            return list(map(json.encoder.encode_basestring_ascii, values))
-        if kinds == {int}:
-            return list(map(int.__repr__, values))
-        # The C encoder escapes every NUL in a string, so a raw one only
-        # separates items.
-        return json.dumps(values, separators=("\x00", ":"))[1:-1].split("\x00") if values else []
-    inner = newline + "  "
-    if kinds == {list}:
-        cells = iter(_json_cells(list(chain.from_iterable(values)), inner))
-        start, separator, end = "[" + inner, "," + inner, newline + "]"
-        return [start + separator.join(islice(cells, n)) + end if n else "[]"
-                for n in map(len, values)]
-    if kinds == {dict}:
-        keys = list(values[0])
-        # A dict's keys are distinct, so the dicts' keys in a row are keys
-        # repeated only when each dict has exactly those keys, in that order.
-        if (keys and list(chain.from_iterable(values)) == keys * len(values)
-                and set(map(type, keys)) == {str}):
-            # Each record is its key prefixes and its cells, interleaved.
-            flat = list(chain.from_iterable(map(dict.values, values)))
-            parts: list = []
-            prefix = "{" + inner
-            for j, key in enumerate(keys):
-                key_text = json.encoder.encode_basestring_ascii(key)
-                parts += repeat(prefix + key_text + ": "), _json_cells(flat[j::len(keys)], inner)
-                prefix = "," + inner
-            del flat
-            parts.append(repeat(newline + "}"))
-            return list(map("".join, zip(*parts)))
-    if len(values) > 1:
-        return [_json_cells([value], newline)[0] for value in values]
-    # No string json.dumps writes holds a raw newline, so every newline
-    # starts a line to indent.
-    return [json.dumps(values[0], indent=2).replace("\n", newline)]
-
-
 @functools.cache
 def _freeze_heap_at_exit() -> None:
     """Have the interpreter freeze its heap at exit, once per process."""
@@ -1025,13 +960,13 @@ def _run(argv: list[str]) -> int:
     # The rendering not printed is dropped first, and a built document
     # replaces the function that built it, so that what each holds is
     # freed before the next step.  A document is built whole before the
-    # first write; its text is written a piece at a time.
+    # first write; a streamed report's text is written a piece at a time.
     try:
         if args.format == "json":
             del text
             if callable(doc):
                 doc = doc()
-            sys.stdout.writelines(_json_pieces(doc) if type(doc) is dict else doc)
+            sys.stdout.writelines((json.dumps(doc, indent=2),) if type(doc) is dict else doc)
             sys.stdout.write("\n")
         else:
             del doc

@@ -525,8 +525,18 @@ _CONDITIONAL_RE = re.compile(
     rf"\n[^\S\n]*#[^\S\n]*(ifdef|ifndef|if|elif|else|endif)(?!{_IDENT_CHAR})[^\S\n]*([^\n]*)"
 )
 #: A directive line other than a conditional one: its directive name, then
-#: the operand, read as a -D/-U argument is read.
-_DEFINITION_RE = re.compile(rf"\n[^\S\n]*#[^\S\n]*({_IDENT}){_DEFINE_OPERAND}")
+#: the operand, read as a -D/-U argument is read.  Or, when the "#" is
+#: followed by none of an identifier, a digit (a line marker), a NUL and the
+#: end of the line (the null directive; GCC drops a backslash-newline that
+#: ends the file), the first token, which GCC names in its error: a plain or
+#: "L" string or character literal (an unclosed one runs to the line's end),
+#: a punctuator or any other character.  "##" is one token, so a line that
+#: starts with it is text.  Digraphs are read as plain characters.
+_DEFINITION_RE = re.compile(
+    rf"\n[^\S\n]*#(?!#)[^\S\n]*(?:(?!L[\"'])({_IDENT}){_DEFINE_OPERAND}|(?![0-9\n\x00]|\\?\Z)("
+    r"""L?"(?:[^"\\\n]|\\[^\n])*"?|L?'(?:[^'\\\n]|\\[^\n])*'?"""
+    r"|\.\.\.|<<=|>>=|->|\+\+|--|<<|>>|&&|\|\||##|[-+*/%^&|<>=!]=|\S))"
+)
 #: The directive names GCC 12.2 knows besides the conditional ones, #define
 #: and #undef: lines that name one are kept as text.
 _KEPT_DIRECTIVES = frozenset((
@@ -626,17 +636,17 @@ def _read_definitions(
     is "malformed #define".  A #undef reads its first macro name and
     ignores the rest of the line, as GCC does.  The other directives GCC
     knows (``_KEPT_DIRECTIVES``) are kept as text; any other directive name,
-    such as #foo, #if$x or #definex, is an error, as GCC does not know it.
-    A line whose "#" no identifier follows, such as "#", "# 5" or "#!x",
-    is kept as text."""
+    such as #foo, #if$x or #definex, is an error, as GCC does not know it,
+    and so is a "#" followed by a punctuator or a literal, such as "#!x".
+    A line marker ("# 5") and the null directive ("#") are kept as text."""
     for m in _DEFINITION_RE.finditer(text, start, end):
-        kind, name, params, body = m.groups()
+        kind, name, params, body, token = m.groups()
         define = kind == "define"
         if not define and kind != "undef":
             if kind in _KEPT_DIRECTIVES:
                 continue
             line = starts[text.count("\n", 0, m.start())]
-            raise ConditionalStructureError(f"invalid preprocessing directive #{kind}", line)
+            raise ConditionalStructureError(f"invalid preprocessing directive #{kind or token}", line)
         # Only these lines can hold a fault; most #define lines hold none.
         if name is None or name == "defined" or define and (params or "#" in body):
             reason = "malformed #define" if define and name is None else _operand_error(kind, m)

@@ -1280,114 +1280,23 @@ def test_cycles_left_by_a_branch_report_do_not_grow_with_the_header(tmp_path):
 # --- JSON rendering -------------------------------------------------------------
 
 
-class _Str(str):
-    pass
-
-
-class _Int(int):
-    pass
-
-
-class _List(list):
-    pass
-
-
-_JSON_LEAVES = st.one_of(
-    st.text(),
-    st.text(alphabet="\x00\x01\x1f\x7f\n\t\"\\/é€\U0001f600a"),
-    st.integers(),
-    st.integers(min_value=-(10**40), max_value=10**40),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.booleans(),
-    st.none(),
-    st.text().map(_Str),
-    st.integers().map(_Int),
-    st.sampled_from(list(dialectoscope.Severity)),
-)
-_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
-_JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
-    lambda children: st.one_of(
-        st.lists(children),
-        st.lists(children).map(tuple),
-        st.lists(children).map(_List),
-        st.lists(st.text()),
-        st.dictionaries(st.text(), children),
-        st.dictionaries(_JSON_KEYS, children),
-    ),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=200)
-@given(_JSON_VALUES)
-def test_json_text_equals_json_dumps_indent_2(value):
-    assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
-
-
-# Lists of dicts whose keys come from a few key tuples, so that rows share
-# shapes as report rows do, with awkward keys and strings, and columns that
-# mix floats, int subclasses, bools, ints and None.
-_TRICKY_TEXT = st.text(alphabet='ab\x00\n"\\},{é\U0001f600', max_size=6)
-_KEY_POOL = ["file", "value", "", "\x00", "a\nb", '"q"', "},{", "é\\", "\U0001f600"]
-_RECORD_LEAVES = st.one_of(
-    _TRICKY_TEXT,
-    st.integers(),
-    st.booleans(),
-    st.none(),
-    st.floats(),
-    st.integers().map(_Int),
-)
-
-
-def _records(cells, rows=6):
-    def build(drawn):
-        shapes, values = drawn
-        return [dict(zip(shapes[i % len(shapes)], row)) for i, row in values]
-
-    shape = st.tuples(st.permutations(_KEY_POOL), st.integers(0, 4)).map(lambda p: p[0][: p[1]])
-    row = st.tuples(st.integers(0, 2), st.lists(cells, min_size=4, max_size=4))
-    shapes = st.lists(shape, min_size=1, max_size=3)
-    return st.tuples(shapes, st.lists(row, max_size=rows)).map(build)
-
-
-_RECORD_CELLS = st.one_of(
-    _RECORD_LEAVES,
-    st.lists(_TRICKY_TEXT, max_size=3),
-    st.lists(st.integers(), max_size=3),
-    st.lists(_RECORD_LEAVES, max_size=3),
-    _records(_RECORD_LEAVES, rows=3),
-)
-
-
-@settings(max_examples=1000)
-@given(
-    st.one_of(
-        _records(_RECORD_CELLS),
-        st.dictionaries(st.sampled_from(_KEY_POOL), _RECORD_CELLS),
-    )
-)
-def test_json_text_of_record_lists_equals_json_dumps_indent_2(value):
-    assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
-
-
-def _cli_doc(*argv):
+def _streamed_json(*argv):
+    """The ``--format json`` text of a report written a piece at a time."""
     args = cli._parse_args(["--format", "json", *argv])
-    doc = args.func(args).doc
-    doc = doc() if callable(doc) else doc
-    # A build report comes as the pieces of its text, not as a document.
-    return doc if type(doc) is dict else json.loads("".join(doc))
+    return "".join(args.func(args).doc())
 
 
 def test_json_text_of_cli_reports(tmp_path):
     db = tmp_path / "cc.json"
     db.write_text(compile_db([("a.c", "-O2 -funsigned-char"), ("b.c", "-O2 -std=c2x"),
                               ("c.c", "-std=c99 -m32"), ("d.c", "-std=c11")]))
-    check = _cli_doc("build", "check", str(db), "--reference", "228")
+    texts = [_streamed_json("build", "check", str(db), "--reference", "228")]
+    check = json.loads(texts[-1])
     unauditable = {"file": "b.c", "status": "unauditable", "value": None, "flags": []}
     assert check["per_tu"][1] == unauditable
     assert len(check["mismatches"]) > 4
-    audit = _cli_doc("build", "audit", str(db))
+    texts.append(_streamed_json("build", "audit", str(db)))
+    audit = json.loads(texts[-1])
     assert audit["inconsistencies"]
     assert all(len(f["values"]) > 1 for f in audit["inconsistencies"])
     header = tmp_path / "h.h"
@@ -1395,12 +1304,13 @@ def test_json_text_of_cli_reports(tmp_path):
         "#if defined(__OPTIMIZE__)\n#  if __SIZEOF_LONG__ == 8\nlong64\n#  elif 0\n#  else\nother\n"
         "#  endif\n#else\n#  ifdef X\nx\n#  endif\n#endif\nint tail;\n"
     )
-    branches = _cli_doc("macros", "branches", "--flags=-O2", str(header), "--show-retained")
+    texts.append(_streamed_json("macros", "branches", "--flags=-O2", str(header), "--show-retained"))
+    branches = json.loads(texts[-1])
     arms = [arm for group in branches["groups"] for arm in group["arms"]]
     assert None in [arm["condition"] for arm in arms] and None in [arm["taken"] for arm in arms]
     assert branches["retained_ranges"] == [[6, 6], [13, 13]]
-    for doc in check, audit, branches:
-        assert "".join(cli._json_pieces(doc)) == json.dumps(doc, indent=2)
+    for text in texts:
+        assert text == json.dumps(json.loads(text), indent=2)
 
 
 def _reference_audit_text(report):
@@ -1500,26 +1410,3 @@ def test_build_reports_are_the_text_of_their_records(case):
     for output, text in expected.items():
         code, out, _ = _main_on_stdin(["--format", output, *argv, "--fail-on", fail_on], document)
         assert (code, out) == (status, text)
-
-
-def test_json_text_of_report_shapes():
-    rows = [{"file": "a.c", "status": "ok", "value": 443, "flags": ["-O2", "-m64"]},
-            {"file": "bé.c", "status": "unauditable", "value": None, "flags": []}]
-    doc = {"per_tu": rows, "mismatches": [{"file": "a.c", "severity": "high"}],
-           "inconsistencies": [], "empty": {}, "reference_value": None, "ratio": 0.5}
-    assert "".join(cli._json_pieces(doc)) == json.dumps(doc, indent=2)
-
-
-@pytest.mark.parametrize("n", [cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 2 * cli._CHUNK + 1])
-def test_json_text_of_lists_around_the_chunk_size(n):
-    records = [{"file": f"f{i}.c", "value": i, "flags": ["-O2"] * (i % 3), "extra": {}}
-               for i in range(n)]
-    # A chunk of several kinds of item, and a chunk of one kind, rendered apart.
-    mixed = [{"i": i, "empty": []} if i < cli._CHUNK // 2 else i for i in range(n)]
-    values = [records, mixed, list(range(n)), [records], {}, [], {"": {}, "x": []},
-              {"per_tu": records, "empty": {}, "none": [], "inner": {"rows": mixed, "n": n}}]
-    for value in values:
-        assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
-    # A long list is written a chunk at a time: each chunk, then the "]".
-    chunks = -(-n // cli._CHUNK)
-    assert len(list(cli._json_pieces(records))) == (chunks + 1 if n > cli._CHUNK else 1)

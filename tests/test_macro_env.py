@@ -733,7 +733,9 @@ def test_ifdef_ifndef_and_undef_read_the_first_macro_name():
 
 
 #: Directive names GCC does not know, on the line given: a name the scan
-#: reads followed by more identifier characters, or any other identifier.
+#: reads followed by more identifier characters, any other identifier, or a
+#: first token that is neither an identifier nor a number: a punctuator or
+#: a literal.
 _INVALID_DIRECTIVES = [
     ("#foo\n", 1, "#foo"),
     ("a\n# foo bar\n", 2, "#foo"),
@@ -747,6 +749,15 @@ _INVALID_DIRECTIVES = [
     ("#if 0\n#else\n/* c */ #undefx\n#endif\n", 3, "#undefx"),
     ("#ifx\n", 1, "#ifx"),
     ("#if 1\n#elif$ 0\n#endif\n", 2, "#elif$"),
+    ("#!x\n", 1, "#!"),
+    ("a\n#(\n", 2, "#("),
+    ("#if 1\n#.\n#endif\n", 2, "#."),
+    ("# +\n", 1, "#+"),
+    ('#"a"\n', 1, '#"a"'),
+    ("#'a'\n", 1, "#'a'"),
+    ("#/* c */!= x\n", 1, "#!="),
+    ("#++\n", 1, "#++"),
+    ('#L"a"\n', 1, '#L"a"'),
 ]
 
 
@@ -807,6 +818,13 @@ _KEPT_DIRECTIVE_LINES = [
 ]
 
 
+def test_a_directive_named_by_a_non_ascii_letter_is_an_error():
+    # GCC reads "é" as an identifier and names it "#\U000000e9"; the model
+    # reads no UTF-8 identifier, so only the error is pinned here.
+    with pytest.raises(ConditionalStructureError, match="^line 2: invalid preprocessing directive"):
+        active_branches(env_of(), "#if 1\n#é\n#endif\n")
+
+
 @pytest.mark.parametrize("line", _KEPT_DIRECTIVE_LINES)
 def test_known_directive_lines_are_kept_as_text(line):
     source = f"#if 1\n{line}\n#endif\n"
@@ -840,7 +858,7 @@ def test_skipped_groups_are_read_only_for_directive_names():
     # reject in an active region is no error; the arm's condition is the
     # operand as written.
     source = (
-        "#if 0\n#ifdef 3x\n#endif\n#ifndef\n#undef 3\n#define\n#if$x\n#endif$\n#endif\n"
+        "#if 0\n#ifdef 3x\n#endif\n#ifndef\n#undef 3\n#define\n#if$x\n#endif$\n#!x\n#'a'\n#endif\n"
         "#elif 0\n#endif\nkept\n"
     )
     report = active_branches(env_of(), source)
@@ -1075,7 +1093,7 @@ def test_unterminated_block_comment_line(source, line):
 
 # --- whole scan against a directive-by-directive reference ---------------------
 
-_REF_DIRECTIVE = re.compile(r"[^\S\n]*#[^\S\n]*([A-Za-z_$][\w$]*)[^\S\n]*(.*)\Z", re.S)
+_REF_DIRECTIVE = re.compile(r"[^\S\n]*#[^\S\n]*(?!L[\"'])([A-Za-z_$][\w$]*)[^\S\n]*(.*)\Z", re.S)
 _REF_NAME = re.compile(r"([A-Za-z_$][\w$]*)(\(?)(.*)\Z", re.S)
 _REF_CONDITIONALS = ("if", "ifdef", "ifndef", "elif", "else", "endif")
 #: Names GCC 12.2 knows as directives that the scan keeps as text.
@@ -1083,6 +1101,32 @@ _REF_KEPT = (
     "include", "include_next", "import", "line", "error", "warning", "pragma", "ident", "sccs",
     "assert", "unassert", "elifdef", "elifndef",
 )
+
+
+#: Punctuators of more than one character, longest first.
+_REF_PUNCTUATORS = ("...", "<<=", ">>=", "->", "++", "--", "<<", ">>", "&&", "||", "##",
+                    *(c + "=" for c in "+-*/%^&|<>=!"))
+
+
+def _ref_first_token(text):
+    """The first token after the "#" of a directive line that names no
+    directive, or None for any other line: no "#" (or "##", one token)
+    first, an identifier, a line marker, a NUL or the end of the line (a
+    backslash ending the file included) after it."""
+    rest = text.lstrip()
+    if not rest.startswith("#") or rest.startswith("##"):
+        return None
+    rest = rest[1:].lstrip()
+    if rest in ("", "\\") or rest[0] in "0123456789\x00" or _REF_DIRECTIVE.match("#" + rest):
+        return None
+    # An "L" here prefixes a literal: the identifier check took any other.
+    start = 1 if rest[0] == "L" else 0
+    if rest[start] in "\"'":
+        i = start + 1
+        while i < len(rest) and rest[i] != rest[start]:
+            i += 2 if rest[i] == "\\" else 1
+        return rest[: i + 1]
+    return next((p for p in _REF_PUNCTUATORS if rest.startswith(p)), rest[0])
 
 
 def _ref_name(operand):
@@ -1196,6 +1240,8 @@ def _reference_branches(env, source):
                 continue
             if kind and kind not in _REF_KEPT + ("define", "undef"):
                 raise ConditionalStructureError(f"invalid preprocessing directive #{kind}", line)
+            if kind is None and (token := _ref_first_token(text)) is not None:
+                raise ConditionalStructureError(f"invalid preprocessing directive #{token}", line)
             if kept and kept[-1][1] + 1 == line:
                 kept[-1] = (kept[-1][0], end)
             else:
@@ -1301,7 +1347,7 @@ _SOUP_PLAIN = _lines(
      "#define F(x,x) 1", "#define F(x 1", "#define A ## B", "#define A B ##",
      "#define F(x) x ##", "#define defined 1", "#undef defined", "#define F(x,) 1",
      "#define F(... x)", "#define F(", "#define F(x, y", "#foo", "# foo bar", "#defin X",
-     "#$x"],
+     "#$x", "#!x", "# (", '#"a" b', "#'a", '#L"a', "#!=", "##x", "#0x", "# \\"],
 )
 #: What ends a line: mostly a line break, sometimes a backslash-newline or a
 #: comment spanning lines, either of which joins it to the next.
