@@ -8,7 +8,6 @@ import io
 import json
 import operator
 import random
-import shutil
 import time
 from contextlib import contextmanager, redirect_stdout
 
@@ -40,7 +39,8 @@ from dialectoscope import (
     true_wraparound,
 )
 from dialectoscope.cli import main, verify_with_compiler
-from conftest import GOLDEN_PAIRS, compile_db, gcc_m32_failure
+from conftest import GOLDEN_PAIRS, compile_db
+from gcc_oracle import m32_failure
 
 
 @contextmanager
@@ -232,27 +232,12 @@ def test_criterion_8_build_audit(profile):
             assert len(got.mismatches) == distance
 
 
-def _gcc_state():
-    """(state, detail): 'absent', 'no-m32', or 'ready'.  Verification links
-    the probe with no C library, so the 32-bit values need only a gcc that
-    builds a -m32 function, links it behind the driver and runs it."""
-    gcc = shutil.which("gcc")
-    if gcc is None:
-        return "absent", "no gcc on PATH"
-    failure = gcc_m32_failure(gcc)
-    return ("no-m32", failure) if failure else ("ready", gcc)
-
-
+@pytest.mark.gcc(driver=True)
 def test_criterion_9_live_verification(profile):
     with criterion(9, "live gcc verification of all 768 values"):
-        state, detail = _gcc_state()
-        if state == "absent":
-            # Without a compiler the command must report SKIPPED and
-            # exit 0; that is this criterion's no-compiler branch.
-            code, doc = cli_json(["probe", "verify", "--compiler", "gcc"])
-            assert code == 0 and doc["status"] == "skipped"
-            return
-        if state == "no-m32":
+        # The driver needs no C library, so the 32-bit values need only a
+        # gcc that builds, links and runs a -m32 function behind it.
+        if detail := m32_failure():
             pytest.skip(
                 "gcc present but cannot build -m32 code; the 384"
                 f" -m32 dialect values are not buildable here ({detail})"

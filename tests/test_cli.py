@@ -8,7 +8,6 @@ import io
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -137,10 +136,7 @@ def test_probe_verify_checks_values_before_expanding(capsys, spec, fragment):
     assert fragment in err
 
 
-needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a real gcc")
-
-
-@needs_gcc
+@pytest.mark.gcc(driver=True)
 def test_probe_verify_live_subset(capsys):
     # Values 0 and 427 have 32-bit pointers: the driver needs no 32-bit libc.
     code, doc = run_json(
@@ -170,7 +166,7 @@ def verify_failures(capsys, compiler, values):
     return {f["value"]: f["detail"] for f in doc["failures"]}
 
 
-@needs_gcc
+@pytest.mark.gcc(driver=True)
 def test_probe_verify_reports_driver_failure_once_per_width(capsys, tmp_path):
     cc = fake_compiler(
         tmp_path,
@@ -184,7 +180,7 @@ def test_probe_verify_reports_driver_failure_once_per_width(capsys, tmp_path):
     assert sum(" -m32 " in f" {c} " for c in calls) == 1
 
 
-@needs_gcc
+@pytest.mark.gcc(driver=True)
 def test_probe_verify_reports_compile_failure(capsys, tmp_path):
     cc = fake_compiler(
         tmp_path, 'case " $* " in *" -O2 "*) echo "fake: no -O2" >&2; exit 1;; esac'
@@ -221,7 +217,7 @@ def link_body(command):
     )
 
 
-@needs_gcc
+@pytest.mark.gcc(driver=True)
 def test_probe_verify_counts_one_compile_per_value_and_one_link_per_width(
     capsys, tmp_path
 ):
@@ -241,13 +237,13 @@ def test_probe_verify_counts_one_compile_per_value_and_one_link_per_width(
     assert all(w.endswith("/probe.c") for c in calls for w in c if w.endswith(".c"))
 
 
-@needs_gcc
+@pytest.mark.gcc(driver=True)
 def test_probe_verify_checks_each_line_of_a_batched_run(capsys, tmp_path):
     cc = fake_compiler(tmp_path, link_body("echo 16"))
     assert verify_failures(capsys, cc, "16,24") == {24: "printed '', expected 24"}
 
 
-@needs_gcc
+@pytest.mark.gcc(driver=True)
 def test_probe_verify_reports_link_failure_for_each_value_linked(capsys, tmp_path):
     cc = fake_compiler(
         tmp_path, 'case " $* " in *" -static "*) echo "fake: no ld" >&2; exit 1;; esac'
@@ -256,7 +252,7 @@ def test_probe_verify_reports_link_failure_for_each_value_linked(capsys, tmp_pat
     assert verify_failures(capsys, cc, "16,24") == {16: detail, 24: detail}
 
 
-@needs_gcc
+@pytest.mark.gcc(driver=True)
 def test_probe_verify_fails_one_value_on_undecodable_compiler_output(capsys, tmp_path):
     cc = fake_compiler(
         tmp_path, r"""case " $* " in *" -O2 "*) printf 'fake: \377\n' >&2; exit 1;; esac"""
@@ -267,13 +263,13 @@ def test_probe_verify_fails_one_value_on_undecodable_compiler_output(capsys, tmp
     }
 
 
-@needs_gcc
+@pytest.mark.gcc(driver=True)
 def test_probe_verify_fails_one_value_on_undecodable_probe_output(capsys, tmp_path):
     cc = fake_compiler(tmp_path, link_body(r'printf "\\377\\n"'))
     assert verify_failures(capsys, cc, "16") == {16: "printed '\ufffd', expected 16"}
 
 
-@needs_gcc
+@pytest.mark.gcc(driver=True)
 def test_probe_verify_imports_neither_thread_pools_nor_logging():
     code = (
         "import contextlib, io, json, sys\n"

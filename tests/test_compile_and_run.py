@@ -3,34 +3,22 @@ the probe.
 
 ``return 2 //**/ 2`` is the point of dialect analysis in one line: C90
 has no line comments, so it reads ``2 / 2``, while C99 and GNU89 end the
-line at ``//`` and return 2.  Every test skips, with a reason, when no gcc
-is on PATH or the driver's x86 system calls cannot run here; the -m32
-case also skips when gcc cannot build and run -m32 code.
+line at ``//`` and return 2.  The tests run gcc and the probe driver; the
+-m32 case skips when gcc cannot build and run -m32 code.
 """
 
-import platform
-import shutil
-
 import pytest
-from conftest import gcc_m32_failure
+from gcc_oracle import GCC, m32_failure
 
 from dialectoscope.probe import _compile_and_run
-
-GCC = shutil.which("gcc")
-pytestmark = [
-    pytest.mark.skipif(GCC is None, reason="no gcc on PATH"),
-    pytest.mark.skipif(
-        platform.machine() not in ("x86_64", "AMD64"),
-        reason="the libc-free probe driver makes x86-64 system calls",
-    ),
-]
 
 SOURCE = "unsigned f(void) { return 2 //**/ 2\n; }\n"
 
 
+@pytest.mark.gcc(driver=True)
 @pytest.mark.parametrize("width", ["-m64", "-m32"])
 def test_each_label_gets_its_own_build_and_line(width):
-    if width == "-m32" and (failure := gcc_m32_failure(GCC)):
+    if width == "-m32" and (failure := m32_failure()):
         pytest.skip(f"gcc cannot build and run -m32 code here ({failure})")
     # Labels out of order and not contiguous, and a build that does not
     # compile between builds that do.

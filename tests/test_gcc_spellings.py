@@ -4,35 +4,23 @@ hold "#" or "##".
 
 The probe is compiled by the installed gcc with each argv as written and
 run through ``probe._compile_and_run``, the primitive that ``probe
-verify`` uses; macros are checked against ``gcc -E -P`` and ``gcc -E -dM``.  Every test
-skips, with a reason, when no gcc is on PATH.
+verify`` uses; macros are checked against ``gcc -E -P`` and ``gcc -E -dM``.
 """
 
-import platform
 import re
-import shutil
-import subprocess
 
 import pytest
+from gcc_oracle import dm, pp, probe_values
 
 from dialectoscope import (
     InvocationError,
     active_branches,
-    emit_probe_source,
     encode_config,
     invocation_macro_env,
     parse_invocation,
 )
-from dialectoscope.probe import _compile_and_run
 
-GCC = shutil.which("gcc")
-pytestmark = [
-    pytest.mark.skipif(GCC is None, reason="no gcc on PATH"),
-    pytest.mark.skipif(
-        platform.machine() not in ("x86_64", "AMD64"),
-        reason="the libc-free probe driver makes x86-64 system calls",
-    ),
-]
+pytestmark = pytest.mark.gcc
 
 #: Argv that GCC reads through its long spellings, alone and against the
 #: short spellings they must override or be overridden by, and optimisation
@@ -76,17 +64,17 @@ def gcc_values():
     """Each spelling's probe value under gcc, or the failure text of a
     spelling gcc does not build: one build per spelling, all in one call."""
     spellings = SPELLINGS + O_LEVELS
-    builds = {i: ("-m64", spelling.split()) for i, spelling in enumerate(spellings)}
-    lines, failures = _compile_and_run(GCC, emit_probe_source(), "return_value", builds, jobs=2)
-    return {s: int(lines[i]) if i in lines else failures[i] for i, s in enumerate(spellings)}
+    return dict(zip(spellings, probe_values(s.split() for s in spellings)))
 
 
+@pytest.mark.gcc(driver=True)
 @pytest.mark.parametrize("spelling", SPELLINGS)
 def test_probe_value_matches_gcc(gcc_values, spelling):
     model = encode_config(parse_invocation(spelling.split(), env={}).dialect)
     assert model == gcc_values[spelling]
 
 
+@pytest.mark.gcc(driver=True)
 @pytest.mark.parametrize("level", O_LEVELS)
 def test_o_level_is_an_input_error_exactly_where_gcc_rejects_it(gcc_values, level):
     gcc = gcc_values[level]
@@ -115,13 +103,6 @@ g_defined
 """
 
 
-def _preprocess(source, defines):
-    return subprocess.run(
-        [GCC, "-E", "-P", *defines, "-x", "c", "-"],
-        input=source, capture_output=True, text=True, check=True,
-    ).stdout
-
-
 @pytest.mark.parametrize(
     "defines",
     [
@@ -135,7 +116,8 @@ def _preprocess(source, defines):
 def test_function_like_defines_take_the_arms_gcc_takes(defines):
     env = invocation_macro_env(parse_invocation(defines, env={}))
     retained = active_branches(env, BRANCHES).retained_text
-    assert retained.split() == _preprocess(BRANCHES, defines).split()
+    status, out, _ = pp(BRANCHES, defines)
+    assert status == 0 and retained.split() == out.split()
 
 
 @pytest.mark.parametrize(
@@ -143,7 +125,8 @@ def test_function_like_defines_take_the_arms_gcc_takes(defines):
     [("-DF(x)=x+1", "F(3)", "3 +1"), ("-DF(x)", "F(3)", "1"), ("-DF(a,b)=b*a", "F(2,5)", "5*2")],
 )
 def test_function_like_define_bodies_expand_as_in_gcc(define, call, expansion):
-    assert _preprocess(call + "\n", [define]).strip() == expansion
+    status, out, _ = pp(call + "\n", [define])
+    assert status == 0 and out.strip() == expansion
     # The model holds the body as a source #define holds it: the parameter
     # list, then the replacement.  Substituting the arguments into it must
     # give gcc's expansion, up to white space.
@@ -226,20 +209,14 @@ DOLLARS_AND_COMMENTS = [
 ]
 
 
-def _dm(defines):
-    proc = subprocess.run([GCC, "-E", "-dM", *defines, "-x", "c", "/dev/null"],
-                          capture_output=True, text=True)
-    return proc.returncode, set(proc.stdout.splitlines())
-
-
 def _tokens(text):
     return re.findall(r"[\w$]+|\.\.\.|\S", text)
 
 
 @pytest.mark.parametrize("define", DEFINE_SHAPES + ACCEPTED_BODIES + DOLLARS_AND_COMMENTS)
 def test_define_text_defines_the_macro_gcc_defines(define):
-    status, lines = _dm([define])
-    added = lines - _dm([])[1]
+    status, lines = dm([define])
+    added = lines - dm()[1]
     assert status == 0 and len(added) == 1
     directive = parse_invocation([define], env={}).macro_directives[0]
     name = directive.name.partition("(")[0]
@@ -250,20 +227,14 @@ def test_define_text_defines_the_macro_gcc_defines(define):
 
 @pytest.mark.parametrize("define", REJECTED_DEFINES)
 def test_define_is_an_input_error_where_gcc_rejects_it(define):
-    assert _dm([define])[0] != 0
+    assert dm([define])[0] != 0
     with pytest.raises(InvocationError, match="malformed -D argument"):
         parse_invocation([define], env={})
 
 
-def _dm_errors(define):
-    proc = subprocess.run([GCC, "-E", "-dM", define, "-x", "c", "/dev/null"],
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stderr
-
-
 @pytest.mark.parametrize("define, reason", REJECTED_BODIES + REJECTED_OPERANDS)
 def test_define_body_is_an_input_error_with_gccs_reason(define, reason):
-    status, stderr = _dm_errors(define)
+    status, _, stderr = pp("", [define])
     assert status != 0 and f"error: {reason}" in stderr
     with pytest.raises(InvocationError) as err:
         parse_invocation([define], env={})
@@ -273,11 +244,11 @@ def test_define_body_is_an_input_error_with_gccs_reason(define, reason):
 @pytest.mark.parametrize("undef", UNDEF_SHAPES)
 def test_undef_text_undefines_the_macro_gcc_undefines(undef):
     argv = ["-DA", "-DF(y)=y", "-DG", undef]
-    status, lines = _dm(argv)
+    status, lines = dm(argv)
     assert status == 0
     env = invocation_macro_env(parse_invocation(argv, env={}))
     model = [
         f"#define {d.name}{'' if d.function_like else ' '}{d.body}"
         for d in env.definitions() if d.provenance == "command-line"
     ]
-    assert sorted(map(_tokens, lines - _dm([])[1])) == sorted(map(_tokens, model))
+    assert sorted(map(_tokens, lines - dm()[1])) == sorted(map(_tokens, model))

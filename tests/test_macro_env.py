@@ -4,11 +4,10 @@ scanner as the oracle of the line and comment scanner, and with GCC's
 own preprocessor where one is installed)."""
 
 import re
-import shutil
-import subprocess
 from unittest import mock
 
 import pytest
+from gcc_oracle import pp
 from hypothesis import given, settings, strategies as st
 
 from dialectoscope import macro_env
@@ -797,16 +796,13 @@ def test_active_directive_operands_gcc_rejects_are_errors(source, message):
     assert str(err.value) == message
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@pytest.mark.gcc
 @pytest.mark.parametrize("source,line,name", _INVALID_DIRECTIVES)
 def test_invalid_directive_names_are_gcc_errors(source, line, name):
-    gcc = subprocess.run(
-        [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
-        input=source, capture_output=True, text=True,
-    )
-    assert gcc.returncode != 0
+    status, _, stderr = pp(source)
+    assert status != 0
     assert re.search(rf"^<stdin>:{line}:\d+: error: invalid preprocessing directive "
-                     rf"{re.escape(name)}$", gcc.stderr, re.M)
+                     rf"{re.escape(name)}$", stderr, re.M)
 
 
 #: Directive lines GCC 12.2 accepts that the scan keeps as text: directives
@@ -831,26 +827,20 @@ def test_known_directive_lines_are_kept_as_text(line):
     assert active_branches(env_of(), source).retained_text == line + "\n"
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@pytest.mark.gcc
 @pytest.mark.parametrize("line", _KEPT_DIRECTIVE_LINES)
 def test_kept_directive_lines_are_gcc_accepted(line):
-    gcc = subprocess.run(
-        [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
-        input=f"#if 1\n{line}\n#endif\n", capture_output=True, text=True,
-    )
-    assert gcc.returncode == 0, gcc.stderr
-    assert "error" not in gcc.stderr
+    status, _, stderr = pp(f"#if 1\n{line}\n#endif\n")
+    assert status == 0, stderr
+    assert "error" not in stderr
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@pytest.mark.gcc
 @pytest.mark.parametrize("source,line,reason", _REJECTED_DEFINITIONS)
 def test_rejected_definitions_are_gcc_errors(source, line, reason):
-    gcc = subprocess.run(
-        [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
-        input=source, capture_output=True, text=True,
-    )
-    assert gcc.returncode != 0
-    assert re.search(rf"^<stdin>:{line}:\d+: error: {re.escape(reason)}$", gcc.stderr, re.M)
+    status, _, stderr = pp(source)
+    assert status != 0
+    assert re.search(rf"^<stdin>:{line}:\d+: error: {re.escape(reason)}$", stderr, re.M)
 
 
 def test_skipped_groups_are_read_only_for_directive_names():
@@ -1467,17 +1457,15 @@ def test_multiline_comment_reports(source, arms, ranges):
     assert report.retained_ranges == ranges
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@pytest.mark.gcc
 @pytest.mark.parametrize("name", sorted(_GCC_SNIPPETS))
 def test_branch_markers_match_gcc(name):
     source = _GCC_SNIPPETS[name]
-    gcc = subprocess.run(
-        [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
-        input=source, capture_output=True, text=True, check=True,
-    )
+    status, out, _ = pp(source)
+    assert status == 0
     model = active_branches(MacroEnv(), source).retained_text
     markers = re.compile(r"\bmark\d+\b")
-    assert markers.findall(model) == markers.findall(gcc.stdout)
+    assert markers.findall(model) == markers.findall(out)
 
 
 #: Conditions and #define/#undef lines over macros the soup defines itself,
@@ -1542,14 +1530,12 @@ def _well_formed_soups(draw):
     return "".join(f"mark{next(marks)}\n" if line == "mark" else line + "\n" for line in lines)
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+@pytest.mark.gcc
 @settings(max_examples=60, deadline=None)
 @given(_well_formed_soups())
 def test_well_formed_soup_marks_match_gcc(source):
-    gcc = subprocess.run(
-        [shutil.which("gcc"), "-E", "-P", "-x", "c", "-"],
-        input=source, capture_output=True, text=True, check=True,
-    )
+    status, out, _ = pp(source)
+    assert status == 0
     model = active_branches(MacroEnv(), source).retained_text
     markers = re.compile(r"\bmark\d+\b")
-    assert markers.findall(model) == markers.findall(gcc.stdout)
+    assert markers.findall(model) == markers.findall(out)
