@@ -524,24 +524,36 @@ _COMMENT_RE = re.compile(_COMMENT)
 _CONDITIONAL_RE = re.compile(
     rf"\n[^\S\n]*#[^\S\n]*(ifdef|ifndef|if|elif|else|endif)(?!{_IDENT_CHAR})[^\S\n]*([^\n]*)"
 )
-#: A directive line other than a conditional one: its directive name, then
-#: the operand, read as a -D/-U argument is read.  Or, when the "#" is
-#: followed by none of an identifier, a digit (a line marker), a NUL and the
-#: end of the line (the null directive; GCC drops a backslash-newline that
-#: ends the file), the first token, which GCC names in its error: a plain or
-#: "L" string or character literal (an unclosed one runs to the line's end),
-#: a punctuator or any other character.  "##" is one token, so a line that
-#: starts with it is text.  Digraphs are read as plain characters.
-_DEFINITION_RE = re.compile(
-    rf"\n[^\S\n]*#(?!#)[^\S\n]*(?:(?!L[\"'])({_IDENT}){_DEFINE_OPERAND}|(?![0-9\n\x00]|\\?\Z)("
+#: A preprocessing token as GCC spells it in an error: a plain or "L"
+#: string or character literal (an unclosed one runs to the line's end), a
+#: pp-number, an identifier, a punctuator or any other character.  "##" is
+#: one token.  Digraphs are read as plain characters.
+_PP_NUMBER = r"\.?[0-9](?:[eEpP][-+]|[\w$.])*"
+_PP_TOKEN = (
     r"""L?"(?:[^"\\\n]|\\[^\n])*"?|L?'(?:[^'\\\n]|\\[^\n])*'?"""
-    r"|\.\.\.|<<=|>>=|->|\+\+|--|<<|>>|&&|\|\||##|[-+*/%^&|<>=!]=|\S))"
+    rf"|{_PP_NUMBER}|{_IDENT}|\.\.\.|<<=|>>=|->|\+\+|--|<<|>>|&&|\|\||##|[-+*/%^&|<>=!]=|\S"
+)
+#: A directive line other than a conditional one: its directive name, then
+#: the operand, read as a -D/-U argument is read.  Or a line marker: the
+#: pp-number after the "#" and the rest of the line.  Or, when the "#" is
+#: followed by none of these and not by the end of the line (the null
+#: directive), the first token, which GCC names in its error; a line that
+#: starts with "##" is text.  GCC drops a backslash-newline that ends the
+#: file, so a backslash that ends the text ends the line too.
+_DEFINITION_RE = re.compile(
+    rf"\n[^\S\n]*#(?!#)[^\S\n]*(?:(?!L[\"'])({_IDENT}){_DEFINE_OPERAND}"
+    rf"|({_PP_NUMBER})([^\n]*?)\\?(?![^\n])|(?!\n|\\?\Z)({_PP_TOKEN}))"
 )
 #: The directive names GCC 12.2 knows besides the conditional ones, #define
 #: and #undef: lines that name one are kept as text.
 _KEPT_DIRECTIVES = frozenset((
     "include", "include_next", "import", "line", "error", "warning", "pragma", "ident", "sccs",
     "assert", "unassert", "elifdef", "elifndef",
+))
+#: GCC's built-in macros that expand to a string literal, which a line
+#: marker may give as its file name.
+_STRING_BUILTINS = frozenset((
+    "__FILE__", "__FILE_NAME__", "__BASE_FILE__", "__DATE__", "__TIME__", "__TIMESTAMP__",
 ))
 
 
@@ -638,15 +650,20 @@ def _read_definitions(
     knows (``_KEPT_DIRECTIVES``) are kept as text; any other directive name,
     such as #foo, #if$x or #definex, is an error, as GCC does not know it,
     and so is a "#" followed by a punctuator or a literal, such as "#!x".
-    A line marker ("# 5") and the null directive ("#") are kept as text."""
+    A line marker ("# 5") that GCC accepts and the null directive ("#") are
+    kept as text."""
     for m in _DEFINITION_RE.finditer(text, start, end):
-        kind, name, params, body, token = m.groups()
+        kind, name, params, body, number, marker, token = m.groups()
         define = kind == "define"
         if not define and kind != "undef":
             if kind in _KEPT_DIRECTIVES:
                 continue
+            if number is None:
+                reason = f"invalid preprocessing directive #{kind or token}"
+            elif (reason := _line_marker_error(number, marker, table)) is None:
+                continue
             line = starts[text.count("\n", 0, m.start())]
-            raise ConditionalStructureError(f"invalid preprocessing directive #{kind or token}", line)
+            raise ConditionalStructureError(reason, line)
         # Only these lines can hold a fault; most #define lines hold none.
         if name is None or name == "defined" or define and (params or "#" in body):
             reason = "malformed #define" if define and name is None else _operand_error(kind, m)
@@ -662,6 +679,37 @@ def _read_definitions(
             table.pop(name, None)
 
 
+def _line_marker_error(
+    number: str, operands: str, table: dict[str, MacroDefinition]
+) -> str | None:
+    """GCC's reason to reject the line marker "# ``number`` ``operands``",
+    or None.  The number is a digit sequence; a file name, if any, is a
+    plain string literal; flags, if any, are 1 or 2, then 3, then 4, each
+    optional but 4 only after 3.  GCC expands macros in the file name, so
+    an object-like macro, or a built-in one that expands to a string, is
+    taken for a string here."""
+    if not (number.isascii() and number.isdigit()):
+        return f'"{number}" after # is not a positive integer'
+    tokens = re.findall(_PP_TOKEN, operands)  # compiled on first use, not at import
+    if not tokens:
+        return None
+    name, macro = tokens[0], table.get(tokens[0])
+    if not (
+        name in _STRING_BUILTINS
+        or macro is not None and not macro.function_like
+        or re.fullmatch(r'"(?:[^"\\\n]|\\[^\n])*"', name)
+    ):
+        return f'"{name}" is not a valid filename'
+    allowed = ("1", "2", "3")
+    for flag in tokens[1:]:
+        if flag not in allowed:
+            return f'invalid flag "{flag}" in line directive'
+        if flag == "4":
+            break  # GCC reads no flag after 4, and only warns of more tokens
+        allowed = ("4",) if flag == "3" else ("3",)
+    return None
+
+
 def active_branches(env: MacroEnv, source: str) -> BranchReport:
     """Scan well-formed conditional structure, evaluate conditions in
     active regions, and report taken arms plus the retained line spans.
@@ -674,9 +722,11 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
     directives: its #define/#undef lines, and the operands of its
     #ifdef/#ifndef, are not read at all.  An active #ifdef/#ifndef tests
     the macro name its operand starts with, as GCC does, which ignores
-    (with a warning) any tokens after it.
+    (with a warning) any tokens after it.  A NUL is read as white space, as
+    GCC reads it ("null character(s) ignored"); retained text keeps it.
     """
-    stripped, starts = _strip_comments(*_logical_lines(source))
+    # str.replace returns ``source`` itself, uncopied, when it holds no NUL.
+    stripped, starts = _strip_comments(*_logical_lines(source.replace("\0", " ")))
     text = "\n" + stripped
 
     table = dict(env._table)

@@ -4,6 +4,7 @@ scanner as the oracle of the line and comment scanner, and with GCC's
 own preprocessor where one is installed)."""
 
 import re
+import string
 from unittest import mock
 
 import pytest
@@ -751,6 +752,7 @@ _INVALID_DIRECTIVES = [
     ("#!x\n", 1, "#!"),
     ("a\n#(\n", 2, "#("),
     ("#if 1\n#.\n#endif\n", 2, "#."),
+    ("#if 1\n#\0.\n#endif\n", 2, "#."),
     ("# +\n", 1, "#+"),
     ('#"a"\n', 1, '#"a"'),
     ("#'a'\n", 1, "#'a'"),
@@ -776,6 +778,25 @@ _REJECTED_DEFINITIONS = [
     ("#define F(\n", 1, "expected parameter name before end of line"),
     ("#define F(x\n", 1, "expected ')' before end of line"),
 ]
+#: Line markers GCC 12.2 rejects, each on the line given, with GCC's reason:
+#: a number that is no digit sequence, a file name that is no plain string
+#: literal (a function-like macro is not expanded) and flags out of order.
+_REJECTED_LINE_MARKERS = [
+    ("#0x\n", 1, '"0x" after # is not a positive integer'),
+    ("#if 1\n#1.5\n#endif\n", 2, '"1.5" after # is not a positive integer'),
+    ("#2x\n", 1, '"2x" after # is not a positive integer'),
+    ("a\n#.5\n", 2, '".5" after # is not a positive integer'),
+    ("# 3 <\n", 1, '"<" is not a valid filename'),
+    ("#3}\n", 1, '"}" is not a valid filename'),
+    ("# 5 x\n", 1, '"x" is not a valid filename'),
+    ('# 5 L"f.c"\n', 1, '"L"f.c"" is not a valid filename'),
+    ('# 5 "f\n', 1, '""f" is not a valid filename'),
+    ('#define F(x) "f.c"\n# 5 F\n', 2, '"F" is not a valid filename'),
+    ('# 5 "f.c" 9\n', 1, 'invalid flag "9" in line directive'),
+    ('# 5 "f.c" 4\n', 1, 'invalid flag "4" in line directive'),
+    ('# 5 "f.c" 1 1\n', 1, 'invalid flag "1" in line directive'),
+    ('# 5 "f.c" 2 1\n', 1, 'invalid flag "1" in line directive'),
+]
 
 
 @pytest.mark.parametrize("source,message", [
@@ -788,7 +809,8 @@ _REJECTED_DEFINITIONS = [
     ("#if 1\n\n#define L'x'\n#endif\n", "line 3: malformed #define"),
     *((source, f"line {line}: invalid preprocessing directive {name}")
       for source, line, name in _INVALID_DIRECTIVES),
-    *((source, f"line {line}: {reason}") for source, line, reason in _REJECTED_DEFINITIONS),
+    *((source, f"line {line}: {reason}")
+      for source, line, reason in _REJECTED_DEFINITIONS + _REJECTED_LINE_MARKERS),
 ])
 def test_active_directive_operands_gcc_rejects_are_errors(source, message):
     with pytest.raises(ConditionalStructureError) as err:
@@ -810,7 +832,7 @@ def test_invalid_directive_names_are_gcc_errors(source, line, name):
 #: and the null directive.
 _KEPT_DIRECTIVE_LINES = [
     "#pragma once", '#ident "x"', '#sccs "x"', "#line 5", '# 5 "f.c"', "#", "#123",
-    "#warning w", "#assert a(b)", "#unassert a",
+    "#warning w", "#assert a(b)", "#unassert a", "#0", '# 5 "f.c" 1 3 4', "#9999999999",
 ]
 
 
@@ -836,11 +858,19 @@ def test_kept_directive_lines_are_gcc_accepted(line):
 
 
 @pytest.mark.gcc
-@pytest.mark.parametrize("source,line,reason", _REJECTED_DEFINITIONS)
+@pytest.mark.parametrize("source,line,reason", _REJECTED_DEFINITIONS + _REJECTED_LINE_MARKERS)
 def test_rejected_definitions_are_gcc_errors(source, line, reason):
     status, _, stderr = pp(source)
     assert status != 0
     assert re.search(rf"^<stdin>:{line}:\d+: error: {re.escape(reason)}$", stderr, re.M)
+
+
+def test_a_nul_is_white_space_and_retained_as_written():
+    source = "a\0b\n#if\0 1\0\nc\0\n#endif\n#\0define A 1\n"
+    report = active_branches(env_of(), source)
+    assert report.retained_text == "a\0b\nc\0\n#\0define A 1\n"
+    assert report.groups[0].arms[0].condition == "1"
+    assert active_branches(env_of(), source + "#ifdef A\nd\n#endif\n").retained_text.endswith("d\n")
 
 
 def test_skipped_groups_are_read_only_for_directive_names():
@@ -1101,13 +1131,13 @@ _REF_PUNCTUATORS = ("...", "<<=", ">>=", "->", "++", "--", "<<", ">>", "&&", "||
 def _ref_first_token(text):
     """The first token after the "#" of a directive line that names no
     directive, or None for any other line: no "#" (or "##", one token)
-    first, an identifier, a line marker, a NUL or the end of the line (a
+    first, an identifier, a line marker or the end of the line (a
     backslash ending the file included) after it."""
     rest = text.lstrip()
     if not rest.startswith("#") or rest.startswith("##"):
         return None
     rest = rest[1:].lstrip()
-    if rest in ("", "\\") or rest[0] in "0123456789\x00" or _REF_DIRECTIVE.match("#" + rest):
+    if rest in ("", "\\") or re.match(r"\.?[0-9]", rest) or _REF_DIRECTIVE.match("#" + rest):
         return None
     # An "L" here prefixes a literal: the identifier check took any other.
     start = 1 if rest[0] == "L" else 0
@@ -1117,6 +1147,65 @@ def _ref_first_token(text):
             i += 2 if rest[i] == "\\" else 1
         return rest[: i + 1]
     return next((p for p in _REF_PUNCTUATORS if rest.startswith(p)), rest[0])
+
+
+def _ref_tokens(rest):
+    """The tokens of ``rest``, one character at a time, and whether its last
+    literal, if any, is closed."""
+    tokens, i, closed = [], 0, True
+    word = set(string.ascii_letters + string.digits + "_$")
+    while i < len(rest):
+        c, j = rest[i], i + 1
+        if c.isspace():
+            i = j
+            continue
+        if c in "\"'" or c == "L" and rest[j : j + 1] in ("'", '"'):
+            j += c == "L"
+            quote = rest[j - 1]
+            while j < len(rest) and rest[j] != quote:
+                j += 2 if rest[j] == "\\" else 1
+            closed, j = j < len(rest), j + 1
+        elif c.isdigit() or c == "." and rest[j : j + 1].isdigit():
+            while j < len(rest) and (rest[j] in word or rest[j] == "." or rest[j] in "+-" and rest[j - 1] in "eEpP"):
+                j += 1
+        elif c in word:
+            while j < len(rest) and rest[j] in word:
+                j += 1
+        else:
+            j += len(next((p for p in _REF_PUNCTUATORS if rest.startswith(p, i)), c)) - 1
+        tokens.append(rest[i:j])
+        i = j
+    return tokens, closed
+
+
+def _ref_line_marker_error(text, table):
+    """GCC's reason to reject the line marker ``text``, or None where it is
+    none or GCC accepts it, as libcpp's do_linemarker and read_flag read it:
+    a line number, then a plain string, which an object-like macro or a
+    built-in string macro may give, then flags."""
+    m = re.match(r"\s*#\s*(?=\.?[0-9])", text)
+    if m is None:
+        return None
+    # GCC drops a backslash that ends the file; it ends no other line.
+    tokens, closed = _ref_tokens(text[m.end() :].removesuffix("\\"))
+    if not tokens[0].isdigit() or not tokens[0].isascii():
+        return f'"{tokens[0]}" after # is not a positive integer'
+    if len(tokens) == 1:
+        return None
+    name = tokens[1]
+    expands = name in table and not table[name].function_like or name in (
+        "__FILE__", "__FILE_NAME__", "__BASE_FILE__", "__DATE__", "__TIME__", "__TIMESTAMP__")
+    if not expands and (not name.startswith('"') or len(tokens) == 2 and not closed):
+        return f'"{name}" is not a valid filename'
+    last = 0
+    for token in tokens[2:]:
+        flag = int(token) if token in ("1", "2", "3", "4") else 9
+        if not (last < flag <= 4 and (flag != 4 or last == 3) and (flag != 2 or last == 0)):
+            return f'invalid flag "{token}" in line directive'
+        if flag == 4:
+            return None
+        last = flag
+    return None
 
 
 def _ref_name(operand):
@@ -1210,7 +1299,7 @@ def _reference_branches(env, source):
     """The branch report, built one logical line at a time: every directive
     line is matched in order, #define and #undef apply only in an active
     region, and a skipped group's operands are not read."""
-    extents, texts = _oracle_scan(source)
+    extents, texts = _oracle_scan(source.replace("\0", " "))
     table = {d.name: d for d in env.definitions()}
     frames = []  # [arms, start, evaluated, taken_seen, in_else, active]
     groups, kept = [], []
@@ -1232,6 +1321,8 @@ def _reference_branches(env, source):
                 raise ConditionalStructureError(f"invalid preprocessing directive #{kind}", line)
             if kind is None and (token := _ref_first_token(text)) is not None:
                 raise ConditionalStructureError(f"invalid preprocessing directive #{token}", line)
+            if kind is None and (reason := _ref_line_marker_error(text, table)) is not None:
+                raise ConditionalStructureError(reason, line)
             if kept and kept[-1][1] + 1 == line:
                 kept[-1] = (kept[-1][0], end)
             else:
@@ -1322,7 +1413,7 @@ def _lines(good, bad):
 _SOUP_OPENERS = _lines(
     ["#if 1", "#if 0", "#if A", "#if A == 2", "#if defined(B) || C", "#if A$B", "#if B + 1 > 2",
      "#if C ? A : 0", "#ifdef A", "#ifdef B x", "#ifndef C(x)", "#ifndef A$B", "  # if 1 // c",
-     "#ifdef defined"],
+     "#ifdef defined", "#\0ifdef A"],
     ["#ifdef 3x", "#ifdef", "#if 1/0", "#if @", "#if", "#if C(1)", '#ifdef L"x"', "#ifndef (A)"],
 )
 _SOUP_ELIFS = _lines(["#elif 1", "#elif A", "#elif 0", "#elif B == 1"], ["#elif", "#elif @"])
@@ -1331,13 +1422,14 @@ _SOUP_PLAIN = _lines(
      "#define C 1", "#undef A", "#undef B junk", "#undef C(x)", "#pragma x", "#elifdef A",
      "# include <x>", "x /* #endif */ y", "// #else", '"/*"', "#define C( x, ... )#x ## x",
      "#define B(...) #__VA_ARGS__", "#define C()", "#define A # ## #", "#", '# 5 "f.c"',
-     "#line 5", "#warning w"],
+     "#line 5", "#warning w", '# 5 "f.c" 1 3 4', "#\0define C 1"],
     ["#define 3x", "#define", "#define L'x'", "#undef", "#undef 3", "#endif", "#else",
      "#elif 1", "/* c", "#if$x", "#definex", "#else$", "#ifndef$ A", "#define F(x) #y",
      "#define F(x,x) 1", "#define F(x 1", "#define A ## B", "#define A B ##",
      "#define F(x) x ##", "#define defined 1", "#undef defined", "#define F(x,) 1",
      "#define F(... x)", "#define F(", "#define F(x, y", "#foo", "# foo bar", "#defin X",
-     "#$x", "#!x", "# (", '#"a" b', "#'a", '#L"a', "#!=", "##x", "#0x", "# \\"],
+     "#$x", "#!x", "# (", '#"a" b', "#'a", '#L"a', "#!=", "##x", "#0x", "# \\", "#.5",
+     "# 3 <", '# 5 "f.c" 9', '# 5 "f.c" 2 1', "# 5 A"],
 )
 #: What ends a line: mostly a line break, sometimes a backslash-newline or a
 #: comment spanning lines, either of which joins it to the next.
@@ -1437,6 +1529,15 @@ _GCC_SNIPPETS = {
         "#define E() 1\n#define P(x, y) x ## y\n"
         "#if defined F && defined G && defined H && defined E && defined P\nmark1\n#endif\n"
     ),
+    # A line marker's file name may be an object-like or built-in macro.
+    "line-markers": '#define F "f.c"\n# 5 F\nmark1\n# 7 __FILE__ 1 3\nmark2\n',
+    # A NUL is white space: it splits no directive name from its "#", and
+    # "/\0*" starts no comment.
+    "nul-in-directives": (
+        "#\0if 0\nmark1\n#endif\n\0#if 0\nmark2\n#endif\n#if\0 0\nmark3\n#endif\n"
+        "#if 1\0\nmark4\n#endif\n#\0define A 1\n#ifdef A\nmark5\n#endif\n"
+    ),
+    "nul-splits-comment-start": "/\0* x\n#if 0\nmark1\n#endif\n*/ mark2\n",
     "dollar-names": (
         "#define A$B 3\n#ifdef A\nmark1\n#endif\n#if A$B == 3\nmark2\n#endif\n"
         "#ifdef A$B\nmark3\n#endif\n#undef A$B\n#ifndef A$B\nmark4\n#endif\n"
