@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dialectoscope import load_profile
-from gcc_oracle import pytest_collection_modifyitems, pytest_configure  # noqa: F401
+from gcc_oracle import pytest_collection_modifyitems, pytest_configure  # noqa: F401  marker hooks
 
 
 @pytest.fixture(scope="session")

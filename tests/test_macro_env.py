@@ -1166,7 +1166,8 @@ def _ref_tokens(rest):
                 j += 2 if rest[j] == "\\" else 1
             closed, j = j < len(rest), j + 1
         elif c.isdigit() or c == "." and rest[j : j + 1].isdigit():
-            while j < len(rest) and (rest[j] in word or rest[j] == "." or rest[j] in "+-" and rest[j - 1] in "eEpP"):
+            while j < len(rest) and (rest[j] in word or rest[j] == "."
+                                     or rest[j] in "+-" and rest[j - 1] in "eEpP"):
                 j += 1
         elif c in word:
             while j < len(rest) and rest[j] in word:
