@@ -433,10 +433,10 @@ def _models_from_args(args) -> list[TypeModel]:
 def cmd_promote_check(args) -> Result:
     from .promotion import (
         WrapCheckExpr,
+        _wrap_check_simulator,
         analyze_wrap_check,
         boundary_pairs,
         parse_ctype,
-        simulate_wrap_check,
         true_wraparound,
     )
 
@@ -455,9 +455,9 @@ def cmd_promote_check(args) -> Result:
             # Simulation agrees when it finds the check exact on every
             # boundary pair exactly where the verdict calls it reliable.
             w = operand.width(m)
+            simulate = _wrap_check_simulator(expr, m)
             exact = all(
-                simulate_wrap_check(expr, m, x, y) == true_wraparound(w, x, y)
-                for x, y in boundary_pairs(w)
+                simulate(x, y) == true_wraparound(w, x, y) for x, y in boundary_pairs(w)
             )
             agrees = exact == v.reliable
             suffix = "  [simulation agrees]" if agrees else "  [SIMULATION DISAGREES]"

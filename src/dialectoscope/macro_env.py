@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate, chain
 from operator import add, and_, eq, ge, gt, le, lt, mul, ne, or_, sub, xor
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dialect_model import AnsiMode, DialectConfig
 from .invocation import _COMMENT, _DEFINE_OPERAND, _DEFINE_OPERAND_RE, _IDENT, _IDENT_CHAR
@@ -538,11 +538,11 @@ _PP_TOKEN = (
 #: pp-number after the "#" and the rest of the line.  Or, when the "#" is
 #: followed by none of these and not by the end of the line (the null
 #: directive), the first token, which GCC names in its error; a line that
-#: starts with "##" is text.  GCC drops a backslash-newline that ends the
-#: file, so a backslash that ends the text ends the line too.
+#: starts with "##" is text.  A backslash that ends the text is a token, as
+#: ``_logical_lines`` has dropped a backslash-newline that ends the file.
 _DEFINITION_RE = re.compile(
     rf"\n[^\S\n]*#(?!#)[^\S\n]*(?:(?!L[\"'])({_IDENT}){_DEFINE_OPERAND}"
-    rf"|({_PP_NUMBER})([^\n]*?)\\?(?![^\n])|(?!\n|\\?\Z)({_PP_TOKEN}))"
+    rf"|({_PP_NUMBER})([^\n]*)|(?!\n|\Z)({_PP_TOKEN}))"
 )
 #: The directive names GCC 12.2 knows besides the conditional ones, #define
 #: and #undef: lines that name one are kept as text.
@@ -551,10 +551,14 @@ _KEPT_DIRECTIVES = frozenset((
     "assert", "unassert", "elifdef", "elifndef",
 ))
 #: GCC's built-in macros that expand to a string literal, which a line
-#: marker may give as its file name.
+#: marker or #line may give as its file name.
 _STRING_BUILTINS = frozenset((
     "__FILE__", "__FILE_NAME__", "__BASE_FILE__", "__DATE__", "__TIME__", "__TIMESTAMP__",
 ))
+#: GCC's built-in macros that expand to a number the scan does not track:
+#: the physical line of the token, a count of earlier uses, the depth of
+#: inclusion.
+_NUMBER_BUILTINS = frozenset(("__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__"))
 
 
 class BranchArm(NamedTuple):
@@ -584,11 +588,12 @@ def _logical_lines(source: str) -> tuple[str, Sequence[int]]:
     physical extents: logical line ``k`` covers physical lines
     ``starts[k]`` to ``starts[k + 1] - 1`` (1-based), so ``starts`` has one
     entry more than there are logical lines.  A backslash ending the last
-    line stays.
+    line stays when no line break follows it; a backslash-newline that ends
+    the source joins its line to nothing and goes, as GCC drops it.
     """
     if not source:
         return "", [1]
-    body = source[:-1] if source.endswith("\n") else source
+    body = source[:-2] if source.endswith("\\\n") else source.removesuffix("\n")
     if "\\\n" not in body:
         return body, range(1, body.count("\n") + 3)
     pieces = body.split("\\\n")
@@ -650,17 +655,21 @@ def _read_definitions(
     knows (``_KEPT_DIRECTIVES``) are kept as text; any other directive name,
     such as #foo, #if$x or #definex, is an error, as GCC does not know it,
     and so is a "#" followed by a punctuator or a literal, such as "#!x".
-    A line marker ("# 5") that GCC accepts and the null directive ("#") are
-    kept as text."""
+    A #line or a line marker ("# 5") that GCC accepts and the null directive
+    ("#") are kept as text."""
     for m in _DEFINITION_RE.finditer(text, start, end):
         kind, name, params, body, number, marker, token = m.groups()
         define = kind == "define"
         if not define and kind != "undef":
-            if kind in _KEPT_DIRECTIVES:
+            if kind == "line":
+                reason = _line_error(None, text[m.end(1) : m.end()], table)
+            elif kind in _KEPT_DIRECTIVES:
                 continue
-            if number is None:
+            elif number is None:
                 reason = f"invalid preprocessing directive #{kind or token}"
-            elif (reason := _line_marker_error(number, marker, table)) is None:
+            else:
+                reason = _line_error(number, marker, table)
+            if reason is None:
                 continue
             line = starts[text.count("\n", 0, m.start())]
             raise ConditionalStructureError(reason, line)
@@ -679,29 +688,81 @@ def _read_definitions(
             table.pop(name, None)
 
 
-def _line_marker_error(
-    number: str, operands: str, table: dict[str, MacroDefinition]
+def _expanded(operands: str, table: dict[str, MacroDefinition]) -> Iterator[str | None]:
+    """The tokens of ``operands`` with object-like macros expanded, as GCC
+    expands the operands of #line and those after a line marker's number.
+    A macro's name is hidden while its own body is read.  Where the scan
+    cannot tell the tokens that follow, it yields None and stops: at a call
+    of a function-like macro, which it does not expand, at a built-in number
+    it does not track, or past ``MAX_EXPANSION_TOKENS`` tokens of bodies."""
+    # Token lists being read, innermost last: [tokens, next index, macro].
+    reading: list[list] = [[re.findall(_PP_TOKEN, operands), 0, None]]
+    hidden: set[str] = set()
+    budget = MAX_EXPANSION_TOKENS
+    while reading:
+        tokens, i, name = frame = reading[-1]
+        if i == len(tokens):
+            reading.pop()
+            hidden.discard(name)
+            continue
+        frame[1] = i + 1
+        tok = tokens[i]
+        macro = table.get(tok)
+        if macro is None and tok in _NUMBER_BUILTINS:
+            yield None
+            return
+        if macro is None or tok in hidden:
+            yield tok
+        elif macro.function_like:
+            # A call's "(" is the next token as written, wherever it stands.
+            after = next((t[j] for t, j, _ in reversed(reading) if j < len(t)), None)
+            if after == "(":
+                yield None
+                return
+            yield tok
+        else:
+            body = re.findall(_PP_TOKEN, macro.body)
+            budget -= len(body)
+            if budget < 0:
+                yield None
+                return
+            hidden.add(tok)
+            reading.append([body, 0, tok])
+
+
+def _line_error(
+    number: str | None, operands: str, table: dict[str, MacroDefinition]
 ) -> str | None:
-    """GCC's reason to reject the line marker "# ``number`` ``operands``",
-    or None.  The number is a digit sequence; a file name, if any, is a
-    plain string literal; flags, if any, are 1 or 2, then 3, then 4, each
-    optional but 4 only after 3.  GCC expands macros in the file name, so
-    an object-like macro, or a built-in one that expands to a string, is
-    taken for a string here."""
+    """GCC's reason to reject "#line ``operands``" (``number`` None) or the
+    line marker "# ``number`` ``operands``", or None.  The number is a digit
+    sequence; a file name, if any, is a plain string literal, or a built-in
+    macro that expands to one; a line marker's flags, if any, are 1 or 2,
+    then 3, then 4, each optional but 4 only after 3, while #line ignores
+    what follows its file name.  GCC reads these after macro expansion
+    (``_expanded``), all but a line marker's number; where the scan cannot
+    expand on, the line is accepted."""
+    tokens = _expanded(operands, table)
+    if number is None:
+        directive, number = "#line", next(tokens, "")
+        if number is None:
+            return None
+        if not number:
+            return "unexpected end of file after #line"
+    else:
+        directive = "#"
     if not (number.isascii() and number.isdigit()):
-        return f'"{number}" after # is not a positive integer'
-    tokens = re.findall(_PP_TOKEN, operands)  # compiled on first use, not at import
-    if not tokens:
+        return f'"{number}" after {directive} is not a positive integer'
+    name = next(tokens, None)
+    if name is None:
         return None
-    name, macro = tokens[0], table.get(tokens[0])
-    if not (
-        name in _STRING_BUILTINS
-        or macro is not None and not macro.function_like
-        or re.fullmatch(r'"(?:[^"\\\n]|\\[^\n])*"', name)
-    ):
+    if not (name in _STRING_BUILTINS or re.fullmatch(r'"(?:[^"\\\n]|\\[^\n])*"', name)):
         return f'"{name}" is not a valid filename'
+    if directive == "#line":
+        return None
     allowed = ("1", "2", "3")
-    for flag in tokens[1:]:
+    for flag in tokens:
+        if flag is None:
+            return None
         if flag not in allowed:
             return f'invalid flag "{flag}" in line directive'
         if flag == "4":

@@ -7,8 +7,8 @@ additive term is described by a :class:`ProbeBitSpec` so a value can be
 explained dimension by dimension.  :func:`verify_with_compiler` builds
 and runs the probe under a real compiler through ``_compile_and_run``,
 the only code here that starts processes: one compile per build, and one
-assembled driver, one link of every compiled build and one run per
-pointer width.
+link of every compiled build, with the driver assembled in it, and one run
+per pointer width.
 """
 
 from __future__ import annotations
@@ -182,13 +182,14 @@ class VerificationReport(NamedTuple):
         return [r for r in self.results if not r.ok]
 
 
-#: The probe's caller, assembled once per pointer width and linked with
-#: no C library.  ``_start`` aligns the stack, calls each entry of
-#: ``probe_table``, a zero-terminated table of function pointers that each
-#: link defines, writes each result in decimal and a newline to stdout
-#: with a ``write`` system call, and exits 0.  The table cursor is kept in
-#: a callee-saved register (rbx, esi), so it survives each call.  The
-#: system calls are x86 ones, as are the canonical -m32/-m64 flags.
+#: The probe's caller, assembled in each pointer width's link, at the head
+#: of the generated table file, with no C library.  ``_start`` aligns the
+#: stack, calls each entry of ``probe_table``, a zero-terminated table of
+#: function pointers that the rest of the file defines, writes each result
+#: in decimal and a newline to stdout with a ``write`` system call, and
+#: exits 0.  The table cursor is kept in a callee-saved register (rbx,
+#: esi), so it survives each call.  The system calls are x86 ones, as are
+#: the canonical -m32/-m64 flags.
 _DRIVER_X86_64 = """\
    .text
    .globl _start
@@ -301,12 +302,13 @@ def _compile_and_run(path: str, source: str, function: str, builds: dict, jobs: 
     ``builds`` maps a label to a width flag, ``-m64`` or ``-m32``, and
     compile flags that select that width.  Each build is one compile, with
     ``-D<function>=<function>_<label>`` so that each build's function has
-    its own name.  Each width costs one driver assembly, one link of its
-    compiled builds into ``probe_table`` and one run, whose line *i* is
-    entry *i*'s.  A failed driver fails its width's builds uncompiled; a
-    failed link, or a run that exits non-zero before their lines, fails its
-    compiled builds.  Returns ``(lines, failures)``: the line each label
-    printed ("" if a run that exits 0 printed none), else its failure text."""
+    its own name.  Each width costs one link of its compiled builds, which
+    also assembles the driver, written at the head of the generated
+    ``probe_table`` file, and one run, whose line *i* is entry *i*'s.  A
+    failed compile fails its build, and a failed link, or a run that exits
+    non-zero before their lines, fails its width's compiled builds.
+    Returns ``(lines, failures)``: the line each label printed ("" if a run
+    that exits 0 printed none), else its failure text."""
     # Imported here: only this function starts processes, and these
     # modules would otherwise add to every import of the package.
     import subprocess
@@ -335,11 +337,6 @@ def _compile_and_run(path: str, source: str, function: str, builds: dict, jobs: 
 
         source_c = write("probe.c", source)
 
-        def build_driver(width: str) -> str:
-            driver = write(f"driver{width}.s", _DRIVERS[width][0])
-            error = gcc(width, "-c", driver, "-o", os.path.join(tmp, f"driver{width}.o"))
-            return error and f"driver build failed ({width}){error}"
-
         def compile_one(label) -> str:
             flags = builds[label][1]
             error = gcc("-pipe", *flags, f"-D{function}={function}_{label}",
@@ -351,16 +348,15 @@ def _compile_and_run(path: str, source: str, function: str, builds: dict, jobs: 
             group = [label for label in by_width[width] if label not in failures]
             if not group:
                 return {}, {}
-            entry, align = _DRIVERS[width][1:]
+            driver, entry, align = _DRIVERS[width]
             table = write(
                 f"table{width}.s",
-                f"   .data\n   .globl probe_table\n   .balign {align}\nprobe_table:\n"
+                f"{driver}   .data\n   .balign {align}\nprobe_table:\n"
                 + "".join(f"   {entry} {function}_{label}\n" for label in group)
-                + f"   {entry} 0\n"
-                '   .section .note.GNU-stack,"",@progbits\n',
+                + f"   {entry} 0\n",
             )
             exe = os.path.join(tmp, f"probe{width}")
-            error = gcc(width, "-nostdlib", "-static", os.path.join(tmp, f"driver{width}.o"), table,
+            error = gcc(width, "-nostdlib", "-static", table,
                         *(os.path.join(tmp, f"{function}_{label}.o") for label in group), "-o", exe)
             if error:
                 return {}, dict.fromkeys(group, f"link failed ({width}){error}")
@@ -371,14 +367,10 @@ def _compile_and_run(path: str, source: str, function: str, builds: dict, jobs: 
             status = f"run exited with status {ran.returncode}"
             return dict(zip(group, printed)), dict.fromkeys(group[len(printed):], status)
 
-        widths = list(by_width)
-        for width, error in zip(widths, _in_threads(build_driver, widths, jobs)):
-            if error:
-                failures.update(dict.fromkeys(by_width[width], error))
-        pending = [label for label in builds if label not in failures]
-        compiled = _in_threads(compile_one, pending, jobs)
-        failures.update((label, error) for label, error in zip(pending, compiled) if error)
-        for width_lines, width_failures in _in_threads(link_and_run, widths, jobs):
+        labels = list(builds)
+        compiled = _in_threads(compile_one, labels, jobs)
+        failures.update((label, error) for label, error in zip(labels, compiled) if error)
+        for width_lines, width_failures in _in_threads(link_and_run, list(by_width), jobs):
             lines.update(width_lines)
             failures.update(width_failures)
     return lines, failures

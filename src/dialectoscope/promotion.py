@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .dialect_model import TypeModel, _Validated
 
@@ -251,6 +251,26 @@ def simulate_wrap_check(e: WrapCheckExpr, m: TypeModel, x: int, y: int) -> bool:
     common = arithmetic_conversion(lhs_t, t, m)
     cw, cu = common.width(m), common.is_unsigned(m)
     return _convert(lhs, cw, cu) < _convert(x, cw, cu)
+
+
+def _wrap_check_simulator(e: WrapCheckExpr, m: TypeModel) -> Callable[[int, int], bool]:
+    """``lambda x, y: simulate_wrap_check(e, m, x, y)``, with the types the
+    model gives the sum, the cast and the comparison worked out once."""
+    t = e.operand_type
+    mask = (1 << t.width(m)) - 1
+    pt = integer_promote(t, m)
+    lhs_t = e.cast_before_compare or pt
+    common = arithmetic_conversion(lhs_t, t, m)
+    sw, su = pt.width(m), pt.is_unsigned(m)
+    lw, lu = lhs_t.width(m), lhs_t.is_unsigned(m)
+    cw, cu = common.width(m), common.is_unsigned(m)
+
+    def simulate(x: int, y: int) -> bool:
+        x &= mask
+        lhs = _convert(_convert((y & mask) + x, sw, su), lw, lu)
+        return _convert(lhs, cw, cu) < _convert(x, cw, cu)
+
+    return simulate
 
 
 def true_wraparound(w: int, x: int, y: int) -> bool:

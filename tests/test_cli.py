@@ -166,18 +166,35 @@ def verify_failures(capsys, compiler, values):
     return {f["value"]: f["detail"] for f in doc["failures"]}
 
 
+def flags_of(value):
+    return " ".join(dialectoscope.flags_for_value(value, dialectoscope.load_profile()))
+
+
 @pytest.mark.gcc(driver=True)
-def test_probe_verify_reports_driver_failure_once_per_width(capsys, tmp_path):
+def test_probe_verify_reports_a_width_gcc_cannot_target_at_each_compile(capsys, tmp_path):
     cc = fake_compiler(
         tmp_path,
         'case " $* " in *" -m32 "*) echo "fake: no 32-bit target" >&2; exit 1;; esac',
     )
     failures = verify_failures(capsys, cc, "0,16,427,443")
-    detail = "driver build failed (-m32): fake: no 32-bit target"
-    assert failures == {0: detail, 427: detail}
-    # One 32-bit driver build; no 32-bit value reached the compiler.
+    assert failures == {
+        v: f"compile failed ({flags_of(v)}): fake: no 32-bit target" for v in (0, 427)
+    }
+    # Nothing of the width compiled, so no -m32 link runs.
     calls = (tmp_path / "calls").read_text().splitlines()
-    assert sum(" -m32 " in f" {c} " for c in calls) == 1
+    assert not any(" -m32 " in f" {c} " and " -static " in f" {c} " for c in calls)
+
+
+@pytest.mark.gcc(driver=True)
+def test_probe_verify_reports_a_failed_width_link_for_each_value(capsys, tmp_path):
+    # The -m32 link, which also assembles the -m32 driver, fails; the -m64
+    # values are linked and run as before.
+    cc = fake_compiler(
+        tmp_path,
+        'case " $* " in *" -m32 "*" -static "*) echo "fake: no 32-bit ld" >&2; exit 1;; esac',
+    )
+    detail = "link failed (-m32): fake: no 32-bit ld"
+    assert verify_failures(capsys, cc, "0,16,427,443") == {0: detail, 427: detail}
 
 
 @pytest.mark.gcc(driver=True)
@@ -185,7 +202,7 @@ def test_probe_verify_reports_compile_failure(capsys, tmp_path):
     cc = fake_compiler(
         tmp_path, 'case " $* " in *" -O2 "*) echo "fake: no -O2" >&2; exit 1;; esac'
     )
-    flags = " ".join(dialectoscope.flags_for_value(24, dialectoscope.load_profile()))
+    flags = flags_of(24)
     assert "-O2" in flags
     assert verify_failures(capsys, cc, "16,24") == {
         24: f"compile failed ({flags}): fake: no -O2"
@@ -197,7 +214,7 @@ def test_probe_verify_reports_compile_failure(capsys, tmp_path):
     [("echo 7", "printed '7', expected 16"), ("exit 3", "run exited with status 3")],
 )
 def test_probe_verify_reports_run_failures(capsys, tmp_path, command, detail):
-    # Every output of this compiler, the driver object too, is a shell
+    # Every output of this compiler, each object and the probe too, is a shell
     # script that runs ``command``.
     cc = fake_compiler(
         tmp_path,
@@ -230,7 +247,7 @@ def test_probe_verify_counts_one_compile_per_value_and_one_link_per_width(
     drivers = [c for c in calls if "-c" in c and any(w.endswith(".s") for w in c)]
     compiles = [c for c in calls if "-c" in c and any(w.endswith("/probe.c") for w in c)]
     links = [c for c in calls if "-static" in c]
-    assert (len(drivers), len(compiles), len(links), len(calls)) == (2, 4, 2, 8)
+    assert (len(drivers), len(compiles), len(links), len(calls)) == (0, 4, 2, 6)
     renames = sorted(w for c in compiles for w in c if w.startswith("-Dreturn_value="))
     assert renames == [f"-Dreturn_value=return_value_{v}" for v in (0, 16, 427, 443)]
     # The only C source any call names is the probe: no C driver is compiled.
@@ -257,7 +274,7 @@ def test_probe_verify_fails_one_value_on_undecodable_compiler_output(capsys, tmp
     cc = fake_compiler(
         tmp_path, r"""case " $* " in *" -O2 "*) printf 'fake: \377\n' >&2; exit 1;; esac"""
     )
-    flags = " ".join(dialectoscope.flags_for_value(24, dialectoscope.load_profile()))
+    flags = flags_of(24)
     assert verify_failures(capsys, cc, "16,24") == {
         24: f"compile failed ({flags}): fake: \ufffd"
     }

@@ -759,6 +759,8 @@ _INVALID_DIRECTIVES = [
     ("#/* c */!= x\n", 1, "#!="),
     ("#++\n", 1, "#++"),
     ('#L"a"\n', 1, '#L"a"'),
+    # A backslash that ends the file with no line break after it is a token.
+    ("a\n#\\", 2, "#\\"),
 ]
 
 
@@ -778,9 +780,11 @@ _REJECTED_DEFINITIONS = [
     ("#define F(\n", 1, "expected parameter name before end of line"),
     ("#define F(x\n", 1, "expected ')' before end of line"),
 ]
-#: Line markers GCC 12.2 rejects, each on the line given, with GCC's reason:
-#: a number that is no digit sequence, a file name that is no plain string
-#: literal (a function-like macro is not expanded) and flags out of order.
+#: Line markers and #line directives GCC 12.2 rejects, each on the line
+#: given, with GCC's reason: a number that is no digit sequence, or none, a
+#: file name that is no plain string literal and a marker's flags out of
+#: order, all after object-like macros are expanded (a function-like macro
+#: not called is not), and a backslash that ends the file.
 _REJECTED_LINE_MARKERS = [
     ("#0x\n", 1, '"0x" after # is not a positive integer'),
     ("#if 1\n#1.5\n#endif\n", 2, '"1.5" after # is not a positive integer'),
@@ -796,6 +800,21 @@ _REJECTED_LINE_MARKERS = [
     ('# 5 "f.c" 4\n', 1, 'invalid flag "4" in line directive'),
     ('# 5 "f.c" 1 1\n', 1, 'invalid flag "1" in line directive'),
     ('# 5 "f.c" 2 1\n', 1, 'invalid flag "1" in line directive'),
+    ("#define N 7\n# 5 N\n", 2, '"7" is not a valid filename'),
+    ("#define A B\n#define B 1 2\n# 5 A\n", 3, '"1" is not a valid filename'),
+    ("#define A A\n# 5 A\n", 2, '"A" is not a valid filename'),
+    ("#define LP (\n#define F(x) 7\n# 5 F LP 1)\n", 3, '"F" is not a valid filename'),
+    ("#5 \\", 1, '"\\" is not a valid filename'),
+    ("#line 0x\n", 1, '"0x" after #line is not a positive integer'),
+    ("a\n#line x\n", 2, '"x" after #line is not a positive integer'),
+    ('#define S "a.c"\n#line S\n', 2, '""a.c"" after #line is not a positive integer'),
+    ("#define F(x) 7\n#line F\n", 2, '"F" after #line is not a positive integer'),
+    ("#line\n", 1, "unexpected end of file after #line"),
+    ("#define E\n#line E\n", 2, "unexpected end of file after #line"),
+    ("#line 5 f.c\n", 1, '"f" is not a valid filename'),
+    ("#define A 1 2\n#line A\n", 2, '"2" is not a valid filename'),
+    ('#line 5 L"f.c"\n', 1, '"L"f.c"" is not a valid filename'),
+    ("#line 5 \\", 1, '"\\" is not a valid filename'),
 ]
 
 
@@ -833,6 +852,13 @@ def test_invalid_directive_names_are_gcc_errors(source, line, name):
 _KEPT_DIRECTIVE_LINES = [
     "#pragma once", '#ident "x"', '#sccs "x"', "#line 5", '# 5 "f.c"', "#", "#123",
     "#warning w", "#assert a(b)", "#unassert a", "#0", '# 5 "f.c" 1 3 4', "#9999999999",
+    # #line ignores what follows its file name and only warns of a number
+    # out of range; macros expand in its operands and a line marker's file
+    # name and flags, to nothing if need be.
+    '#line 5 "f.c" 3', "#line 4294967296", "#line 0", '#line 5 "a" "b"', "#line __LINE__",
+    "#define L 7\n#line L", '#define M 5 "f.c"\n#line M', '#define S "a.c"\n# 5 S',
+    '#define A "a" 1\n# 5 A 3', "#define E\n# 5 E", '#define F(x) "a.c"\n# 5 F(1)',
+    "#line 5 __FILE__ 9",
 ]
 
 
@@ -1054,6 +1080,9 @@ def _oracle_scan(source):
     physical = source.split("\n")
     if physical and physical[-1] == "":
         physical.pop()
+        # A backslash-newline that ends the file joins its line to nothing.
+        if physical and physical[-1].endswith("\\"):
+            physical[-1] = physical[-1][:-1]
     lines = _oracle_strip_comments(_oracle_logical_lines(physical))
     return [(start, end) for _, start, end in lines], [text for text, _, _ in lines]
 
@@ -1086,7 +1115,7 @@ def test_scanner_matches_character_loop(source):
 
 
 @pytest.mark.parametrize("source", [
-    "", "\n", "\n\n", "a", "a\\", "a\\\n", "a\\\n\n", "a\\\nb\\\nc\nd",
+    "", "\n", "\n\n", "a", "a\\", "a\\\n", "a\\\n\n", "a\\\nb\\\nc\nd", "a\\\n\\\n", "\\\n",
     "a\\\\\n\nb", '"\\', '"a\\"b" // c\nd', "x /* a\n b */ y /* c */ z",
     "'/*' /* \" */ \"*/\" // '\n", "s /*/ t */ u", "a // b \\\n c\nd",
     "a /* b\n */ c /* d\n\n */ e // f\ng", "a /* b \\\n c\n */ d\ne",
@@ -1131,13 +1160,12 @@ _REF_PUNCTUATORS = ("...", "<<=", ">>=", "->", "++", "--", "<<", ">>", "&&", "||
 def _ref_first_token(text):
     """The first token after the "#" of a directive line that names no
     directive, or None for any other line: no "#" (or "##", one token)
-    first, an identifier, a line marker or the end of the line (a
-    backslash ending the file included) after it."""
+    first, an identifier, a line marker or the end of the line after it."""
     rest = text.lstrip()
     if not rest.startswith("#") or rest.startswith("##"):
         return None
     rest = rest[1:].lstrip()
-    if rest in ("", "\\") or re.match(r"\.?[0-9]", rest) or _REF_DIRECTIVE.match("#" + rest):
+    if not rest or re.match(r"\.?[0-9]", rest) or _REF_DIRECTIVE.match("#" + rest):
         return None
     # An "L" here prefixes a literal: the identifier check took any other.
     start = 1 if rest[0] == "L" else 0
@@ -1179,27 +1207,60 @@ def _ref_tokens(rest):
     return tokens, closed
 
 
-def _ref_line_marker_error(text, table):
-    """GCC's reason to reject the line marker ``text``, or None where it is
-    none or GCC accepts it, as libcpp's do_linemarker and read_flag read it:
-    a line number, then a plain string, which an object-like macro or a
-    built-in string macro may give, then flags."""
-    m = re.match(r"\s*#\s*(?=\.?[0-9])", text)
-    if m is None:
+def _ref_expand(tokens, table):
+    """``tokens`` with object-like macros expanded by hide sets, as in C11
+    6.10.3.4: each token of a body carries its macro's hide set and name.
+    A None ends the list where the scan cannot tell what follows: at a call
+    of a function-like macro, or at a built-in number."""
+    pending = [(token, frozenset()) for token in tokens]
+    out = []
+    while pending:
+        token, hide = pending.pop(0)
+        macro = table.get(token)
+        if macro is None and token in ("__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__") or (
+            macro is not None and macro.function_like and pending[:1] and pending[0][0] == "("
+        ):
+            return out + [None]
+        if macro is None or macro.function_like or token in hide:
+            out.append(token)
+        else:
+            pending[:0] = [(t, hide | {token}) for t in _ref_tokens(macro.body)[0]]
+    return out
+
+
+def _ref_line_error(kind, text, table):
+    """GCC's reason to reject the #line or the line marker ``text``, or None
+    where it is neither or GCC accepts it, as libcpp's do_line,
+    do_linemarker and read_flag read them after macro expansion (a line
+    marker's number is not expanded): a line number, then a plain string,
+    which a built-in string macro may give, then a line marker's flags."""
+    if kind == "line":
+        directive, tokens = "#line", _ref_expand(_ref_tokens(_REF_DIRECTIVE.match(text)[2])[0], table)
+        if not tokens:
+            return "unexpected end of file after #line"
+    elif kind is None and (m := re.match(r"\s*#\s*(?=\.?[0-9])", text)):
+        number, *rest = _ref_tokens(text[m.end() :])[0]
+        directive, tokens = "#", [number, *_ref_expand(rest, table)]
+    else:
         return None
-    # GCC drops a backslash that ends the file; it ends no other line.
-    tokens, closed = _ref_tokens(text[m.end() :].removesuffix("\\"))
+    tokens.append(None)  # the end of the line
+    if tokens[0] is None:
+        return None
     if not tokens[0].isdigit() or not tokens[0].isascii():
-        return f'"{tokens[0]}" after # is not a positive integer'
-    if len(tokens) == 1:
-        return None
+        return f'"{tokens[0]}" after {directive} is not a positive integer'
     name = tokens[1]
-    expands = name in table and not table[name].function_like or name in (
+    if name is None:
+        return None
+    builtin = name in (
         "__FILE__", "__FILE_NAME__", "__BASE_FILE__", "__DATE__", "__TIME__", "__TIMESTAMP__")
-    if not expands and (not name.startswith('"') or len(tokens) == 2 and not closed):
+    if not builtin and not (name.startswith('"') and _ref_tokens(name)[1]):
         return f'"{name}" is not a valid filename'
+    if directive == "#line":
+        return None
     last = 0
-    for token in tokens[2:]:
+    for token in tokens[2:-1]:
+        if token is None:
+            return None
         flag = int(token) if token in ("1", "2", "3", "4") else 9
         if not (last < flag <= 4 and (flag != 4 or last == 3) and (flag != 2 or last == 0)):
             return f'invalid flag "{token}" in line directive'
@@ -1322,7 +1383,7 @@ def _reference_branches(env, source):
                 raise ConditionalStructureError(f"invalid preprocessing directive #{kind}", line)
             if kind is None and (token := _ref_first_token(text)) is not None:
                 raise ConditionalStructureError(f"invalid preprocessing directive #{token}", line)
-            if kind is None and (reason := _ref_line_marker_error(text, table)) is not None:
+            if (reason := _ref_line_error(kind, text, table)) is not None:
                 raise ConditionalStructureError(reason, line)
             if kept and kept[-1][1] + 1 == line:
                 kept[-1] = (kept[-1][0], end)
@@ -1423,14 +1484,15 @@ _SOUP_PLAIN = _lines(
      "#define C 1", "#undef A", "#undef B junk", "#undef C(x)", "#pragma x", "#elifdef A",
      "# include <x>", "x /* #endif */ y", "// #else", '"/*"', "#define C( x, ... )#x ## x",
      "#define B(...) #__VA_ARGS__", "#define C()", "#define A # ## #", "#", '# 5 "f.c"',
-     "#line 5", "#warning w", '# 5 "f.c" 1 3 4', "#\0define C 1"],
+     "#line 5", "#warning w", '# 5 "f.c" 1 3 4', "#\0define C 1", '#line 5 "f.c" 3'],
     ["#define 3x", "#define", "#define L'x'", "#undef", "#undef 3", "#endif", "#else",
      "#elif 1", "/* c", "#if$x", "#definex", "#else$", "#ifndef$ A", "#define F(x) #y",
      "#define F(x,x) 1", "#define F(x 1", "#define A ## B", "#define A B ##",
      "#define F(x) x ##", "#define defined 1", "#undef defined", "#define F(x,) 1",
      "#define F(... x)", "#define F(", "#define F(x, y", "#foo", "# foo bar", "#defin X",
      "#$x", "#!x", "# (", '#"a" b', "#'a", '#L"a', "#!=", "##x", "#0x", "# \\", "#.5",
-     "# 3 <", '# 5 "f.c" 9', '# 5 "f.c" 2 1', "# 5 A"],
+     "# 3 <", '# 5 "f.c" 9', '# 5 "f.c" 2 1', "# 5 A", "#line A", "#line", "#line 0x",
+     "#line 5 f.c", "# 5 C(1)", "#line C(1) 2", "# 5 B", "#line 5 C"],
 )
 #: What ends a line: mostly a line break, sometimes a backslash-newline or a
 #: comment spanning lines, either of which joins it to the next.
@@ -1539,6 +1601,13 @@ _GCC_SNIPPETS = {
         "#if 1\0\nmark4\n#endif\n#\0define A 1\n#ifdef A\nmark5\n#endif\n"
     ),
     "nul-splits-comment-start": "/\0* x\n#if 0\nmark1\n#endif\n*/ mark2\n",
+    # GCC drops a backslash-newline that ends the file, with a warning.
+    "backslash-newline-ends-null-directive": "mark1\n#\\\n",
+    "backslash-newline-ends-line-marker": "#if 1\nmark1\n#endif\n# 5 \\\n",
+    "line-operands-expanded": (
+        '#define L 7\n#line L\nmark1\n#define S "a.c"\n#line 5 S 3\nmark2\n'
+        "#define E\n# 5 E\nmark3\n"
+    ),
     "dollar-names": (
         "#define A$B 3\n#ifdef A\nmark1\n#endif\n#if A$B == 3\nmark2\n#endif\n"
         "#ifdef A$B\nmark3\n#endif\n#undef A$B\n#ifndef A$B\nmark4\n#endif\n"

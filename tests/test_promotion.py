@@ -22,6 +22,7 @@ from dialectoscope import (
     simulate_wrap_check,
     true_wraparound,
 )
+from dialectoscope.promotion import _wrap_check_simulator
 
 ALL_MODELS = [TypeModel(*widths) for widths in enumerate_integer_size_models()]
 ILP32 = TypeModel(8, 16, 32, 32, 64)
@@ -228,6 +229,25 @@ def test_reliable_verdicts_agree_on_random_pairs():
                 x = rng.randrange(1 << width)
                 y = rng.randrange(1 << width)
                 assert simulate_wrap_check(e, m, x, y) == true_wraparound(width, x, y)
+
+
+def test_per_model_simulator_matches_simulate_wrap_check():
+    # The CLI's simulator works out the model's types once; the public
+    # function, which works them out per pair, is the reference.  Casts:
+    # none, the operand's own type, signed, narrower and wider ones, and
+    # standard types whose width moves with the model.
+    ushort, ulong = CType(BaseType.USHORT), CType(BaseType.ULONG)
+    casts = (None, U16, S16, U8, U32, INT, UINT, ushort, CType(BaseType.CHAR), ulong)
+    for operand in (U8, U16, U32, UINT, ushort, ulong, CType(BaseType.UCHAR)):
+        for cast in casts:
+            e = WrapCheckExpr(operand, cast_before_compare=cast)
+            for m in ALL_MODELS:
+                simulate = _wrap_check_simulator(e, m)
+                w = operand.width(m)
+                pairs = boundary_pairs(w) + [(w + 3, -w), ((1 << w) + 5, 1 << (w + 1))]
+                assert [simulate(x, y) for x, y in pairs] == [
+                    simulate_wrap_check(e, m, x, y) for x, y in pairs
+                ], (operand, cast, m)
 
 
 def test_wrap_check_requires_unsigned_operand():
