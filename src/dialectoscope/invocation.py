@@ -32,10 +32,23 @@ from .profiles import CompilerProfile, ProfileError, StdName
 
 #: A character of an identifier after its first, and an identifier, as GCC
 #: reads them: "$" is an identifier character.  The one definition of the
-#: identifier rule for -D/-U names here and for macro_env's names and
-#: condition tokens.
+#: identifier rule for -D/-U names here and for macro_env's names.
 _IDENT_CHAR = r"[\w$]"
 _IDENT = rf"[A-Za-z_$]{_IDENT_CHAR}*"
+#: A preprocessing token (C11 6.4) as GCC spells it in an error, and the one
+#: token grammar of -D/-U text here and of macro_env's directive operands and
+#: conditions: a plain or "L" string or character literal (an unclosed one
+#: runs to the line's end), a pp-number, an identifier, a punctuator or any
+#: other character.  "##" is one token.  Digraphs, trigraphs and the "u", "U"
+#: and "u8" prefixes are read as plain characters: GCC reads them as more
+#: only under some -std= levels, and a word's effect may not depend on a
+#: later word.  Few operands hold "#" or a parameter list, so here the
+#: pattern is compiled (by re's cache) on first use, not on import.
+_PP_NUMBER = r"\.?[0-9](?:[eEpP][-+]|[\w$.])*"
+_PP_TOKEN = (
+    r"""L?"(?:[^"\\\n]|\\[^\n])*"?|L?'(?:[^'\\\n]|\\[^\n])*'?"""
+    rf"|{_PP_NUMBER}|{_IDENT}|\.\.\.|<<=|>>=|->|\+\+|--|<<|>>|&&|\|\||##|[-+*/%^&|<>=!]=|\S"
+)
 #: The operand of a #define, as GCC reads it after translation phase 3, and
 #: the one grammar of -D/-U text here and of macro_env's #define, #undef,
 #: #ifdef and #ifndef lines: white space, the macro name (group "name"),
@@ -55,19 +68,6 @@ _DEFINE_OPERAND = (
     r"[ \t\f\v]*(?P<body>[^\n]*)"
 )
 _DEFINE_OPERAND_RE = re.compile(_DEFINE_OPERAND)
-#: The tokens of a parameter list or a body, as far as GCC's checks of them
-#: need them: a string or character literal, plain or "L"-prefixed (an
-#: unclosed one runs to the end), "...", "##", "#", a run of identifier
-#: characters or any other character.
-#: Digraphs, trigraphs and the "u", "U" and "u8" prefixes are read as plain
-#: characters: GCC reads them as more only under some -std= levels, and a
-#: word's effect may not depend on a later word.  Few operands hold "#" or a
-#: parameter list, so the pattern is compiled (by re's cache) on first use,
-#: not on import.
-_OPERAND_TOKEN = (
-    r"""L?"(?:[^"\\]|\\.)*"?|L?'(?:[^'\\]|\\.)*'?|\.\.\.|##?|"""
-    rf"{_IDENT_CHAR}+|[^ \t\f\v]"
-)
 #: A string or character literal (kept; it ends at its quote or at the end of
 #: its line), a line comment, a block comment, or the "/*" of a block comment
 #: never closed: what translation phase 3 reads, in -D/-U text and in the
@@ -238,7 +238,7 @@ def _operand_error(kind: str, operand: re.Match) -> str | None:
         # GCC's parse_params.  ``last`` is the last token: "(", ",", "..."
         # or "x" for a name.
         last = "("
-        for token in [*re.findall(_OPERAND_TOKEN, params[1:]), None]:
+        for token in [*re.findall(_PP_TOKEN, params[1:]), None]:
             if token == ")" and last != ",":
                 break
             param = "__VA_ARGS__" if token == "..." else token
@@ -260,7 +260,7 @@ def _operand_error(kind: str, operand: re.Match) -> str | None:
                 return f'expected {wanted}, found "{token}"'
         if last == "...":
             names.add("__VA_OPT__")
-    tokens = re.findall(_OPERAND_TOKEN, body) if "#" in body else ()
+    tokens = re.findall(_PP_TOKEN, body) if "#" in body else ()
     if tokens[:1] == ["##"]:
         return _PASTE_AT_AN_END
     if params is not None:

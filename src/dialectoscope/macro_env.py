@@ -1,13 +1,15 @@
 """Predefined macro tables, conditional-expression evaluation, and
 conditional-compilation branch reports.
 
-The evaluator implements preprocessor constant expressions over 64-bit
-two's-complement arithmetic: integer literals with suffixes, ``defined``,
-object-like macro expansion, the unary and binary integer operators,
-``?:``, and parentheses.  Identifiers left after expansion evaluate to 0.
-Function-like macros may be defined in an environment, but invoking one
-inside a condition raises :class:`UnsupportedMacroError` rather than
-returning a wrong answer.
+Conditions and the operands of #line and line markers are split into
+pp-tokens by ``invocation._PP_TOKEN`` and expanded by one expander,
+:func:`_expand`.  The evaluator implements preprocessor constant expressions
+over 64-bit two's-complement arithmetic: integer literals with suffixes,
+``defined``, object-like macro expansion, the unary and binary integer
+operators, ``?:``, and parentheses.  Identifiers left after expansion
+evaluate to 0.  A call of a function-like macro, or a built-in number such
+as ``__LINE__``, raises :class:`UnsupportedMacroError` rather than returning
+a wrong answer.
 
 Expansion and evaluation keep their state on explicit stacks, so nesting
 depth is limited only by memory; expansion stops with
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dialect_model import AnsiMode, DialectConfig
 from .invocation import _COMMENT, _DEFINE_OPERAND, _DEFINE_OPERAND_RE, _IDENT, _IDENT_CHAR
-from .invocation import CompilerInvocation, MacroDirective, _operand_error
+from .invocation import _PP_NUMBER, _PP_TOKEN, CompilerInvocation, MacroDirective, _operand_error
 from .profiles import CompilerProfile
 
 
@@ -44,7 +46,9 @@ class ExprEvalError(PreprocessorError):
 
 
 class UnsupportedMacroError(PreprocessorError):
-    """A function-like macro was invoked inside a condition."""
+    """Macro expansion reached what the model does not expand: a call of a
+    function-like macro, or ``__LINE__``, ``__COUNTER__`` or
+    ``__INCLUDE_LEVEL__``."""
 
 
 class ConditionalStructureError(PreprocessorError):
@@ -197,21 +201,12 @@ _U64_MASK = (1 << 64) - 1
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
-#: Most tokens the macro expansion of one condition may take from macro
-#: bodies; past it evaluation raises ExprEvalError.
+#: Most tokens the macro expansion of one condition or directive operand may
+#: take from macro bodies, and read in looking for a call's ")"; past it
+#: expansion raises ExprEvalError.
 MAX_EXPANSION_TOKENS = 1 << 20
 
-#: A preprocessing token of a condition: a pp-number, an identifier ("$" is
-#: an identifier character, as in GCC) or an operator.
-_TOKEN = (
-    r"\.?[0-9](?:[0-9a-zA-Z_.$]|[eEpP][+-])*"
-    rf"|{_IDENT}"
-    r"|<<|>>|<=|>=|==|!=|&&|\|\||[+\-*/%&|^~!<>()?:]"
-)
-#: Each match is a token, or, from the first character that starts none, the
-#: rest of the text; only the last match can be that rest.
-_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\S.*)", re.S)
-_WHOLE_TOKEN_RE = re.compile(_TOKEN)
+_PP_TOKEN_RE = re.compile(_PP_TOKEN)
 
 _INT_RE = re.compile(
     r"(?:(?P<hex>0[xX][0-9a-fA-F]+)|(?P<oct>0[0-7]*)|(?P<dec>[1-9][0-9]*))"
@@ -228,10 +223,21 @@ _BIN_PRECEDENCE = {
     "*": 10, "/": 10, "%": 10,
 }
 _PREFIX_OPS = frozenset("!-+~")
+#: The punctuators a condition may hold.
+_CONDITION_PUNCTUATORS = frozenset((*_BIN_PRECEDENCE, *_PREFIX_OPS, "(", ")", "?", ":"))
 #: The characters an identifier starts with, as ``_IDENT`` has them.
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
+#: The characters an identifier or a pp-number starts with.
+_OPERAND_START = _IDENT_START | frozenset("0123456789.")
+_QUOTES = frozenset("\"'")
+#: GCC's built-in macros that expand to a number the scan does not track:
+#: the physical line of the token, a count of earlier uses, the depth of
+#: inclusion.
+_NUMBER_BUILTINS = frozenset(("__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__"))
 
 _Lookup = Callable[[str], MacroDefinition | None]
+#: Macro bodies' :func:`_tokenize` results, by their text.
+_Bodies = dict[str, tuple[list[str], str | None]]
 #: A value as (value, unsigned): ``value`` is canonical, in [0, 2^64) when
 #: unsigned and in [-2^63, 2^63) when signed.
 _Int = tuple[int, bool]
@@ -239,18 +245,21 @@ _ZERO = (0, False)
 _ONE = (1, False)
 
 
-def _tokenize(text: str, macro: str | None = None) -> list[str]:
-    """The tokens of a condition, or of the body of ``macro``."""
-    tokens = _TOKEN_RE.findall(text)
-    if tokens and not _WHOLE_TOKEN_RE.fullmatch(tokens[-1]):
-        ch = tokens[-1][0]
-        context = "expression" if macro is None else f"body of macro {macro!r}"
-        if ch in "\"'":
-            raise ExprSyntaxError(
-                f"string and character constants are not supported in {context}"
-            )
-        raise ExprSyntaxError(f"unexpected character {ch!r} in {context}")
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], str | None]:
+    """The tokens of ``text``, and what is wrong with the first of them that
+    a condition may not hold, if any: one that is neither an identifier, a
+    pp-number nor one of ``_CONDITION_PUNCTUATORS``."""
+    tokens = _PP_TOKEN_RE.findall(text)
+    for tok in tokens:
+        # Only "." and "..." start with "." and are no pp-number, and only an
+        # "L" literal starts with a letter and is no identifier.
+        if tok not in _CONDITION_PUNCTUATORS and not (
+            tok[0] in _OPERAND_START and tok not in (".", "...") and tok[1:2] not in _QUOTES
+        ):
+            if '"' in tok or "'" in tok:
+                return tokens, "string and character constants are not supported"
+            return tokens, f"unexpected {'character' if len(tok) == 1 else 'token'} {tok!r}"
+    return tokens, None
 
 
 def _read_defined(tokens: Sequence[str], i: int) -> tuple[str, int]:
@@ -263,52 +272,82 @@ def _read_defined(tokens: Sequence[str], i: int) -> tuple[str, int]:
     raise ExprSyntaxError("expected a macro name after 'defined'")
 
 
-def _expand_tokens(
-    tokens: Sequence[str], lookup: _Lookup, bodies: dict[str, list[str]]
-) -> list[str]:
-    """Replace ``defined`` operators and object-like macros.  A macro's
+def _call_follows(
+    toks: Sequence[str], i: int, suspended: Sequence[tuple[Sequence[str], int, str | None]]
+) -> tuple[bool, int]:
+    """Whether the tokens after ``toks[:i]``, then those left in each list
+    of ``suspended``, innermost first, open with "(" and hold its matching
+    ")", and how many tokens it took to tell."""
+    depth = read = 0
+    for tokens, start, _ in chain(((toks, i, None),), reversed(suspended)):
+        for k in range(start, len(tokens)):
+            tok = tokens[k]
+            read += 1
+            if tok == "(":
+                depth += 1
+            elif depth == 0:
+                return False, read
+            elif tok == ")":
+                depth -= 1
+                if depth == 0:
+                    return True, read
+    return False, read
+
+
+def _expand(
+    tokens: Sequence[str], lookup: _Lookup, bodies: _Bodies, condition: bool
+) -> Iterator[str]:
+    """``tokens`` with object-like macros expanded, read lazily.  A macro's
     name is hidden while its own body is read, so self-reference stops.
-    ``bodies`` caches each body's tokens by its text.  Only identifiers
-    name macros, so every token is looked up as it is."""
-    out: list[str] = []
+    ``bodies`` caches each body's :func:`_tokenize` result by its text.  In
+    a ``condition`` of #if, ``defined`` is an operator, and a body holding a
+    token no condition may hold is an error.  Where the tokens that follow
+    cannot be told, expansion raises :class:`UnsupportedMacroError`: at a
+    built-in number, or at a function-like macro's name followed, as
+    written and across the ends of bodies, by "(" and its matching ")" (a
+    name without them is a plain token).  Past ``MAX_EXPANSION_TOKENS`` it
+    raises :class:`ExprEvalError`."""
     hidden: set[str] = set()
     # Token lists whose reading an expansion interrupted, innermost last,
-    # with the macro each one is the body of (None for the condition).
+    # with the macro each one is the body of (None for ``tokens``).
     suspended: list[tuple[Sequence[str], int, str | None]] = []
     toks, i, name = tokens, 0, None
     budget = MAX_EXPANSION_TOKENS
     while True:
+        if budget < 0:
+            raise ExprEvalError(f"macro expansion exceeds {MAX_EXPANSION_TOKENS} tokens")
         if i == len(toks):
             if not suspended:
-                return out
+                return
             hidden.discard(name)
             toks, i, name = suspended.pop()
             continue
         tok = toks[i]
         i += 1
-        if tok == "defined":
+        if condition and tok == "defined":
             defined_name, i = _read_defined(toks, i)
-            out.append("1" if lookup(defined_name) is not None else "0")
+            yield "1" if lookup(defined_name) is not None else "0"
             continue
         macro = lookup(tok)
         if macro is None or tok in hidden:
-            out.append(tok)
+            if macro is None and tok in _NUMBER_BUILTINS:
+                raise UnsupportedMacroError(f"built-in macro {tok!r} used in a condition")
+            yield tok
             continue
         if macro.function_like:
-            if i < len(toks) and toks[i] == "(":
-                raise UnsupportedMacroError(
-                    f"function-like macro {tok!r} invoked in a condition"
-                )
-            out.append(tok)  # name without arguments is not expanded
+            called, read = _call_follows(toks, i, suspended)
+            if called:
+                raise UnsupportedMacroError(f"function-like macro {tok!r} invoked in a condition")
+            budget -= read
+            yield tok
             continue
-        body = bodies.get(macro.body)
-        if body is None:
-            body = bodies[macro.body] = _tokenize(macro.body, tok)
+        cached = bodies.get(macro.body)
+        if cached is None:
+            cached = bodies[macro.body] = _tokenize(macro.body)
+        body, fault = cached
+        if condition and fault is not None:
+            raise ExprSyntaxError(f"{fault} in body of macro {tok!r}")
         budget -= len(body)
-        if budget < 0:
-            raise ExprEvalError(
-                f"macro expansion exceeds {MAX_EXPANSION_TOKENS} tokens"
-            )
         suspended.append((toks, i, name))
         hidden.add(tok)
         toks, i, name = body, 0, tok
@@ -497,13 +536,13 @@ def _evaluate_tokens(tokens: Sequence[str], ints: dict[str, _Int]) -> _Int:
             raise ExprSyntaxError(f"unexpected token {found!r} after expression")
 
 
-def _evaluate(
-    expr: str, lookup: _Lookup, bodies: dict[str, list[str]], ints: dict[str, _Int]
-) -> int:
-    tokens = _tokenize(expr)
+def _evaluate(expr: str, lookup: _Lookup, bodies: _Bodies, ints: dict[str, _Int]) -> int:
+    tokens, fault = _tokenize(expr)
+    if fault is not None:
+        raise ExprSyntaxError(f"{fault} in expression")
     if not tokens:
         raise ExprSyntaxError("empty conditional expression")
-    return _evaluate_tokens(_expand_tokens(tokens, lookup, bodies), ints)[0]
+    return _evaluate_tokens(list(_expand(tokens, lookup, bodies, True)), ints)[0]
 
 
 def eval_condition(env: MacroEnv, expr: str) -> int:
@@ -523,15 +562,6 @@ _COMMENT_RE = re.compile(_COMMENT)
 # region.
 _CONDITIONAL_RE = re.compile(
     rf"\n[^\S\n]*#[^\S\n]*(ifdef|ifndef|if|elif|else|endif)(?!{_IDENT_CHAR})[^\S\n]*([^\n]*)"
-)
-#: A preprocessing token as GCC spells it in an error: a plain or "L"
-#: string or character literal (an unclosed one runs to the line's end), a
-#: pp-number, an identifier, a punctuator or any other character.  "##" is
-#: one token.  Digraphs are read as plain characters.
-_PP_NUMBER = r"\.?[0-9](?:[eEpP][-+]|[\w$.])*"
-_PP_TOKEN = (
-    r"""L?"(?:[^"\\\n]|\\[^\n])*"?|L?'(?:[^'\\\n]|\\[^\n])*'?"""
-    rf"|{_PP_NUMBER}|{_IDENT}|\.\.\.|<<=|>>=|->|\+\+|--|<<|>>|&&|\|\||##|[-+*/%^&|<>=!]=|\S"
 )
 #: A directive line other than a conditional one: its directive name, then
 #: the operand, read as a -D/-U argument is read.  Or a line marker: the
@@ -555,10 +585,6 @@ _KEPT_DIRECTIVES = frozenset((
 _STRING_BUILTINS = frozenset((
     "__FILE__", "__FILE_NAME__", "__BASE_FILE__", "__DATE__", "__TIME__", "__TIMESTAMP__",
 ))
-#: GCC's built-in macros that expand to a number the scan does not track:
-#: the physical line of the token, a count of earlier uses, the depth of
-#: inclusion.
-_NUMBER_BUILTINS = frozenset(("__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__"))
 
 
 class BranchArm(NamedTuple):
@@ -644,7 +670,8 @@ def _strip_comments(text: str, starts: Sequence[int]) -> tuple[str, Sequence[int
 
 
 def _read_definitions(
-    table: dict[str, MacroDefinition], text: str, start: int, end: int, starts: Sequence[int]
+    table: dict[str, MacroDefinition], bodies: _Bodies, text: str, start: int, end: int,
+    starts: Sequence[int],
 ) -> None:
     """Apply the #define and #undef lines of ``text[start:end]``, an active
     region of the scan's text, to ``table``.  Operands are read by the
@@ -662,13 +689,13 @@ def _read_definitions(
         define = kind == "define"
         if not define and kind != "undef":
             if kind == "line":
-                reason = _line_error(None, text[m.end(1) : m.end()], table)
+                reason = _line_error(None, text[m.end(1) : m.end()], table, bodies)
             elif kind in _KEPT_DIRECTIVES:
                 continue
             elif number is None:
                 reason = f"invalid preprocessing directive #{kind or token}"
             else:
-                reason = _line_error(number, marker, table)
+                reason = _line_error(number, marker, table, bodies)
             if reason is None:
                 continue
             line = starts[text.count("\n", 0, m.start())]
@@ -688,50 +715,8 @@ def _read_definitions(
             table.pop(name, None)
 
 
-def _expanded(operands: str, table: dict[str, MacroDefinition]) -> Iterator[str | None]:
-    """The tokens of ``operands`` with object-like macros expanded, as GCC
-    expands the operands of #line and those after a line marker's number.
-    A macro's name is hidden while its own body is read.  Where the scan
-    cannot tell the tokens that follow, it yields None and stops: at a call
-    of a function-like macro, which it does not expand, at a built-in number
-    it does not track, or past ``MAX_EXPANSION_TOKENS`` tokens of bodies."""
-    # Token lists being read, innermost last: [tokens, next index, macro].
-    reading: list[list] = [[re.findall(_PP_TOKEN, operands), 0, None]]
-    hidden: set[str] = set()
-    budget = MAX_EXPANSION_TOKENS
-    while reading:
-        tokens, i, name = frame = reading[-1]
-        if i == len(tokens):
-            reading.pop()
-            hidden.discard(name)
-            continue
-        frame[1] = i + 1
-        tok = tokens[i]
-        macro = table.get(tok)
-        if macro is None and tok in _NUMBER_BUILTINS:
-            yield None
-            return
-        if macro is None or tok in hidden:
-            yield tok
-        elif macro.function_like:
-            # A call's "(" is the next token as written, wherever it stands.
-            after = next((t[j] for t, j, _ in reversed(reading) if j < len(t)), None)
-            if after == "(":
-                yield None
-                return
-            yield tok
-        else:
-            body = re.findall(_PP_TOKEN, macro.body)
-            budget -= len(body)
-            if budget < 0:
-                yield None
-                return
-            hidden.add(tok)
-            reading.append([body, 0, tok])
-
-
 def _line_error(
-    number: str | None, operands: str, table: dict[str, MacroDefinition]
+    number: str | None, operands: str, table: dict[str, MacroDefinition], bodies: _Bodies
 ) -> str | None:
     """GCC's reason to reject "#line ``operands``" (``number`` None) or the
     line marker "# ``number`` ``operands``", or None.  The number is a digit
@@ -739,35 +724,34 @@ def _line_error(
     macro that expands to one; a line marker's flags, if any, are 1 or 2,
     then 3, then 4, each optional but 4 only after 3, while #line ignores
     what follows its file name.  GCC reads these after macro expansion
-    (``_expanded``), all but a line marker's number; where the scan cannot
-    expand on, the line is accepted."""
-    tokens = _expanded(operands, table)
-    if number is None:
-        directive, number = "#line", next(tokens, "")
+    (:func:`_expand`), all but a line marker's number; where the expander
+    cannot tell what follows, the line is accepted."""
+    tokens = _expand(_tokenize(operands)[0], table.get, bodies, False)
+    try:
         if number is None:
+            directive, number = "#line", next(tokens, "")
+            if not number:
+                return "unexpected end of file after #line"
+        else:
+            directive = "#"
+        if not (number.isascii() and number.isdigit()):
+            return f'"{number}" after {directive} is not a positive integer'
+        name = next(tokens, None)
+        if name is None:
             return None
-        if not number:
-            return "unexpected end of file after #line"
-    else:
-        directive = "#"
-    if not (number.isascii() and number.isdigit()):
-        return f'"{number}" after {directive} is not a positive integer'
-    name = next(tokens, None)
-    if name is None:
-        return None
-    if not (name in _STRING_BUILTINS or re.fullmatch(r'"(?:[^"\\\n]|\\[^\n])*"', name)):
-        return f'"{name}" is not a valid filename'
-    if directive == "#line":
-        return None
-    allowed = ("1", "2", "3")
-    for flag in tokens:
-        if flag is None:
+        if not (name in _STRING_BUILTINS or re.fullmatch(r'"(?:[^"\\\n]|\\[^\n])*"', name)):
+            return f'"{name}" is not a valid filename'
+        if directive == "#line":
             return None
-        if flag not in allowed:
-            return f'invalid flag "{flag}" in line directive'
-        if flag == "4":
-            break  # GCC reads no flag after 4, and only warns of more tokens
-        allowed = ("4",) if flag == "3" else ("3",)
+        allowed = ("1", "2", "3")
+        for flag in tokens:
+            if flag not in allowed:
+                return f'invalid flag "{flag}" in line directive'
+            if flag == "4":
+                break  # GCC reads no flag after 4, and only warns of more tokens
+            allowed = ("4",) if flag == "3" else ("3",)
+    except PreprocessorError:
+        pass  # the expander cannot tell what follows
     return None
 
 
@@ -791,7 +775,7 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
     text = "\n" + stripped
 
     table = dict(env._table)
-    bodies: dict[str, list[str]] = {}
+    bodies: _Bodies = {}
     ints: dict[str, _Int] = {}
     # Each open group: [arms, start_line, evaluated (its context was active
     # when it opened), taken_seen, in_else, active].
@@ -808,7 +792,7 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
     for m in _CONDITIONAL_RE.finditer(text):
         start = m.start()
         if active and unread < start:
-            _read_definitions(table, text, unread, start, starts)
+            _read_definitions(table, bodies, text, unread, start, starts)
         unread = m.end()
         k += text.count("\n", pos, start)
         pos = start
@@ -867,7 +851,7 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
         active = frames[-1][5] if frames else True
 
     if active and unread < len(text):
-        _read_definitions(table, text, unread, len(text), starts)
+        _read_definitions(table, bodies, text, unread, len(text), starts)
     if frames:
         raise ConditionalStructureError(
             "unterminated conditional", frames[-1][1]
@@ -892,7 +876,7 @@ def _taken(
     condition: str,
     line: int,
     table: dict[str, MacroDefinition],
-    bodies: dict[str, list[str]],
+    bodies: _Bodies,
     ints: dict[str, _Int],
 ) -> bool:
     """Whether the #if or #elif ``condition`` on ``line`` holds."""

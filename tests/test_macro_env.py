@@ -263,7 +263,7 @@ def test_deep_expressions_evaluate():
     assert eval_condition(env, "(" * 2000 + "1" + ")" * 2000) == 1
     assert eval_condition(env, "!" * 5000 + "0") == 0
     assert eval_condition(env, "!" * 5001 + "0") == 1
-    assert eval_condition(env, "-" * 3001 + "1") == -1
+    assert eval_condition(env, "- " * 3001 + "1") == -1
     assert eval_condition(env, "1 ? " * 2000 + "7" + " : 0" * 2000) == 7
     assert eval_condition(env, "0 && " + "(" * 2000 + "1/0" + ")" * 2000) == 0
     assert eval_condition(env, "1" + " + 1" * 5000) == 5001
@@ -296,6 +296,10 @@ def test_multiplying_expansion_stops_at_the_cap():
     source = "".join(f"#define E{i} E{i + 1} E{i + 1}\n" for i in range(40))
     source += "#define E40\n#if 1 + E0\n#endif\n"
     with pytest.raises(ExprEvalError):
+        active_branches(env_of(), source)
+    # So are the tokens read in looking for a call's ")", which none has here.
+    source = "#define F(x) 1\n#if " + "F(" * 2000 + "\n#endif\n"
+    with pytest.raises(ExprEvalError, match=f"line 2: .*{macro_env.MAX_EXPANSION_TOKENS}"):
         active_branches(env_of(), source)
     # A quarter of the cap still evaluates: B0 takes 4 * 2**depth - 3 body tokens.
     depth = macro_env.MAX_EXPANSION_TOKENS.bit_length() - 5
@@ -511,9 +515,9 @@ def test_eval_condition_matches_oracle(node, table):
 # does to the (value, unsigned) pair.
 _WRAPPERS = {
     "!{}": lambda v, u: (int(v == 0), False),
-    "-{}": lambda v, u: (_wrap(-v, u), u),
+    "- {}": lambda v, u: (_wrap(-v, u), u),
     "~{}": lambda v, u: (_wrap(~v, u), u),
-    "+{}": lambda v, u: (v, u),
+    "+ {}": lambda v, u: (v, u),
     "({})": lambda v, u: (v, u),
     "(0 || {})": lambda v, u: (int(v != 0), False),
     "(1 && {})": lambda v, u: (int(v != 0), False),
@@ -779,12 +783,17 @@ _REJECTED_DEFINITIONS = [
     ("#define F(... x) 1\n", 1, "expected ')' after \"...\""),
     ("#define F(\n", 1, "expected parameter name before end of line"),
     ("#define F(x\n", 1, "expected ')' before end of line"),
+    # A parameter list is read as pp-tokens: a pp-number, "==".
+    ("#define F(x,1e+5) 1\n", 1, 'expected parameter name, found "1e+5"'),
+    ("#define G(.5) 1\n", 1, 'expected parameter name, found ".5"'),
+    ("#define H(x==) 1\n", 1, "expected ',' or ')', found \"==\""),
 ]
 #: Line markers and #line directives GCC 12.2 rejects, each on the line
 #: given, with GCC's reason: a number that is no digit sequence, or none, a
 #: file name that is no plain string literal and a marker's flags out of
 #: order, all after object-like macros are expanded (a function-like macro
-#: not called is not), and a backslash that ends the file.
+#: not called is not, and nor is one whose "(" has no matching ")"), and a
+#: backslash that ends the file.
 _REJECTED_LINE_MARKERS = [
     ("#0x\n", 1, '"0x" after # is not a positive integer'),
     ("#if 1\n#1.5\n#endif\n", 2, '"1.5" after # is not a positive integer'),
@@ -800,6 +809,8 @@ _REJECTED_LINE_MARKERS = [
     ('# 5 "f.c" 4\n', 1, 'invalid flag "4" in line directive'),
     ('# 5 "f.c" 1 1\n', 1, 'invalid flag "1" in line directive'),
     ('# 5 "f.c" 2 1\n', 1, 'invalid flag "1" in line directive'),
+    ('#define F(x) x\n# 5 "a" F(\n', 2, 'invalid flag "F" in line directive'),
+    ('#define F(x) x\n# 5 "a" 7 F(x)\n', 2, 'invalid flag "7" in line directive'),
     ("#define N 7\n# 5 N\n", 2, '"7" is not a valid filename'),
     ("#define A B\n#define B 1 2\n# 5 A\n", 3, '"1" is not a valid filename'),
     ("#define A A\n# 5 A\n", 2, '"A" is not a valid filename'),
@@ -815,6 +826,13 @@ _REJECTED_LINE_MARKERS = [
     ("#define A 1 2\n#line A\n", 2, '"2" is not a valid filename'),
     ('#line 5 L"f.c"\n', 1, '"L"f.c"" is not a valid filename'),
     ("#line 5 \\", 1, '"\\" is not a valid filename'),
+]
+#: Conditions GCC 12.2 rejects, on the line given, with GCC's reason; the
+#: model's errors for them are pinned in ``test_evaluator_error_texts``.
+_REJECTED_CONDITIONS = [
+    ("#if 1 ++ 1\n#endif\n", 1, 'token "++" is not valid in preprocessor expressions'),
+    ("a\n#if 1 -- 1\n#endif\n", 2, 'token "--" is not valid in preprocessor expressions'),
+    ("#if 0x1e+1 == 31\n#endif\n", 1, 'invalid suffix "+1" on integer constant'),
 ]
 
 
@@ -884,7 +902,9 @@ def test_kept_directive_lines_are_gcc_accepted(line):
 
 
 @pytest.mark.gcc
-@pytest.mark.parametrize("source,line,reason", _REJECTED_DEFINITIONS + _REJECTED_LINE_MARKERS)
+@pytest.mark.parametrize(
+    "source,line,reason", _REJECTED_DEFINITIONS + _REJECTED_LINE_MARKERS + _REJECTED_CONDITIONS
+)
 def test_rejected_definitions_are_gcc_errors(source, line, reason):
     status, _, stderr = pp(source)
     assert status != 0
@@ -935,6 +955,20 @@ def test_skipped_groups_are_read_only_for_directive_names():
      "line 2: unexpected character '@' in body of macro 'X'"),
     (lambda: active_branches(env_of(), "#if 0\n#elif 1 % 0\n#endif\n"), ExprEvalError,
      "line 2: division by zero in conditional expression"),
+    # Conditions read as pp-tokens: "++" and "--" are one token each, and
+    # "0x1e+1" is one pp-number.
+    (lambda: active_branches(env_of(), "#if 1 ++ 1\n#endif\n"), ExprSyntaxError,
+     "line 1: unexpected token '++' in expression"),
+    (lambda: active_branches(env_of(), "a\n#if 1 -- 1\n#endif\n"), ExprSyntaxError,
+     "line 2: unexpected token '--' in expression"),
+    (lambda: active_branches(env_of(), "#if 0x1e+1 == 31\n#endif\n"), ExprSyntaxError,
+     "line 1: invalid integer constant '0x1e+1'"),
+    # Where expansion cannot tell what follows: a built-in number the scan
+    # does not track, and a call whose "(" follows the end of a body.
+    (lambda: active_branches(env_of(), "#if __LINE__ == 1\n#endif\n"), UnsupportedMacroError,
+     "line 1: built-in macro '__LINE__' used in a condition"),
+    (lambda: active_branches(env_of(), "#define G F\n#define F(x) 1\n#if G(2)\n#endif\n"),
+     UnsupportedMacroError, "line 3: function-like macro 'F' invoked in a condition"),
 ])
 def test_evaluator_error_texts(call, error, message):
     with pytest.raises(error) as err:
@@ -1207,18 +1241,30 @@ def _ref_tokens(rest):
     return tokens, closed
 
 
+def _ref_called(pending):
+    """Whether the tokens of ``pending`` open with "(" and hold its matching
+    ")"."""
+    depth = 0
+    for i, (token, _) in enumerate(pending):
+        depth += (token == "(") - (token == ")")
+        if depth <= 0:
+            return i > 0
+    return False
+
+
 def _ref_expand(tokens, table):
     """``tokens`` with object-like macros expanded by hide sets, as in C11
     6.10.3.4: each token of a body carries its macro's hide set and name.
     A None ends the list where the scan cannot tell what follows: at a call
-    of a function-like macro, or at a built-in number."""
+    of a function-like macro (its name, then "(" and the matching ")"), or
+    at a built-in number."""
     pending = [(token, frozenset()) for token in tokens]
     out = []
     while pending:
         token, hide = pending.pop(0)
         macro = table.get(token)
         if macro is None and token in ("__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__") or (
-            macro is not None and macro.function_like and pending[:1] and pending[0][0] == "("
+            macro is not None and macro.function_like and _ref_called(pending)
         ):
             return out + [None]
         if macro is None or macro.function_like or token in hide:
@@ -1492,7 +1538,7 @@ _SOUP_PLAIN = _lines(
      "#define F(... x)", "#define F(", "#define F(x, y", "#foo", "# foo bar", "#defin X",
      "#$x", "#!x", "# (", '#"a" b', "#'a", '#L"a', "#!=", "##x", "#0x", "# \\", "#.5",
      "# 3 <", '# 5 "f.c" 9', '# 5 "f.c" 2 1', "# 5 A", "#line A", "#line", "#line 0x",
-     "#line 5 f.c", "# 5 C(1)", "#line C(1) 2", "# 5 B", "#line 5 C"],
+     "#line 5 f.c", "# 5 C(1)", "#line C(1) 2", "# 5 B", "#line 5 C", '# 5 "f.c" C('],
 )
 #: What ends a line: mostly a line break, sometimes a backslash-newline or a
 #: comment spanning lines, either of which joins it to the next.
@@ -1607,6 +1653,11 @@ _GCC_SNIPPETS = {
     "line-operands-expanded": (
         '#define L 7\n#line L\nmark1\n#define S "a.c"\n#line 5 S 3\nmark2\n'
         "#define E\n# 5 E\nmark3\n"
+    ),
+    # A function-like name is no call when no "(" follows it, even after
+    # the end of the body it ends.
+    "function-like-names-not-called": (
+        "#define F(x) 1\n#define G F\n#if G + 1\nmark1\n#endif\n#if !G\nmark2\n#endif\n"
     ),
     "dollar-names": (
         "#define A$B 3\n#ifdef A\nmark1\n#endif\n#if A$B == 3\nmark2\n#endif\n"
