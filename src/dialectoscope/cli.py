@@ -348,11 +348,10 @@ def _branches_json(report, retained_text: str | None) -> Iterator[str]:
             yield _GROUP_JSON % (start, end, words[evaluated], ",\n        ".join(texts)), 1
 
     yield '{\n  "groups": '
-    yield from _json_list_pieces(groups(), "\n  ")
+    yield from _json_list_pieces(groups())
     yield ',\n  "retained_ranges": '
     yield from _json_list_pieces(
-        ((f"[\n      {first},\n      {last}\n    ]", 1) for first, last in report.retained_ranges),
-        "\n  ",
+        (f"[\n      {first},\n      {last}\n    ]", 1) for first, last in report.retained_ranges
     )
     text = "null" if retained_text is None else encode(retained_text)
     yield ',\n  "retained_text": ' + text + "\n}"
@@ -537,20 +536,20 @@ def _around(rows: list[tuple[str, str]], separator: str) -> list[str]:
     return around
 
 
-def _json_list_pieces(blocks, newline: str) -> Iterator[str]:
-    """``json.dumps(items, indent=2)`` laid out at ``newline``, from
+def _json_list_pieces(blocks) -> Iterator[str]:
+    """``json.dumps(items, indent=2)`` as a value of a top-level key, from
     ``blocks`` of the items' text as :func:`_chunks` takes them, each
     block's items already joined by "," and the inner line break."""
-    separator = "," + newline + "  "
+    separator = ",\n    "
     chunks = _chunks(blocks)
     first = next(chunks, None)
     if first is None:
         yield "[]"
         return
-    yield "[" + newline + "  " + separator.join(first)
+    yield "[\n    " + separator.join(first)
     for chunk in chunks:
         yield separator + separator.join(chunk)
-    yield newline + "]"
+    yield "\n  ]"
 
 
 def _audit_json(facts) -> Iterator[str]:
@@ -581,9 +580,7 @@ def _audit_json(facts) -> Iterator[str]:
             ]
             mismatches[k] = _around(rows, ",\n    "), len(rows)
     yield '{\n  "per_tu": '
-    yield from _json_list_pieces(
-        ((head + f + tails[k], 1) for f, k in zip(files, facts.index)), "\n  "
-    )
+    yield from _json_list_pieces((head + f + tails[k], 1) for f, k in zip(files, facts.index))
 
     def inconsistency(inc) -> str:
         # An inconsistency has two values or more, each held by one file or more.
@@ -597,16 +594,13 @@ def _audit_json(facts) -> Iterator[str]:
                 + row_end)
 
     yield ',\n  "inconsistencies": '
-    yield from _json_list_pieces(((inconsistency(inc), 1) for inc in facts.inconsistencies), "\n  ")
+    yield from _json_list_pieces((inconsistency(inc), 1) for inc in facts.inconsistencies)
     yield ',\n  "mismatches": '
     yield from _json_list_pieces(
-        ((f.join(m[0]), m[1]) for f, k in zip(files, facts.index) if (m := mismatches.get(k))),
-        "\n  ",
+        (f.join(m[0]), m[1]) for f, k in zip(files, facts.index) if (m := mismatches.get(k))
     )
     yield ',\n  "unauditable": '
-    yield from _json_list_pieces(
-        ((f, 1) for f, k in zip(files, facts.index) if k is None), "\n  "
-    )
+    yield from _json_list_pieces((f, 1) for f, k in zip(files, facts.index) if k is None)
     reference = facts.reference_value
     yield f',\n  "reference_value": {"null" if reference is None else reference}\n}}'
 

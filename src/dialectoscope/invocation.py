@@ -5,12 +5,18 @@ environment mapping into a :class:`CompilerInvocation`: the dialect
 selected, macro directives in order, include directories by kind,
 source files, and everything else passed through verbatim.  Flags are
 applied in order, so later flags win conflicts, matching how real
-drivers process their options.  Those rules live in :func:`_dialect_of`,
-one fold over argv that derives the dialect alone.  It looks each word's
-effect up in a :class:`_WordEffects` table, which works the effect out
-the first time it sees the word (or the first time it sees a per-TU
-``-D`` word's macro name); compile-database audits share one table
-across all their entries.
+drivers process their options.  :func:`_word_effect` is the one reader
+of option spellings: it gives each word an effect, looked up in a
+:class:`_WordEffects` table that works it out the first time it sees the
+word (or the first time it sees a per-TU ``-D`` word's macro name);
+compile-database audits share one table across all their entries.
+:func:`_dialect_of` folds the effects over argv to derive the dialect
+alone, and :func:`parse_invocation` collects what else each word names
+by its effect's role: ``"source_files"`` or ``"unrecognized"`` (the word,
+and the next word when the effect takes one), a value option (``"-D"``,
+``"-U"``, ``"-I"``, ``"-iquote"`` or ``"-isystem"``, whose value is the
+rest of the word or the next word), ``"opt"`` (the optimisation level),
+the profile's ``FlagEffect``, or None for a ``-std=`` spelling.
 """
 
 from __future__ import annotations
@@ -332,23 +338,26 @@ def _macro_directive(option: str, text: str) -> MacroDirective:
 # The fold's working state is one int: the six boolean dimensions at their
 # BOOLEAN_WEIGHTS, the standard class at STD_CLASS_WEIGHT, then whether the
 # standard is strict and whether trigraphs are processed.  Each word's effect
-# is (keep, put, then): the state becomes ``state & keep | put``, and ``then``
-# is None or (option, reads, error) for a word that raises ``error`` or takes
-# the next word as the value of ``option``.  Most values are only skipped;
-# one is read as a value of ``reads`` ("-D", "-U" or "-std=") when that is
-# set.  No value is looked up in the table.
+# is (keep, put, then, role): the state becomes ``state & keep | put``, and
+# ``then`` is None or (option, reads, error) for a word that raises ``error``
+# or takes the next word as the value of ``option``.  Most values are only
+# skipped; one is read as a value of ``reads`` ("-D", "-U" or "-std=") when
+# that is set.  No value is looked up in the table.  The fold ignores
+# ``role``, which only parse_invocation reads.
 
 _DIALECT_BITS = ANSI_MODE_WEIGHT - 1  # the booleans and the class, as encoded
 _STRICT = ANSI_MODE_WEIGHT
 _TRIGRAPHS = 2 * ANSI_MODE_WEIGHT
 _STD_BITS = 3 * STD_CLASS_WEIGHT | _STRICT | _TRIGRAPHS
-_INERT = (-1, 0, None)
+#: The effect of an inert -D word, which :class:`_WordEffects` shares.
+_INERT_DEFINE = (-1, 0, None, "-D")
+_INERT = (-1, 0, None, None)  # changes nothing and names nothing
 
 
 def _setting(effect: tuple, mask: int, bits: int) -> tuple:
     """``effect`` followed by setting the state bits ``mask`` to ``bits``."""
-    keep, put, then = effect
-    return keep & ~mask, put & ~mask | bits, then
+    keep, put, then, role = effect
+    return keep & ~mask, put & ~mask | bits, then, role
 
 
 def _std_bits(std: StdName) -> int:
@@ -366,15 +375,15 @@ def _value_effect(option: str, value: str, profile: CompilerProfile) -> tuple:
         if option == "-D" or option == "-U":
             _macro_directive(option, value)
     except (InvocationError, ProfileError) as exc:
-        return -1, 0, (None, None, str(exc))
-    return _INERT
+        return -1, 0, (None, None, str(exc)), None
+    return -1, 0, None, option
 
 
 def _word_effect(word: str, profile: CompilerProfile) -> tuple:
     """The effect of ``word`` wherever it stands in argv, unless it is the
     value of the word before it."""
     if word[:1] != "-" or word == "-":
-        return _INERT
+        return -1, 0, None, "source_files"
     # A word's second character rules out most branches before any
     # pattern runs: "-D", "-U", "-I" and "-i" open the value options,
     # "-s" and "--" the -std= spellings, "-O" and "--" the optimisation
@@ -384,20 +393,20 @@ def _word_effect(word: str, profile: CompilerProfile) -> tuple:
         option, value = value_option.groups()
         if value:
             return _value_effect(option, value, profile)
-        return -1, 0, (option, option if second in "DU" else None, None)
+        return -1, 0, (option, option if second in "DU" else None, None), option
     if word == "--std":
-        return -1, 0, (word, "-std=", None)
+        return -1, 0, (word, "-std=", None), None
     if second in "s-" and word.startswith(("-std=", "--std=")):
         return _value_effect("-std=", word.split("=", 1)[1], profile)
     if second in "O-" and (level := _OPT_LEVEL_RE.match(word)):
         if level[1] is None and level[2] is None:
             reason = "argument to '-O' should be a non-negative integer, 'g', 's', 'z' or 'fast'"
-            return -1, 0, (None, None, f"{word}: {reason}")
+            return -1, 0, (None, None, f"{word}: {reason}"), None
         weight = BOOLEAN_WEIGHTS["optimized"]
-        return _setting(_INERT, weight, 0 if level[1] else weight)
+        return _setting((-1, 0, None, "opt"), weight, 0 if level[1] else weight)
     flag = profile.flag_vocabulary.get(word)
     if flag is not None:
-        effect = _INERT
+        effect = (-1, 0, None, flag)
         for field, on in flag.sets:
             effect = _setting(effect, BOOLEAN_WEIGHTS[field], BOOLEAN_WEIGHTS[field] * on)
         if flag.std is not None:
@@ -406,8 +415,8 @@ def _word_effect(word: str, profile: CompilerProfile) -> tuple:
             effect = _setting(effect, _TRIGRAPHS, _TRIGRAPHS)
         return effect
     if word in _ARG_TAKING_PASSTHROUGH:
-        return -1, 0, (word, None, None)
-    return _INERT
+        return -1, 0, (word, None, None), "unrecognized"
+    return -1, 0, None, "unrecognized"
 
 
 class _WordEffects(dict):
@@ -448,11 +457,11 @@ class _WordEffects(dict):
                 and "#" not in value
                 and "/*" not in value
                 and "//" not in value
-                and self[head + eq] == _INERT
+                and self[head + eq] == _INERT_DEFINE
             ):
                 # Kept under the word too, so a repeated word is one lookup.
-                self[word] = _INERT
-                return _INERT
+                self[word] = _INERT_DEFINE
+                return _INERT_DEFINE
         effect = self[word] = _word_effect(word, self.profile)
         return effect
 
@@ -478,7 +487,7 @@ def _dialect_of(argv: Sequence[str], effects: _WordEffects) -> DialectConfig:
     state = effects.initial
     words = iter(argv)
     for word in words:
-        keep, put, then = effects[word]
+        keep, put, then, _ = effects[word]
         state = state & keep | put
         if then is not None:
             option, reads, error = then
@@ -488,7 +497,7 @@ def _dialect_of(argv: Sequence[str], effects: _WordEffects) -> DialectConfig:
             if value is None:
                 raise InvocationError(f"option {option} requires an argument")
             if reads is not None:
-                keep, put, then = _value_effect(reads, value, effects.profile)
+                keep, put, then, _ = _value_effect(reads, value, effects.profile)
                 if then is not None:
                     raise InvocationError(then[2])
                 state = state & keep | put
@@ -507,63 +516,53 @@ def parse_invocation(
 
         profile = load_profile()
     # The dialect, and any error in argv, come from _dialect_of; this loop
-    # only collects what else each word names.
-    dialect = _dialect_of(argv, _WordEffects(profile))
+    # only collects what else each word names, by its effect's role.
+    effects = _WordEffects(profile)
+    dialect = _dialect_of(argv, effects)
     env = env or {}
 
     directives: list[MacroDirective] = []
-    dirs: dict[str, list[str]] = {"-iquote": [], "-I": [], "-isystem": []}
-    sources: list[str] = []
-    unrecognized: list[str] = []
+    found: dict[str, list[str]] = {
+        "source_files": [], "unrecognized": [], "-iquote": [], "-I": [], "-isystem": []
+    }
     profile_defines: list[tuple[str, str]] = []
     opt_level: str | None = None
     nostdinc = False
 
-    vocabulary = profile.flag_vocabulary
     words = iter(argv)
-    for arg in words:
-        if arg == "-" or not arg.startswith("-"):
-            sources.append(arg)
-            continue
-        second = arg[1]
-        if second in "DUIi" and (value_option := _VALUE_OPTION_RE.match(arg)):
-            option, value = value_option.groups()
-            value = value or next(words)
-            if option in dirs:
-                dirs[option].append(value)
+    for word in words:
+        _, _, then, role = effects[word]
+        # The next word, if this one takes it; _dialect_of has checked it is there.
+        value = None if then is None else next(words)
+        if role == "source_files" or role == "unrecognized":
+            found[role] += [word] if value is None else [word, value]
+        elif role == "opt":
+            opt_level = word
+        elif isinstance(role, str):  # a value option, joined or separate
+            value = word[len(role) :] if value is None else value
+            if role in found:
+                found[role].append(value)
             else:
-                directives.append(_macro_directive(option, value))
-        elif second in "s-" and arg.startswith(("-std=", "--std=")):
-            continue
-        elif arg == "--std":
-            next(words)
-        elif second in "O-" and _OPT_LEVEL_RE.match(arg):
-            opt_level = arg
-        elif (effect := vocabulary.get(arg)) is not None:
-            nostdinc = nostdinc or effect.nostdinc
-            profile_defines.extend(effect.defines)
-            if any(field == "optimized" for field, _ in effect.sets):
-                opt_level = arg
-        elif arg in _ARG_TAKING_PASSTHROUGH:
-            unrecognized.extend([arg, next(words)])
-        else:
-            unrecognized.append(arg)
+                directives.append(_macro_directive(role, value))
+        elif role is not None:  # a profile flag
+            nostdinc = nostdinc or role.nostdinc
+            profile_defines.extend(role.defines)
+            if any(field == "optimized" for field, _ in role.sets):
+                opt_level = word
 
     if env:
-        dirs["-I"].extend(_split_env_path(env.get("CPATH", "")))
-        dirs["-isystem"].extend(_split_env_path(env.get("C_INCLUDE_PATH", "")))
+        found["-I"].extend(_split_env_path(env.get("CPATH", "")))
+        found["-isystem"].extend(_split_env_path(env.get("C_INCLUDE_PATH", "")))
 
     return CompilerInvocation(
         profile=profile,
         dialect=dialect,
         macro_directives=tuple(directives),
         include_dirs=IncludeDirs(
-            quote=tuple(dirs["-iquote"]),
-            normal=tuple(dirs["-I"]),
-            system=tuple(dirs["-isystem"]),
+            tuple(found["-iquote"]), tuple(found["-I"]), tuple(found["-isystem"])
         ),
-        source_files=tuple(sources),
-        unrecognized=tuple(unrecognized),
+        source_files=tuple(found["source_files"]),
+        unrecognized=tuple(found["unrecognized"]),
         opt_level=opt_level,
         nostdinc=nostdinc,
         profile_defines=tuple(profile_defines),

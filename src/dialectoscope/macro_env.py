@@ -7,9 +7,10 @@ pp-tokens by ``invocation._PP_TOKEN`` and expanded by one expander,
 over 64-bit two's-complement arithmetic: integer literals with suffixes,
 ``defined``, object-like macro expansion, the unary and binary integer
 operators, ``?:``, and parentheses.  Identifiers left after expansion
-evaluate to 0.  A call of a function-like macro, or a built-in number such
-as ``__LINE__``, raises :class:`UnsupportedMacroError` rather than returning
-a wrong answer.
+evaluate to 0.  GCC's built-in macros (:data:`_BUILTINS`) are defined
+under every environment.  A call of a function-like macro, or a built-in
+number such as ``__LINE__``, raises :class:`UnsupportedMacroError` rather
+than returning a wrong answer.
 
 Expansion and evaluation keep their state on explicit stacks, so nesting
 depth is limited only by memory; expansion stops with
@@ -230,10 +231,29 @@ _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$
 #: The characters an identifier or a pp-number starts with.
 _OPERAND_START = _IDENT_START | frozenset("0123456789.")
 _QUOTES = frozenset("\"'")
-#: GCC's built-in macros that expand to a number the scan does not track:
-#: the physical line of the token, a count of earlier uses, the depth of
-#: inclusion.
-_NUMBER_BUILTINS = frozenset(("__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__"))
+#: The provenance of a built-in macro that expands to a number the scan does
+#: not track: the physical line of the token, a count of earlier uses, the
+#: depth of inclusion.  Expanding one raises UnsupportedMacroError.
+_UNTRACKED = "untracked"
+#: The macros GCC 12.2 defines before any other, each one checked with
+#: "#ifdef NAME" under ``gcc -E -P``.  Those that expand to a string the scan
+#: does not know expand to the string literal ``""``, which a line marker or
+#: #line may give as its file name and no condition may hold.  The others
+#: expand to an untracked number, or are function-like, so a call of one
+#: raises UnsupportedMacroError.  A scan starts its table with them, so a
+#: header's own #define or #undef of one wins, as in GCC.
+_BUILTINS = {
+    **{name: MacroDefinition(name, '""', PREDEFINED) for name in (
+        "__FILE__", "__FILE_NAME__", "__BASE_FILE__", "__DATE__", "__TIME__", "__TIMESTAMP__"
+    )},
+    **{name: MacroDefinition(name, "", _UNTRACKED) for name in (
+        "__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__"
+    )},
+    **{name: MacroDefinition(name, "(...)", PREDEFINED, function_like=True) for name in (
+        "__has_include", "__has_include_next", "__has_attribute", "__has_cpp_attribute",
+        "__has_c_attribute", "__has_builtin", "_Pragma",
+    )},
+}
 
 _Lookup = Callable[[str], MacroDefinition | None]
 #: Macro bodies' :func:`_tokenize` results, by their text.
@@ -330,8 +350,6 @@ def _expand(
             continue
         macro = lookup(tok)
         if macro is None or tok in hidden:
-            if macro is None and tok in _NUMBER_BUILTINS:
-                raise UnsupportedMacroError(f"built-in macro {tok!r} used in a condition")
             yield tok
             continue
         if macro.function_like:
@@ -341,6 +359,8 @@ def _expand(
             budget -= read
             yield tok
             continue
+        if macro.provenance == _UNTRACKED:
+            raise UnsupportedMacroError(f"built-in macro {tok!r} used in a condition")
         cached = bodies.get(macro.body)
         if cached is None:
             cached = bodies[macro.body] = _tokenize(macro.body)
@@ -546,9 +566,15 @@ def _evaluate(expr: str, lookup: _Lookup, bodies: _Bodies, ints: dict[str, _Int]
 
 
 def eval_condition(env: MacroEnv, expr: str) -> int:
-    """Evaluate a preprocessor constant expression against an
-    environment; nonzero means the branch is taken."""
-    return _evaluate(expr, env.lookup, {}, {})
+    """Evaluate a preprocessor constant expression against an environment,
+    over GCC's built-in macros; nonzero means the branch is taken."""
+    table = env._table
+
+    def lookup(name: str) -> MacroDefinition | None:
+        macro = table.get(name)
+        return _BUILTINS.get(name) if macro is None else macro
+
+    return _evaluate(expr, lookup, {}, {})
 
 
 # --- conditional-compilation branch reports -------------------------------
@@ -579,11 +605,6 @@ _DEFINITION_RE = re.compile(
 _KEPT_DIRECTIVES = frozenset((
     "include", "include_next", "import", "line", "error", "warning", "pragma", "ident", "sccs",
     "assert", "unassert", "elifdef", "elifndef",
-))
-#: GCC's built-in macros that expand to a string literal, which a line
-#: marker or #line may give as its file name.
-_STRING_BUILTINS = frozenset((
-    "__FILE__", "__FILE_NAME__", "__BASE_FILE__", "__DATE__", "__TIME__", "__TIMESTAMP__",
 ))
 
 
@@ -720,8 +741,8 @@ def _line_error(
 ) -> str | None:
     """GCC's reason to reject "#line ``operands``" (``number`` None) or the
     line marker "# ``number`` ``operands``", or None.  The number is a digit
-    sequence; a file name, if any, is a plain string literal, or a built-in
-    macro that expands to one; a line marker's flags, if any, are 1 or 2,
+    sequence; a file name, if any, is a plain string literal, such as a
+    built-in ``__FILE__`` expands to; a line marker's flags, if any, are 1 or 2,
     then 3, then 4, each optional but 4 only after 3, while #line ignores
     what follows its file name.  GCC reads these after macro expansion
     (:func:`_expand`), all but a line marker's number; where the expander
@@ -739,7 +760,7 @@ def _line_error(
         name = next(tokens, None)
         if name is None:
             return None
-        if not (name in _STRING_BUILTINS or re.fullmatch(r'"(?:[^"\\\n]|\\[^\n])*"', name)):
+        if not re.fullmatch(r'"(?:[^"\\\n]|\\[^\n])*"', name):
             return f'"{name}" is not a valid filename'
         if directive == "#line":
             return None
@@ -760,21 +781,22 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
     active regions, and report taken arms plus the retained line spans.
 
     ``#define``/``#undef`` lines in active regions update a working copy
-    of the environment (provenance "source") and are retained, as is any
-    other non-conditional line in an active region.  Conditional
-    directive lines themselves are never retained.  As C11 6.10.1p6 has
-    it, a skipped group is read only for the names of its conditional
-    directives: its #define/#undef lines, and the operands of its
-    #ifdef/#ifndef, are not read at all.  An active #ifdef/#ifndef tests
-    the macro name its operand starts with, as GCC does, which ignores
-    (with a warning) any tokens after it.  A NUL is read as white space, as
-    GCC reads it ("null character(s) ignored"); retained text keeps it.
+    of the environment over GCC's built-in macros (provenance "source")
+    and are retained, as is any other non-conditional line in an active
+    region.  Conditional directive lines themselves are never retained.
+    As C11 6.10.1p6 has it, a skipped group is read only for the names of
+    its conditional directives: its #define/#undef lines, and the operands
+    of its #ifdef/#ifndef, are not read at all.  An active #ifdef/#ifndef
+    tests the macro name its operand starts with, as GCC does, which
+    ignores (with a warning) any tokens after it.  A NUL is read as white
+    space, as GCC reads it ("null character(s) ignored"); retained text
+    keeps it.
     """
     # str.replace returns ``source`` itself, uncopied, when it holds no NUL.
     stripped, starts = _strip_comments(*_logical_lines(source.replace("\0", " ")))
     text = "\n" + stripped
 
-    table = dict(env._table)
+    table = {**_BUILTINS, **env._table}
     bodies: _Bodies = {}
     ints: dict[str, _Int] = {}
     # Each open group: [arms, start_line, evaluated (its context was active

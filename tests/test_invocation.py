@@ -282,8 +282,8 @@ def test_define_comments_and_dollar_names_are_read_as_gcc_reads_them(profile):
     assert str(err.value) == "malformed -D argument: 'A=x/*': unterminated comment"
     # A value that opens a comment has an effect of its own, not its head's.
     effects = _WordEffects(profile)
-    assert effects["-DID=1"] == effects["-DID=x//y"] == _INERT
-    assert effects["-DID=x/*"] == _word_effect("-DID=x/*", profile) != _INERT
+    assert effects["-DID=1"] == effects["-DID=x//y"] == effects["-DID="]
+    assert effects["-DID=x/*"] == _word_effect("-DID=x/*", profile) != effects["-DID="]
 
 
 @pytest.mark.parametrize(
@@ -509,12 +509,12 @@ _PROFILES = {name: load_profile(name) for name in ("gcc8-x86_64", "mplab-c18")}
 _TRICKY_WORDS = [
     "-D", "-DA=1", "-D9", "-DF(x)=1", "-DF(x)y", "-DF (x)=1", "-DA B", "-DF(x,x)",
     "-DF(x", "-DA=##", "-DF(x)=#y", "-DF(x)=#x", "-DA=x##y", '-DA="##"', "-U", "-UA", "-I", "-Ix", "-I-", "-I-\n",
-    "-iquote", "-iquoteq", "-isystem", "-std=c11", "--std=c90", "-std=c2x",
+    "-iquote", "-iquoteq", "-isystem", "-isystems", "-std=c11", "--std=c90", "-std=c2x",
     "-std=", "--std", "c99", "-O", "-O0", "-Os", "-O-", "-O00", "-O0x0", "-O0x",
     "-Ox", "-O0x1f", "-Oz", "--optimize=0x", "--optimize=2", "--optimize=0", "--optimize=",
     "--optimize=-1", "-ansi", "--ansi",
     "-trigraphs", "--trigraphs", "--optimize", "-fno-hosted", "-nostdinc",
-    "-m32", "-p18f258", "-o", "--param", "-", "a.c", "",
+    "-m32", "-p18f258", "-o", "-x", "--param", "-", "a.c", "",
 ]
 _ENV_PATHS = st.sampled_from(["", "p", "p::q", ":", "a:b"])
 

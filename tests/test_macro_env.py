@@ -205,6 +205,7 @@ def test_eval_discrimination_examples(profile):
         ("1 ? -1 : 0u", 2**64 - 1),
         ("18446744073709551615u", 2**64 - 1),
         ("9223372036854775808", 2**63),  # unsuffixed but beyond signed max
+        ("defined(__LINE__) && defined __has_include", 1),  # GCC's built-ins
     ],
 )
 def test_eval_arithmetic(expr, expected):
@@ -967,6 +968,11 @@ def test_skipped_groups_are_read_only_for_directive_names():
     # does not track, and a call whose "(" follows the end of a body.
     (lambda: active_branches(env_of(), "#if __LINE__ == 1\n#endif\n"), UnsupportedMacroError,
      "line 1: built-in macro '__LINE__' used in a condition"),
+    (lambda: active_branches(env_of(), "#if __has_builtin(__builtin_expect)\n#endif\n"),
+     UnsupportedMacroError, "line 1: function-like macro '__has_builtin' invoked in a condition"),
+    # __FILE__ expands to a string literal, which no condition may hold.
+    (lambda: active_branches(env_of(), "#if __FILE__\n#endif\n"), ExprSyntaxError,
+     "line 1: string and character constants are not supported in body of macro '__FILE__'"),
     (lambda: active_branches(env_of(), "#define G F\n#define F(x) 1\n#if G(2)\n#endif\n"),
      UnsupportedMacroError, "line 3: function-like macro 'F' invoked in a condition"),
 ])
@@ -1252,6 +1258,20 @@ def _ref_called(pending):
     return False
 
 
+#: GCC 12.2's built-in macros, from GCC's list of them, with the provenance
+#: "built-in": six that expand to a string literal, three that expand to a
+#: number the scan does not track and seven function-like ones.
+_REF_NUMBERS = ("__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__")
+_REF_BUILTINS = {
+    **{name: MacroDefinition(name, '"<stdin>"', "built-in") for name in (
+        "__FILE__", "__FILE_NAME__", "__BASE_FILE__", "__DATE__", "__TIME__", "__TIMESTAMP__")},
+    **{name: MacroDefinition(name, "0", "built-in") for name in _REF_NUMBERS},
+    **{name: MacroDefinition(name, "(x) 1", "built-in", function_like=True) for name in (
+        "__has_include", "__has_include_next", "__has_attribute", "__has_cpp_attribute",
+        "__has_c_attribute", "__has_builtin", "_Pragma")},
+}
+
+
 def _ref_expand(tokens, table):
     """``tokens`` with object-like macros expanded by hide sets, as in C11
     6.10.3.4: each token of a body carries its macro's hide set and name.
@@ -1263,8 +1283,9 @@ def _ref_expand(tokens, table):
     while pending:
         token, hide = pending.pop(0)
         macro = table.get(token)
-        if macro is None and token in ("__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__") or (
-            macro is not None and macro.function_like and _ref_called(pending)
+        if macro is not None and (
+            macro.provenance == "built-in" and token in _REF_NUMBERS
+            or macro.function_like and _ref_called(pending)
         ):
             return out + [None]
         if macro is None or macro.function_like or token in hide:
@@ -1297,9 +1318,7 @@ def _ref_line_error(kind, text, table):
     name = tokens[1]
     if name is None:
         return None
-    builtin = name in (
-        "__FILE__", "__FILE_NAME__", "__BASE_FILE__", "__DATE__", "__TIME__", "__TIMESTAMP__")
-    if not builtin and not (name.startswith('"') and _ref_tokens(name)[1]):
+    if not (name.startswith('"') and _ref_tokens(name)[1]):
         return f'"{name}" is not a valid filename'
     if directive == "#line":
         return None
@@ -1408,13 +1427,16 @@ def _reference_branches(env, source):
     line is matched in order, #define and #undef apply only in an active
     region, and a skipped group's operands are not read."""
     extents, texts = _oracle_scan(source.replace("\0", " "))
-    table = {d.name: d for d in env.definitions()}
+    table = {**_REF_BUILTINS, **{d.name: d for d in env.definitions()}}
     frames = []  # [arms, start, evaluated, taken_seen, in_else, active]
     groups, kept = [], []
 
     def taken_by(condition, line):
+        # eval_condition adds GCC's built-ins itself; no condition of the
+        # soup names one that a line undefines.
+        defined = {name: d for name, d in table.items() if d.provenance != "built-in"}
         try:
-            return bool(eval_condition(MacroEnv(table), condition))
+            return bool(eval_condition(MacroEnv(defined), condition))
         except macro_env.PreprocessorError as exc:
             raise type(exc)(f"line {line}: {exc}") from None
 
@@ -1521,7 +1543,7 @@ def _lines(good, bad):
 _SOUP_OPENERS = _lines(
     ["#if 1", "#if 0", "#if A", "#if A == 2", "#if defined(B) || C", "#if A$B", "#if B + 1 > 2",
      "#if C ? A : 0", "#ifdef A", "#ifdef B x", "#ifndef C(x)", "#ifndef A$B", "  # if 1 // c",
-     "#ifdef defined", "#\0ifdef A"],
+     "#ifdef defined", "#\0ifdef A", "#ifdef __LINE__", "#if defined __has_include"],
     ["#ifdef 3x", "#ifdef", "#if 1/0", "#if @", "#if", "#if C(1)", '#ifdef L"x"', "#ifndef (A)"],
 )
 _SOUP_ELIFS = _lines(["#elif 1", "#elif A", "#elif 0", "#elif B == 1"], ["#elif", "#elif @"])
@@ -1530,7 +1552,8 @@ _SOUP_PLAIN = _lines(
      "#define C 1", "#undef A", "#undef B junk", "#undef C(x)", "#pragma x", "#elifdef A",
      "# include <x>", "x /* #endif */ y", "// #else", '"/*"', "#define C( x, ... )#x ## x",
      "#define B(...) #__VA_ARGS__", "#define C()", "#define A # ## #", "#", '# 5 "f.c"',
-     "#line 5", "#warning w", '# 5 "f.c" 1 3 4', "#\0define C 1", '#line 5 "f.c" 3'],
+     "#line 5", "#warning w", '# 5 "f.c" 1 3 4', "#\0define C 1", '#line 5 "f.c" 3',
+     "#undef __FILE__", "# 5 __FILE__"],
     ["#define 3x", "#define", "#define L'x'", "#undef", "#undef 3", "#endif", "#else",
      "#elif 1", "/* c", "#if$x", "#definex", "#else$", "#ifndef$ A", "#define F(x) #y",
      "#define F(x,x) 1", "#define F(x 1", "#define A ## B", "#define A B ##",
@@ -1658,6 +1681,12 @@ _GCC_SNIPPETS = {
     # the end of the body it ends.
     "function-like-names-not-called": (
         "#define F(x) 1\n#define G F\n#if G + 1\nmark1\n#endif\n#if !G\nmark2\n#endif\n"
+    ),
+    # The model defines GCC's built-in macros too: all but mark4 are kept.
+    "built-ins-defined": (
+        "#ifdef __LINE__\nmark1\n#endif\n#if defined(__FILE__)\nmark2\n#endif\n"
+        "#ifdef __DATE__\nmark3\n#endif\n#ifndef __COUNTER__\nmark4\n#endif\n"
+        "#if defined __has_include\nmark5\n#endif\n#ifdef __has_include\nmark6\n#endif\n"
     ),
     "dollar-names": (
         "#define A$B 3\n#ifdef A\nmark1\n#endif\n#if A$B == 3\nmark2\n#endif\n"
