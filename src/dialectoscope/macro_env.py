@@ -214,7 +214,9 @@ _INT_RE = re.compile(
     r"(?P<suffix>[uU](?:l|ll|L|LL)?|(?:l|ll|L|LL)[uU]?)?\Z"
 )
 
+#: The comma operator (C11 6.5.17) binds loosest.
 _BIN_PRECEDENCE = {
+    ",": 0,
     "||": 1, "&&": 2,
     "|": 3, "^": 4, "&": 5,
     "==": 6, "!=": 6,
@@ -425,6 +427,8 @@ def _apply_unary(op: str, operand: _Int, live: bool) -> _Int:
 
 
 def _apply_binary(op: str, a: _Int, b: _Int, live: bool) -> _Int:
+    if op == ",":  # the right operand's value and signedness
+        return b
     av, au = a
     bv, bu = b
     if op == "&&" or op == "||":
@@ -517,6 +521,11 @@ def _evaluate_tokens(tokens: Sequence[str], ints: dict[str, _Int]) -> _Int:
             while stack and stack[-1][0] == _BINARY and (prec is None or stack[-1][1] >= prec):
                 _, _, op, left, live = stack.pop()
                 value = _apply_binary(op, left, value, live)
+            if tok == "," and stack and stack[-1][0] == _ELSE:
+                # A comma ends the last operand of a conditional.
+                _, live, truth, then = stack.pop()
+                value = _apply_conditional(then, value, truth, live)
+                continue
             if prec is not None:
                 pos += 1
                 stack.append((_BINARY, prec, tok, value, live))

@@ -1,14 +1,14 @@
 """The dialect probe: a self-contained C function whose return value
 encodes the eight observable dialect dimensions as additive weights.
 
-The probe source is a stored fixture, not regenerated text: its byte
-length and checksum are part of the contract, so tests pin both.  Each
-additive term is described by a :class:`ProbeBitSpec` so a value can be
-explained dimension by dimension.  :func:`verify_with_compiler` builds
-and runs the probe under a real compiler through ``_compile_and_run``,
-the only code here that starts processes: one compile per build, and one
-link of every compiled build, with the driver assembled in it, and one run
-per pointer width.
+The probe source is a constant of this module, not a stored file or
+regenerated text: its byte length and checksum are part of the contract,
+and the tests pin both.  Each additive term is described by a
+:class:`ProbeBitSpec` so a value can be explained dimension by dimension.
+:func:`verify_with_compiler` builds and runs the probe under a real
+compiler through ``_compile_and_run``, the only code here that starts
+processes: one compile per build, and one link of every compiled build,
+with the driver assembled in it, and one run per pointer width.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .dialect_model import (
     canonical_flags,
     decode_value,
 )
-from .profiles import DATA_DIR, CompilerProfile, load_profile
+from .profiles import CompilerProfile, load_profile
 
-PROBE_FILENAME = "probe_return_value.c"
 PROBE_BYTE_LENGTH = 647
 PROBE_SHA256 = "03862b5e1c8b3000513c766caf21ebeb1549114ad0f1a36c56cc0aa34a6ba48d"
 
@@ -103,16 +102,7 @@ PROBE_BITS: tuple[ProbeBitSpec, ...] = (
 
 def emit_probe_source() -> str:
     """Return the probe function text, byte-exact."""
-    import hashlib
-
-    with open(os.path.join(DATA_DIR, PROBE_FILENAME), encoding="ascii") as fh:
-        text = fh.read()
-    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-    if digest != PROBE_SHA256:
-        raise RuntimeError(
-            f"probe fixture corrupted: sha256 {digest} != expected {PROBE_SHA256}"
-        )
-    return text
+    return _PROBE_SOURCE
 
 
 def flags_for_value(value: int, profile: CompilerProfile) -> list[str]:
@@ -181,6 +171,40 @@ class VerificationReport(NamedTuple):
     def failures(self) -> list[VerifyResult]:
         return [r for r in self.results if not r.ok]
 
+
+#: The probe function, whose return value is the encoded dialect.
+_PROBE_SOURCE = """\
+unsigned return_value(void) {
+   typedef enum { Z } S;
+   typedef enum {
+      I = ((int)-1U/2 == (int)(-1U/2)) ? (int)-1U : (int)(-1U/2)
+   } L;
+   struct {
+      int f:8;
+   } s = { 255 };
+   unsigned m = 0;
+   m += (((char)-1) < 0) ? 1 : 0;
+   m += (s.f < 0) ? 2 : 0;
+   m += (sizeof(S) < sizeof(L)) ? 4 : 0;
+#ifdef __OPTIMIZE__
+   m += 8;
+#endif
+   m += (sizeof(void *) == 8) ? 16 : 0;
+#if !defined(__STDC_HOSTED__) || __STDC_HOSTED__ == 0
+   m += 32;
+#endif
+#ifdef __STDC_VERSION__
+   m += (__STDC_VERSION__ % 4)*64;
+#else
+   m += 192;
+#endif
+#ifndef __STRICT_ANSI__
+   m += 256;
+   m += (sizeof("??-") != 4) ? 256 : 0;
+#endif
+   return m;
+}
+"""
 
 #: The probe's caller, assembled in each pointer width's link, at the head
 #: of the generated table file, with no C library.  ``_start`` aligns the

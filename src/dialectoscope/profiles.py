@@ -19,7 +19,7 @@ from .dialect_model import BOOLEAN_WEIGHTS, AnsiMode, DialectConfig
 
 PROFILE_DIR_ENV = "DIALECTOSCOPE_PROFILE_DIR"
 DEFAULT_PROFILE = "gcc8-x86_64"
-#: The built-in profiles and the probe fixture.
+#: The built-in profiles.
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 

@@ -1088,6 +1088,7 @@ NOT_ON_START_PATH = (
         (["invocation", "parse", "--", "-O2"], ()),
         (["space", "count"], ("decimal",)),  # decimal_scientific rounds with it
         (["space", "models"], ()),
+        (["probe", "emit"], ()),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, uses):

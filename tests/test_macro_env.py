@@ -206,6 +206,9 @@ def test_eval_discrimination_examples(profile):
         ("18446744073709551615u", 2**64 - 1),
         ("9223372036854775808", 2**63),  # unsuffixed but beyond signed max
         ("defined(__LINE__) && defined __has_include", 1),  # GCC's built-ins
+        ("(1, 0)", 0),  # the comma operator gives its right operand
+        ("(0u, -1) < 0", 1),
+        ("1 ? 2 : 3, 0", 0),  # a comma ends the last operand of ?:
     ],
 )
 def test_eval_arithmetic(expr, expected):
@@ -362,6 +365,8 @@ def _sign_of(node, table):
             return False
         if op in ("<<", ">>"):
             return _sign_of(node[2], table)
+        if op == ",":
+            return _sign_of(node[3], table)
         return _sign_of(node[2], table) or _sign_of(node[3], table)
     if kind == "ternary":
         return _sign_of(node[2], table) or _sign_of(node[3], table)
@@ -396,6 +401,8 @@ def _oracle(node, table):
             return int(vb != 0), False
         va, ua = _oracle(a, table)
         vb, ub = _oracle(b, table)
+        if op == ",":  # C11 6.5.17: the left operand is evaluated, its value dropped
+            return vb, ub
         if op in ("<<", ">>"):
             if vb < 0 or vb >= 64:
                 raise OracleEvalError("shift count")
@@ -472,7 +479,7 @@ _leaves = st.one_of(
 _unary_ops = st.sampled_from(["!", "-", "+", "~"])
 _binary_ops = st.sampled_from(
     ["+", "-", "*", "/", "%", "<<", ">>", "<", ">", "<=", ">=",
-     "==", "!=", "&", "^", "|", "&&", "||"]
+     "==", "!=", "&", "^", "|", "&&", "||", ","]
 )
 
 
@@ -975,6 +982,12 @@ def test_skipped_groups_are_read_only_for_directive_names():
      "line 1: string and character constants are not supported in body of macro '__FILE__'"),
     (lambda: active_branches(env_of(), "#define G F\n#define F(x) 1\n#if G(2)\n#endif\n"),
      UnsupportedMacroError, "line 3: function-like macro 'F' invoked in a condition"),
+    # The left operand of a comma is evaluated, and a call's comma reaches
+    # the expander.
+    (lambda: eval_condition(env_of(), "(1/0, 1)"), ExprEvalError,
+     "division by zero in conditional expression"),
+    (lambda: active_branches(env_of(), "#define F(a,b) 1\n#if F(2,7)\n#endif\n"),
+     UnsupportedMacroError, "line 2: function-like macro 'F' invoked in a condition"),
 ])
 def test_evaluator_error_texts(call, error, message):
     with pytest.raises(error) as err:
@@ -1688,6 +1701,21 @@ _GCC_SNIPPETS = {
         "#ifdef __DATE__\nmark3\n#endif\n#ifndef __COUNTER__\nmark4\n#endif\n"
         "#if defined __has_include\nmark5\n#endif\n#ifdef __has_include\nmark6\n#endif\n"
     ),
+    # The comma operator binds loosest, gives its right operand, and ends
+    # the last operand of a ?: it follows.
+    "comma-operator": (
+        "#if (0, 1) ? 1 : 0\nmark1\n#endif\n"
+        "#if 1, 1\nmark2\n#endif\n"
+        "#if 0 ? 1, 0 : 1\nmark3\n#endif\n"
+        "#if (0u, -1) < 0\nmark4\n#endif\n"
+        "#if 1 ? 0 : 1 || 0, 1\nmark5\n#endif\n"
+        "#if (1, 0)\nmark6\n#endif\n"
+        "#if 1 ? 2 : 3, 0\nmark7\n#endif\n"
+        "#if (-1, 0u) < 0\nmark8\n#endif\n"
+        "#if 0 && (1, 1/0)\nmark9\n#endif\n"
+        "#if 0, 1 ? 0 : 1\nmark10\n#endif\n"
+        "#if 1 + 1 ? 0 : 1, 1 ? 0 : 0\nmark11\n#endif\n"
+    ),
     "dollar-names": (
         "#define A$B 3\n#ifdef A\nmark1\n#endif\n#if A$B == 3\nmark2\n#endif\n"
         "#ifdef A$B\nmark3\n#endif\n#undef A$B\n#ifndef A$B\nmark4\n#endif\n"
@@ -1723,7 +1751,7 @@ def test_branch_markers_match_gcc(name):
 #: none of which GCC predefines; F is function-like, so it is only tested.
 _GCC_CONDITIONS = st.sampled_from([
     "1", "0", "A", "A == 2", "defined(B) || C", "B + 1 > 2", "!defined A", "A$B == 3",
-    "C ? A : 0", "defined F && A /* c */ < 3", "A \\\n  == 1",
+    "C ? A : 0", "defined F && A /* c */ < 3", "A \\\n  == 1", "(A, B)", "C ? A, 0 : 1",
 ])
 _GCC_NAMES = st.sampled_from(["A", "B", "C", "F", "A$B"])
 _GCC_DEFINITIONS = st.sampled_from([
