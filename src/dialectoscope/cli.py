@@ -4,18 +4,20 @@ One executable, one subcommand per library operation.  Every
 subcommand honors ``--format human|json``: its handler returns a
 :class:`Result` holding both renderings and the exit status, and
 :func:`main` prints the one asked for, so an error found late prints
-nothing but the error.  Most subcommands build a small JSON document
-whole, which is written as ``json.dumps(doc, indent=2)``.  The reports
-that can run long are streamed by their own writers, a piece at a time,
-so their text is never held in one string.  ``build audit`` and ``build
-check`` build no document: each distinct dialect's row text is rendered
-once, and rows that share a dialect share it (:func:`_audit_json`,
-:func:`_audit_text`); the text is still exactly ``json.dumps(doc,
-indent=2)`` of the report's ``to_json_dict()``.  ``macros branches``
-builds none either: each group's text is written from the report's
-records (:func:`_branches_json`).  Exit
-status: 0 success, 1 findings (audit findings, unreliable verdicts,
-failed or unresolved probes), 2 usage or input errors.
+nothing but the error.  A rendering is a ready value, the JSON document
+(a ``dict``, written as ``json.dumps(doc, indent=2)``) or the human text
+(a ``str``), or, for a report that can run long, a function that returns
+the rendering's text as a stream of pieces, so that it is never held in
+one string.  Every long report streams, in both formats.  ``build audit``
+and ``build check`` build no document: each distinct dialect's row text
+is rendered once, and rows that share a dialect share it
+(:func:`_audit_json`, :func:`_audit_text`); the text is still exactly
+``json.dumps(doc, indent=2)`` of the report's ``to_json_dict()``.
+``macros branches`` builds none either: each group's text is written
+from the report's records (:func:`_branches_json`,
+:func:`_branches_text`).  Exit status: 0 success, 1 findings (audit
+findings, unreliable verdicts, failed or unresolved probes), 2 usage or
+input errors.
 
 All subcommands except ``probe verify`` are hermetic: no subprocesses
 and no filesystem access beyond files named on the command line.
@@ -56,18 +58,16 @@ EXIT_USAGE = 2
 
 
 class Result(NamedTuple):
-    """What one subcommand produced: the ``--format json`` document
-    (written as ``json.dumps(doc, indent=2)`` and a newline), the
-    ``--format human`` text (written verbatim, newlines included) and the
-    exit status.  Either rendering may be a function building it, when it
-    is costly; only the one printed is called, and it is called before
-    anything is written.  Such a function may instead return an iterator
-    over the pieces of the rendering's text, the document's without the
-    final newline, as the writers of the build and branch reports do; it
-    must raise no input error."""
+    """What one subcommand produced: the ``--format json`` rendering, the
+    ``--format human`` rendering and the exit status.  A rendering is a
+    ready value, the document (written as ``json.dumps(doc, indent=2)`` and
+    a newline) or the text (written verbatim, newlines included), or a
+    function of no arguments that returns an iterator over the pieces of
+    the rendering's text, the document's without the final newline.  Only
+    the rendering printed is called; it must raise no input error."""
 
-    doc: dict | Callable[[], dict | Iterator[str]]
-    text: str | Callable[[], str | Iterator[str]]
+    doc: dict | Callable[[], Iterator[str]]
+    text: str | Callable[[], Iterator[str]]
     code: int = EXIT_OK
 
 
@@ -357,20 +357,23 @@ def _branches_json(report, retained_text: str | None) -> Iterator[str]:
     yield ',\n  "retained_text": ' + text + "\n}"
 
 
-def _branches_text(report, retained_text: str | None) -> str:
-    text = []
+def _branches_text(report, retained_text: str | None) -> Iterator[str]:
+    """The ``--format human`` text of ``macros branches``, as pieces: each
+    group's lines, the ``retained lines:`` line and the retained text."""
+    marks = {True: "TAKEN", False: "not taken", None: "skipped"}
     for g in report.groups:
         state = "evaluated" if g.evaluated else "inactive region"
-        text.append(f"conditional group, lines {g.start_line}..{g.end_line} ({state})")
+        text = [f"conditional group, lines {g.start_line}..{g.end_line} ({state})"]
         for a in g.arms:
             cond = f" {a.condition}" if a.condition else ""
-            mark = {True: "TAKEN", False: "not taken", None: "skipped"}[a.taken]
-            text.append(f"  line {a.line}: #{a.kind}{cond}  ->  {mark}")
+            text.append(f"  line {a.line}: #{a.kind}{cond}  ->  {marks[a.taken]}")
+        yield _text(text)
     ranges = ", ".join(
         f"{a}" if a == b else f"{a}-{b}" for a, b in report.retained_ranges
     )
-    text.append(f"retained lines: {ranges if ranges else '(none)'}")
-    return _text(text) + (retained_text or "")
+    yield f"retained lines: {ranges if ranges else '(none)'}\n"
+    if retained_text:
+        yield retained_text
 
 
 # --- include subcommand --------------------------------------------------------
@@ -622,19 +625,16 @@ def _audit_text(facts) -> Iterator[str]:
             mismatches[k] = _around(rows, ""), len(rows)
     entries, index = facts.entries, facts.index
     yield "file                          value  flags\n"
-    for chunk in _chunks((e.file.ljust(28) + tails[k], 1) for e, k in zip(entries, index)):
-        yield "".join(chunk)
+    yield from map("".join, _chunks((e.file.ljust(28) + tails[k], 1) for e, k in zip(entries, index)))
     text = []
     for inc in facts.inconsistencies:
         parts = "; ".join(f"{value}: {', '.join(files)}" for value, files in inc.partition)
         text.append(f"inconsistency [{_SEVERITY_TEXT[inc.severity]}] {inc.dimension}: {parts}")
     yield _text(text)
     blocks = ((e.file.join(m[0]), m[1]) for e, k in zip(entries, index) if (m := mismatches.get(k)))
-    for chunk in _chunks(blocks):
-        yield "".join(chunk)
+    yield from map("".join, _chunks(blocks))
     blocks = ((f"unauditable: {e.file} ({e.reason})\n", 1) for e, k in zip(entries, index) if k is None)
-    for chunk in _chunks(blocks):
-        yield "".join(chunk)
+    yield from map("".join, _chunks(blocks))
     if not facts.inconsistencies and not mismatches and None not in index:
         yield "no findings\n"
 
@@ -773,7 +773,7 @@ COMMANDS = [
          _arg("--form", choices=("quote", "angle"), required=True),
          _arg("--includer", required=True, help="file containing the directive"),
          _arg("--manifest", help="virtual filesystem: one path per line"),
-         _arg("--root", help="snapshot a real directory instead"),
+         _arg("--root", help="look candidates up under a real directory instead"),
          _arg("--cwd", default="/", help="working directory for relative paths"),
          _FLAGS,
          _ENV,
@@ -951,22 +951,19 @@ def _run(argv: list[str]) -> int:
     except (OSError, ValueError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # The rendering not printed is dropped first, and a built document
-    # replaces the function that built it, so that what each holds is
-    # freed before the next step.  A document is built whole before the
-    # first write; a streamed report's text is written a piece at a time.
+    # The one rendering printed is written through one path: a document
+    # as its JSON text, a text as it is, a streamed report a piece at a time.
+    rendering = doc if args.format == "json" else text
+    if callable(rendering):
+        pieces = rendering()
+    elif type(rendering) is dict:
+        pieces = (json.dumps(rendering, indent=2),)
+    else:
+        pieces = (rendering,)
     try:
+        sys.stdout.writelines(pieces)
         if args.format == "json":
-            del text
-            if callable(doc):
-                doc = doc()
-            sys.stdout.writelines((json.dumps(doc, indent=2),) if type(doc) is dict else doc)
             sys.stdout.write("\n")
-        else:
-            del doc
-            if callable(text):
-                text = text()
-            sys.stdout.writelines((text,) if type(text) is str else text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone (``| head``).  Point stdout at the null

@@ -1,8 +1,8 @@
 """Header search simulation over a virtual filesystem.
 
-The resolver never touches the real disk unless a snapshot is built
-from one (:meth:`FileSystemModel.from_directory`), so resolution tests
-are hermetic and reproducible bit for bit.
+The resolver never touches the real disk unless a model looks candidates
+up under a real directory (:meth:`FileSystemModel.from_directory`), so
+resolution tests are hermetic and reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -58,13 +58,14 @@ def _normalize(path: str, cwd: str) -> str:
 
 
 class _FileSystemFields(NamedTuple):
-    files: frozenset[str]
+    files: frozenset[str] | None
     cwd: str = "/"
 
 
 class FileSystemModel(_FileSystemFields):
     """Immutable set of absolute, normalized file paths plus a working
-    directory against which relative paths are interpreted."""
+    directory against which relative paths are interpreted.  A model of a
+    real directory holds ``files`` None and the directory as ``cwd``."""
 
     __slots__ = ()
 
@@ -72,7 +73,9 @@ class FileSystemModel(_FileSystemFields):
         if not posixpath.isabs(cwd):
             raise ValueError(f"cwd must be absolute, got {cwd!r}")
         cwd = posixpath.normpath(cwd)
-        return super().__new__(cls, frozenset(_normalize(p, cwd) for p in files), cwd)
+        if files is not None:
+            files = frozenset(_normalize(p, cwd) for p in files)
+        return super().__new__(cls, files, cwd)
 
     @classmethod
     def _make(cls, fields):  # what ``_replace`` builds its result with
@@ -82,7 +85,10 @@ class FileSystemModel(_FileSystemFields):
         return _normalize(path, self.cwd)
 
     def __contains__(self, path: str) -> bool:
-        return self.normalize(path) in self.files
+        path = self.normalize(path)
+        if self.files is None:
+            return path.startswith(posixpath.join(self.cwd, "")) and os.path.isfile(path)
+        return path in self.files
 
     @classmethod
     def from_paths(cls, paths, cwd: str = "/") -> "FileSystemModel":
@@ -101,16 +107,12 @@ class FileSystemModel(_FileSystemFields):
 
     @classmethod
     def from_directory(cls, root: str) -> "FileSystemModel":
-        """Snapshot a real directory tree (the only non-hermetic
-        constructor)."""
+        """Look candidates up under a real directory (the only non-hermetic
+        constructor): a path is in the model when it lies under ``root``
+        and is a file, symbolic links followed, when it is probed."""
         if not os.path.isdir(root):
             raise NotADirectoryError(f"not a directory: {root}")
-        root = os.path.abspath(root)
-        paths = []
-        for base, _dirs, names in os.walk(root):
-            for name in names:
-                paths.append(os.path.join(base, name))
-        return cls.from_paths(paths, cwd=root)
+        return cls(None, cwd=os.path.abspath(root))
 
 
 def search_paths(

@@ -237,6 +237,8 @@ _QUOTES = frozenset("\"'")
 #: not track: the physical line of the token, a count of earlier uses, the
 #: depth of inclusion.  Expanding one raises UnsupportedMacroError.
 _UNTRACKED = "untracked"
+#: The provenance of GCC's ``__has_*`` operators, which a condition holds only in a call.
+_OPERATOR = "operator"
 #: The macros GCC 12.2 defines before any other, each one checked with
 #: "#ifdef NAME" under ``gcc -E -P``.  Those that expand to a string the scan
 #: does not know expand to the string literal ``""``, which a line marker or
@@ -251,10 +253,11 @@ _BUILTINS = {
     **{name: MacroDefinition(name, "", _UNTRACKED) for name in (
         "__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__"
     )},
-    **{name: MacroDefinition(name, "(...)", PREDEFINED, function_like=True) for name in (
+    **{name: MacroDefinition(name, "(...)", _OPERATOR, function_like=True) for name in (
         "__has_include", "__has_include_next", "__has_attribute", "__has_cpp_attribute",
-        "__has_c_attribute", "__has_builtin", "_Pragma",
+        "__has_c_attribute", "__has_builtin",
     )},
+    "_Pragma": MacroDefinition("_Pragma", "(...)", PREDEFINED, function_like=True),
 }
 
 _Lookup = Callable[[str], MacroDefinition | None]
@@ -327,8 +330,9 @@ def _expand(
     cannot be told, expansion raises :class:`UnsupportedMacroError`: at a
     built-in number, or at a function-like macro's name followed, as
     written and across the ends of bodies, by "(" and its matching ")" (a
-    name without them is a plain token).  Past ``MAX_EXPANSION_TOKENS`` it
-    raises :class:`ExprEvalError`."""
+    name without them is a plain token, or in a condition, for a
+    ``__has_*`` operator, an :class:`ExprSyntaxError`).  Past
+    ``MAX_EXPANSION_TOKENS`` it raises :class:`ExprEvalError`."""
     hidden: set[str] = set()
     # Token lists whose reading an expansion interrupted, innermost last,
     # with the macro each one is the body of (None for ``tokens``).
@@ -358,6 +362,8 @@ def _expand(
             called, read = _call_follows(toks, i, suspended)
             if called:
                 raise UnsupportedMacroError(f"function-like macro {tok!r} invoked in a condition")
+            if macro.provenance == _OPERATOR and condition:
+                raise ExprSyntaxError(f"missing '(' after {tok!r}")
             budget -= read
             yield tok
             continue
@@ -577,13 +583,7 @@ def _evaluate(expr: str, lookup: _Lookup, bodies: _Bodies, ints: dict[str, _Int]
 def eval_condition(env: MacroEnv, expr: str) -> int:
     """Evaluate a preprocessor constant expression against an environment,
     over GCC's built-in macros; nonzero means the branch is taken."""
-    table = env._table
-
-    def lookup(name: str) -> MacroDefinition | None:
-        macro = table.get(name)
-        return _BUILTINS.get(name) if macro is None else macro
-
-    return _evaluate(expr, lookup, {}, {})
+    return _evaluate(expr, {**_BUILTINS, **env._table}.get, {}, {})
 
 
 # --- conditional-compilation branch reports -------------------------------

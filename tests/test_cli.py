@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import gc
+import glob
 import hashlib
 import io
 import json
@@ -497,6 +498,52 @@ def test_renderings_not_printed_are_not_built(capsys, tmp_path, monkeypatch):
     source.write_text("#if 1\nx\n#endif\n")
     code, doc = run_json(capsys, "macros", "branches", str(source))
     assert code == 0 and doc["retained_ranges"] == [[2, 2]]
+
+
+def test_branch_text_is_written_a_group_at_a_time(capsys, tmp_path):
+    source = tmp_path / "g.h"
+    source.write_text("#if 1\na\n#else\nb\n#endif\n#ifdef X\nc\n#if 0\n#endif\n#endif\nd\n")
+    argv = ["--format", "human", "macros", "branches", "--show-retained", str(source)]
+    args = cli._parse_args(argv)
+    pieces = list(args.func(args).text())
+    assert len(pieces) > 1 and all(piece.endswith("\n") for piece in pieces)
+    text = (
+        "conditional group, lines 1..5 (evaluated)\n  line 1: #if 1  ->  TAKEN\n"
+        "  line 3: #else  ->  not taken\nconditional group, lines 6..10 (evaluated)\n"
+        "  line 6: #ifdef X  ->  not taken\nconditional group, lines 8..9 (inactive region)\n"
+        "  line 8: #if 0  ->  skipped\nretained lines: 2, 11\na\nd\n"
+    )
+    assert "".join(pieces) == text
+    assert run(capsys, *argv) == (0, text, "")
+
+
+#: Where ``macros branches`` stops on glibc's headers today, with the
+#: ROADMAP item that will move each stop: item 12 expands calls in a
+#: condition, and item 6 follows the includes of ``features.h``, which
+#: defines ``__GLIBC_USE``.
+_GLIBC_STOPS = [
+    ("bits/wordsize.h", None),
+    ("bits/statx.h", "__has_include"),  # item 12
+    ("features.h", "__GNUC_PREREQ"),  # item 12
+    ("stdio.h", "__GLIBC_USE"),  # item 6
+]
+
+
+@pytest.mark.parametrize("header,stop", _GLIBC_STOPS)
+def test_where_glibc_headers_stop(capsys, header, stop):
+    paths = glob.glob(f"/usr/include/{header}") + glob.glob(f"/usr/include/*/{header}")
+    if not paths:
+        pytest.skip(f"no {header} under /usr/include or its multiarch directory")
+    code, out, err = run(capsys, "--format", "json", "macros", "branches", "--flags=-std=c99",
+                         paths[0])
+    assert "Traceback" not in err
+    if stop is None:
+        assert (code, err) == (0, "") and json.loads(out)["groups"]
+        return
+    assert (code, out) == (2, "")
+    line = int(re.match(r"error: line (\d+): ", err)[1])
+    with open(paths[0], encoding="utf-8") as fh:
+        assert stop in fh.read().split("\n")[line - 1]
 
 
 def test_macros_branches_reports_structure_errors(capsys, tmp_path):

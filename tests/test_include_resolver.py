@@ -52,6 +52,24 @@ def test_from_directory(tmp_path):
     assert fs.cwd == str(tmp_path)
 
 
+def test_from_directory_looks_files_up_through_symlinks(tmp_path):
+    # As GCC opens a header: a file behind a symlinked directory is found,
+    # and neither a broken symlink nor a directory is a file.
+    root = tmp_path / "root"
+    (root / "real").mkdir(parents=True)
+    (root / "real" / "x.h").write_text("")
+    (root / "link").symlink_to("real")
+    (root / "broken.h").symlink_to("missing.h")
+    (tmp_path / "outside.h").write_text("")
+    fs = FileSystemModel.from_directory(str(root))
+    assert str(root / "link" / "x.h") in fs
+    assert "link/x.h" in fs
+    assert str(root / "broken.h") not in fs
+    assert str(root / "real") not in fs
+    assert str(tmp_path / "outside.h") not in fs
+    assert "../outside.h" not in fs
+
+
 # --- search order -----------------------------------------------------------
 
 

@@ -841,6 +841,13 @@ _REJECTED_CONDITIONS = [
     ("#if 1 ++ 1\n#endif\n", 1, 'token "++" is not valid in preprocessor expressions'),
     ("a\n#if 1 -- 1\n#endif\n", 2, 'token "--" is not valid in preprocessor expressions'),
     ("#if 0x1e+1 == 31\n#endif\n", 1, 'invalid suffix "+1" on integer constant'),
+    # A __has_* operator is an error with no "(" after it, even in an
+    # operand that is not evaluated and through a macro.
+    ("#if __has_include\n#endif\n", 1, 'missing \'(\' before "__has_include" operand'),
+    ("#if 1 || __has_builtin\n#endif\n", 1, 'missing \'(\' after "__has_builtin"'),
+    ("#define H __has_include\n#if H\n#endif\n", 2,
+     'missing \'(\' before "__has_include" operand'),
+    ("#if 0\n#elif __has_builtin\n#endif\n", 2, 'missing \'(\' after "__has_builtin"'),
 ]
 
 
@@ -988,6 +995,15 @@ def test_skipped_groups_are_read_only_for_directive_names():
      "division by zero in conditional expression"),
     (lambda: active_branches(env_of(), "#define F(a,b) 1\n#if F(2,7)\n#endif\n"),
      UnsupportedMacroError, "line 2: function-like macro 'F' invoked in a condition"),
+    # A __has_* operator with no "(" after it, as GCC rejects it.
+    (lambda: active_branches(env_of(), "#if __has_include\n#endif\n"), ExprSyntaxError,
+     "line 1: missing '(' after '__has_include'"),
+    (lambda: active_branches(env_of(), "#if 1 || __has_builtin\n#endif\n"), ExprSyntaxError,
+     "line 1: missing '(' after '__has_builtin'"),
+    (lambda: active_branches(env_of(), "#define H __has_include\n#if H\n#endif\n"),
+     ExprSyntaxError, "line 2: missing '(' after '__has_include'"),
+    (lambda: active_branches(env_of(), "#if 0\n#elif __has_builtin\n#endif\n"), ExprSyntaxError,
+     "line 2: missing '(' after '__has_builtin'"),
 ])
 def test_evaluator_error_texts(call, error, message):
     with pytest.raises(error) as err:
@@ -1715,6 +1731,12 @@ _GCC_SNIPPETS = {
         "#if 0 && (1, 1/0)\nmark9\n#endif\n"
         "#if 0, 1 ? 0 : 1\nmark10\n#endif\n"
         "#if 1 + 1 ? 0 : 1, 1 ? 0 : 0\nmark11\n#endif\n"
+    ),
+    # _Pragma with no "(" after it is a plain identifier, and an #elif after
+    # a taken arm is not evaluated, so a bare __has_builtin there is no error.
+    "bare-operators": (
+        "#if _Pragma\nmark1\n#else\nmark2\n#endif\n"
+        "#if 1\nmark3\n#elif __has_builtin\nmark4\n#endif\n"
     ),
     "dollar-names": (
         "#define A$B 3\n#ifdef A\nmark1\n#endif\n#if A$B == 3\nmark2\n#endif\n"
