@@ -14,10 +14,11 @@ is rendered once, and rows that share a dialect share it
 (:func:`_audit_json`, :func:`_audit_text`); the text is still exactly
 ``json.dumps(doc, indent=2)`` of the report's ``to_json_dict()``.
 ``macros branches`` builds none either: each group's text is written
-from the report's records (:func:`_branches_json`,
-:func:`_branches_text`).  Exit status: 0 success, 1 findings (audit
-findings, unreliable verdicts, failed or unresolved probes), 2 usage or
-input errors.
+from the scan's records (:func:`_branches_json`,
+:func:`_branches_text`), and the retained text is joined only under
+``--show-retained``, which prints it.  Exit status: 0 success, 1
+findings (audit findings, unreliable verdicts, failed or unresolved
+probes), 2 usage or input errors.
 
 All subcommands except ``probe verify`` are hermetic: no subprocesses
 and no filesystem access beyond files named on the command line.
@@ -299,16 +300,18 @@ def cmd_macros_eval(args) -> Result:
 
 
 def cmd_macros_branches(args) -> Result:
-    from .macro_env import active_branches
+    from . import macro_env
 
     env = _macro_env_from_args(args)
-    report = active_branches(env, _read_text(args.source))
-    retained_text = report.retained_text if args.show_retained else None
+    source = _read_text(args.source)
+    groups, retained = macro_env._branch_scan(env, source)
+    # The retained text is joined only when it is printed.
+    text = macro_env._retained_text(source, retained) if args.show_retained else None
     # A header can hold thousands of groups: the JSON text is written from
-    # the report's records, with no document between.
+    # the scan's records, with no document between.
     return Result(
-        lambda: _branches_json(report, retained_text),
-        lambda: _branches_text(report, retained_text),
+        lambda: _branches_json(groups, retained, text),
+        lambda: _branches_text(groups, retained, text),
     )
 
 
@@ -329,7 +332,7 @@ _ARM_JSON = {
 }
 
 
-def _branches_json(report, retained_text: str | None) -> Iterator[str]:
+def _branches_json(groups, retained, retained_text: str | None) -> Iterator[str]:
     """``json.dumps(doc, indent=2)``, byte for byte, as pieces, of the
     document of ``macros branches``: "groups", each with "start_line",
     "end_line", "evaluated" and "arms" (each arm its "kind", "condition",
@@ -339,8 +342,8 @@ def _branches_json(report, retained_text: str | None) -> Iterator[str]:
     encode = json.encoder.encode_basestring_ascii
     words, arm_json = _JSON_WORDS, _ARM_JSON
 
-    def groups():
-        for arms, start, end, evaluated in report.groups:
+    def group_texts():
+        for arms, start, end, evaluated in groups:
             texts = [
                 arm_json[kind] % ("null" if cond is None else encode(cond), line, words[taken])
                 for kind, cond, line, taken in arms
@@ -348,20 +351,20 @@ def _branches_json(report, retained_text: str | None) -> Iterator[str]:
             yield _GROUP_JSON % (start, end, words[evaluated], ",\n        ".join(texts)), 1
 
     yield '{\n  "groups": '
-    yield from _json_list_pieces(groups())
+    yield from _json_list_pieces(group_texts())
     yield ',\n  "retained_ranges": '
     yield from _json_list_pieces(
-        (f"[\n      {first},\n      {last}\n    ]", 1) for first, last in report.retained_ranges
+        (f"[\n      {first},\n      {last}\n    ]", 1) for first, last in retained
     )
     text = "null" if retained_text is None else encode(retained_text)
     yield ',\n  "retained_text": ' + text + "\n}"
 
 
-def _branches_text(report, retained_text: str | None) -> Iterator[str]:
+def _branches_text(groups, retained, retained_text: str | None) -> Iterator[str]:
     """The ``--format human`` text of ``macros branches``, as pieces: each
     group's lines, the ``retained lines:`` line and the retained text."""
     marks = {True: "TAKEN", False: "not taken", None: "skipped"}
-    for g in report.groups:
+    for g in groups:
         state = "evaluated" if g.evaluated else "inactive region"
         text = [f"conditional group, lines {g.start_line}..{g.end_line} ({state})"]
         for a in g.arms:
@@ -369,7 +372,7 @@ def _branches_text(report, retained_text: str | None) -> Iterator[str]:
             text.append(f"  line {a.line}: #{a.kind}{cond}  ->  {marks[a.taken]}")
         yield _text(text)
     ranges = ", ".join(
-        f"{a}" if a == b else f"{a}-{b}" for a, b in report.retained_ranges
+        f"{a}" if a == b else f"{a}-{b}" for a, b in retained
     )
     yield f"retained lines: {ranges if ranges else '(none)'}\n"
     if retained_text:
@@ -390,9 +393,10 @@ def cmd_include_resolve(args) -> Result:
     from .invocation import InvocationError, split_command
 
     if args.manifest:
-        fs = FileSystemModel.from_manifest(_read_text(args.manifest), cwd=args.cwd)
+        cwd = "/" if args.cwd is None else args.cwd
+        fs = FileSystemModel.from_manifest(_read_text(args.manifest), cwd=cwd)
     elif args.root:
-        fs = FileSystemModel.from_directory(args.root)
+        fs = FileSystemModel.from_directory(args.root, cwd=args.cwd)
     else:
         raise InvocationError("include resolve needs --manifest or --root")
     inv = _invocation(args, split_command(args.flags))
@@ -774,7 +778,8 @@ COMMANDS = [
          _arg("--includer", required=True, help="file containing the directive"),
          _arg("--manifest", help="virtual filesystem: one path per line"),
          _arg("--root", help="look candidates up under a real directory instead"),
-         _arg("--cwd", default="/", help="working directory for relative paths"),
+         _arg("--cwd", help="working directory for relative paths"
+                            " (default: / with --manifest, the root with --root)"),
          _FLAGS,
          _ENV,
      ]),

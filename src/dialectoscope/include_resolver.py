@@ -60,22 +60,28 @@ def _normalize(path: str, cwd: str) -> str:
 class _FileSystemFields(NamedTuple):
     files: frozenset[str] | None
     cwd: str = "/"
+    root: str | None = None
 
 
 class FileSystemModel(_FileSystemFields):
     """Immutable set of absolute, normalized file paths plus a working
     directory against which relative paths are interpreted.  A model of a
-    real directory holds ``files`` None and the directory as ``cwd``."""
+    real directory holds ``files`` None and the directory as ``root``, by
+    default ``cwd``."""
 
     __slots__ = ()
 
-    def __new__(cls, files, cwd: str = "/") -> "FileSystemModel":
+    def __new__(cls, files, cwd: str = "/", root: str | None = None) -> "FileSystemModel":
         if not posixpath.isabs(cwd):
             raise ValueError(f"cwd must be absolute, got {cwd!r}")
         cwd = posixpath.normpath(cwd)
         if files is not None:
             files = frozenset(_normalize(p, cwd) for p in files)
-        return super().__new__(cls, files, cwd)
+        if root is not None:
+            root = _normalize(root, cwd)
+        elif files is None:
+            root = cwd
+        return super().__new__(cls, files, cwd, root)
 
     @classmethod
     def _make(cls, fields):  # what ``_replace`` builds its result with
@@ -87,7 +93,7 @@ class FileSystemModel(_FileSystemFields):
     def __contains__(self, path: str) -> bool:
         path = self.normalize(path)
         if self.files is None:
-            return path.startswith(posixpath.join(self.cwd, "")) and os.path.isfile(path)
+            return path.startswith(posixpath.join(self.root, "")) and os.path.isfile(path)
         return path in self.files
 
     @classmethod
@@ -106,13 +112,16 @@ class FileSystemModel(_FileSystemFields):
         return cls.from_paths(paths, cwd=cwd)
 
     @classmethod
-    def from_directory(cls, root: str) -> "FileSystemModel":
+    def from_directory(cls, root: str, cwd: str | None = None) -> "FileSystemModel":
         """Look candidates up under a real directory (the only non-hermetic
         constructor): a path is in the model when it lies under ``root``
-        and is a file, symbolic links followed, when it is probed."""
+        and is a file, symbolic links followed, when it is probed.
+        Relative paths are read against ``cwd``, by default ``root``; both
+        are read against the working directory of the process."""
         if not os.path.isdir(root):
             raise NotADirectoryError(f"not a directory: {root}")
-        return cls(None, cwd=os.path.abspath(root))
+        root = os.path.abspath(root)
+        return cls(None, cwd=root if cwd is None else os.path.abspath(cwd), root=root)
 
 
 def search_paths(

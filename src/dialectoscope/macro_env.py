@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, chain
-from operator import add, and_, eq, ge, gt, le, lt, mul, ne, or_, sub, xor
+from operator import add, and_, eq, ge, gt, le, lshift, lt, mul, ne, or_, rshift, sub, xor
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dialect_model import AnsiMode, DialectConfig
@@ -214,16 +214,19 @@ _INT_RE = re.compile(
     r"(?P<suffix>[uU](?:l|ll|L|LL)?|(?:l|ll|L|LL)[uU]?)?\Z"
 )
 
-#: The comma operator (C11 6.5.17) binds loosest.
+#: How tightly each binary operator binds.  The comma operator (C11 6.5.17)
+#: binds loosest.  A "?" binds at 2, so that it folds every binary operator
+#: before it but the comma; the ":" arm after it binds at 1, so that a comma
+#: ends it; a prefix operator binds at 13.
 _BIN_PRECEDENCE = {
-    ",": 0,
-    "||": 1, "&&": 2,
-    "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, ">": 7, "<=": 7, ">=": 7,
-    "<<": 8, ">>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
+    ",": 1,
+    "||": 3, "&&": 4,
+    "|": 5, "^": 6, "&": 7,
+    "==": 8, "!=": 8,
+    "<": 9, ">": 9, "<=": 9, ">=": 9,
+    "<<": 10, ">>": 10,
+    "+": 11, "-": 11,
+    "*": 12, "/": 12, "%": 12,
 }
 _PREFIX_OPS = frozenset("!-+~")
 #: The punctuators a condition may hold.
@@ -270,21 +273,30 @@ _ZERO = (0, False)
 _ONE = (1, False)
 
 
-def _tokenize(text: str) -> tuple[list[str], str | None]:
-    """The tokens of ``text``, and what is wrong with the first of them that
-    a condition may not hold, if any: one that is neither an identifier, a
-    pp-number nor one of ``_CONDITION_PUNCTUATORS``."""
-    tokens = _PP_TOKEN_RE.findall(text)
+def _first_odd(tokens: Iterable[str]) -> str | None:
+    """The first of ``tokens`` that no condition may hold, if any: one that
+    is neither an identifier, a pp-number nor one of
+    ``_CONDITION_PUNCTUATORS``."""
     for tok in tokens:
         # Only "." and "..." start with "." and are no pp-number, and only an
         # "L" literal starts with a letter and is no identifier.
         if tok not in _CONDITION_PUNCTUATORS and not (
             tok[0] in _OPERAND_START and tok not in (".", "...") and tok[1:2] not in _QUOTES
         ):
-            if '"' in tok or "'" in tok:
-                return tokens, "string and character constants are not supported"
-            return tokens, f"unexpected {'character' if len(tok) == 1 else 'token'} {tok!r}"
-    return tokens, None
+            return tok
+    return None
+
+
+def _tokenize(text: str) -> tuple[list[str], str | None]:
+    """The tokens of ``text``, and what is wrong with the first of them that
+    a condition may not hold (:func:`_first_odd`), if any."""
+    tokens = _PP_TOKEN_RE.findall(text)
+    odd = _first_odd(tokens)
+    if odd is None:
+        return tokens, None
+    if '"' in odd or "'" in odd:
+        return tokens, "string and character constants are not supported"
+    return tokens, f"unexpected {'character' if len(odd) == 1 else 'token'} {odd!r}"
 
 
 def _read_defined(tokens: Sequence[str], i: int) -> tuple[str, int]:
@@ -395,17 +407,24 @@ def _operand(tok: str) -> _Int:
     m = _INT_RE.match(tok)
     if m is None:
         raise ExprSyntaxError(f"invalid integer constant {tok!r}")
-    value = int(m.group("hex") or m.group("oct") or m.group("dec"),
-                16 if m.group("hex") else 8 if m.group("oct") else 10)
+    hexadecimal, octal, decimal, suffix = m.groups()
+    value = int(hexadecimal, 16) if hexadecimal else int(octal, 8) if octal else int(decimal)
     if value > _U64_MASK:
         raise ExprEvalError(f"integer constant {tok!r} does not fit in 64 bits")
-    suffix = m.group("suffix") or ""
     # Unsuffixed constants above the signed maximum are treated as
     # unsigned, matching common compiler practice.
-    return value, "u" in suffix.lower() or value > _INT64_MAX
+    return value, value > _INT64_MAX or suffix is not None and ("u" in suffix or "U" in suffix)
+
+
+# Each operator folds its operands, given as (value, unsigned) pairs, into
+# its result, and takes ``live``: False inside the unevaluated operand of
+# && || ?:, where only the result's signedness is tracked and no arithmetic
+# error can occur.  A prefix operator's first operand is None.
 
 
 def _c_div(a: int, b: int) -> int:
+    if b == 0:
+        raise ExprEvalError("division by zero in conditional expression")
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
 
@@ -414,67 +433,74 @@ def _c_rem(a: int, b: int) -> int:
     return a - _c_div(a, b) * b
 
 
-_COMPARISONS = {"<": lt, ">": gt, "<=": le, ">=": ge, "==": eq, "!=": ne}
-_ARITHMETIC = {
-    "+": add, "-": sub, "*": mul, "/": _c_div, "%": _c_rem, "&": and_, "^": xor, "|": or_,
-}
+def _arithmetic(operate: Callable[[int, int], int]) -> Callable[[_Int, _Int, bool], _Int]:
+    """The fold of + - * / % & ^ |, over operands converted to their common type."""
+    def fold(a: _Int, b: _Int, live: bool) -> _Int:
+        if a[1] or b[1]:
+            return (operate(a[0] & _U64_MASK, b[0] & _U64_MASK) & _U64_MASK if live else 0), True
+        return (_wrap_signed(operate(a[0], b[0])) if live else 0), False
+    return fold
 
 
-def _apply_unary(op: str, operand: _Int, live: bool) -> _Int:
-    value, unsigned = operand
-    if op == "!":
-        return (int(value == 0) if live else 0), False
-    if not live:
-        return 0, unsigned
-    if op == "+":
-        return operand
-    raw = -value if op == "-" else ~value
-    return (raw & _U64_MASK if unsigned else _wrap_signed(raw)), unsigned
-
-
-def _apply_binary(op: str, a: _Int, b: _Int, live: bool) -> _Int:
-    if op == ",":  # the right operand's value and signedness
-        return b
-    av, au = a
-    bv, bu = b
-    if op == "&&" or op == "||":
+def _comparison(compare: Callable[[int, int], bool]) -> Callable[[_Int, _Int, bool], _Int]:
+    """The fold of a relational or equality operator: a signed 1 or 0."""
+    def fold(a: _Int, b: _Int, live: bool) -> _Int:
         if not live:
             return _ZERO
-        if op == "&&":
-            return _ONE if av != 0 and bv != 0 else _ZERO
-        return _ONE if av != 0 or bv != 0 else _ZERO
+        if a[1] or b[1]:
+            return _ONE if compare(a[0] & _U64_MASK, b[0] & _U64_MASK) else _ZERO
+        return _ONE if compare(a[0], b[0]) else _ZERO
+    return fold
 
-    compare = _COMPARISONS.get(op)
-    if compare is not None:
-        if not live:
-            return _ZERO
-        if au or bu:
-            return _ONE if compare(av & _U64_MASK, bv & _U64_MASK) else _ZERO
-        return _ONE if compare(av, bv) else _ZERO
 
-    if op == "<<" or op == ">>":
-        # Shift result takes the promoted left operand's type.
+def _shift(operate: Callable[[int, int], int]) -> Callable[[_Int, _Int, bool], _Int]:
+    """The fold of << or >>: the result has the left operand's type."""
+    def fold(a: _Int, b: _Int, live: bool) -> _Int:
         if not live:
-            return 0, au
-        count = bv & _U64_MASK if bu else bv
+            return 0, a[1]
+        count = b[0] & _U64_MASK if b[1] else b[0]
         if count < 0 or count >= 64:
             raise ExprEvalError(f"shift count {count} out of range 0..63")
-        raw = av << count if op == "<<" else av >> count
-        return (raw & _U64_MASK if au else _wrap_signed(raw)), au
+        raw = operate(a[0], count)
+        return (raw & _U64_MASK if a[1] else _wrap_signed(raw)), a[1]
+    return fold
 
-    unsigned = au or bu
+
+def _and(a: _Int, b: _Int, live: bool) -> _Int:
+    return _ONE if live and a[0] != 0 and b[0] != 0 else _ZERO
+
+
+def _or(a: _Int, b: _Int, live: bool) -> _Int:
+    return _ONE if live and (a[0] != 0 or b[0] != 0) else _ZERO
+
+
+def _comma(a: _Int, b: _Int, live: bool) -> _Int:
+    return b  # the right operand's value and signedness
+
+
+def _not(_: None, v: _Int, live: bool) -> _Int:
+    return _ONE if live and v[0] == 0 else _ZERO
+
+
+def _plus(_: None, v: _Int, live: bool) -> _Int:
+    return v if live else (0, v[1])
+
+
+def _negate(_: None, v: _Int, live: bool) -> _Int:
     if not live:
-        return 0, unsigned
-    if unsigned:
-        av &= _U64_MASK
-        bv &= _U64_MASK
-    if bv == 0 and (op == "/" or op == "%"):
-        raise ExprEvalError("division by zero in conditional expression")
-    raw = _ARITHMETIC[op](av, bv)
-    return (raw & _U64_MASK if unsigned else _wrap_signed(raw)), unsigned
+        return 0, v[1]
+    return (-v[0] & _U64_MASK, True) if v[1] else (_wrap_signed(-v[0]), False)
 
 
-def _apply_conditional(then: _Int, otherwise: _Int, truth: bool, live: bool) -> _Int:
+def _complement(_: None, v: _Int, live: bool) -> _Int:
+    if not live:
+        return 0, v[1]
+    return (~v[0] & _U64_MASK, True) if v[1] else (~v[0], False)
+
+
+def _choose(arm: tuple[_Int, bool], otherwise: _Int, live: bool) -> _Int:
+    """The fold of ?:, given the "?" arm's value and whether it was chosen."""
+    then, truth = arm
     unsigned = then[1] or otherwise[1]
     if not live:
         return 0, unsigned
@@ -482,102 +508,113 @@ def _apply_conditional(then: _Int, otherwise: _Int, truth: bool, live: bool) -> 
     return (value & _U64_MASK if unsigned else value), unsigned
 
 
-# Kinds of pending construct on the evaluator's stack.
-_PAREN, _PREFIX, _BINARY, _THEN, _ELSE = range(5)
+_FOLDS = {
+    ",": _comma, "||": _or, "&&": _and,
+    "|": _arithmetic(or_), "^": _arithmetic(xor), "&": _arithmetic(and_),
+    "==": _comparison(eq), "!=": _comparison(ne),
+    "<": _comparison(lt), ">": _comparison(gt), "<=": _comparison(le), ">=": _comparison(ge),
+    "<<": _shift(lshift), ">>": _shift(rshift),
+    "+": _arithmetic(add), "-": _arithmetic(sub),
+    "*": _arithmetic(mul), "/": _arithmetic(_c_div), "%": _arithmetic(_c_rem),
+}
+#: What a token read after an operand does: (binding, fold, keep).  It first
+#: folds every open construct on the stack that binds at least as tightly;
+#: then a binary operator opens its own construct, with its ``fold``, and for
+#: && and || the right operand stays live only when the left one's truth is
+#: ``keep``.  "?" binds at 2; ")", ":", the end of the expression (None) and
+#: any other token bind at 0, and close the construct they end.
+_FOLLOWING: dict[str | None, tuple[int, Callable | None, bool | None]] = {
+    op: (binding, _FOLDS[op], {"&&": True, "||": False}.get(op))
+    for op, binding in _BIN_PRECEDENCE.items()
+}
+_FOLLOWING["?"] = (2, None, None)
+_CLOSING = (0, None, None)
+#: What a token read where an operand starts does: a prefix operator opens a
+#: construct that binds at 13 and folds with its function; "(" opens one
+#: that nothing folds, which ")" closes.  Each construct is ready made, for
+#: ``live`` False and True.
+_OPENING = {
+    tok: ((binding, fold, None, False), (binding, fold, None, True))
+    for tok, binding, fold in (
+        ("!", 13, _not), ("+", 13, _plus), ("-", 13, _negate), ("~", 13, _complement),
+        ("(", -1, ")"),
+    )
+}
 
 
 def _evaluate_tokens(tokens: Sequence[str], ints: dict[str, _Int]) -> _Int:
     """Operator-precedence evaluation of expanded tokens.
 
-    Every construct still open sits on ``stack``, innermost last:
-    ``(PAREN, live)``, ``(PREFIX, op)``, ``(BINARY, precedence, op, left,
-    live)``, ``(THEN, live, truth)`` while the ``?`` arm is read and
-    ``(ELSE, live, truth, then)`` while the ``:`` arm is read.  ``live`` is
-    False inside the unevaluated operand of && || ?:, where only result
-    signedness is tracked and no arithmetic errors can occur.  ``ints``
-    caches each operand token's value by its text.
+    Every construct still open sits on ``stack``, innermost last, as
+    ``(binding, fold, operand, live)``: an operator's binding power, its
+    fold, its first operand, and the ``live`` to restore once it folds.
+    Constructs that no operator folds bind at -1 and hold, instead of a
+    fold, the token that closes them: ")" for "(", ":" for the "?" arm
+    (whose operand is the condition's truth) and None for the whole
+    expression.  ``:`` turns a "?" arm into the ``?:`` fold, whose operand
+    is the arm's value and truth.  ``ints`` caches each operand token's
+    value by its text.
     """
-    stack: list[tuple] = []
+    stack: list[tuple] = [(-1, None, None, True)]
     live = True
-    pos = 0
-    n = len(tokens)
-    while True:
-        # An operand: prefix operators and "(" open constructs.
-        if pos == n:
-            raise ExprSyntaxError("unexpected end of expression")
-        tok = tokens[pos]
-        pos += 1
+    tokens = iter(tokens)
+    # An operand: prefix operators and "(" open constructs.
+    for tok in tokens:
         value = ints.get(tok)
         if value is None:
-            if tok in _PREFIX_OPS:
-                stack.append((_PREFIX, tok))
-                continue
-            if tok == "(":
-                stack.append((_PAREN, live))
+            opening = _OPENING.get(tok)
+            if opening is not None:
+                stack.append(opening[live])
                 continue
             value = ints[tok] = _operand(tok)
 
         # What follows a complete operand, until the next operand starts.
         while True:
-            while stack and stack[-1][0] == _PREFIX:
-                value = _apply_unary(stack.pop()[1], value, live)
-            tok = tokens[pos] if pos < n else None
-            prec = _BIN_PRECEDENCE.get(tok)
-            # Binary operators are left-associative.
-            while stack and stack[-1][0] == _BINARY and (prec is None or stack[-1][1] >= prec):
-                _, _, op, left, live = stack.pop()
-                value = _apply_binary(op, left, value, live)
-            if tok == "," and stack and stack[-1][0] == _ELSE:
-                # A comma ends the last operand of a conditional.
-                _, live, truth, then = stack.pop()
-                value = _apply_conditional(then, value, truth, live)
-                continue
-            if prec is not None:
-                pos += 1
-                stack.append((_BINARY, prec, tok, value, live))
-                if tok == "&&":
-                    live = live and value[0] != 0
-                elif tok == "||":
-                    live = live and value[0] == 0
+            tok = next(tokens, None)
+            binding, fold, keep = _FOLLOWING.get(tok, _CLOSING)
+            while stack[-1][0] >= binding:
+                _, folding, operand, live = stack.pop()
+                value = folding(operand, value, live)
+            if fold is not None:
+                stack.append((binding, fold, value, live))
+                if keep is not None:
+                    live = live and (value[0] != 0) is keep
                 break
             if tok == "?":
-                pos += 1
                 truth = live and value[0] != 0
-                stack.append((_THEN, live, truth))
+                stack.append((-1, ":", truth, live))
                 live = truth
                 break
-            while stack and stack[-1][0] == _ELSE:
-                _, live, truth, then = stack.pop()
-                value = _apply_conditional(then, value, truth, live)
-            top = stack[-1][0] if stack else None
-            if top == _THEN and tok == ":":
-                pos += 1
-                _, live, truth = stack.pop()
-                stack.append((_ELSE, live, truth, value))
-                live = live and not truth
-                break
-            if top == _PAREN and tok == ")":
-                pos += 1
-                live = stack.pop()[1]
-                continue
-            if top is None and tok is None:
+            _, closer, truth, outer = stack[-1]
+            if tok == closer:
+                if tok == ")":
+                    stack.pop()
+                    live = outer
+                    continue
+                if tok == ":":
+                    stack[-1] = (1, _choose, (value, truth), outer)
+                    live = outer and not truth
+                    break
                 return value
             # ``tok`` cannot continue the innermost open construct.
             found = tok if tok is not None else "end of expression"
-            if top == _THEN:
-                raise ExprSyntaxError(f"expected ':', found {found!r}")
-            if top == _PAREN:
-                raise ExprSyntaxError(f"expected ')', found {found!r}")
+            if closer is not None:
+                raise ExprSyntaxError(f"expected {closer!r}, found {found!r}")
             raise ExprSyntaxError(f"unexpected token {found!r} after expression")
+    raise ExprSyntaxError("unexpected end of expression")
 
 
 def _evaluate(expr: str, lookup: _Lookup, bodies: _Bodies, ints: dict[str, _Int]) -> int:
     tokens, fault = _tokenize(expr)
-    if fault is not None:
-        raise ExprSyntaxError(f"{fault} in expression")
     if not tokens:
         raise ExprSyntaxError("empty conditional expression")
-    return _evaluate_tokens(list(_expand(tokens, lookup, bodies, True)), ints)[0]
+    expanded = _expand(tokens, lookup, bodies, True)
+    if fault is not None:
+        # The first problem in reading order is reported: the expander's, if
+        # it meets one before it yields the first token at fault.
+        _first_odd(expanded)
+        raise ExprSyntaxError(f"{fault} in expression")
+    return _evaluate_tokens(list(expanded), ints)[0]
 
 
 def eval_condition(env: MacroEnv, expr: str) -> int:
@@ -629,6 +666,11 @@ class ConditionalGroup(NamedTuple):
     start_line: int
     end_line: int
     evaluated: bool
+
+
+#: Builds a record from a tuple of its fields, past the checks and keyword
+#: handling of the record's own ``__new__``.
+_new = tuple.__new__
 
 
 class BranchReport(NamedTuple):
@@ -700,21 +742,22 @@ def _strip_comments(text: str, starts: Sequence[int]) -> tuple[str, Sequence[int
 
 
 def _read_definitions(
-    table: dict[str, MacroDefinition], bodies: _Bodies, text: str, start: int, end: int,
+    table: dict[str, MacroDefinition], bodies: _Bodies, text: str, first: int,
     starts: Sequence[int],
 ) -> None:
-    """Apply the #define and #undef lines of ``text[start:end]``, an active
-    region of the scan's text, to ``table``.  Operands are read by the
-    grammar of -D/-U words (``invocation._DEFINE_OPERAND``), and one that
-    GCC rejects is an error with GCC's reason; a #define with no macro name
-    is "malformed #define".  A #undef reads its first macro name and
-    ignores the rest of the line, as GCC does.  The other directives GCC
-    knows (``_KEPT_DIRECTIVES``) are kept as text; any other directive name,
+    """Apply the #define and #undef lines of ``text``, an active region of
+    the scan's text whose first line break opens logical line ``first``, to
+    ``table``.  Operands are read by the grammar of -D/-U words
+    (``invocation._DEFINE_OPERAND``), and one that GCC rejects is an error
+    with GCC's reason; a #define with no macro name is "malformed
+    #define".  A #undef reads its first macro name and ignores the rest of
+    the line, as GCC does.  The other directives GCC knows
+    (``_KEPT_DIRECTIVES``) are kept as text; any other directive name,
     such as #foo, #if$x or #definex, is an error, as GCC does not know it,
     and so is a "#" followed by a punctuator or a literal, such as "#!x".
     A #line or a line marker ("# 5") that GCC accepts and the null directive
     ("#") are kept as text."""
-    for m in _DEFINITION_RE.finditer(text, start, end):
+    for m in _DEFINITION_RE.finditer(text):
         kind, name, params, body, number, marker, token = m.groups()
         define = kind == "define"
         if not define and kind != "undef":
@@ -728,19 +771,19 @@ def _read_definitions(
                 reason = _line_error(number, marker, table, bodies)
             if reason is None:
                 continue
-            line = starts[text.count("\n", 0, m.start())]
+            line = starts[first + text.count("\n", 0, m.start())]
             raise ConditionalStructureError(reason, line)
         # Only these lines can hold a fault; most #define lines hold none.
         if name is None or name == "defined" or define and (params or "#" in body):
             reason = "malformed #define" if define and name is None else _operand_error(kind, m)
             if reason is not None:
-                line = starts[text.count("\n", 0, m.start())]
+                line = starts[first + text.count("\n", 0, m.start())]
                 raise ConditionalStructureError(reason, line)
         if define:
             # A function-like body is held after its parameter list, as _apply
             # holds a -D one.
             body = (f"{params} {body}" if params else body).rstrip(" \t\f\v\r")
-            table[name] = MacroDefinition(name, body, SOURCE, bool(params))
+            table[name] = _new(MacroDefinition, (name, body, SOURCE, bool(params)))
         else:
             table.pop(name, None)
 
@@ -787,7 +830,8 @@ def _line_error(
 
 def active_branches(env: MacroEnv, source: str) -> BranchReport:
     """Scan well-formed conditional structure, evaluate conditions in
-    active regions, and report taken arms plus the retained line spans.
+    active regions, and report taken arms plus the retained line spans
+    and their text.
 
     ``#define``/``#undef`` lines in active regions update a working copy
     of the environment over GCC's built-in macros (provenance "source")
@@ -801,74 +845,96 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
     space, as GCC reads it ("null character(s) ignored"); retained text
     keeps it.
     """
+    groups, retained = _branch_scan(env, source)
+    return BranchReport(groups, retained, _retained_text(source, retained))
+
+
+def _retained_text(source: str, retained: Iterable[tuple[int, int]]) -> str:
+    """The physical lines of ``source`` in the ``retained`` spans, each
+    ended by a line break."""
+    physical = source.split("\n")
+    lines = list(chain.from_iterable(physical[start - 1 : end] for start, end in retained))
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def _branch_scan(
+    env: MacroEnv, source: str
+) -> tuple[tuple[ConditionalGroup, ...], tuple[tuple[int, int], ...]]:
+    """The groups and retained line spans of :func:`active_branches`'s
+    report of ``source``, without the retained text, which a caller joins
+    (:func:`_retained_text`) only if it uses it."""
     # str.replace returns ``source`` itself, uncopied, when it holds no NUL.
     stripped, starts = _strip_comments(*_logical_lines(source.replace("\0", " ")))
-    text = "\n" + stripped
+    # The text before the first conditional directive, then for each one its
+    # name, its operand and the text up to the next one.
+    parts = _CONDITIONAL_RE.split("\n" + stripped)
 
     table = {**_BUILTINS, **env._table}
     bodies: _Bodies = {}
     ints: dict[str, _Int] = {}
-    # Each open group: [arms, start_line, evaluated (its context was active
-    # when it opened), taken_seen, in_else, active].
-    frames: list[list] = []
-    groups: list[ConditionalGroup] = []
+    groups: list[ConditionalGroup | None] = []
     retained: list[tuple[int, int]] = []
+    # The innermost open group: its arms, its index in ``groups``, whether it
+    # is evaluated (its context was active when it opened), whether one of
+    # its arms was taken, and whether its #else was read.  ``frames`` holds
+    # the same of each group around it, with ``active`` where it opened.
+    arms: list[BranchArm] = []
+    index = 0
+    evaluated = seen = in_else = False
+    frames: list[tuple] = []
     active = True
-    # Logical lines from ``pending`` up to the next conditional directive
-    # share one state: retained when ``active``.
-    pending = 0
-    k = 0  # logical line of the directive matched
-    pos = 0  # where the line break before line ``k`` stands in ``text``
-    unread = 0  # where the text not yet read for #define/#undef starts
-    for m in _CONDITIONAL_RE.finditer(text):
-        start = m.start()
-        if active and unread < start:
-            _read_definitions(table, bodies, text, unread, start, starts)
-        unread = m.end()
-        k += text.count("\n", pos, start)
-        pos = start
-        kind, rest = m.groups()
+    k = -1  # the logical line of the directive last read
+    for text, kind, rest in zip(parts[::3], parts[1::3], parts[2::3]):
+        # ``text`` holds a line break before each of its lines.
+        breaks = text.count("\n")
+        if active and breaks:
+            if "#" in text:
+                _read_definitions(table, bodies, text, k + 1, starts)
+            retained.append((starts[k + 1], starts[k + breaks + 1] - 1))
+        k += breaks + 1
         line = starts[k]
-        if active and pending < k:
-            retained.append((starts[pending], line - 1))
-        pending = k + 1
 
         if kind == "endif":
             if not frames:
                 raise ConditionalStructureError("#endif without matching #if", line)
-            arms, start_line, evaluated = frames.pop()[:3]
-            groups.append(ConditionalGroup(tuple(arms), start_line, starts[k + 1] - 1, evaluated))
-        elif kind == "else":
-            if not frames:
-                raise ConditionalStructureError("#else without matching #if", line)
-            frame = frames[-1]
-            if frame[4]:
-                raise ConditionalStructureError("duplicate #else", line)
-            frame[4] = True
-            if not frame[2]:
-                taken = None
-            else:
-                taken = frame[5] = not frame[3]
-                frame[3] = True
-            frame[0].append(BranchArm("else", None, line, taken))
+            groups[index] = _new(
+                ConditionalGroup, (tuple(arms), arms[0][2], starts[k + 1] - 1, evaluated)
+            )
+            arms, index, evaluated, seen, in_else, active = frames.pop()
         elif kind == "elif":
             if not frames:
                 raise ConditionalStructureError("#elif without matching #if", line)
-            frame = frames[-1]
-            if frame[4]:
+            if in_else:
                 raise ConditionalStructureError("#elif after #else", line)
             rest = rest.rstrip()
-            if not frame[2]:
+            if not evaluated:
                 taken = None
-            elif frame[3]:
-                taken = frame[5] = False
+            elif seen:
+                taken = active = False
             else:
-                taken = frame[5] = frame[3] = _taken(rest, line, table, bodies, ints)
-            frame[0].append(BranchArm("elif", rest, line, taken))
-        elif not active:
-            arm = BranchArm(kind, rest.rstrip(), line, None)
-            frames.append([[arm], line, False, False, False, False])
+                taken = active = seen = _taken(rest, line, table, bodies, ints)
+            arms.append(_new(BranchArm, ("elif", rest, line, taken)))
+        elif kind == "else":
+            if not frames:
+                raise ConditionalStructureError("#else without matching #if", line)
+            if in_else:
+                raise ConditionalStructureError("duplicate #else", line)
+            in_else = True
+            if not evaluated:
+                taken = None
+            else:
+                taken = active = not seen
+                seen = True
+            arms.append(_new(BranchArm, ("else", None, line, taken)))
         else:
+            frames.append((arms, index, evaluated, seen, in_else, active))
+            index = len(groups)
+            groups.append(None)  # filled in at its #endif
+            in_else = False
+            if not active:
+                arms = [_new(BranchArm, (kind, rest.rstrip(), line, None))]
+                evaluated = seen = False
+                continue
             if kind == "if":
                 rest = rest.rstrip()
                 taken = _taken(rest, line, table, bodies, ints)
@@ -878,29 +944,18 @@ def active_branches(env: MacroEnv, source: str) -> BranchReport:
                     raise ConditionalStructureError(_operand_error(kind, operand), line)
                 rest = operand["name"]
                 taken = (rest in table) == (kind == "ifdef")
-            frames.append([[BranchArm(kind, rest, line, taken)], line, True, taken, False, taken])
-        active = frames[-1][5] if frames else True
+            arms = [_new(BranchArm, (kind, rest, line, taken))]
+            evaluated = True
+            seen = active = taken
 
-    if active and unread < len(text):
-        _read_definitions(table, bodies, text, unread, len(text), starts)
+    text = parts[-1]
+    if active and "#" in text:
+        _read_definitions(table, bodies, text, k + 1, starts)
     if frames:
-        raise ConditionalStructureError(
-            "unterminated conditional", frames[-1][1]
-        )
-    if pending < len(starts) - 1:
-        retained.append((starts[pending], starts[-1] - 1))
-
-    groups.sort(key=lambda g: g.start_line)
-    physical = source.split("\n")
-    lines_out: list[str] = []
-    for start, end in retained:
-        lines_out.extend(physical[start - 1 : end])
-    retained_text = "\n".join(lines_out) + "\n" if lines_out else ""
-    return BranchReport(
-        groups=tuple(groups),
-        retained_ranges=tuple(retained),
-        retained_text=retained_text,
-    )
+        raise ConditionalStructureError("unterminated conditional", arms[0][2])
+    if k + 1 < len(starts) - 1:
+        retained.append((starts[k + 1], starts[-1] - 1))
+    return tuple(groups), tuple(retained)
 
 
 def _taken(

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dialectoscope
-from dialectoscope import cli, emit_probe_source, profiles
+from dialectoscope import cli, emit_probe_source, macro_env, profiles
 from dialectoscope.cli import main
 from conftest import GOLDEN_PAIRS, DISPATCH_SOURCE, compile_db
-from test_cli_golden import CASES
+from test_cli_golden import CASES, FORMATS, GOLDEN, make_workspace, run_case
 
 
 def run(capsys, *args):
@@ -500,6 +500,27 @@ def test_renderings_not_printed_are_not_built(capsys, tmp_path, monkeypatch):
     assert code == 0 and doc["retained_ranges"] == [[2, 2]]
 
 
+def test_branches_join_the_retained_text_only_when_printed(tmp_path, monkeypatch):
+    golden = json.loads(GOLDEN.read_text())
+    make_workspace(tmp_path)
+    join = macro_env._retained_text
+
+    def unused(*args):
+        raise AssertionError("retained text joined but not printed")
+
+    monkeypatch.setattr(macro_env, "_retained_text", unused)
+    for name in ("macros-branches-plain", "macros-branches-nested", "macros-branches-stdin",
+                 "macros-branches-no-groups"):
+        for fmt in FORMATS:
+            assert run_case(tmp_path, *CASES[name], fmt) == golden[name][fmt]
+    joined = []
+    monkeypatch.setattr(macro_env, "_retained_text", lambda *args: joined.append(1) or join(*args))
+    for fmt in FORMATS:
+        name = "macros-branches-retained"
+        assert run_case(tmp_path, *CASES[name], fmt) == golden[name][fmt]
+    assert len(joined) == len(FORMATS)
+
+
 def test_branch_text_is_written_a_group_at_a_time(capsys, tmp_path):
     source = tmp_path / "g.h"
     source.write_text("#if 1\na\n#else\nb\n#endif\n#ifdef X\nc\n#if 0\n#endif\n#endif\nd\n")
@@ -517,20 +538,22 @@ def test_branch_text_is_written_a_group_at_a_time(capsys, tmp_path):
     assert run(capsys, *argv) == (0, text, "")
 
 
-#: Where ``macros branches`` stops on glibc's headers today, with the
-#: ROADMAP item that will move each stop: item 12 expands calls in a
+#: Where ``macros branches`` stops on glibc's headers today, and why, with
+#: the ROADMAP item that will move each stop: item 12 expands calls in a
 #: condition, and item 6 follows the includes of ``features.h``, which
 #: defines ``__GLIBC_USE``.
 _GLIBC_STOPS = [
-    ("bits/wordsize.h", None),
-    ("bits/statx.h", "__has_include"),  # item 12
-    ("features.h", "__GNUC_PREREQ"),  # item 12
-    ("stdio.h", "__GLIBC_USE"),  # item 6
+    ("bits/wordsize.h", None, None),
+    ("bits/statx.h", "__has_include", "invoked in a condition"),  # item 12
+    ("features.h", "__GNUC_PREREQ", "invoked in a condition"),  # item 12
+    ("stdio.h", "__GLIBC_USE", "unexpected token '('"),  # item 6
 ]
 
 
-@pytest.mark.parametrize("header,stop", _GLIBC_STOPS)
-def test_where_glibc_headers_stop(capsys, header, stop):
+@pytest.mark.parametrize(
+    "header,stop,reason", _GLIBC_STOPS, ids=[f"{h}-{s}" for h, s, _ in _GLIBC_STOPS]
+)
+def test_where_glibc_headers_stop(capsys, header, stop, reason):
     paths = glob.glob(f"/usr/include/{header}") + glob.glob(f"/usr/include/*/{header}")
     if not paths:
         pytest.skip(f"no {header} under /usr/include or its multiarch directory")
@@ -540,7 +563,7 @@ def test_where_glibc_headers_stop(capsys, header, stop):
     if stop is None:
         assert (code, err) == (0, "") and json.loads(out)["groups"]
         return
-    assert (code, out) == (2, "")
+    assert (code, out) == (2, "") and reason in err
     line = int(re.match(r"error: line (\d+): ", err)[1])
     with open(paths[0], encoding="utf-8") as fh:
         assert stop in fh.read().split("\n")[line - 1]
@@ -725,6 +748,22 @@ def test_include_resolve_root_snapshot(capsys, tmp_path):
     )
     assert code == 0
     assert doc["found"] == str(tmp_path / "inc" / "h.h")
+
+
+def test_include_resolve_root_reads_relative_paths_against_cwd(capsys, tmp_path):
+    # The root bounds what is found; --cwd is where the relative includer,
+    # and so its directory, lies.
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "h.h").write_text("")
+    argv = ["include", "resolve", "--header", "h.h", "--form", "quote", "--includer", "m.c",
+            "--root", str(tmp_path), "--flags=-nostdinc"]
+    code, doc = run_json(capsys, *argv, "--cwd", str(tmp_path / "sub"))
+    assert code == 0
+    assert doc["found"] == str(tmp_path / "sub" / "h.h")
+    # Without --cwd the root is the working directory.
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert [p["candidate"] for p in doc["trace"]] == [str(tmp_path / "h.h")]
 
 
 @pytest.mark.parametrize("kind", ["missing", "file"])

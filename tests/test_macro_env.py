@@ -1004,6 +1004,14 @@ def test_skipped_groups_are_read_only_for_directive_names():
      ExprSyntaxError, "line 2: missing '(' after '__has_include'"),
     (lambda: active_branches(env_of(), "#if 0\n#elif __has_builtin\n#endif\n"), ExprSyntaxError,
      "line 2: missing '(' after '__has_builtin'"),
+    # The first problem in reading order is reported: a call that starts
+    # before a literal or a stray character, or the literal that comes first.
+    (lambda: eval_condition(env_of(), '__has_include("x.h")'), UnsupportedMacroError,
+     "function-like macro '__has_include' invoked in a condition"),
+    (lambda: eval_condition(env_of(), "__has_include(<x.h>)"), UnsupportedMacroError,
+     "function-like macro '__has_include' invoked in a condition"),
+    (lambda: eval_condition(env_of(), '"a" == __has_include(x)'), ExprSyntaxError,
+     "string and character constants are not supported in expression"),
 ])
 def test_evaluator_error_texts(call, error, message):
     with pytest.raises(error) as err:
@@ -1043,13 +1051,15 @@ def _defined_by_header(line, env):
     it leaves defined are retained."""
     made = []
 
-    def record(*fields):
-        made.append(MacroDefinition(*fields))
-        return made[-1]
+    def record(cls, fields):
+        built = tuple.__new__(cls, fields)
+        if cls is MacroDefinition:
+            made.append(built)
+        return built
 
     tests = "".join(f"#ifdef {name}\n{name}\n#endif\n" for name in _UNDEF_NAMES)
     try:
-        with mock.patch.object(macro_env, "MacroDefinition", record):
+        with mock.patch.object(macro_env, "_new", record):
             report = active_branches(env, f"{line}\n{tests}")
     except macro_env.PreprocessorError:
         return None
