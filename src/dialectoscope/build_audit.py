@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import posixpath
 from enum import IntEnum
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .dialect_model import (
     DIMENSIONS,
@@ -50,7 +50,8 @@ _SEVERITY_TEXT = {s: s.name.lower() for s in Severity}
 
 # Divergence in object layout silently changes what shared data means
 # across TUs; divergence in the macro environment "only" selects
-# different code.  Overridable per audit call.
+# different code.  Each finding carries its dimension's severity, which
+# --fail-on compares against.
 DEFAULT_SEVERITY_POLICY: dict[str, Severity] = {
     "char_is_signed": Severity.HIGH,
     "bitfield_is_signed": Severity.HIGH,
@@ -245,16 +246,6 @@ def load_build(document: str, profile: CompilerProfile) -> BuildCapture:
     return BuildCapture(entries=tuple(entries), profile=profile)
 
 
-def _policy(overrides: Mapping[str, Severity] | None) -> dict[str, Severity]:
-    policy = dict(DEFAULT_SEVERITY_POLICY)
-    if overrides:
-        for dimension, severity in overrides.items():
-            if dimension not in policy:
-                raise ValueError(f"unknown dialect dimension: {dimension}")
-            policy[dimension] = Severity(severity)
-    return policy
-
-
 class _DialectFacts(NamedTuple):
     """What an audit or a check reports of each TU of one dialect."""
 
@@ -306,14 +297,9 @@ class _BuildFacts(NamedTuple):
         )
 
 
-def _build_facts(
-    capture: BuildCapture,
-    reference: DialectConfig | None = None,
-    severity_policy: Mapping[str, Severity] | None = None,
-) -> _BuildFacts:
+def _build_facts(capture: BuildCapture, reference: DialectConfig | None = None) -> _BuildFacts:
     """The facts of an audit of ``capture`` or, given a ``reference``, of a
     check against it: each distinct dialect's facts are worked out once."""
-    policy = _policy(severity_policy)
     # An unauditable entry has no dialect: None, first, maps to no position.
     positions: dict[DialectConfig | None, int | None] = {None: None}
     index = [positions.setdefault(e.dialect, len(positions) - 1) for e in capture.entries]
@@ -327,7 +313,7 @@ def _build_facts(
     for dialect in list(positions)[1:]:
         settings = tuple(map(format_setting, dialect))
         differences = tuple(
-            (dim, setting, theirs_text, policy[dim])
+            (dim, setting, theirs_text, DEFAULT_SEVERITY_POLICY[dim])
             for dim, mine, setting, (theirs, theirs_text)
             in zip(DIMENSIONS, dialect, settings, references)
             if mine != theirs
@@ -351,7 +337,7 @@ def _build_facts(
             inconsistencies.append(Inconsistency(
                 dimension,
                 tuple((v, tuple(files)) for v, files in partition.items()),
-                policy[dimension],
+                DEFAULT_SEVERITY_POLICY[dimension],
             ))
     return _BuildFacts(
         capture.entries,
@@ -362,19 +348,13 @@ def _build_facts(
     )
 
 
-def audit(
-    capture: BuildCapture, severity_policy: Mapping[str, Severity] | None = None
-) -> AuditReport:
+def audit(capture: BuildCapture) -> AuditReport:
     """Report each dimension on which the capture's TUs disagree, with
     the partition of files by value."""
-    return _build_facts(capture, severity_policy=severity_policy).report()
+    return _build_facts(capture).report()
 
 
-def check_against(
-    capture: BuildCapture,
-    reference: DialectConfig,
-    severity_policy: Mapping[str, Severity] | None = None,
-) -> AuditReport:
+def check_against(capture: BuildCapture, reference: DialectConfig) -> AuditReport:
     """Compare every TU dialect against the analysis tool's declared
     dialect; one mismatch row per differing (file, dimension)."""
-    return _build_facts(capture, reference, severity_policy).report()
+    return _build_facts(capture, reference).report()

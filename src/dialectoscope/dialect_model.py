@@ -181,13 +181,13 @@ def dialect_count_lower_bound(n_behaviors: int) -> int:
     return 1 << n_behaviors
 
 
-def decimal_scientific(n: int, significant_digits: int = 3) -> str:
-    """Render a big integer like ``5.19 × 10^33``."""
+def decimal_scientific(n: int) -> str:
+    """Render a big integer like ``5.19 × 10^33``, to 3 significant digits."""
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     from decimal import ROUND_HALF_EVEN, Context
 
-    ctx = Context(prec=significant_digits, rounding=ROUND_HALF_EVEN)
+    ctx = Context(prec=3, rounding=ROUND_HALF_EVEN)
     _, digits, exponent = ctx.create_decimal(n).as_tuple()
     mantissa_digits = "".join(map(str, digits))
     power = exponent + len(mantissa_digits) - 1
@@ -197,9 +197,9 @@ def decimal_scientific(n: int, significant_digits: int = 3) -> str:
     return f"{mantissa} × 10^{power}"
 
 
-def e_notation(n: int, significant_digits: int = 3) -> str:
+def e_notation(n: int) -> str:
     """Render a big integer like ``5.19e33`` (machine-friendly form)."""
-    human = decimal_scientific(n, significant_digits)
+    human = decimal_scientific(n)
     mantissa, _, power = human.partition(" × 10^")
     return f"{mantissa}e{power}"
 

@@ -157,9 +157,7 @@ def predefined_macros(config: DialectConfig, profile: CompilerProfile) -> MacroE
     return MacroEnv._owning(table)
 
 
-def _apply(
-    table: dict[str, MacroDefinition], directives: Iterable[MacroDirective], provenance: str
-) -> MacroEnv:
+def _apply(table: dict[str, MacroDefinition], directives: Iterable[MacroDirective]) -> MacroEnv:
     for d in directives:
         if d.action == "define":
             value = d.value if d.value is not None else "1"
@@ -168,10 +166,10 @@ def _apply(
                 # -D'F(x)=x+1' means "#define F(x) x+1": the body is stored
                 # as a source #define stores it.
                 table[name] = MacroDefinition(
-                    name, f"({params} {value}".strip(), provenance, function_like=True
+                    name, f"({params} {value}".strip(), COMMAND_LINE, function_like=True
                 )
             else:
-                table[name] = MacroDefinition(name, value, provenance)
+                table[name] = MacroDefinition(name, value, COMMAND_LINE)
         elif d.action == "undefine":
             table.pop(d.name, None)
         else:
@@ -179,12 +177,11 @@ def _apply(
     return MacroEnv._owning(table)
 
 
-def apply_directives(
-    env: MacroEnv, directives: Iterable[MacroDirective], provenance: str = COMMAND_LINE
-) -> MacroEnv:
-    """Apply -D/-U style directives in order; define overwrites,
-    undefine removes, undefining an absent name is a no-op."""
-    return _apply(dict(env._table), directives, provenance)
+def apply_directives(env: MacroEnv, directives: Iterable[MacroDirective]) -> MacroEnv:
+    """Apply -D/-U style directives in order, as command-line definitions;
+    define overwrites, undefine removes, undefining an absent name is a
+    no-op."""
+    return _apply(dict(env._table), directives)
 
 
 def invocation_macro_env(inv: CompilerInvocation) -> MacroEnv:
@@ -193,7 +190,7 @@ def invocation_macro_env(inv: CompilerInvocation) -> MacroEnv:
     table = predefined_macros(inv.dialect, inv.profile)._table
     for name, value in inv.profile_defines:
         table[name] = MacroDefinition(name, value, PREDEFINED)
-    return _apply(table, inv.macro_directives, COMMAND_LINE)
+    return _apply(table, inv.macro_directives)
 
 
 # --- conditional expression evaluation -----------------------------------
@@ -620,7 +617,14 @@ def _evaluate(expr: str, lookup: _Lookup, bodies: _Bodies, ints: dict[str, _Int]
 def eval_condition(env: MacroEnv, expr: str) -> int:
     """Evaluate a preprocessor constant expression against an environment,
     over GCC's built-in macros; nonzero means the branch is taken."""
-    return _evaluate(expr, {**_BUILTINS, **env._table}.get, {}, {})
+    table = env._table
+
+    def lookup(name: str) -> MacroDefinition | None:
+        # The environment's definition of a name wins over a built-in one.
+        macro = table.get(name)
+        return macro if macro is not None else _BUILTINS.get(name)
+
+    return _evaluate(expr, lookup, {}, {})
 
 
 # --- conditional-compilation branch reports -------------------------------

@@ -335,14 +335,6 @@ def test_audit_multiple_dimensions(profile):
     assert dims == {"optimized", "pointer_width_64"}
 
 
-def test_audit_severity_override(profile):
-    capture = capture_of([("a.c", "-std=c99"), ("b.c", "-std=c11")], profile)
-    report = audit(capture, severity_policy={"std_class": Severity.HIGH})
-    assert report.inconsistencies[0].severity is Severity.HIGH
-    with pytest.raises(ValueError):
-        audit(capture, severity_policy={"no_such_dimension": Severity.HIGH})
-
-
 def test_audit_counts_unauditable_as_high(profile):
     doc = json.dumps(
         [

@@ -1255,6 +1255,70 @@ def test_help_and_usage_come_from_the_full_parser(argv):
     assert printed(main) == printed(cli.build_parser().parse_args)
 
 
+#: A cold call of the command line under Python's development mode, with
+#: warnings as errors.  The command line runs with the cyclic collector off,
+#: so a file or pipe it left unclosed would go unnoticed: here its
+#: ResourceWarning reaches standard error.
+DEV_MODE_MAIN = [
+    sys.executable, "-X", "dev", "-W", "error",
+    "-c", "import sys; from dialectoscope.cli import main; sys.exit(main())",
+]
+
+
+def _retained_is_the_kept_lines(out):
+    kept = "".join(f"x{i}\n" if i % 3 else "y\n" for i in range(3000))
+    return json.loads(out)["retained_text"] == kept
+
+
+@pytest.mark.parametrize(
+    "argv,status,err,check_out",
+    [
+        (["--format", "json", "probe", "flags", "443"], 0, "", None),
+        (["--format", "json", "probe", "emit"], 0, "", None),
+        # Each TU defines its own ID, which shares the effect of the head
+        # -DID=, and one TU's -DA=## is rejected as GCC rejects it.
+        (["--format", "json", "build", "check", "DB", "--reference", "228"], 1, "", None),
+        # The reports of 3000 groups span several output chunks; the human
+        # one is streamed a group at a time, and the retained text is joined
+        # only when it is printed.
+        (["--format", "json", "macros", "branches", "GROUPS"], 0, "", None),
+        (["--format", "human", "macros", "branches", "GROUPS"], 0, "", None),
+        (["--format", "json", "macros", "branches", "--show-retained", "GROUPS"], 0, "",
+         _retained_is_the_kept_lines),
+        pytest.param(
+            ["include", "resolve", "--root", "/usr", "--header", "stdio.h", "--form", "angle",
+             "--includer", "m.c", "--flags=-I/usr/include"], 0, "",
+            lambda out: "resolved: /usr/include/stdio.h" in out.splitlines(),
+            marks=pytest.mark.skipif(not os.path.isfile("/usr/include/stdio.h"),
+                                     reason="no /usr/include/stdio.h"),
+        ),
+        # An input error: its one line, and no traceback.
+        (["macros", "eval", "__has_include"], 2, "error: missing '(' after '__has_include'\n",
+         None),
+    ],
+    ids=["probe-flags", "probe-emit", "build-check", "branches-json", "branches-human",
+         "branches-retained", "include-resolve-root", "eval-bare-has-include"],
+)
+def test_calls_under_development_mode(tmp_path, argv, status, err, check_out):
+    inputs = {"DB": tmp_path / "db.json", "GROUPS": tmp_path / "groups.h"}
+    inputs["DB"].write_text(compile_db(
+        [(f"f{i}.c", f"-O2 -DID={i}" + (" -DA=##" if i == 1500 else "")) for i in range(3000)]
+    ))
+    inputs["GROUPS"].write_text(
+        "".join(f"#if {i} % 3\nx{i}\n#elif 0\n#else\ny\n#endif\n" for i in range(3000))
+    )
+    done = subprocess.run(
+        [*DEV_MODE_MAIN, *(str(inputs.get(a, a)) for a in argv)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (status, err)
+    if check_out is not None:
+        assert check_out(done.stdout)
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_pipe_ends_quietly(tmp_path, unbuffered):
     # About 300 kB of JSON for the audit, and 3 MB for the check, whose
@@ -1262,12 +1326,11 @@ def test_closed_pipe_ends_quietly(tmp_path, unbuffered):
     # a pipe holds, so each call is still writing when the reader goes.
     db = tmp_path / "db.json"
     db.write_text(compile_db([(f"f{i}.c", "-O2") for i in range(2000)]))
-    code = "import sys; from dialectoscope.cli import main; sys.exit(main())"
     # Each call ends with its own status: the audit finds nothing, and the
     # check finds that every TU differs from the reference.
     for argv, status in (["audit", str(db)], 0), (["check", str(db), "--reference", "228"], 1):
         proc = subprocess.Popen(
-            [sys.executable, "-c", code, "--format", "json", "build", *argv],
+            [*DEV_MODE_MAIN, "--format", "json", "build", *argv],
             env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered},
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,

@@ -173,6 +173,8 @@ def test_eval_discrimination_examples(profile):
     assert eval_condition(env, "__STDC_VERSION__ % 4") == 2
     env = env_of(__STDC_HOSTED__="1")
     assert eval_condition(env, "!defined(__STDC_HOSTED__) || __STDC_HOSTED__ == 0") == 0
+    # An environment's definition of a built-in's name wins over the built-in.
+    assert eval_condition(env_of(__LINE__="5"), "__LINE__ == 5") == 1
 
 
 @pytest.mark.parametrize(
@@ -1012,6 +1014,9 @@ def test_skipped_groups_are_read_only_for_directive_names():
      "function-like macro '__has_include' invoked in a condition"),
     (lambda: eval_condition(env_of(), '"a" == __has_include(x)'), ExprSyntaxError,
      "string and character constants are not supported in expression"),
+    # Without a definition of its own, an environment has GCC's __LINE__.
+    (lambda: eval_condition(env_of(), "__LINE__ == 5"), UnsupportedMacroError,
+     "built-in macro '__LINE__' used in a condition"),
 ])
 def test_evaluator_error_texts(call, error, message):
     with pytest.raises(error) as err:
