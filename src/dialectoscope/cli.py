@@ -24,14 +24,18 @@ All subcommands except ``probe verify`` are hermetic: no subprocesses
 and no filesystem access beyond files named on the command line.
 
 A process runs one subcommand, so each handler imports the library
-modules it uses, and :func:`main` parses with a parser holding only the
-subcommand named on the command line.
+modules it uses.  A command line is read from the ``COMMANDS`` table and
+the global options first, which give the namespace argparse would give;
+argparse is imported, and the full parser built and run, only where the
+table declines: for help, a usage error, or a reading it leaves to
+argparse.  So help, usage and error text are argparse's own.
 
 A call of :func:`main` runs with the cyclic garbage collector off and
 leaves it on or off as it found it, whether the call returns, exits or
 raises.  Reference counting frees what a call drops as it goes; the
-cycles a call leaves behind are a fixed few (the argparse parser's), not
-a number per TU, line or value.  A call also registers ``gc.freeze`` to
+cycles a call leaves behind are a fixed few (none where the table reads
+the command line, the argparse parser's where it does not), not a number
+per TU, line or value.  A call also registers ``gc.freeze`` to
 run at exit, once per process, so that the interpreter's final
 collection has no heap to walk.  Output and exit status are the same as
 with the collector on.
@@ -39,17 +43,19 @@ with the collector on.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import functools
 import gc
 import json
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from . import _EXPORTS
 
 if TYPE_CHECKING:
+    import argparse
+
     from .dialect_model import TypeModel
     from .macro_env import MacroEnv
 
@@ -690,6 +696,31 @@ def _arg(*names, **kwargs):
     return names, kwargs
 
 
+def _global_options() -> list:
+    """The options before the group name, as ``_arg`` pairs."""
+    from .profiles import DEFAULT_PROFILE
+
+    return [
+        _arg(
+            "--profile",
+            default=DEFAULT_PROFILE,
+            help=f"compiler profile name (default {DEFAULT_PROFILE})",
+        ),
+        _arg(
+            "--profile-dir",
+            action="append",
+            default=[],
+            help="extra directory to search for profile data files",
+        ),
+        _arg(
+            "--format",
+            choices=("human", "json"),
+            default="human",
+            help="output format (default human)",
+        ),
+    ]
+
+
 _FLAGS = _arg(
     "--flags",
     default="",
@@ -741,8 +772,9 @@ _GROUPS = {
 }
 
 #: (group, subcommand or None for a command of its own, help, handler,
-#: arguments).  A list among the arguments is a set of which exactly
-#: one must be given.
+#: arguments).  An argument is a pair of names and ``add_argument``
+#: keywords, which both :func:`_read` and :func:`build_parser` read.  A
+#: list among the arguments is a set of which exactly one must be given.
 COMMANDS = [
     ("probe", "emit", "print the probe source", cmd_probe_emit,
      [_arg("--output", help="write to a file instead of stdout")]),
@@ -760,7 +792,7 @@ COMMANDS = [
          _arg("--jobs", type=int, default=8),
      ]),
     ("invocation", "parse", "parse compiler arguments (put them after --)",
-     cmd_invocation_parse, [_FLAGS, _ENV, _arg("argv", nargs=argparse.REMAINDER)]),
+     cmd_invocation_parse, [_FLAGS, _ENV, _arg("argv", nargs="...")]),
     ("macros", "show", "list the macro table for a dialect", cmd_macros_show,
      _DIALECT),
     ("macros", "eval", "evaluate a preprocessor condition", cmd_macros_eval,
@@ -819,49 +851,38 @@ COMMANDS = [
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand."""
-    return _parser(COMMANDS)
+    """The argparse parser of every subcommand.  It reads a command line as
+    :func:`_parse_args` does, and it alone prints help and usage errors."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser for which a value that argparse turns into a
+        list, as Python 3.11's argparse turns the value of ``--flags=--``
+        into ``[]``, is a usage error."""
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser for which a value that argparse turns into a list,
-    as Python 3.11's argparse turns the value of ``--flags=--`` into ``[]``,
-    is a usage error."""
+        def _get_values(self, action, arg_strings):
+            value = super()._get_values(action, arg_strings)
+            if action.nargs is None and isinstance(value, list):
+                raise argparse.ArgumentError(action, "expected one argument, not '--'")
+            return value
 
-    def _get_values(self, action, arg_strings):
-        value = super()._get_values(action, arg_strings)
-        if action.nargs is None and isinstance(value, list):
-            raise argparse.ArgumentError(action, "expected one argument, not '--'")
-        return value
+    def add_arguments(parser, arguments) -> None:
+        for spec in arguments:
+            if isinstance(spec, list):
+                one_of = parser.add_mutually_exclusive_group(required=True)
+                for names, kwargs in spec:
+                    one_of.add_argument(*names, **kwargs)
+            else:
+                parser.add_argument(*spec[0], **spec[1])
 
-
-def _parser(rows, parser_class=_Parser) -> argparse.ArgumentParser:
-    from .profiles import DEFAULT_PROFILE
-
-    parser = parser_class(
+    parser = _Parser(
         prog="dialectoscope",
         description="Measure, derive, and audit C dialect configurations.",
     )
-    parser.add_argument(
-        "--profile",
-        default=DEFAULT_PROFILE,
-        help=f"compiler profile name (default {DEFAULT_PROFILE})",
-    )
-    parser.add_argument(
-        "--profile-dir",
-        action="append",
-        default=[],
-        help="extra directory to search for profile data files",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="output format (default human)",
-    )
+    add_arguments(parser, _global_options())
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for group, name, help_text, handler, arguments in rows:
+    for group, name, help_text, handler, arguments in COMMANDS:
         if name is None:
             p = sub.add_parser(group, help=help_text)
         else:
@@ -871,63 +892,159 @@ def _parser(rows, parser_class=_Parser) -> argparse.ArgumentParser:
                     dest="subcommand", required=True
                 )
             p = groups[group].add_parser(name, help=help_text)
-        for spec in arguments:
-            if isinstance(spec, list):
-                one_of = p.add_mutually_exclusive_group(required=True)
-                for names, kwargs in spec:
-                    one_of.add_argument(*names, **kwargs)
-            else:
-                p.add_argument(*spec[0], **spec[1])
+        add_arguments(p, arguments)
         p.set_defaults(func=handler)
     return parser
 
 
-class _NeedsFullParser(Exception):
-    pass
+#: The options argparse gives every parser.
+_HELP = ("-h", "--help")
 
 
-class _ReducedParser(_Parser):
-    """A parser holding one subcommand.  What it would print (help, usage,
-    an error) names the subcommands it lacks, so it raises instead, and
-    :func:`_parse_args` parses again with every subcommand."""
-
-    def print_help(self, file=None):
-        raise _NeedsFullParser
-
-    def error(self, message):
-        raise _NeedsFullParser
+def _is_operand(word: str) -> bool:
+    """Whether every parser here reads ``word`` as a value or a positional,
+    never as an option: a word with no leading dash, a lone ``-``, or a
+    dash and ASCII digits, which argparse takes for a negative number since
+    no option here looks like one.  (Argparse reads a few more words so,
+    such as a dashed word with a space; :func:`_read` leaves those to it.)"""
+    body = word[1:]
+    return word[:1] != "-" or not body or (body.isascii() and body.isdigit())
 
 
-#: The options before the subcommand; each takes one value.
-_GLOBAL_OPTIONS = ("--profile", "--profile-dir", "--format")
-_GLOBAL_JOINED = tuple(f"{option}=" for option in _GLOBAL_OPTIONS)
+def _ambiguous(word: str, names) -> bool:
+    """Whether argparse takes ``word`` for an abbreviation of two of
+    ``names``, a usage error wherever the word stands before a ``--``."""
+    prefix = word.partition("=")[0]
+    return (
+        prefix[:2] == "--"
+        and prefix not in names
+        and sum(name.startswith(prefix) for name in names) > 1
+    )
 
 
-def _named_rows(argv: list[str]) -> list:
-    """The ``COMMANDS`` row that argv names after the global options, as
-    a list of one, or an empty list when argv names none."""
-    words = iter(argv)
-    for word in words:
-        if word in _GLOBAL_OPTIONS:
-            next(words, None)
-        elif not word.startswith(_GLOBAL_JOINED):
+def _dest(names, kwargs) -> str:
+    return kwargs.get("dest", names[0].lstrip("-").replace("-", "_"))
+
+
+def _read(words: list[str], arguments: list, ns: dict) -> bool:
+    """Read ``words`` into ``ns`` against ``arguments``, ``_arg`` pairs as
+    ``COMMANDS`` holds them, as one argparse parser reads them: each
+    argument's default, then each option and positional given.  False
+    where argparse might read the words otherwise, or fails: help, an
+    option it does not know or takes for an abbreviation, a value of
+    ``--`` or one that looks like an option, a bad ``int`` or choice, a
+    word left over, a missing required argument, or not exactly one member
+    of an exclusive group."""
+    options, positionals, given = {}, [], set()
+    for spec in arguments:
+        for names, kwargs in spec if isinstance(spec, list) else [spec]:
+            dest = _dest(names, kwargs)
+            if kwargs.get("nargs") == "...":
+                ns[dest] = []
+            else:
+                flag = kwargs.get("action") == "store_true"
+                ns[dest] = kwargs.get("default", False if flag else None)
+            if names[0][:1] == "-":
+                options[names[0]] = dest, kwargs
+            else:
+                positionals.append((dest, kwargs))
+    i = 0
+    while i < len(words):
+        word = words[i]
+        if positionals and positionals[0][1].get("nargs") == "..." and (
+            word == "--" or _is_operand(word)
+        ):
+            # The remainder takes every later word, a leading "--" too,
+            # but argparse has read each word before a "--" as an option
+            # name first, and an abbreviation of two options is an error.
+            rest = words[i:]
+            head = rest[: rest.index("--")] if "--" in rest else rest
+            if any(_ambiguous(w, [*options, *_HELP]) for w in head):
+                return False
+            ns[positionals.pop(0)[0]] = rest
+            break
+        if _is_operand(word):
+            if not positionals:
+                return False
+            (dest, kwargs), value = positionals.pop(0), word
+        else:
+            # --opt, --opt=value, -Dvalue and -D=value, as argparse splits them.
+            name, eq, value = word.partition("=")
+            if word in options:
+                name, value = word, None
+            elif not (eq and name in options):
+                if word[1:2] == "-" or word[:2] not in options:
+                    return False
+                name, value = word[:2], word[2:]
+            dest, kwargs = options[name]
+            if kwargs.get("action") == "store_true":
+                if value is not None:
+                    return False
+                value = True
+            elif value is None:
+                i += 1
+                if i == len(words) or not _is_operand(words[i]):
+                    return False
+                value = words[i]
+            elif value == "--":
+                return False
+        if kwargs.get("action") != "store_true":
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return False
+            choices = kwargs.get("choices")
+            if choices is not None and value not in choices:
+                return False
+            if kwargs.get("action") == "append":
+                value = [*(ns[dest] or ()), value]
+        ns[dest] = value
+        given.add(dest)
+        i += 1
+    if any(kwargs.get("nargs") != "..." for _, kwargs in positionals):
+        return False
+    for spec in arguments:
+        if isinstance(spec, list):
+            if sum(_dest(*member) in given for member in spec) != 1:
+                return False
+        elif spec[1].get("required") and _dest(*spec) not in given:
+            return False
+    return True
+
+
+def _table_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the full parser makes of ``argv``, read from the
+    global options and the ``COMMANDS`` table, or None wherever argparse
+    might read the words otherwise or fail."""
+    ns: dict = {}
+    # The group name and what follows it are one remainder of the
+    # top-level parser, as argparse's subparsers take them.
+    if not _read(argv, [*_global_options(), _arg("words", nargs="...")], ns):
+        return None
+    words = ns.pop("words")
+    for group, name, _, handler, arguments in COMMANDS:
+        head = [group] if name is None else [group, name]
+        if words[: len(head)] == head:
             break
     else:
-        return []
-    subcommand = next(words, None)
-    return [r for r in COMMANDS if r[0] == word and r[1] in (None, subcommand)]
+        return None
+    ns["command"] = group
+    if name is not None:
+        ns["subcommand"] = name
+    ns["func"] = handler
+    if not _read(words[len(head) :], arguments, ns):
+        return None
+    return SimpleNamespace(**ns)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    # A reduced parse that succeeds is the full parser's parse, since every
-    # option and choice it met is the same in both.
-    rows = _named_rows(argv)
-    if rows:
-        try:
-            return _parser(rows, _ReducedParser).parse_args(argv)
-        except _NeedsFullParser:
-            pass
-    return build_parser().parse_args(argv)
+def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """The namespace of ``argv``.  A command line is read from the
+    ``COMMANDS`` table first (:func:`_table_parse`); only where the table
+    declines, for help, a usage error or a reading it leaves to argparse,
+    is argparse imported and :func:`build_parser`'s parser run, so that
+    help, usage and error text are argparse's own."""
+    args = _table_parse(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 @functools.cache

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1164,6 +1165,10 @@ NOT_ON_START_PATH = (
     "dataclasses",
     "decimal",
     "hashlib",
+    # A valid command line is read from the COMMANDS table.
+    "argparse",
+    "gettext",
+    "locale",
 )
 
 
@@ -1210,20 +1215,148 @@ def _valid_argv(parser):
         yield argv
 
 
-def test_reduced_parse_is_the_full_parse(monkeypatch):
+def test_table_parse_is_the_full_parse(monkeypatch):
     parser = cli.build_parser()
     argvs = list(_valid_argv(parser))
-    named = {row[:2] for a in argvs for row in cli._named_rows(a)}
-    assert named == {row[:2] for row in cli.COMMANDS}
     argvs += [["--format", "json", *a] for a in argvs]
     argvs += [["--profile=mplab-c18", "--profile-dir", "d", *a] for a in argvs]
     full = [vars(parser.parse_args(a)) for a in argvs]
+    # The golden cases run every row of the table.
+    ran = {(ns["command"], ns.get("subcommand")) for ns in full}
+    assert ran == {row[:2] for row in cli.COMMANDS}
 
     def no_full_parser():
         raise AssertionError("a valid command line needed the full parser")
 
     monkeypatch.setattr(cli, "build_parser", no_full_parser)
     assert [vars(cli._parse_args(a)) for a in argvs] == full
+
+
+def _full_vars(parser, argv):
+    """The vars of the full parser's namespace of argv, or None where it
+    exits (help, or a usage error)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+#: True three times in four: where a command line may hold odd readings,
+#: each place that may hold one does so once in four.
+_MOSTLY = st.integers(0, 3).map(bool)
+
+
+def _values(kwargs):
+    """Values to draw for an argument: valid ones, negative numbers and a
+    lone dash among them, and odd ones, which argparse rejects or reads
+    otherwise."""
+    if kwargs.get("type") is int:
+        return ["443", "0", "-1"], ["-1.5", "x", "--"]
+    if "choices" in kwargs:
+        return list(kwargs["choices"]), ["xml", "--"]
+    return ["x", "A=1", "", "-", "-1", "db.json"], ["--", "-O2", "-O2 -std=c99", "--pro"]
+
+
+@st.composite
+def _spelled(draw, argument, usual):
+    """The argv words that give ``argument``, an ``_arg`` pair, once: in one
+    of the spellings argparse reads, or, where ``usual`` draws False, with
+    an odd value, its value left out or its name abbreviated."""
+    names, kwargs = argument
+    valid, odd = _values(kwargs)
+    mostly = draw(usual)
+    name, value = names[0], draw(st.sampled_from(valid if draw(usual) else odd))
+    if kwargs.get("nargs") == "...":
+        spellings = [[value, "-O2"], ["--", value, "--flags=x"], ["--", "--"]]
+        return draw(st.sampled_from(spellings if mostly else [[value, "--pro"]]))
+    if name[:1] != "-":
+        return [value]
+    if kwargs.get("action") == "store_true":
+        return [name] if mostly else draw(st.sampled_from([[f"{name}={value}"], [name[:-2]]]))
+    if mostly:
+        # --opt value and --opt=value; -DX, -D X and -D=X for a short option.
+        spellings = [[name, value], [f"{name}={value}"]]
+        return draw(st.sampled_from(spellings + [[name + value]] * (len(name) == 2)))
+    # No value, or an abbreviation: unique, or of two options.
+    return draw(st.sampled_from([[name], [name[:-2], value]]))
+
+
+#: Words that spell no argument: help, a "--", an abbreviation of two
+#: global options, and a word left over.
+_STRAY = [["-h"], ["--help"], ["--he"], ["--"], ["--pro"], ["--=x"], ["x"], ["-"]]
+
+
+@st.composite
+def _command_lines(draw):
+    """An argv for one ``COMMANDS`` row.  Each global option and optional
+    argument is given no, one or two times, a positional or required
+    argument and one member of an exclusive group once, and the row's
+    arguments come in any order.  One line in three may hold odd readings:
+    a required argument missing or given twice, an odd spelling, a global
+    option after the group name, a stray word, or a wrong or missing
+    subcommand; the other lines are valid, so the two parses are compared."""
+    group, name, _, _, arguments = draw(st.sampled_from(cli.COMMANDS))
+    usual = _MOSTLY if draw(st.integers(0, 2)) == 0 else st.just(True)
+
+    def given(specs):
+        pieces = []
+        for spec in specs:
+            if isinstance(spec, list):
+                # An exclusive group: one member, or now and then none or all.
+                one = draw(st.sampled_from(spec))
+                members = [one] if draw(usual) else draw(st.sampled_from([[], spec]))
+                pieces += [draw(_spelled(member, usual)) for member in members]
+                continue
+            names, kwargs = spec
+            if not draw(usual):
+                count = draw(st.sampled_from([0, 2]))
+            elif kwargs.get("required") or names[0][:1] != "-":
+                count = 1
+            else:
+                count = draw(st.sampled_from([0, 0, 1, 2]))
+            pieces += [draw(_spelled(spec, usual)) for _ in range(count)]
+        return pieces
+
+    front = given(cli._global_options())
+    back = given(arguments)
+    if not draw(usual):
+        back.append(draw(st.sampled_from(_STRAY)))
+    if front and not draw(usual):
+        back.append(front.pop())
+    head = [group] if name is None else [group, name]
+    if not draw(usual):
+        head = draw(st.sampled_from([[group], [group, "nope"]]))
+    return [w for piece in front for w in piece] + head + [
+        w for piece in draw(st.permutations(back)) for w in piece
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+@example(["space", "count", "--behaviors", "-1"])
+@example(["build", "check", "db.json", "--reference", "228"])
+@example(["--profile-dir", "a", "--profile-dir=b", "macros", "show", "-DX", "-D", "Y", "-D=Z"])
+@example(["--format", "json", "invocation", "parse", "--flags=-m32", "--", "--", "-O2"])
+@example(["invocation", "parse", "a.c", "--pro"])
+@example(["probe", "flags", "1", "--format", "json"])
+@example(["macros", "show", "--flags=--"])
+@example(["--profi", "x", "profiles"])
+@example(["probe", "value", "--env", "A=1"])
+@example(["build", "check", "db.json", "--reference", "1", "--reference-flags=-O2"])
+@example(["--form", "json", "profiles"])
+def test_table_parse_is_the_full_parse_or_none(argv):
+    # Both parsers read this one list of global options, so the default of
+    # --profile-dir is the one list either would extend if it extended one.
+    options = cli._global_options()
+    with mock.patch.object(cli, "_global_options", lambda: options):
+        full = _full_vars(cli.build_parser(), argv)
+        table = cli._table_parse(argv)
+    assert options[1][1]["default"] == []
+    if full is None:
+        assert table is None
+    elif table is not None:
+        assert vars(table) == full
 
 
 @pytest.mark.parametrize(
@@ -1242,6 +1375,11 @@ def test_reduced_parse_is_the_full_parse(monkeypatch):
         ["--profile"],
         ["build", "check", "db.json"],
         [],
+        # Readings the table declines: a global option after the group
+        # name, an option with no value, and two of an exclusive group.
+        ["probe", "flags", "1", "--format", "json"],
+        ["macros", "show", "-D"],
+        ["build", "check", "db.json", "--reference", "1", "--reference-flags=-O2"],
     ],
 )
 def test_help_and_usage_come_from_the_full_parser(argv):
@@ -1295,9 +1433,11 @@ def _retained_is_the_kept_lines(out):
         # An input error: its one line, and no traceback.
         (["macros", "eval", "__has_include"], 2, "error: missing '(' after '__has_include'\n",
          None),
+        # Help comes from the full parser, which only such a call imports.
+        (["--help"], 0, "", lambda out: out.startswith("usage: dialectoscope")),
     ],
     ids=["probe-flags", "probe-emit", "build-check", "branches-json", "branches-human",
-         "branches-retained", "include-resolve-root", "eval-bare-has-include"],
+         "branches-retained", "include-resolve-root", "eval-bare-has-include", "help"],
 )
 def test_calls_under_development_mode(tmp_path, argv, status, err, check_out):
     inputs = {"DB": tmp_path / "db.json", "GROUPS": tmp_path / "groups.h"}
