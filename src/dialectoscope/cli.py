@@ -91,7 +91,8 @@ def _profile(args):
 def _config_dict(config) -> dict:
     from .dialect_model import DIMENSIONS, format_setting
 
-    return {d: format_setting(config.value_of(d)) for d in DIMENSIONS}
+    # A DialectConfig holds its values in DIMENSIONS order.
+    return dict(zip(DIMENSIONS, map(format_setting, config)))
 
 
 def _env_map(pairs: list[str] | None) -> dict[str, str]:
@@ -275,10 +276,12 @@ def cmd_invocation_parse(args) -> Result:
 
 def _macro_env_from_args(args) -> MacroEnv:
     from .dialect_model import decode_value
-    from .invocation import _macro_directive, split_command
+    from .invocation import InvocationError, _macro_directive, split_command
     from .macro_env import apply_directives, invocation_macro_env, predefined_macros
 
     if args.value is not None:
+        if args.flags or args.env:
+            raise InvocationError("--value cannot be combined with --flags or --env")
         env = predefined_macros(decode_value(args.value), _profile(args))
     else:
         env = invocation_macro_env(_invocation(args, split_command(args.flags)))
@@ -396,15 +399,13 @@ def cmd_include_resolve(args) -> Result:
         resolve_include,
         search_paths,
     )
-    from .invocation import InvocationError, split_command
+    from .invocation import split_command
 
-    if args.manifest:
+    if args.manifest is not None:
         cwd = "/" if args.cwd is None else args.cwd
         fs = FileSystemModel.from_manifest(_read_text(args.manifest), cwd=cwd)
-    elif args.root:
-        fs = FileSystemModel.from_directory(args.root, cwd=args.cwd)
     else:
-        raise InvocationError("include resolve needs --manifest or --root")
+        fs = FileSystemModel.from_directory(args.root, cwd=args.cwd)
     inv = _invocation(args, split_command(args.flags))
     form = IncludeForm(args.form)
     directive = IncludeDirective(args.header, form, args.includer)
@@ -740,7 +741,7 @@ _DIALECT = [
         "--value",
         type=int,
         default=None,
-        help="dialect value 0..767 instead of --flags",
+        help="dialect value 0..767 instead of --flags and --env",
     ),
     _ENV,
     _arg(
@@ -808,8 +809,10 @@ COMMANDS = [
          _arg("--header", required=True),
          _arg("--form", choices=("quote", "angle"), required=True),
          _arg("--includer", required=True, help="file containing the directive"),
-         _arg("--manifest", help="virtual filesystem: one path per line"),
-         _arg("--root", help="look candidates up under a real directory instead"),
+         [
+             _arg("--manifest", help="virtual filesystem: one path per line"),
+             _arg("--root", help="look candidates up under a real directory instead"),
+         ],
          _arg("--cwd", help="working directory for relative paths"
                             " (default: / with --manifest, the root with --root)"),
          _FLAGS,
@@ -1101,13 +1104,7 @@ def _run(argv: list[str]) -> int:
 #: Library names that ``dialectoscope.cli.NAME`` resolves besides the
 #: package's own, for callers that reach the library through this module;
 #: the handlers import what they use themselves.
-_UNEXPORTED_NAMES = {
-    "format_setting": "dialect_model",
-    "split_command": "invocation",
-    "_macro_directive": "invocation",
-    "_parse_values_spec": "probe",
-    "verify_with_compiler": "probe",
-}
+_UNEXPORTED_NAMES = {"verify_with_compiler": "probe"}
 
 
 def __getattr__(name: str):

@@ -91,14 +91,10 @@ class DialectConfig(_Validated, _DialectFields):
         if not isinstance(self.ansi_mode, AnsiMode):
             raise TypeError(f"ansi_mode must be an AnsiMode, got {self.ansi_mode!r}")
 
-    def value_of(self, dimension: str):
-        if dimension not in DIMENSIONS:
-            raise KeyError(dimension)
-        return getattr(self, dimension)
-
     def distance(self, other: "DialectConfig") -> int:
         """Number of dimensions on which the two configurations differ."""
-        return sum(1 for d in DIMENSIONS if self.value_of(d) != other.value_of(d))
+        # A DialectConfig holds its values in DIMENSIONS order.
+        return sum(mine != theirs for mine, theirs in zip(self, other))
 
 
 def format_setting(value) -> str:
@@ -127,8 +123,8 @@ def decode_value(value: int) -> DialectConfig:
     if not 0 <= value < ENCODING_SPACE:
         raise DialectValueError(f"dialect value must be in 0..767, got {value}")
     return DialectConfig(
-        std_class=(value >> 6) & 3,
-        ansi_mode=AnsiMode(value >> 8),
+        std_class=value % ANSI_MODE_WEIGHT // STD_CLASS_WEIGHT,
+        ansi_mode=AnsiMode(value // ANSI_MODE_WEIGHT),
         **{f: bool(value & w) for f, w in BOOLEAN_WEIGHTS.items()},
     )
 

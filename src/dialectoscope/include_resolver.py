@@ -46,10 +46,6 @@ class Resolution(NamedTuple):
     found: str | None
     trace: tuple[Probe, ...]
 
-    @property
-    def not_found(self) -> bool:
-        return self.found is None
-
 
 def _normalize(path: str, cwd: str) -> str:
     if not posixpath.isabs(path):
@@ -97,10 +93,6 @@ class FileSystemModel(_FileSystemFields):
         return path in self.files
 
     @classmethod
-    def from_paths(cls, paths, cwd: str = "/") -> "FileSystemModel":
-        return cls(files=frozenset(paths), cwd=cwd)
-
-    @classmethod
     def from_manifest(cls, text: str, cwd: str = "/") -> "FileSystemModel":
         """One path per line; blank lines and lines starting with '#'
         are ignored."""
@@ -109,7 +101,7 @@ class FileSystemModel(_FileSystemFields):
             line = line.strip()
             if line and not line.startswith("#"):
                 paths.append(line)
-        return cls.from_paths(paths, cwd=cwd)
+        return cls(paths, cwd=cwd)
 
     @classmethod
     def from_directory(cls, root: str, cwd: str | None = None) -> "FileSystemModel":

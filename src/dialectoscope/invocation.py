@@ -44,15 +44,16 @@ _IDENT = rf"[A-Za-z_$]{_IDENT_CHAR}*"
 #: A preprocessing token (C11 6.4) as GCC spells it in an error, and the one
 #: token grammar of -D/-U text here and of macro_env's directive operands and
 #: conditions: a plain or "L" string or character literal (an unclosed one
-#: runs to the line's end), a pp-number, an identifier, a punctuator or any
-#: other character.  "##" is one token.  Digraphs, trigraphs and the "u", "U"
-#: and "u8" prefixes are read as plain characters: GCC reads them as more
-#: only under some -std= levels, and a word's effect may not depend on a
-#: later word.  Few operands hold "#" or a parameter list, so here the
-#: pattern is compiled (by re's cache) on first use, not on import.
+#: runs to the line's end, and takes a backslash that ends the text, as GCC
+#: does), a pp-number, an identifier, a punctuator or any other character.
+#: "##" is one token.  Digraphs, trigraphs and the "u", "U" and "u8"
+#: prefixes are read as plain characters: GCC reads them as more only under
+#: some -std= levels, and a word's effect may not depend on a later word.
+#: Few operands hold "#" or a parameter list, so here the pattern is
+#: compiled (by re's cache) on first use, not on import.
 _PP_NUMBER = r"\.?[0-9](?:[eEpP][-+]|[\w$.])*"
 _PP_TOKEN = (
-    r"""L?"(?:[^"\\\n]|\\[^\n])*"?|L?'(?:[^'\\\n]|\\[^\n])*'?"""
+    r"""L?"(?:[^"\\\n]|\\[^\n]?)*"?|L?'(?:[^'\\\n]|\\[^\n]?)*'?"""
     rf"|{_PP_NUMBER}|{_IDENT}|\.\.\.|<<=|>>=|->|\+\+|--|<<|>>|&&|\|\||##|[-+*/%^&|<>=!]=|\S"
 )
 #: The operand of a #define, as GCC reads it after translation phase 3, and

@@ -94,15 +94,8 @@ class MacroEnv:
         env._table = table
         return env
 
-    @classmethod
-    def empty(cls) -> "MacroEnv":
-        return cls()
-
     def lookup(self, name: str) -> MacroDefinition | None:
         return self._table.get(name)
-
-    def defined(self, name: str) -> bool:
-        return name in self._table
 
     def definitions(self) -> list[MacroDefinition]:
         return [self._table[n] for n in sorted(self._table)]
@@ -141,7 +134,7 @@ def predefined_macros(config: DialectConfig, profile: CompilerProfile) -> MacroE
         table[name] = MacroDefinition(name, body, PREDEFINED)
 
     pre("__STDC__", "1")
-    version = profile.stdc_version(config.std_class)
+    version = profile.stdc_version_by_class.get(config.std_class)
     if version is not None:
         pre("__STDC_VERSION__", version)
     pre("__STDC_HOSTED__", "0" if config.freestanding else "1")

@@ -20,7 +20,6 @@ from .dialect_model import (
     ANSI_MODE_WEIGHT,
     ENCODING_SPACE,
     STD_CLASS_WEIGHT,
-    DialectConfig,
     DialectValueError,
     canonical_flags,
     decode_value,
@@ -110,29 +109,26 @@ def flags_for_value(value: int, profile: CompilerProfile) -> list[str]:
     return canonical_flags(decode_value(value), profile)
 
 
-def _contribution(spec: ProbeBitSpec, config: DialectConfig) -> int:
-    dim = config.value_of(spec.dimension)
-    if spec.dimension == "std_class":
-        return spec.weight * dim
-    if spec.dimension == "ansi_mode":
-        return spec.weight * dim.value
-    return spec.weight if dim else 0
-
-
 def explain_value(value: int) -> list[tuple[ProbeBitSpec, int]]:
     """Decompose a probe value into per-dimension contributions.
 
     Returns one (bit spec, contribution) pair per dimension; the
     contributions sum to ``value``.
     """
-    config = decode_value(value)
-    return [(spec, _contribution(spec, config)) for spec in PROBE_BITS]
+    # PROBE_BITS and a DialectConfig both hold the dimensions in DIMENSIONS
+    # order: a flag contributes its weight or 0, the class and the mode
+    # their weight times their number.
+    return [
+        (spec, spec.weight * (setting.value if spec.dimension == "ansi_mode" else setting))
+        for spec, setting in zip(PROBE_BITS, decode_value(value))
+    ]
 
 
 def _parse_values_spec(spec: str) -> list[int]:
     """Values named by a spec such as ``0-767`` or ``0,1,7,40-47``, sorted
-    and deduplicated.  Every endpoint is checked against 0..767 before a
-    range is expanded, so a huge endpoint cannot allocate a huge list."""
+    and deduplicated.  Every endpoint is checked by :func:`decode_value`
+    before a range is expanded, so a huge endpoint cannot allocate a huge
+    list."""
     values: set[int] = set()
     for part in spec.split(","):
         part = part.strip()
@@ -144,9 +140,8 @@ def _parse_values_spec(spec: str) -> list[int]:
             hi = int(b) if dash else lo
         except ValueError:
             raise DialectValueError(f"bad value range {part!r}") from None
-        for v in (lo, hi):
-            if not 0 <= v < ENCODING_SPACE:
-                raise DialectValueError(f"dialect value must be in 0..767, got {v}")
+        decode_value(lo)
+        decode_value(hi)
         if lo > hi:
             raise DialectValueError(f"reversed value range {part!r}")
         values.update(range(lo, hi + 1))

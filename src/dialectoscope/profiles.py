@@ -74,7 +74,6 @@ class CompilerProfile(NamedTuple):
     compiler_id_macros: Mapping[str, str]
     system_include_dirs: tuple[str, ...]
     compiler_basenames: tuple[str, ...] = ("*",)
-    version_range: tuple[int, int] | None = None
     canonical: CanonicalSpellings | None = None
 
     def canonical_spellings(self) -> CanonicalSpellings:
@@ -101,10 +100,6 @@ class CompilerProfile(NamedTuple):
             raise ProfileError(
                 f"profile {self.name!r} does not know -std={name} (known: {known})"
             ) from None
-
-    def stdc_version(self, std_class: int) -> str | None:
-        """Canonical __STDC_VERSION__ replacement text for a residue class."""
-        return self.stdc_version_by_class.get(std_class)
 
     def covers_compiler(self, basename: str) -> bool:
         import fnmatch
@@ -227,14 +222,6 @@ def profile_from_dict(data: dict, source: str = "<dict>") -> CompilerProfile:
             raise ProfileError(f"{context}: bad canonical section: {'; '.join(problems)}")
         canonical = CanonicalSpellings(**spellings)
 
-    version_range = None
-    if data.get("version_range") is not None:
-        try:
-            lo, hi = data["version_range"]
-            version_range = (int(lo), int(hi))
-        except (TypeError, ValueError):
-            raise ProfileError(f"{context}: version_range must be two integers") from None
-
     return CompilerProfile(
         name=name,
         description=data.get("description", ""),
@@ -256,7 +243,6 @@ def profile_from_dict(data: dict, source: str = "<dict>") -> CompilerProfile:
         compiler_basenames=_strings(
             data.get("compiler_basenames", ["*"]), "compiler_basenames", context
         ),
-        version_range=version_range,
         canonical=canonical,
     )
 

@@ -186,7 +186,7 @@ def test_criterion_7_branch_report(dispatch_source):
 
         for has_gnuc in (False, True):
             for has_optimize in (False, True):
-                env = MacroEnv.empty()
+                env = MacroEnv()
                 if has_gnuc:
                     env = env.with_define("__GNUC__", "8", "predefined")
                 if has_optimize:
@@ -228,7 +228,7 @@ def test_criterion_8_build_audit(profile):
             capture = load_build(compile_db([("x.c", flags)]), profile)
             got = check_against(capture, decode_value(ref_value))
             tu, ref = decode_value(tu_value), decode_value(ref_value)
-            distance = sum(tu.value_of(d) != ref.value_of(d) for d in DIMENSIONS)
+            distance = sum(getattr(tu, d) != getattr(ref, d) for d in DIMENSIONS)
             assert len(got.mismatches) == distance
 
 

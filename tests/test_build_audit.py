@@ -96,6 +96,7 @@ def test_unknown_compiler_is_unauditable(profile):
         ('[{"file": "a.c", "arguments": "gcc"}]', "string array"),
         ('[{"file": "a.c", "arguments": []}]', "empty argument list"),
         ('[{"file": "a.c", "command": "gcc \'unclosed"}]', "unparseable command"),
+        ('[{"file": "a.c", "command": 5}]', "'command' must be a string"),
         ('[{"file": "a.c", "directory": 3, "command": "gcc -c a.c"}]', "'directory'"),
     ],
 )
@@ -389,7 +390,7 @@ def test_check_against_counts_dimension_distance(tu_value, ref_value, profile):
     capture = capture_of([("a.c", flags_for(tu_value, profile))], profile)
     report = check_against(capture, decode_value(ref_value))
     tu, ref = decode_value(tu_value), decode_value(ref_value)
-    distance = sum(tu.value_of(d) != ref.value_of(d) for d in DIMENSIONS)
+    distance = sum(getattr(tu, d) != getattr(ref, d) for d in DIMENSIONS)
     assert len(report.mismatches) == distance
     assert (report.mismatches == ()) == (tu_value == ref_value)
 

@@ -381,6 +381,16 @@ def test_macros_eval_with_flags_and_defines(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+def test_macros_env_holds_the_macros_a_profile_flag_defines(capsys):
+    # mplab-c18's -p18f258 predefines __18F258 to 1, and only that flag does.
+    mplab = ["--profile", "mplab-c18", "macros"]
+    assert run(capsys, *mplab, "eval", "--flags=-p18f258", "__18F258 == 1") == (0, "1\n", "")
+    assert run(capsys, *mplab, "eval", "--flags=-p18f452", "defined __18F258") == (0, "0\n", "")
+    code, doc = run_json(capsys, *mplab, "show", "--flags=-O2 -p18f258")
+    definition = {"name": "__18F258", "body": "1", "provenance": "predefined", "function_like": False}
+    assert code == 0 and definition in doc["macros"]
+
+
 @pytest.mark.parametrize(
     "args,out",
     [
@@ -1105,7 +1115,7 @@ def test_missing_subcommand_is_usage_error(capsys):
         ("compiler_basenames", "gcc"),
         ("compiler_basenames", [1]),
         ("system_include_dirs", "/usr/include"),
-        ("version_range", 8),
+        ("std_classes", {"0": {"strict": "c11", "gnu": "gnu11", "stdc_version": 201112}}),
         ("canonical", ["-fsigned-char"]),
         ("flags", {"-ansi": {"std": "c99x"}}),
     ],

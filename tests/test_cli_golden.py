@@ -126,6 +126,11 @@ CASES: dict[str, tuple[list[str], str | None]] = {
     "macros-branches-no-groups": (["macros", "branches", "-"], "int x;\n"),
     "macros-branches-structure-error": (["macros", "branches", "bad.c"], None),
     "macros-branches-missing-file": (["macros", "branches", "no-such.c"], None),
+    "macros-eval-value-with-flags": (
+        ["macros", "eval", "--value", "443", "--flags=-O0", "defined(__OPTIMIZE__)"], None),
+    "macros-show-value-with-env": (["macros", "show", "--value", "0", "--env", "CPATH=/x"], None),
+    "macros-branches-value-with-flags": (
+        ["macros", "branches", "--flags=-O2", "--value", "0", "dispatch.c"], None),
     # include
     "include-quote": (
         [*INCLUDE, "--manifest", "fs.txt", "--flags=-I/inc -nostdinc", "--form", "quote"],
@@ -140,6 +145,8 @@ CASES: dict[str, tuple[list[str], str | None]] = {
         ["include", "resolve", "--header", "h.h", "--form", "angle", "--includer", "m.c",
          "--root", "root", "--flags=-I$TMP/root/inc -nostdinc"], None),
     "include-no-filesystem": ([*INCLUDE, "--form", "quote"], None),
+    "include-both-filesystems": (
+        [*INCLUDE, "--form", "quote", "--manifest", "fs.txt", "--root", "/nonexistent"], None),
     # promote
     "promote-single-cast": (
         ["promote", "check", "--operand", "uint16_t", "--cast", "uint16_t",

@@ -192,10 +192,13 @@ REJECTED_OPERANDS = [
 UNDEF_SHAPES = ["-UA B", "-UF(x)", "-UF()", "-U/**/A", "-U A=1", "-UG//x"]
 #: -D words with "#" or "##" in their body that GCC 12.2 accepts: "##"
 #: between tokens, "#" in an object-like macro, "#" and "##" inside literals,
-#: "#" before a parameter, and -DF(x)y##, whose body is "y## 1".
+#: "#" before a parameter, and -DF(x)y##, whose body is "y## 1"; then bodies
+#: that end in an unclosed literal, which takes a "#" or the backslash that
+#: ends the body.
 ACCEPTED_BODIES = [
     "-DA=x##y", "-DA=#", "-DA=#y", "-DA=# #", '-DA="##"', "-DA='#'", "-DF(x)=#x",
     "-DF(x)=# x", '-DF(x)="#"y', "-DF(...)=#__VA_ARGS__", "-DF(x)y##",
+    "-DA=# 'a\\", '-DF(x)=#x "a\\', "-DF(x)='a\\ #",
 ]
 #: -D words with "$" in a name, which GCC allows in identifiers, and with
 #: comments, which GCC replaces by a space in the "#define" line it reads

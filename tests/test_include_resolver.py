@@ -23,7 +23,7 @@ def inv_for(flags, profile, env=None):
 
 
 def test_normalization():
-    fs = FileSystemModel.from_paths(["src/a.h", "/abs/./b.h", "x/../c.h"], cwd="/proj")
+    fs = FileSystemModel(["src/a.h", "/abs/./b.h", "x/../c.h"], cwd="/proj")
     assert fs.files == {"/proj/src/a.h", "/abs/b.h", "/proj/c.h"}
     assert "src/a.h" in fs
     assert "./src/a.h" in fs
@@ -33,7 +33,7 @@ def test_normalization():
 
 def test_cwd_must_be_absolute():
     with pytest.raises(ValueError):
-        FileSystemModel.from_paths([], cwd="relative")
+        FileSystemModel([], cwd="relative")
 
 
 def test_from_manifest_skips_blanks_and_comments():
@@ -114,7 +114,7 @@ def test_iquote_only_affects_quote_form(profile):
 
 
 def test_quote_prefers_sibling_over_search_dirs(profile):
-    fs = FileSystemModel.from_paths(["/src/util.h", "/inc/util.h"])
+    fs = FileSystemModel(["/src/util.h", "/inc/util.h"])
     inv = inv_for(["-I/inc", "-nostdinc"], profile)
     quote = resolve_include(
         IncludeDirective("util.h", IncludeForm.QUOTE, "/src/main.c"), inv, fs
@@ -128,7 +128,7 @@ def test_quote_prefers_sibling_over_search_dirs(profile):
 
 
 def test_first_hit_stops_probing(profile):
-    fs = FileSystemModel.from_paths(["/b/h.h", "/c/h.h"])
+    fs = FileSystemModel(["/b/h.h", "/c/h.h"])
     inv = inv_for(["-I/a", "-I/b", "-I/c", "-nostdinc"], profile)
     res = resolve_include(IncludeDirective("h.h", IncludeForm.ANGLE, "/m.c"), inv, fs)
     assert res.found == "/b/h.h"
@@ -137,26 +137,26 @@ def test_first_hit_stops_probing(profile):
 
 
 def test_not_found_records_full_trace(profile):
-    fs = FileSystemModel.from_paths([])
+    fs = FileSystemModel([])
     inv = inv_for(["-I/a", "-I/b", "-nostdinc"], profile)
     res = resolve_include(IncludeDirective("no.h", IncludeForm.ANGLE, "/m.c"), inv, fs)
-    assert res.not_found and res.found is None
+    assert res.found is None
     assert [p.candidate for p in res.trace] == ["/a/no.h", "/b/no.h"]
     assert not any(p.hit for p in res.trace)
 
 
 def test_absolute_header_probed_directly(profile):
-    fs = FileSystemModel.from_paths(["/exact/h.h"])
+    fs = FileSystemModel(["/exact/h.h"])
     inv = inv_for(["-I/a"], profile)
     res = resolve_include(IncludeDirective("/exact/h.h", IncludeForm.QUOTE, "/m.c"), inv, fs)
     assert res.found == "/exact/h.h"
     assert len(res.trace) == 1
     res = resolve_include(IncludeDirective("/gone/h.h", IncludeForm.ANGLE, "/m.c"), inv, fs)
-    assert res.not_found and len(res.trace) == 1
+    assert res.found is None and len(res.trace) == 1
 
 
 def test_relative_header_with_subdirectory(profile):
-    fs = FileSystemModel.from_paths(["/inc/sys/types.h"])
+    fs = FileSystemModel(["/inc/sys/types.h"])
     inv = inv_for(["-I/inc", "-nostdinc"], profile)
     res = resolve_include(IncludeDirective("sys/types.h", IncludeForm.ANGLE, "/m.c"), inv, fs)
     assert res.found == "/inc/sys/types.h"
@@ -168,7 +168,7 @@ def test_empty_header_name_rejected():
 
 
 def test_resolution_is_deterministic(profile):
-    fs = FileSystemModel.from_paths(["/a/h.h"])
+    fs = FileSystemModel(["/a/h.h"])
     inv = inv_for(["-I/a", "-nostdinc"], profile)
     d = IncludeDirective("h.h", IncludeForm.ANGLE, "/m.c")
     assert resolve_include(d, inv, fs) == resolve_include(d, inv, fs)
@@ -176,12 +176,12 @@ def test_resolution_is_deterministic(profile):
 
 def test_adding_files_never_loses_a_header(profile):
     inv = inv_for(["-I/a", "-I/b", "-nostdinc"], profile)
-    small = FileSystemModel.from_paths(["/b/h.h"])
-    large = FileSystemModel.from_paths(["/b/h.h", "/a/h.h", "/b/other.h"])
+    small = FileSystemModel(["/b/h.h"])
+    large = FileSystemModel(["/b/h.h", "/a/h.h", "/b/other.h"])
     d = IncludeDirective("h.h", IncludeForm.ANGLE, "/m.c")
     before = resolve_include(d, inv, small)
     after = resolve_include(d, inv, large)
-    assert not after.not_found
+    assert after.found is not None
     assert len(after.trace) <= len(before.trace)
 
 
@@ -193,7 +193,7 @@ _DIRS = ("/a", "/b", "/c")
     header=st.sampled_from(["x.h", "sub/y.h"]),
 )
 def test_trace_has_single_trailing_hit(present, header, profile):
-    fs = FileSystemModel.from_paths([posixpath.join(d, header) for d in present])
+    fs = FileSystemModel([posixpath.join(d, header) for d in present])
     inv = inv_for(["-I/a", "-I/b", "-I/c", "-nostdinc"], profile)
     res = resolve_include(IncludeDirective(header, IncludeForm.ANGLE, "/m.c"), inv, fs)
     if res.found is None:

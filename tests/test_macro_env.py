@@ -37,7 +37,7 @@ from dialectoscope import (
 
 
 def env_of(**macros) -> MacroEnv:
-    env = MacroEnv.empty()
+    env = MacroEnv()
     for name, body in macros.items():
         env = env.with_define(name, str(body), "command-line")
     return env
@@ -52,26 +52,26 @@ def test_predefined_strict_c11_hosted(profile):
     assert env.lookup("__STDC__").body == "1"
     assert env.lookup("__STDC_VERSION__").body == "201112L"
     assert env.lookup("__STDC_HOSTED__").body == "1"
-    assert env.defined("__STRICT_ANSI__")
-    assert not env.defined("__OPTIMIZE__")
-    assert not env.defined("__CHAR_UNSIGNED__")
+    assert "__STRICT_ANSI__" in env
+    assert "__OPTIMIZE__" not in env
+    assert "__CHAR_UNSIGNED__" not in env
     assert env.lookup("__SIZEOF_POINTER__").body == "8"
-    assert env.defined("__GNUC__")
+    assert "__GNUC__" in env
     assert env.lookup("__STDC__").provenance == "predefined"
 
 
 def test_predefined_gnu90_lacks_stdc_version(profile):
     config = DialectConfig(True, True, False, False, True, False, 3, AnsiMode.GNU)
     env = predefined_macros(config, profile)
-    assert not env.defined("__STDC_VERSION__")
-    assert not env.defined("__STRICT_ANSI__")
+    assert "__STDC_VERSION__" not in env
+    assert "__STRICT_ANSI__" not in env
 
 
 def test_predefined_option_dependent_macros(profile):
     config = DialectConfig(False, True, False, True, False, True, 2, AnsiMode.GNU)
     env = predefined_macros(config, profile)
-    assert env.defined("__OPTIMIZE__")
-    assert env.defined("__CHAR_UNSIGNED__")
+    assert "__OPTIMIZE__" in env
+    assert "__CHAR_UNSIGNED__" in env
     assert env.lookup("__STDC_HOSTED__").body == "0"
     assert env.lookup("__SIZEOF_POINTER__").body == "4"
 
@@ -101,7 +101,7 @@ def test_apply_directives_sequences():
     env = env_of()
     define_x = MacroDirective("define", "X", "1")
     env2 = apply_directives(env, [define_x, MacroDirective("undefine", "X")])
-    assert not env2.defined("X")
+    assert "X" not in env2
     env3 = apply_directives(env, [define_x, MacroDirective("define", "X", "2")])
     assert env3.lookup("X").body == "2"
     assert apply_directives(env, [MacroDirective("undefine", "ABSENT")]) == env
@@ -110,17 +110,17 @@ def test_apply_directives_sequences():
 def test_env_immutability():
     base = env_of(A=1)
     extended = base.with_define("B", "2", "source")
-    assert not base.defined("B")
-    assert extended.defined("B")
+    assert "B" not in base
+    assert "B" in extended
     removed = extended.without("A")
-    assert extended.defined("A") and not removed.defined("A")
+    assert "A" in extended and "A" not in removed
     assert len(extended) == 2
 
 
 def test_env_chained_updates_leave_every_env_as_it_was():
     # A hundred chained with_define and without calls, each of which copies
     # the table: every intermediate environment must stay as it was.
-    envs = [MacroEnv.empty()]
+    envs = [MacroEnv()]
     for i in range(100):
         env = envs[-1].with_define(f"M{i}", str(i), "source")
         envs.append(env.without(f"M{i - 1}") if i % 3 == 0 else env)
@@ -128,7 +128,7 @@ def test_env_chained_updates_leave_every_env_as_it_was():
         expected = {f"M{j}" for j in range(i) if not (j + 1 < i and (j + 1) % 3 == 0)}
         assert {d.name for d in env.definitions()} == expected
         assert len(env) == len(expected)
-        assert all(env.defined(name) and name in env for name in expected)
+        assert all(name in env for name in expected)
     assert envs[-1].without("ABSENT") is envs[-1]
     assert envs[-1] == MacroEnv({d.name: d for d in envs[-1].definitions()})
 
@@ -139,7 +139,7 @@ def test_env_never_aliases_its_input():
     snapshot = MacroEnv(dict(table))
     table["B"] = MacroDefinition("B", "2", "command-line")
     del table["A"]
-    assert env == snapshot and env.defined("A") and not env.defined("B")
+    assert env == snapshot and "A" in env and "B" not in env
     directives = [
         MacroDirective("define", "A", "2"),
         MacroDirective("define", "C", "3"),
@@ -147,7 +147,7 @@ def test_env_never_aliases_its_input():
     ]
     assert apply_directives(env, directives) != env
     assert env.with_define("A", "9", "source").lookup("A").body == "9"
-    assert not env.without("A").defined("A")
+    assert "A" not in env.without("A")
     source = "#undef A\n#define D 1\n#if defined(D) && !defined(A)\nx\n#endif\n"
     report = active_branches(env, source)
     assert report.retained_text.endswith("x\n")
@@ -159,8 +159,8 @@ def test_invocation_macro_env(profile):
     env = invocation_macro_env(inv)
     assert env.lookup("FOO").body == "2"
     assert env.lookup("FOO").provenance == "command-line"
-    assert env.defined("__OPTIMIZE__")
-    assert not env.defined("__GNUC__")
+    assert "__OPTIMIZE__" in env
+    assert "__GNUC__" not in env
 
 
 # --- expression evaluation -----------------------------------------------------
@@ -315,7 +315,7 @@ def test_multiplying_expansion_stops_at_the_cap():
 
 
 def test_function_like_macros():
-    env = MacroEnv.empty().with_define("F", "(x) ((x) + 1)", "source", function_like=True)
+    env = MacroEnv().with_define("F", "(x) ((x) + 1)", "source", function_like=True)
     with pytest.raises(UnsupportedMacroError):
         eval_condition(env, "F(2)")
     # The bare name without an argument list is not an invocation.
@@ -507,7 +507,7 @@ _envs = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(_exprs, _envs)
 def test_eval_condition_matches_oracle(node, table):
-    env = MacroEnv.empty()
+    env = MacroEnv()
     for name, (v, u) in table.items():
         env = env.with_define(name, f"{v}U" if u else str(v), "command-line")
     text = _expression_text(node)
@@ -544,7 +544,7 @@ _WRAPPERS = {
     st.lists(st.tuples(st.sampled_from(sorted(_WRAPPERS)), st.integers(0, 1500)), max_size=4),
 )
 def test_deep_expressions_match_oracle(node, table, layers):
-    env = MacroEnv.empty()
+    env = MacroEnv()
     for name, (v, u) in table.items():
         env = env.with_define(name, f"{v}U" if u else str(v), "command-line")
     try:
@@ -773,8 +773,11 @@ _INVALID_DIRECTIVES = [
     ("#/* c */!= x\n", 1, "#!="),
     ("#++\n", 1, "#++"),
     ('#L"a"\n', 1, '#L"a"'),
-    # A backslash that ends the file with no line break after it is a token.
+    # A backslash that ends the file with no line break after it is a token,
+    # or the end of an unclosed literal.
     ("a\n#\\", 2, "#\\"),
+    ("text\ntext\n#'a\\", 3, "#'a\\"),
+    ('#"a\\', 1, '#"a\\'),
 ]
 
 
@@ -850,6 +853,7 @@ _REJECTED_CONDITIONS = [
     ("#define H __has_include\n#if H\n#endif\n", 2,
      'missing \'(\' before "__has_include" operand'),
     ("#if 0\n#elif __has_builtin\n#endif\n", 2, 'missing \'(\' after "__has_builtin"'),
+    ("#if 1 || 'a\\", 1, 'token "\'a\\" is not valid in preprocessor expressions'),
 ]
 
 
@@ -1014,6 +1018,8 @@ def test_skipped_groups_are_read_only_for_directive_names():
      "function-like macro '__has_include' invoked in a condition"),
     (lambda: eval_condition(env_of(), '"a" == __has_include(x)'), ExprSyntaxError,
      "string and character constants are not supported in expression"),
+    (lambda: active_branches(env_of(), "#if 1 || 'a\\"), ExprSyntaxError,
+     "line 1: string and character constants are not supported in expression"),
     # Without a definition of its own, an environment has GCC's __LINE__.
     (lambda: eval_condition(env_of(), "__LINE__ == 5"), UnsupportedMacroError,
      "built-in macro '__LINE__' used in a condition"),
@@ -1659,6 +1665,7 @@ def test_whole_scan_matches_directive_by_directive_reference(env, source):
     "#ifdef A B\n#undef A junk\n#else\n#ifdef\n#endif\n#endif\n#ifdef A\n#endif\n",
     "#define A 2 /* c\n */\n#if A \\\n == 2\nx\n#elif @\n#endif\n#define 3x",
     "#if 1\n#define 3x\n#if 1/0\n#endif\n",
+    "text\ntext\n#'a\\",
 ])
 def test_whole_scan_pinned_cases(source):
     for env in (env_of(), env_of(A=2)):

@@ -49,11 +49,11 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(dialectoscope.__file__)))
 CLI_LIBRARY_NAMES = """
     Severity audit check_against load_build DIMENSIONS DialectValueError TypeModel
     decimal_scientific decode_value dialect_count_lower_bound e_notation
-    encode_config enumerate_integer_size_models format_setting FileSystemModel
+    encode_config enumerate_integer_size_models FileSystemModel
     IncludeDirective IncludeForm resolve_include search_paths InvocationError
-    _macro_directive parse_invocation split_command MacroEnv active_branches
+    parse_invocation MacroEnv active_branches
     apply_directives eval_condition invocation_macro_env predefined_macros
-    PROBE_SHA256 _parse_values_spec emit_probe_source explain_value
+    PROBE_SHA256 emit_probe_source explain_value
     flags_for_value verify_with_compiler DEFAULT_PROFILE available_profiles
     load_profile WrapCheckExpr analyze_wrap_check boundary_pairs parse_ctype
     simulate_wrap_check true_wraparound
@@ -244,5 +244,5 @@ def test_file_system_model_normalizes_its_fields():
     fs = FileSystemModel(["a/../b.h", "/x//c.h"], cwd="/s/./t/")
     assert fs == FileSystemModel(frozenset({"/s/t/b.h", "/x/c.h"}), "/s/t")
     assert fs._replace(cwd="/u") == FileSystemModel(fs.files, "/u")
-    assert "../t/b.h" in FileSystemModel.from_paths(["b.h"], cwd="/s/t")
+    assert "../t/b.h" in FileSystemModel(["b.h"], cwd="/s/t")
     assert CONFIG._replace(ansi_mode=AnsiMode.STRICT) == decode_value(443 - 256)

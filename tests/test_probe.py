@@ -69,7 +69,8 @@ def test_flags_value_range_checked(profile):
 
 
 def test_probe_bits_cover_all_dimensions():
-    assert sorted(spec.dimension for spec in PROBE_BITS) == sorted(DIMENSIONS)
+    # In DIMENSIONS order, which explain_value relies on.
+    assert tuple(spec.dimension for spec in PROBE_BITS) == DIMENSIONS
     weights = sorted(spec.weight for spec in PROBE_BITS)
     assert weights == [1, 2, 4, 8, 16, 32, 64, 256]
 
