@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 import posixpath
 from enum import IntEnum
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 from .dialect_model import (
     DIMENSIONS,
@@ -46,6 +47,11 @@ class Severity(IntEnum):
 
 #: Each severity's JSON text, so a report's rows look it up, not compute it.
 _SEVERITY_TEXT = {s: s.name.lower() for s in Severity}
+
+
+def _top_severity(severities: Iterable[Severity], unauditable: bool) -> Severity | None:
+    """The highest of ``severities``, and HIGH if a TU is ``unauditable``: it may hide anything."""
+    return max(chain(severities, (Severity.HIGH,) if unauditable else ()), default=None)
 
 
 # Divergence in object layout silently changes what shared data means
@@ -115,12 +121,8 @@ class AuditReport(NamedTuple):
     reference_value: int | None = None
 
     def max_severity(self) -> Severity | None:
-        severities = [f.severity for f in self.inconsistencies]
-        severities += [f.severity for f in self.mismatches]
-        if self.unauditable:
-            # An entry we cannot interpret may hide anything.
-            severities.append(Severity.HIGH)
-        return max(severities) if severities else None
+        findings = chain(self.inconsistencies, self.mismatches)
+        return _top_severity((f.severity for f in findings), bool(self.unauditable))
 
     def has_findings(self, threshold: Severity = Severity.MEDIUM) -> bool:
         top = self.max_severity()
@@ -274,9 +276,7 @@ class _BuildFacts(NamedTuple):
         """What :meth:`AuditReport.max_severity` of :meth:`report` gives."""
         severities = [f.severity for f in self.inconsistencies]
         severities += [d[3] for facts in self.dialects for d in facts.differences]
-        if None in self.index:
-            severities.append(Severity.HIGH)
-        return max(severities) if severities else None
+        return _top_severity(severities, None in self.index)
 
     def report(self) -> AuditReport:
         per_tu: list[PerTuRow] = []

@@ -91,11 +91,6 @@ class DialectConfig(_Validated, _DialectFields):
         if not isinstance(self.ansi_mode, AnsiMode):
             raise TypeError(f"ansi_mode must be an AnsiMode, got {self.ansi_mode!r}")
 
-    def distance(self, other: "DialectConfig") -> int:
-        """Number of dimensions on which the two configurations differ."""
-        # A DialectConfig holds its values in DIMENSIONS order.
-        return sum(mine != theirs for mine, theirs in zip(self, other))
-
 
 def format_setting(value) -> str:
     """Text of one dimension's value as reports show it: the mode name

@@ -36,11 +36,17 @@ from .dialect_model import (
 )
 from .profiles import CompilerProfile, ProfileError, StdName
 
-#: A character of an identifier after its first, and an identifier, as GCC
-#: reads them: "$" is an identifier character.  The one definition of the
-#: identifier rule for -D/-U names here and for macro_env's names.
-_IDENT_CHAR = r"[\w$]"
+#: The characters of an identifier after its first, as a class's contents and
+#: as a class, and an identifier, as GCC reads them: "$" is one of them.  The one
+#: definition of the identifier rule: every pattern or set of its characters reads it.
+_IDENT_CHARS = r"\w$"
+_IDENT_CHAR = rf"[{_IDENT_CHARS}]"
 _IDENT = rf"[A-Za-z_$]{_IDENT_CHAR}*"
+#: The one definition of a C string or character literal as GCC reads it, up
+#: to its closing quote ({0}): characters other than the quote, a backslash or
+#: a line break, and escapes.  Each pattern adds its own ending to the result.
+_LITERAL = r"{0}(?:[^{0}\\\n]|\\[^\n])*"
+_STRING, _CHAR = _LITERAL.format('"'), _LITERAL.format("'")
 #: A preprocessing token (C11 6.4) as GCC spells it in an error, and the one
 #: token grammar of -D/-U text here and of macro_env's directive operands and
 #: conditions: a plain or "L" string or character literal (an unclosed one
@@ -51,10 +57,10 @@ _IDENT = rf"[A-Za-z_$]{_IDENT_CHAR}*"
 #: some -std= levels, and a word's effect may not depend on a later word.
 #: Few operands hold "#" or a parameter list, so here the pattern is
 #: compiled (by re's cache) on first use, not on import.
-_PP_NUMBER = r"\.?[0-9](?:[eEpP][-+]|[\w$.])*"
+_PP_NUMBER = rf"\.?[0-9](?:[eEpP][-+]|[{_IDENT_CHARS}.])*"
 _PP_TOKEN = (
-    r"""L?"(?:[^"\\\n]|\\[^\n]?)*"?|L?'(?:[^'\\\n]|\\[^\n]?)*'?"""
-    rf"|{_PP_NUMBER}|{_IDENT}|\.\.\.|<<=|>>=|->|\+\+|--|<<|>>|&&|\|\||##|[-+*/%^&|<>=!]=|\S"
+    rf"""L?{_STRING}["\\]?|L?{_CHAR}['\\]?|{_PP_NUMBER}|{_IDENT}"""
+    r"|\.\.\.|<<=|>>=|->|\+\+|--|<<|>>|&&|\|\||##|[-+*/%^&|<>=!]=|\S"
 )
 #: The operand of a #define, as GCC reads it after translation phase 3, and
 #: the one grammar of -D/-U text here and of macro_env's #define, #undef,
@@ -70,7 +76,7 @@ _PP_TOKEN = (
 #: has its carriage returns made "\n" first.
 _DEFINE_OPERAND = (
     r"[ \t\f\v]*"
-    rf"(?:(?!L[\"'])(?P<name>{_IDENT})(?![\w$]|\\[uU]|[^\x00-\x7f])"
+    rf"(?:(?!L[\"'])(?P<name>{_IDENT})(?!{_IDENT_CHAR}|\\[uU]|[^\x00-\x7f])"
     r"(?P<params>\([^)\n]*\)?)?)?"
     r"[ \t\f\v]*(?P<body>[^\n]*)"
 )
@@ -82,13 +88,7 @@ _DEFINE_OPERAND_RE = re.compile(_DEFINE_OPERAND)
 #: the regex engine skip to the next '"', "'" or "/" at C speed.  Few -D/-U
 #: words hold a comment, so here the pattern is compiled (by re's cache) on
 #: first use.
-_COMMENT = r"""(?sx)
-      "(?:[^"\\\n]|\\[^\n])*"?
-    | '(?:[^'\\\n]|\\[^\n])*'?
-    | //[^\n]*
-    | /\*.*?\*/
-    | /\*
-"""
+_COMMENT = rf"""(?s){_STRING}"?|{_CHAR}'?|//[^\n]*|/\*.*?\*/|/\*"""
 _PASTE_AT_AN_END = "'##' cannot appear at either end of a macro expansion"
 #: An optimisation level in either GCC spelling, -OLEVEL or --optimize=LEVEL,
 #: with an alphanumeric LEVEL.  Group 1 is set for a level GCC reads as 0

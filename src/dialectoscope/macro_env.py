@@ -27,7 +27,7 @@ from operator import add, and_, eq, ge, gt, le, lshift, lt, mul, ne, or_, rshift
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dialect_model import AnsiMode, DialectConfig
-from .invocation import _COMMENT, _DEFINE_OPERAND, _DEFINE_OPERAND_RE, _IDENT, _IDENT_CHAR
+from .invocation import _COMMENT, _DEFINE_OPERAND, _DEFINE_OPERAND_RE, _IDENT, _IDENT_CHAR, _STRING
 from .invocation import _PP_NUMBER, _PP_TOKEN, CompilerInvocation, MacroDirective, _operand_error
 from .profiles import CompilerProfile
 
@@ -150,17 +150,19 @@ def predefined_macros(config: DialectConfig, profile: CompilerProfile) -> MacroE
     return MacroEnv._owning(table)
 
 
+def _function_like(params: str, body: str) -> str:
+    """What a function-like definition stores as its body: "(x) x+1", "(x)"."""
+    return f"{params} {body}".rstrip(" \t\f\v\r")
+
+
 def _apply(table: dict[str, MacroDefinition], directives: Iterable[MacroDirective]) -> MacroEnv:
     for d in directives:
         if d.action == "define":
             value = d.value if d.value is not None else "1"
             name, paren, params = d.name.partition("(")
-            if paren:
-                # -D'F(x)=x+1' means "#define F(x) x+1": the body is stored
-                # as a source #define stores it.
-                table[name] = MacroDefinition(
-                    name, f"({params} {value}".strip(), COMMAND_LINE, function_like=True
-                )
+            if paren:  # -D'F(x)=x+1' means "#define F(x) x+1"
+                body = _function_like(paren + params, value)
+                table[name] = MacroDefinition(name, body, COMMAND_LINE, function_like=True)
             else:
                 table[name] = MacroDefinition(name, value, COMMAND_LINE)
         elif d.action == "undefine":
@@ -221,10 +223,13 @@ _BIN_PRECEDENCE = {
 _PREFIX_OPS = frozenset("!-+~")
 #: The punctuators a condition may hold.
 _CONDITION_PUNCTUATORS = frozenset((*_BIN_PRECEDENCE, *_PREFIX_OPS, "(", ")", "?", ":"))
-#: The characters an identifier starts with, as ``_IDENT`` has them.
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
-#: The characters an identifier or a pp-number starts with.
-_OPERAND_START = _IDENT_START | frozenset("0123456789.")
+#: The first characters of an identifier and of a pp-number ("." only before a
+#: digit): those that begin a match of ``_IDENT`` or ``_PP_NUMBER`` before a digit.
+_IDENT_START, _PP_NUMBER_START = (
+    frozenset(c for c in map(chr, range(128)) if match(c + "0"))
+    for match in (re.compile(_IDENT).match, re.compile(_PP_NUMBER).match)
+)
+_OPERAND_START = _IDENT_START | _PP_NUMBER_START
 _QUOTES = frozenset("\"'")
 #: The provenance of a built-in macro that expands to a number the scan does
 #: not track: the physical line of the token, a count of earlier uses, the
@@ -232,6 +237,7 @@ _QUOTES = frozenset("\"'")
 _UNTRACKED = "untracked"
 #: The provenance of GCC's ``__has_*`` operators, which a condition holds only in a call.
 _OPERATOR = "operator"
+_ANY_ARGUMENTS = _function_like("(...)", "")
 #: The macros GCC 12.2 defines before any other, each one checked with
 #: "#ifdef NAME" under ``gcc -E -P``.  Those that expand to a string the scan
 #: does not know expand to the string literal ``""``, which a line marker or
@@ -246,11 +252,11 @@ _BUILTINS = {
     **{name: MacroDefinition(name, "", _UNTRACKED) for name in (
         "__LINE__", "__COUNTER__", "__INCLUDE_LEVEL__"
     )},
-    **{name: MacroDefinition(name, "(...)", _OPERATOR, function_like=True) for name in (
+    **{name: MacroDefinition(name, _ANY_ARGUMENTS, _OPERATOR, function_like=True) for name in (
         "__has_include", "__has_include_next", "__has_attribute", "__has_cpp_attribute",
         "__has_c_attribute", "__has_builtin",
     )},
-    "_Pragma": MacroDefinition("_Pragma", "(...)", PREDEFINED, function_like=True),
+    "_Pragma": MacroDefinition("_Pragma", _ANY_ARGUMENTS, PREDEFINED, function_like=True),
 }
 
 _Lookup = Callable[[str], MacroDefinition | None]
@@ -392,7 +398,7 @@ def _operand(tok: str) -> _Int:
     identifier that survived macro expansion."""
     if tok[0] in _IDENT_START:
         return _ZERO
-    if tok[0] not in "0123456789.":
+    if tok[0] not in _PP_NUMBER_START:
         raise ExprSyntaxError(f"unexpected token {tok!r}")
     m = _INT_RE.match(tok)
     if m is None:
@@ -777,9 +783,7 @@ def _read_definitions(
                 line = starts[first + text.count("\n", 0, m.start())]
                 raise ConditionalStructureError(reason, line)
         if define:
-            # A function-like body is held after its parameter list, as _apply
-            # holds a -D one.
-            body = (f"{params} {body}" if params else body).rstrip(" \t\f\v\r")
+            body = _function_like(params, body) if params else body.rstrip(" \t\f\v\r")
             table[name] = _new(MacroDefinition, (name, body, SOURCE, bool(params)))
         else:
             table.pop(name, None)
@@ -809,7 +813,7 @@ def _line_error(
         name = next(tokens, None)
         if name is None:
             return None
-        if not re.fullmatch(r'"(?:[^"\\\n]|\\[^\n])*"', name):
+        if not re.fullmatch(_STRING + '"', name):  # a closed plain string literal
             return f'"{name}" is not a valid filename'
         if directive == "#line":
             return None

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from .dialect_model import (
     ANSI_MODE_WEIGHT,
+    BOOLEAN_WEIGHTS,
     ENCODING_SPACE,
     STD_CLASS_WEIGHT,
     DialectValueError,
@@ -41,42 +42,42 @@ class ProbeBitSpec(NamedTuple):
     standard_clause: str
 
 
-#: One entry per dialect dimension, in encoding order.  The last two
-#: weights scale: the standard class contributes weight * class and the
-#: mode contributes weight * mode index.
+#: One entry per dialect dimension, in encoding order, weighted as the
+#: encoding weights it.  The last two weights scale: the standard class
+#: contributes weight * class and the mode contributes weight * mode index.
 PROBE_BITS: tuple[ProbeBitSpec, ...] = (
     ProbeBitSpec(
-        weight=1,
+        weight=BOOLEAN_WEIGHTS["char_is_signed"],
         c_construct="((char)-1) < 0",
         dimension="char_is_signed",
         standard_clause="signedness of plain char",
     ),
     ProbeBitSpec(
-        weight=2,
+        weight=BOOLEAN_WEIGHTS["bitfield_is_signed"],
         c_construct="s.f < 0, with struct { int f:8; } s = { 255 }",
         dimension="bitfield_is_signed",
         standard_clause="signedness of plain int bit-fields",
     ),
     ProbeBitSpec(
-        weight=4,
+        weight=BOOLEAN_WEIGHTS["short_enums"],
         c_construct="sizeof(S) < sizeof(L), S a tiny enum and L an int-range enum",
         dimension="short_enums",
         standard_clause="storage size of enumeration types",
     ),
     ProbeBitSpec(
-        weight=8,
+        weight=BOOLEAN_WEIGHTS["optimized"],
         c_construct="#ifdef __OPTIMIZE__",
         dimension="optimized",
         standard_clause="predefined macros reflecting optimization options",
     ),
     ProbeBitSpec(
-        weight=16,
+        weight=BOOLEAN_WEIGHTS["pointer_width_64"],
         c_construct="sizeof(void *) == 8",
         dimension="pointer_width_64",
         standard_clause="size of object pointers",
     ),
     ProbeBitSpec(
-        weight=32,
+        weight=BOOLEAN_WEIGHTS["freestanding"],
         c_construct="!defined(__STDC_HOSTED__) || __STDC_HOSTED__ == 0",
         dimension="freestanding",
         standard_clause="hosted versus freestanding execution environment",

@@ -100,15 +100,12 @@ class CType(_Validated, _CTypeFields):
         return self.base.value
 
 
-def _unsigned_counterpart(t: CType) -> CType:
-    if t.base is BaseType.FIXED:
-        return CType(BaseType.FIXED, t.fixed_width, True)
-    mapping = {
-        BaseType.CHAR: BaseType.UCHAR, BaseType.SCHAR: BaseType.UCHAR,
-        BaseType.SHORT: BaseType.USHORT, BaseType.INT: BaseType.UINT,
-        BaseType.LONG: BaseType.ULONG, BaseType.LLONG: BaseType.ULLONG,
-    }
-    return CType(mapping.get(t.base, t.base))
+#: The unsigned type of each signed standard type.
+_UNSIGNED = {
+    BaseType.CHAR: BaseType.UCHAR, BaseType.SCHAR: BaseType.UCHAR,
+    BaseType.SHORT: BaseType.USHORT, BaseType.INT: BaseType.UINT,
+    BaseType.LONG: BaseType.ULONG, BaseType.LLONG: BaseType.ULLONG,
+}
 
 
 #: What every integer promotion yields; built once, since each ``CType``
@@ -142,7 +139,9 @@ def arithmetic_conversion(a: CType, b: CType, m: TypeModel) -> CType:
     if sig.width(m) > unsig.width(m):
         # The wider signed type represents the whole unsigned range.
         return sig
-    return _unsigned_counterpart(sig)
+    # A signed fixed-width type never gets here: its rank is that of the
+    # narrowest standard type of its width, so it outranks only narrower types.
+    return CType(_UNSIGNED[sig.base])
 
 
 # --- the wrap-check idiom -------------------------------------------------

@@ -1095,6 +1095,13 @@ def test_missing_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+#: The defaults of gcc8-x86_64.json, which a row of the test below breaks one at a time.
+_GCC_DEFAULTS = {
+    "char_is_signed": True, "bitfield_is_signed": True, "short_enums": False, "optimized": False,
+    "pointer_width_64": True, "freestanding": False, "std": "gnu17",
+}
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
@@ -1118,11 +1125,22 @@ def test_missing_subcommand_is_usage_error(capsys):
         ("std_classes", {"0": {"strict": "c11", "gnu": "gnu11", "stdc_version": 201112}}),
         ("canonical", ["-fsigned-char"]),
         ("flags", {"-ansi": {"std": "c99x"}}),
+        ("std_names", None),  # the required key deleted
+        ("defaults", {**_GCC_DEFAULTS, "optimized": 0}),
+        ("defaults", {**_GCC_DEFAULTS, "std": "c99x"}),
+        ("flags", {"-m32": {"set": {"pointer_width_32": True}}}),
+        ("flags", {"-m32": {"set": {"pointer_width_64": 0}}}),
+        ("std_names", {"gnu17": {"class": 2, "mode": "posix"}}),
+        ("canonical", {"char_signed": 1}),
+        # Class 2, which value 443 holds, has no canonical name.
+        ("std_classes", {"0": {"strict": "c11", "gnu": "gnu11"}}),
     ],
 )
 def test_malformed_profile_is_an_input_error(capsys, tmp_path, key, value):
     data = json.loads((resources.files("dialectoscope") / "data" / "gcc8-x86_64.json").read_text())
     data.update({"name": "bad", key: value})
+    if value is None:
+        del data[key]
     (tmp_path / "bad.json").write_text(json.dumps(data))
     code, out, err = run(capsys, "--profile", "bad", "--profile-dir", str(tmp_path),
                          "probe", "flags", "443")
@@ -1355,6 +1373,7 @@ def _command_lines(draw):
 @example(["probe", "value", "--env", "A=1"])
 @example(["build", "check", "db.json", "--reference", "1", "--reference-flags=-O2"])
 @example(["--form", "json", "profiles"])
+@example(["macros", "branches", "--show-retained=1", "h.h"])
 def test_table_parse_is_the_full_parse_or_none(argv):
     # Both parsers read this one list of global options, so the default of
     # --profile-dir is the one list either would extend if it extended one.

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from dialectoscope import (
     BOOLEAN_WEIGHTS,
-    DIMENSIONS,
     ENCODING_SPACE,
     LP64,
     STD_CLASS_WEIGHT,
@@ -122,14 +121,6 @@ def test_std_class_weight_isolation(value):
         return
     bumped = config._replace(std_class=config.std_class + 1)
     assert encode_config(bumped) - value == STD_CLASS_WEIGHT
-
-
-@given(values, values)
-def test_distance_counts_differing_dimensions(a, b):
-    ca, cb = decode_value(a), decode_value(b)
-    expected = sum(1 for d in DIMENSIONS if getattr(ca, d) != getattr(cb, d))
-    assert ca.distance(cb) == expected == cb.distance(ca)
-    assert ca.distance(ca) == 0
 
 
 def test_invalid_config_rejected():

@@ -29,6 +29,10 @@ def test_normalization():
     assert "./src/a.h" in fs
     assert "/proj/src/../src/a.h" in fs
     assert "missing.h" not in fs
+    # A model of a real directory (files None) is rooted at cwd by default.
+    fs = FileSystemModel(None, cwd="/proj/./sub")
+    assert (fs.files, fs.cwd, fs.root) == (None, "/proj/sub", "/proj/sub")
+    assert FileSystemModel(None, cwd="/proj", root="inc").root == "/proj/inc"
 
 
 def test_cwd_must_be_absolute():

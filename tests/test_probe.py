@@ -16,7 +16,7 @@ from dialectoscope import (
     flags_for_value,
     parse_invocation,
 )
-from dialectoscope.probe import verify_with_compiler
+from dialectoscope.probe import _in_threads, verify_with_compiler
 
 from conftest import GOLDEN_PAIRS
 
@@ -99,3 +99,14 @@ def test_explain_range_checked():
 def test_verify_checks_values_without_a_compiler():
     with pytest.raises(DialectValueError, match=r"^dialect value must be in 0\.\.767, got 768$"):
         verify_with_compiler(compiler="no-such-cc", values=[5, 768])
+
+
+def test_threads_reraise_a_workers_exception():
+    def fn(x):
+        if x == 3:
+            raise OSError(f"item {x}")
+        return x * 2
+
+    assert _in_threads(fn, [1, 2, 4], 2) == [2, 4, 8]
+    with pytest.raises(OSError, match="^item 3$"):
+        _in_threads(fn, [1, 2, 3, 4], 2)
