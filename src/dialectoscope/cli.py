@@ -285,8 +285,7 @@ def _macro_env_from_args(args) -> MacroEnv:
         env = predefined_macros(decode_value(args.value), _profile(args))
     else:
         env = invocation_macro_env(_invocation(args, split_command(args.flags)))
-    extra = [_macro_directive("-D", d) for d in args.define or []]
-    extra += [_macro_directive("-U", u) for u in args.undef or []]
+    extra = [_macro_directive(word[:2], word[2:]) for word in args.macro_words or []]
     return apply_directives(env, extra)
 
 
@@ -744,19 +743,23 @@ _DIALECT = [
         help="dialect value 0..767 instead of --flags and --env",
     ),
     _ENV,
+    # -D and -U words go into one list as written ("-DA=1", "-UA"), so
+    # that they apply in command-line order, as GCC applies them.
     _arg(
         "-D",
-        dest="define",
+        dest="macro_words",
         action="append",
+        type="-D".__add__,
         metavar="NAME[=VALUE]",
         help="extra macro definition applied after the dialect env",
     ),
     _arg(
         "-U",
-        dest="undef",
+        dest="macro_words",
         action="append",
+        type="-U".__add__,
         metavar="NAME",
-        help="macro removal applied after -D options",
+        help="macro removal; -D and -U options apply in command-line order",
     ),
 ]
 _COMPILE_COMMANDS = _arg("compile_commands", help="compile_commands.json path, or -")

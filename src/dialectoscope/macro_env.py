@@ -2,7 +2,7 @@
 conditional-compilation branch reports.
 
 Conditions and the operands of #line and line markers are split into
-pp-tokens by ``invocation._PP_TOKEN`` and expanded by one expander,
+pp-tokens by ``lexer._PP_TOKEN`` and expanded by one expander,
 :func:`_expand`.  The evaluator implements preprocessor constant expressions
 over 64-bit two's-complement arithmetic: integer literals with suffixes,
 ``defined``, object-like macro expansion, the unary and binary integer
@@ -24,12 +24,15 @@ from __future__ import annotations
 import re
 from itertools import accumulate, chain
 from operator import add, and_, eq, ge, gt, le, lshift, lt, mul, ne, or_, rshift, sub, xor
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dialect_model import AnsiMode, DialectConfig
-from .invocation import _COMMENT, _DEFINE_OPERAND, _DEFINE_OPERAND_RE, _IDENT, _IDENT_CHAR, _STRING
-from .invocation import _PP_NUMBER, _PP_TOKEN, CompilerInvocation, MacroDirective, _operand_error
+from .lexer import _COMMENT, _CONDITIONAL, _DEFINE_OPERAND_RE, _DEFINITION, _IDENT, _KEPT_DIRECTIVES
+from .lexer import _PP_NUMBER, _PP_TOKEN, _STRING, _TRAILING_SPACE, _operand_error
 from .profiles import CompilerProfile
+
+if TYPE_CHECKING:
+    from .invocation import CompilerInvocation, MacroDirective
 
 
 class PreprocessorError(ValueError):
@@ -152,7 +155,7 @@ def predefined_macros(config: DialectConfig, profile: CompilerProfile) -> MacroE
 
 def _function_like(params: str, body: str) -> str:
     """What a function-like definition stores as its body: "(x) x+1", "(x)"."""
-    return f"{params} {body}".rstrip(" \t\f\v\r")
+    return f"{params} {body}".rstrip(_TRAILING_SPACE)
 
 
 def _apply(table: dict[str, MacroDefinition], directives: Iterable[MacroDirective]) -> MacroEnv:
@@ -630,31 +633,8 @@ def eval_condition(env: MacroEnv, expr: str) -> int:
 
 # Translation phase 3, as -D/-U text goes through it too.
 _COMMENT_RE = re.compile(_COMMENT)
-# The directive patterns match from the line break before their line, so
-# the regex engine skips to the next line break at C speed; the scan puts a
-# line break before the first line.  Only conditional directives steer the
-# scan; any other line, directive or not, is kept or dropped with its
-# region.
-_CONDITIONAL_RE = re.compile(
-    rf"\n[^\S\n]*#[^\S\n]*(ifdef|ifndef|if|elif|else|endif)(?!{_IDENT_CHAR})[^\S\n]*([^\n]*)"
-)
-#: A directive line other than a conditional one: its directive name, then
-#: the operand, read as a -D/-U argument is read.  Or a line marker: the
-#: pp-number after the "#" and the rest of the line.  Or, when the "#" is
-#: followed by none of these and not by the end of the line (the null
-#: directive), the first token, which GCC names in its error; a line that
-#: starts with "##" is text.  A backslash that ends the text is a token, as
-#: ``_logical_lines`` has dropped a backslash-newline that ends the file.
-_DEFINITION_RE = re.compile(
-    rf"\n[^\S\n]*#(?!#)[^\S\n]*(?:(?!L[\"'])({_IDENT}){_DEFINE_OPERAND}"
-    rf"|({_PP_NUMBER})([^\n]*)|(?!\n|\Z)({_PP_TOKEN}))"
-)
-#: The directive names GCC 12.2 knows besides the conditional ones, #define
-#: and #undef: lines that name one are kept as text.
-_KEPT_DIRECTIVES = frozenset((
-    "include", "include_next", "import", "line", "error", "warning", "pragma", "ident", "sccs",
-    "assert", "unassert", "elifdef", "elifndef",
-))
+_CONDITIONAL_RE = re.compile(_CONDITIONAL)
+_DEFINITION_RE = re.compile(_DEFINITION)
 
 
 class BranchArm(NamedTuple):
@@ -751,7 +731,7 @@ def _read_definitions(
     """Apply the #define and #undef lines of ``text``, an active region of
     the scan's text whose first line break opens logical line ``first``, to
     ``table``.  Operands are read by the grammar of -D/-U words
-    (``invocation._DEFINE_OPERAND``), and one that GCC rejects is an error
+    (``lexer._DEFINE_OPERAND``), and one that GCC rejects is an error
     with GCC's reason; a #define with no macro name is "malformed
     #define".  A #undef reads its first macro name and ignores the rest of
     the line, as GCC does.  The other directives GCC knows
@@ -783,7 +763,7 @@ def _read_definitions(
                 line = starts[first + text.count("\n", 0, m.start())]
                 raise ConditionalStructureError(reason, line)
         if define:
-            body = _function_like(params, body) if params else body.rstrip(" \t\f\v\r")
+            body = _function_like(params, body) if params else body.rstrip(_TRAILING_SPACE)
             table[name] = _new(MacroDefinition, (name, body, SOURCE, bool(params)))
         else:
             table.pop(name, None)

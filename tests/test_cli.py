@@ -381,6 +381,18 @@ def test_macros_eval_with_flags_and_defines(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+@pytest.mark.parametrize(
+    "words",
+    [["-UA", "-DA=1"], ["-DA=1", "-UA"], ["-DA=1", "-DA=2"], ["-U__STDC__", "-D__STDC__=2"]],
+)
+def test_macros_define_options_apply_in_command_line_order_as_in_flags(capsys, words):
+    # GCC applies -D and -U in the order given, so as options they read as in --flags.
+    options = [part for word in words for part in (word[:2], word[2:])]
+    as_options = run(capsys, "macros", "show", "--flags=-O2", *options)
+    assert as_options == run(capsys, "macros", "show", f"--flags=-O2 {' '.join(words)}")
+    assert as_options[0] == 0
+
+
 def test_macros_env_holds_the_macros_a_profile_flag_defines(capsys):
     # mplab-c18's -p18f258 predefines __18F258 to 1, and only that flag does.
     mplab = ["--profile", "mplab-c18", "macros"]

@@ -88,7 +88,7 @@ def test_importing_every_module_loads_no_heavy_stdlib_module():
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import dialectoscope.build_audit, dialectoscope.cli, dialectoscope.dialect_model\n"
-        "import dialectoscope.include_resolver, dialectoscope.invocation\n"
+        "import dialectoscope.include_resolver, dialectoscope.invocation, dialectoscope.lexer\n"
         "import dialectoscope.macro_env, dialectoscope.probe, dialectoscope.profiles\n"
         "import dialectoscope.promotion\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
@@ -100,6 +100,24 @@ def test_importing_every_module_loads_no_heavy_stdlib_module():
     loaded = set(json.loads(done.stdout))
     heavy = {"dataclasses", "decimal", "hashlib", "importlib.resources", "inspect"}
     assert loaded & heavy == set()
+
+
+def _loaded_by(module: str) -> set[str]:
+    """The package modules that importing ``module`` loads in a fresh process."""
+    code = f"import json, sys, {module}\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return {name for name in json.loads(done.stdout) if name.startswith("dialectoscope.")}
+
+
+def test_the_c_text_grammar_is_below_both_of_its_readers():
+    # macro_env reads headers and invocation reads argv; both read C text by
+    # lexer, and neither loads the other.
+    assert "dialectoscope.invocation" not in _loaded_by("dialectoscope.macro_env")
+    assert "dialectoscope.macro_env" not in _loaded_by("dialectoscope.invocation")
+    assert _loaded_by("dialectoscope.lexer") == {"dialectoscope.lexer"}
 
 
 # --- record classes -------------------------------------------------------------
