@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+import dialectoscope
 from dialectoscope import load_profile
 from gcc_oracle import pytest_collection_modifyitems, pytest_configure  # noqa: F401  marker hooks
 
@@ -9,6 +11,17 @@ from gcc_oracle import pytest_collection_modifyitems, pytest_configure  # noqa: 
 @pytest.fixture(scope="session")
 def profile():
     return load_profile()
+
+
+#: The directory that holds the package under test.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(dialectoscope.__file__)))
+
+
+def child_env(**extra):
+    """The environment of a fresh interpreter that imports the package under
+    test: this process's, with ``PYTHONPATH`` set to its directory, and
+    ``extra`` on top."""
+    return {**os.environ, "PYTHONPATH": _SRC, **extra}
 
 
 # Golden value <-> flag-list table.  Tests treat this as frozen

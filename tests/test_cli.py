@@ -1,10 +1,22 @@
-"""End-to-end command-line behavior through cli.main()."""
+"""End-to-end command-line behavior through cli.main() that the golden
+snapshots cannot check.
+
+``tests/cli_golden.json`` is the one record of what each subcommand
+prints: ``test_cli_golden.py`` compares the exit status, standard output
+and standard error of every ``CASES`` entry, in both formats, with it
+byte for byte.  After an intended change of output, rewrite it with
+``PYTHONPATH=src python tests/test_cli_golden.py --update``, review the
+diff and list the changed entries in CHANGES.md.  A check here covers
+what a snapshot does not: argv and values that no case covers, a file a
+command writes, argparse help and usage text, what happens inside the
+process (streaming, laziness, imports, the collector, closed pipes), and
+live gcc runs.
+"""
 
 import argparse
 import contextlib
 import gc
 import glob
-import hashlib
 import io
 import json
 import os
@@ -20,7 +32,7 @@ from hypothesis import example, given, settings, strategies as st
 import dialectoscope
 from dialectoscope import cli, emit_probe_source, macro_env, profiles
 from dialectoscope.cli import main
-from conftest import GOLDEN_PAIRS, DISPATCH_SOURCE, compile_db
+from conftest import GOLDEN_PAIRS, child_env, compile_db
 from test_cli_golden import CASES, FORMATS, GOLDEN, make_workspace, run_case
 
 
@@ -40,19 +52,10 @@ def run_json(capsys, *args):
 
 
 def test_probe_emit(capsys, tmp_path):
-    code, out, _ = run(capsys, "probe", "emit")
-    assert code == 0
-    assert out == emit_probe_source()
-    assert len(out.encode()) == 647
-
     target = tmp_path / "probe.c"
     code, out, _ = run(capsys, "probe", "emit", "--output", str(target))
     assert code == 0
     assert target.read_text() == emit_probe_source()
-
-    code, doc = run_json(capsys, "probe", "emit")
-    assert doc["source"] == emit_probe_source()
-    assert doc["sha256"] == hashlib.sha256(emit_probe_source().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("value", sorted(GOLDEN_PAIRS))
@@ -77,46 +80,6 @@ def test_probe_flags_into_probe_value_round_trips(capsys):
         code, doc = run_json(capsys, "probe", "value", "--flags=" + out.strip())
         assert code == 0
         assert doc["value"] == value
-
-
-def test_probe_value_uses_environment(capsys):
-    code, doc = run_json(
-        capsys, "probe", "value", "--flags=-std=gnu11", "--env", "CPATH=/x"
-    )
-    assert code == 0
-    assert doc["value"] == 275
-
-
-def test_probe_explain(capsys):
-    code, doc = run_json(capsys, "probe", "explain", "443")
-    assert code == 0
-    assert sum(t["contribution"] for t in doc["terms"]) == 443
-    weights = [t["weight"] for t in doc["terms"]]
-    assert weights == [1, 2, 4, 8, 16, 32, 64, 256]
-    code, out, _ = run(capsys, "probe", "explain", "1")
-    assert code == 0
-    assert "((char)-1) < 0" in out
-
-
-def test_probe_explain_rejects_out_of_range(capsys):
-    code, _, err = run(capsys, "probe", "explain", "900")
-    assert code == 2
-    assert "0..767" in err
-
-
-def test_probe_verify_skips_without_compiler(capsys):
-    code, out, _ = run(capsys, "probe", "verify", "--compiler", "no-such-cc-anywhere")
-    assert code == 0
-    assert out.startswith("SKIPPED")
-    code, doc = run_json(capsys, "probe", "verify", "--compiler", "no-such-cc-anywhere")
-    assert code == 0
-    assert doc["status"] == "skipped"
-    assert "not found" in doc["skip_reason"]
-
-
-def test_probe_verify_rejects_bad_values(capsys):
-    code, _, err = run(capsys, "probe", "verify", "--values", "0,900")
-    assert code == 2
 
 
 @pytest.mark.parametrize(
@@ -147,6 +110,11 @@ def test_probe_verify_live_subset(capsys):
     assert code == 0
     assert doc["passed"] == 4 and doc["failed"] == 0
     assert doc["failures"] == []
+    # The human line names a contiguous range, and counts any other set.
+    assert run(capsys, "probe", "verify", "--values", "0,16,427,443", "--jobs", "3") == (
+        0, "all 4 selected values succeeded\n", "")
+    assert run(capsys, "probe", "verify", "--values", "16-19") == (
+        0, "tests 16..19 succeeded\n", "")
 
 
 def fake_compiler(tmp_path, body):
@@ -298,10 +266,9 @@ def test_probe_verify_imports_neither_thread_pools_nor_logging():
         "heavy = ('concurrent.futures', 'logging')\n"
         "print(json.dumps([status, [m for m in heavy if m in sys.modules]]))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dialectoscope.__file__)))
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -312,16 +279,6 @@ def test_probe_verify_imports_neither_thread_pools_nor_logging():
 # --- invocation ----------------------------------------------------------------
 
 
-def test_invocation_parse_argv(capsys):
-    code, doc = run_json(
-        capsys, "invocation", "parse", "--", "-O2", "-DX=1", "-std=c99", "a.c"
-    )
-    assert code == 0
-    assert doc["value"] == 91
-    assert doc["canonical_flags"][2] == "-O2"
-    assert {"action": "define", "name": "X", "value": "1"} in doc["macro_directives"]
-
-
 def test_invocation_parse_function_like_define(capsys):
     code, doc = run_json(capsys, "invocation", "parse", "--", "-DF(x)=x+1", "--std", "c99")
     assert code == 0 and doc["value"] == 83 and doc["sources"] == []
@@ -330,55 +287,16 @@ def test_invocation_parse_function_like_define(capsys):
     assert code == 0 and "macro directives: -DF(x)=x+1\n" in out
 
 
-def test_invocation_parse_flags_option(capsys):
-    code, doc = run_json(capsys, "invocation", "parse", "--flags=-std=gnu11 -m32")
-    assert code == 0
-    assert doc["value"] == 259
-    assert doc["config"]["pointer_width_64"] == "false"
-
-
-def test_invocation_parse_rejects_unknown_std(capsys):
-    code, _, err = run(capsys, "invocation", "parse", "--flags=-std=c2x")
-    assert code == 2
-    assert "c2x" in err
-
-
 # --- macros ---------------------------------------------------------------------
 
 
 def test_macros_show(capsys):
-    code, out, _ = run(capsys, "macros", "show", "--value", "443")
-    assert code == 0
-    assert "__OPTIMIZE__" in out and "[predefined]" in out
     code, doc = run_json(capsys, "macros", "show", "--value", "0", "-D", "EXTRA=2")
     assert code == 0
     table = {m["name"]: m for m in doc["macros"]}
     assert table["__STDC_VERSION__"]["body"] == "201112L"
     assert table["EXTRA"]["provenance"] == "command-line"
     assert "__OPTIMIZE__" not in table
-
-
-def test_macros_eval(capsys):
-    code, out, _ = run(capsys, "macros", "eval", "--value", "443", "__STDC_VERSION__ % 4")
-    assert code == 0 and out.strip() == "2"
-    code, out, _ = run(capsys, "macros", "eval", "--value", "0", "defined(__OPTIMIZE__)")
-    assert code == 0 and out.strip() == "0"
-    code, _, err = run(capsys, "macros", "eval", "--value", "0", "1 +")
-    assert code == 2 and "error" in err
-    code, _, err = run(capsys, "macros", "eval", "--value", "0", "1/0")
-    assert code == 2
-
-
-def test_macros_eval_with_flags_and_defines(capsys):
-    code, out, _ = run(
-        capsys, "macros", "eval", "--flags=-O2", "-D", "N=3", "defined(__OPTIMIZE__) && N"
-    )
-    assert code == 0 and out.strip() == "1"
-    code, out, _ = run(
-        capsys, "macros", "eval", "--flags=-O2", "-U", "__OPTIMIZE__",
-        "defined(__OPTIMIZE__)",
-    )
-    assert code == 0 and out.strip() == "0"
 
 
 @pytest.mark.parametrize(
@@ -465,31 +383,6 @@ def test_an_option_value_argparse_turns_into_a_list_is_a_usage_error(
     err = capsys.readouterr().err
     assert raised.value.code == 2
     assert "Traceback" not in err and f"argument {option}" in err
-
-
-def test_macros_branches_file(capsys, tmp_path):
-    source = tmp_path / "dispatch.c"
-    source.write_text(DISPATCH_SOURCE)
-    code, doc = run_json(
-        capsys, "macros", "branches", "--flags=-O2", str(source), "--show-retained"
-    )
-    assert code == 0
-    (group,) = doc["groups"]
-    assert [arm["taken"] for arm in group["arms"]] == [True, False]
-    assert "goto *dispatch_table" in doc["retained_text"]
-
-    code, out, _ = run(capsys, "macros", "branches", str(source))
-    assert code == 0
-    assert "TAKEN" in out and "not taken" in out
-
-
-def test_macros_branches_stdin(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("#if 1\nyes\n#endif\n"))
-    code, doc = run_json(capsys, "macros", "branches", "--value", "0", "-")
-    assert code == 0
-    assert doc["retained_ranges"] == [[2, 2]]
 
 
 def test_macros_deep_input_and_runaway_expansion(capsys, tmp_path):
@@ -590,14 +483,6 @@ def test_where_glibc_headers_stop(capsys, header, stop, reason):
     line = int(re.match(r"error: line (\d+): ", err)[1])
     with open(paths[0], encoding="utf-8") as fh:
         assert stop in fh.read().split("\n")[line - 1]
-
-
-def test_macros_branches_reports_structure_errors(capsys, tmp_path):
-    bad = tmp_path / "bad.c"
-    bad.write_text("#endif\n")
-    code, _, err = run(capsys, "macros", "branches", str(bad))
-    assert code == 2
-    assert "line 1" in err
 
 
 def _main_on_stdin(argv, source):
@@ -733,46 +618,6 @@ def test_macros_branches_exits_0_or_2_on_directive_soups(source):
 # --- include --------------------------------------------------------------------
 
 
-def test_include_resolve_manifest(capsys, tmp_path):
-    manifest = tmp_path / "fs.txt"
-    manifest.write_text("/src/util.h\n/inc/util.h\n")
-    base = [
-        "include", "resolve", "--header", "util.h", "--includer", "/src/main.c",
-        "--manifest", str(manifest), "--flags=-I/inc -nostdinc",
-    ]
-    code, doc = run_json(capsys, *base, "--form", "quote")
-    assert code == 0
-    assert doc["found"] == "/src/util.h"
-    code, doc = run_json(capsys, *base, "--form", "angle")
-    assert code == 0
-    assert doc["found"] == "/inc/util.h"
-    assert doc["search_order"] == ["/inc"]
-
-
-def test_include_resolve_not_found_exits_1(capsys, tmp_path):
-    manifest = tmp_path / "fs.txt"
-    manifest.write_text("/inc/other.h\n")
-    code, out, _ = run(
-        capsys, "include", "resolve", "--header", "gone.h", "--form", "angle",
-        "--includer", "/m.c", "--manifest", str(manifest), "--flags=-I/inc -nostdinc",
-    )
-    assert code == 1
-    assert "not found" in out
-    assert "miss" in out
-
-
-def test_include_resolve_root_snapshot(capsys, tmp_path):
-    (tmp_path / "inc").mkdir()
-    (tmp_path / "inc" / "h.h").write_text("")
-    code, doc = run_json(
-        capsys, "include", "resolve", "--header", "h.h", "--form", "angle",
-        "--includer", "m.c", "--root", str(tmp_path),
-        f"--flags=-I{tmp_path}/inc -nostdinc",
-    )
-    assert code == 0
-    assert doc["found"] == str(tmp_path / "inc" / "h.h")
-
-
 def test_include_resolve_root_reads_relative_paths_against_cwd(capsys, tmp_path):
     # The root bounds what is found; --cwd is where the relative includer,
     # and so its directory, lies.
@@ -802,62 +647,7 @@ def test_include_resolve_root_must_be_a_directory(capsys, tmp_path, kind):
     assert err == f"error: not a directory: {root}\n"
 
 
-# --- promote --------------------------------------------------------------------
-
-
-def test_promote_check_single_model(capsys):
-    code, doc = run_json(
-        capsys, "promote", "check", "--operand", "uint16_t",
-        "--cast", "uint16_t", "--model", "8,16,32,32,64",
-    )
-    assert code == 0
-    assert doc["verdicts"][0]["verdict"] == "RELIABLE"
-
-    code, doc = run_json(
-        capsys, "promote", "check", "--operand", "uint16_t", "--model", "8,16,32,32,64"
-    )
-    assert code == 1
-    assert doc["verdicts"][0]["verdict"] == "UNRELIABLE"
-
-
-def test_promote_check_all_models(capsys):
-    code, doc = run_json(
-        capsys, "promote", "check", "--operand", "uint16_t", "--all-models",
-        "--simulate",
-    )
-    assert code == 1  # unreliable somewhere
-    assert len(doc["verdicts"]) == 23
-    unreliable = [v for v in doc["verdicts"] if v["verdict"] == "UNRELIABLE"]
-    assert unreliable
-    assert all(v["widths"][2] != 16 for v in unreliable)
-    # Boundary-pair simulation confirms every verdict in both directions.
-    assert all(v["simulation_agrees"] for v in doc["verdicts"])
-
-    code, doc = run_json(
-        capsys, "promote", "check", "--operand", "uint16_t", "--cast", "uint16_t",
-        "--all-models", "--simulate",
-    )
-    assert code == 0
-    assert all(v["verdict"] == "RELIABLE" for v in doc["verdicts"])
-
-
-def test_promote_check_rejects_signed_operand(capsys):
-    code, _, err = run(capsys, "promote", "check", "--operand", "int")
-    assert code == 2
-    assert "unsigned" in err
-
-
 # --- space ----------------------------------------------------------------------
-
-
-def test_space_count(capsys):
-    code, out, _ = run(capsys, "space", "count")
-    assert code == 0
-    assert "2^112 = 5192296858534827628530496329220096" in out
-    assert "≈5.19 × 10^33" in out
-    code, doc = run_json(capsys, "space", "count")
-    assert doc["exact"] == "5192296858534827628530496329220096"
-    assert doc["scientific"] == "5.19 × 10^33"
 
 
 def test_space_count_is_bounded(capsys):
@@ -871,86 +661,7 @@ def test_space_count_is_bounded(capsys):
         assert err == f"error: behavior count must be <= 14284, got {behaviors}\n"
 
 
-def test_space_models(capsys):
-    code, out, _ = run(capsys, "space", "models")
-    assert code == 0
-    assert "23 models" in out
-    code, doc = run_json(capsys, "space", "models")
-    assert len(doc["models"]) == 23
-    assert [8, 16, 32, 64, 64] in doc["models"]
-
-
 # --- build ----------------------------------------------------------------------
-
-
-def test_build_audit_cli(capsys, tmp_path):
-    db = tmp_path / "compile_commands.json"
-    db.write_text(compile_db([("a.c", "-O2"), ("b.c", "-O2 -funsigned-char")]))
-    code, out, _ = run(capsys, "build", "audit", str(db))
-    assert code == 1
-    assert "char_is_signed" in out and "[high]" in out
-    code, out, _ = run(capsys, "build", "audit", str(db), "--fail-on", "none")
-    assert code == 0
-    code, doc = run_json(capsys, "build", "audit", str(db), "--fail-on", "none")
-    assert doc["inconsistencies"][0]["dimension"] == "char_is_signed"
-
-
-def test_build_audit_fail_on_threshold(capsys, tmp_path):
-    db = tmp_path / "cc.json"
-    db.write_text(compile_db([("a.c", "-std=c99"), ("b.c", "-std=c11")]))
-    code, _, _ = run(capsys, "build", "audit", str(db))
-    assert code == 1  # medium finding, default threshold medium
-    code, _, _ = run(capsys, "build", "audit", str(db), "--fail-on", "high")
-    assert code == 0
-
-
-def test_build_audit_stdin(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(compile_db([("a.c", "")])))
-    code, doc = run_json(capsys, "build", "audit", "-")
-    assert code == 0
-    assert doc["per_tu"][0]["file"] == "a.c"
-
-
-def test_build_check_cli(capsys, tmp_path):
-    db = tmp_path / "cc.json"
-    db.write_text(compile_db([("a.c", "-O2 -std=gnu17")]))
-    code, doc = run_json(capsys, "build", "check", str(db), "--reference", "411")
-    assert code == 0
-    assert doc["mismatches"] == []
-    code, doc = run_json(capsys, "build", "check", str(db), "--reference", "410")
-    assert code == 1
-    assert [m["dimension"] for m in doc["mismatches"]] == ["char_is_signed"]
-    code, doc = run_json(
-        capsys, "build", "check", str(db),
-        "--reference-flags=-O2 -std=gnu17",
-    )
-    assert code == 0
-
-
-def test_build_check_requires_exactly_one_reference(capsys, tmp_path):
-    db = tmp_path / "cc.json"
-    db.write_text(compile_db([("a.c", "")]))
-    with pytest.raises(SystemExit):
-        main(["build", "check", str(db)])
-    capsys.readouterr()
-    with pytest.raises(SystemExit):
-        main(["build", "check", str(db), "--reference", "0", "--reference-flags=-O2"])
-    capsys.readouterr()
-
-
-def test_build_audit_isolates_unparseable_tu(capsys, tmp_path):
-    db = tmp_path / "cc.json"
-    db.write_text(compile_db([("a.c", "-O2"), ("b.c", "-O2 -std=c2x"), ("c.c", "-O2")]))
-    code, doc = run_json(capsys, "build", "audit", str(db))
-    assert code == 1
-    assert [r["status"] for r in doc["per_tu"]] == ["ok", "unauditable", "ok"]
-    assert doc["unauditable"] == ["b.c"]
-    assert doc["inconsistencies"] == []
-    code, out, _ = run(capsys, "build", "audit", str(db))
-    assert code == 1
-    assert "unauditable: b.c (profile 'gcc8-x86_64' does not know -std=c2x" in out
 
 
 def _mplab_db(tmp_path, *units):
@@ -1079,32 +790,7 @@ def test_build_check_bad_reference_flags_is_an_input_error(capsys, tmp_path, fla
     assert err.startswith("error: ") and message in err
 
 
-def test_build_audit_missing_file(capsys):
-    code, _, err = run(capsys, "build", "audit", "/no/such/file.json")
-    assert code == 2
-    assert "error" in err
-
-
 # --- misc -----------------------------------------------------------------------
-
-
-def test_profiles_listing(capsys):
-    code, out, _ = run(capsys, "profiles")
-    assert code == 0
-    assert "gcc8-x86_64" in out and "mplab-c18" in out
-
-
-def test_unknown_profile(capsys):
-    code, _, err = run(capsys, "--profile", "nope", "probe", "flags", "0")
-    assert code == 2
-    assert "unknown profile" in err
-
-
-def test_missing_subcommand_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main([])
-    assert err.value.code == 2
-    capsys.readouterr()
 
 
 #: The defaults of gcc8-x86_64.json, which a row of the test below breaks one at a time.
@@ -1175,25 +861,7 @@ def test_bad_canonical_section_names_the_keys(capsys, tmp_path):
     assert "__new__" not in err
 
 
-def test_profile_without_flag_spellings_refuses_to_render(capsys):
-    code, _, err = run(capsys, "--profile", "mplab-c18", "probe", "flags", "100")
-    assert code == 2
-    assert "canonical flag spellings" in err
-
-
-def test_error_after_partial_work_prints_no_report(capsys):
-    # The dialect parses, but the canonical flags cannot be rendered.
-    for fmt in ("human", "json"):
-        code, out, err = run(capsys, "--format", fmt, "--profile", "mplab-c18",
-                             "invocation", "parse", "--", "-O2")
-        assert code == 2
-        assert out == ""
-        assert "canonical flag spellings" in err
-
-
 # --- start-up: what a call loads and how it parses ------------------------------
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(dialectoscope.__file__)))
 
 
 #: Modules that none of the one-question calls below runs.
@@ -1234,7 +902,7 @@ def test_subcommand_loads_only_what_it_runs(argv, uses):
     )
     done = subprocess.run(
         [sys.executable, "-c", code, *argv],
-        env={**os.environ, "PYTHONPATH": SRC},
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -1490,7 +1158,7 @@ def test_calls_under_development_mode(tmp_path, argv, status, err, check_out):
     )
     done = subprocess.run(
         [*DEV_MODE_MAIN, *(str(inputs.get(a, a)) for a in argv)],
-        env={**os.environ, "PYTHONPATH": SRC},
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -1512,7 +1180,7 @@ def test_closed_pipe_ends_quietly(tmp_path, unbuffered):
     for argv, status in (["audit", str(db)], 0), (["check", str(db), "--reference", "228"], 1):
         proc = subprocess.Popen(
             [*DEV_MODE_MAIN, "--format", "json", "build", *argv],
-            env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered},
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -1581,7 +1249,7 @@ def test_a_process_that_called_main_freezes_its_heap_at_exit():
         "main(['probe', 'flags', '2'])\n"
         "print('hooks', atexit._ncallbacks() - hooks)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.splitlines()[-2:] == ["hooks 0", "frozen True"]

@@ -225,6 +225,11 @@ def test_eval_short_circuit_skips_errors():
     assert eval_condition(env, "1 || 1/0") == 1
     assert eval_condition(env, "1 ? 2 : 1/0") == 2
     assert eval_condition(env, "0 ? 1/0 : 3") == 3
+    # A shift count out of range is no error where the shift is not evaluated.
+    # (A negative count would not do: the unevaluated negation gives 0.)
+    assert eval_condition(env, "0 && (1 << 64)") == 0
+    assert eval_condition(env, "1 || (1 >> 64)") == 1
+    assert eval_condition(env, "0 ? 1u << 70 : 2") == 2
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """The package surface: lazily resolved public names and the record classes."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -42,8 +41,7 @@ from dialectoscope.macro_env import (
 from dialectoscope.probe import PROBE_BITS, ProbeBitSpec, VerificationReport, VerifyResult
 from dialectoscope.profiles import CanonicalSpellings, CompilerProfile, FlagEffect, StdName
 from dialectoscope.promotion import WrapCheckVerdict
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(dialectoscope.__file__)))
+from conftest import child_env
 
 #: Every name ``dialectoscope.cli`` exposes from the library.
 CLI_LIBRARY_NAMES = """
@@ -93,9 +91,8 @@ def test_importing_every_module_loads_no_heavy_stdlib_module():
         "import dialectoscope.promotion\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     loaded = set(json.loads(done.stdout))
     heavy = {"dataclasses", "decimal", "hashlib", "importlib.resources", "inspect"}
@@ -105,9 +102,8 @@ def test_importing_every_module_loads_no_heavy_stdlib_module():
 def _loaded_by(module: str) -> set[str]:
     """The package modules that importing ``module`` loads in a fresh process."""
     code = f"import json, sys, {module}\nprint(json.dumps(sorted(sys.modules)))\n"
-    env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     return {name for name in json.loads(done.stdout) if name.startswith("dialectoscope.")}
 
