@@ -227,16 +227,15 @@ def cmd_probe_verify(args) -> Result:
 
 
 def cmd_invocation_parse(args) -> Result:
-    from .dialect_model import encode_config
+    from .dialect_model import canonical_flags, encode_config
     from .invocation import split_command
-    from .probe import flags_for_value
 
     words = args.argv[1:] if args.argv[:1] == ["--"] else args.argv
     inv = _invocation(args, split_command(args.flags) + words)
     profile = inv.profile
     value = encode_config(inv.dialect)
     config = _config_dict(inv.dialect)
-    flags = flags_for_value(value, profile)
+    flags = canonical_flags(inv.dialect, profile)
     include_dirs = inv.include_dirs._asdict()
     doc = {
         "profile": profile.name,

@@ -86,8 +86,10 @@ _DEFINITION = (
     rf"\n[^\S\n]*#(?!#)[^\S\n]*(?:(?!L[\"'])({_IDENT}){_DEFINE_OPERAND}"
     rf"|({_PP_NUMBER})([^\n]*)|(?!\n|\Z)({_PP_TOKEN}))"
 )
-#: The directive names GCC 12.2 knows besides the conditional ones, #define
-#: and #undef: lines that name one are kept as text.
+#: Directive names that the model keeps as text, under every -std=: those
+#: GCC 12.2 knows besides the conditional ones, #define and #undef, and
+#: #elifdef and #elifndef, which GCC reads as conditionals under gnu* and
+#: c2x and rejects in an active region under c90 to c17.
 _KEPT_DIRECTIVES = frozenset((
     "include", "include_next", "import", "line", "error", "warning", "pragma", "ident", "sccs",
     "assert", "unassert", "elifdef", "elifndef",

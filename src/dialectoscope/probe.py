@@ -8,7 +8,10 @@ and the tests pin both.  Each additive term is described by a
 :func:`verify_with_compiler` builds and runs the probe under a real
 compiler through ``_compile_and_run``, the only code here that starts
 processes: one compile per build, and one link of every compiled build,
-with the driver assembled in it, and one run per pointer width.
+with the driver assembled in it, and one run per pointer width, which
+writes each result as 4 little-endian bytes.  A value fails with the step
+that failed: ``compile failed``, ``link failed``, ``run exited with
+status N``, ``run wrote no result``, or ``returned N, expected V``.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ unsigned return_value(void) {
 #: of the generated table file, with no C library.  ``_start`` aligns the
 #: stack, calls each entry of ``probe_table``, a zero-terminated table of
 #: function pointers that the rest of the file defines, writes each result
-#: in decimal and a newline to stdout with a ``write`` system call, and
+#: to stdout as 4 little-endian bytes with a ``write`` system call, and
 #: exits 0.  The table cursor is kept in a callee-saved register (rbx,
 #: esi), so it survives each call.  The system calls are x86 ones, as are
 #: the canonical -m32/-m64 flags.
@@ -215,28 +218,18 @@ _DRIVER_X86_64 = """\
    .globl _start
 _start:
    andq $-16, %rsp
-   subq $16, %rsp              # 16 bytes of text buffer, alignment kept
+   subq $16, %rsp              # the result's 4 bytes, alignment kept
    leaq probe_table(%rip), %rbx
 .Lnext:
    movq (%rbx), %rax
    testq %rax, %rax
    jz .Ldone
    call *%rax
-   leaq 15(%rsp), %rsi
-   movb $10, (%rsi)
-   movl $10, %ecx
-.Ldigit:
-   xorl %edx, %edx
-   divl %ecx
-   addb $48, %dl
-   decq %rsi
-   movb %dl, (%rsi)
-   testl %eax, %eax
-   jnz .Ldigit
-   leaq 16(%rsp), %rdx
-   subq %rsi, %rdx
+   movl %eax, (%rsp)
+   movq %rsp, %rsi
+   movl $4, %edx
    movl $1, %edi
-   movl $1, %eax               # write(1, rsi, rdx)
+   movl $1, %eax               # write(1, rsp, 4)
    syscall
    addq $8, %rbx
    jmp .Lnext
@@ -252,28 +245,18 @@ _DRIVER_I386 = """\
    .globl _start
 _start:
    andl $-16, %esp
-   subl $16, %esp              # 16 bytes of text buffer, alignment kept
+   subl $16, %esp              # the result's 4 bytes, alignment kept
    movl $probe_table, %esi
 .Lnext:
    movl (%esi), %eax
    testl %eax, %eax
    jz .Ldone
    call *%eax
-   leal 15(%esp), %ecx
-   movb $10, (%ecx)
-   movl $10, %ebx
-.Ldigit:
-   xorl %edx, %edx
-   divl %ebx
-   addb $48, %dl
-   decl %ecx
-   movb %dl, (%ecx)
-   testl %eax, %eax
-   jnz .Ldigit
-   leal 16(%esp), %edx
-   subl %ecx, %edx
+   movl %eax, (%esp)
+   movl %esp, %ecx
+   movl $4, %edx
    movl $1, %ebx
-   movl $4, %eax               # write(1, ecx, edx)
+   movl $4, %eax               # write(1, esp, 4)
    int $0x80
    addl $4, %esi
    jmp .Lnext
@@ -324,30 +307,30 @@ def _compile_and_run(path: str, source: str, function: str, builds: dict, jobs: 
     ``-D<function>=<function>_<label>`` so that each build's function has
     its own name.  Each width costs one link of its compiled builds, which
     also assembles the driver, written at the head of the generated
-    ``probe_table`` file, and one run, whose line *i* is entry *i*'s.  A
-    failed compile fails its build, and a failed link, or a run that exits
-    non-zero before their lines, fails its width's compiled builds.
-    Returns ``(lines, failures)``: the line each label printed ("" if a run
-    that exits 0 printed none), else its failure text."""
+    ``probe_table`` file, and one run, whose 4-byte little-endian record
+    *i* is entry *i*'s result; a partial record and extra records are
+    ignored.  A failed compile fails its build, and a failed link, or a run
+    that ends before their records, fails its width's compiled builds.
+    Returns ``(results, failures)``: the unsigned integer each label
+    returned, else its failure text."""
     # Imported here: only this function starts processes, and these
     # modules would otherwise add to every import of the package.
+    import struct
     import subprocess
     import tempfile
-
-    def run(cmd: list[str]) -> subprocess.CompletedProcess:
-        return subprocess.run(cmd, capture_output=True, text=True, errors="replace")
 
     def gcc(*words: str) -> str:
         """Run the compiler quietly: "" when it succeeds, else ": " and the
         last line of its stderr."""
-        built = run([path, "-w", *words])
+        built = subprocess.run([path, "-w", *words], capture_output=True, text=True,
+                               errors="replace")
         stderr = built.stderr.strip().splitlines()
         return "" if built.returncode == 0 else f": {stderr[-1] if stderr else ''}"
 
     by_width: dict[str, list] = {}
     for label, (width, _) in builds.items():
         by_width.setdefault(width, []).append(label)
-    lines, failures = {}, {}
+    results, failures = {}, {}
     with tempfile.TemporaryDirectory(prefix="dialect-verify-") as tmp:
 
         def write(name: str, text: str) -> str:
@@ -364,7 +347,7 @@ def _compile_and_run(path: str, source: str, function: str, builds: dict, jobs: 
             return error and f"compile failed ({' '.join(flags)}){error}"
 
         def link_and_run(width: str) -> tuple[dict, dict]:
-            """The lines and the failures of the width's compiled builds."""
+            """The results and the failures of the width's compiled builds."""
             group = [label for label in by_width[width] if label not in failures]
             if not group:
                 return {}, {}
@@ -380,26 +363,26 @@ def _compile_and_run(path: str, source: str, function: str, builds: dict, jobs: 
                         *(os.path.join(tmp, f"{function}_{label}.o") for label in group), "-o", exe)
             if error:
                 return {}, dict.fromkeys(group, f"link failed ({width}){error}")
-            ran = run([exe])
-            printed = ran.stdout.splitlines()
-            if ran.returncode == 0:
-                printed += [""] * len(group)
-            status = f"run exited with status {ran.returncode}"
-            return dict(zip(group, printed)), dict.fromkeys(group[len(printed):], status)
+            ran = subprocess.run([exe], capture_output=True)
+            n = min(len(ran.stdout) // 4, len(group))
+            failure = ("run wrote no result" if ran.returncode == 0
+                       else f"run exited with status {ran.returncode}")
+            return (dict(zip(group, struct.unpack_from(f"<{n}I", ran.stdout))),
+                    dict.fromkeys(group[n:], failure))
 
         labels = list(builds)
         compiled = _in_threads(compile_one, labels, jobs)
         failures.update((label, error) for label, error in zip(labels, compiled) if error)
-        for width_lines, width_failures in _in_threads(link_and_run, list(by_width), jobs):
-            lines.update(width_lines)
+        for width_results, width_failures in _in_threads(link_and_run, list(by_width), jobs):
+            results.update(width_results)
             failures.update(width_failures)
-    return lines, failures
+    return results, failures
 
 
 def verify_with_compiler(compiler: str = "gcc", values=None, jobs: int = 8,
                          profile=None) -> VerificationReport:
     """Compile the probe for each value with its own flags, run it, and
-    compare the printed line with the value; a missing compiler yields a
+    compare the result with the value; a missing compiler yields a
     skipped report.  Each value is one build of ``_compile_and_run``,
     labelled with the value, so its compile renames ``return_value`` to
     ``return_value_<v>``: the probe reads only predefined macros and the
@@ -416,9 +399,9 @@ def verify_with_compiler(compiler: str = "gcc", values=None, jobs: int = 8,
             "skipped", compiler, skip_reason=f"compiler {compiler!r} not found"
         )
     builds = {v: (width[v], flags_for_value(v, profile)) for v in values}
-    lines, failures = _compile_and_run(path, emit_probe_source(), "return_value", builds, jobs)
+    results, failures = _compile_and_run(path, emit_probe_source(), "return_value", builds, jobs)
     return VerificationReport("ran", path, tuple(
-        VerifyResult(v, True) if lines.get(v) == str(v)
-        else VerifyResult(v, False, failures.get(v) or f"printed {lines[v]!r}, expected {v}")
+        VerifyResult(v, True) if results.get(v) == v
+        else VerifyResult(v, False, failures.get(v) or f"returned {results[v]}, expected {v}")
         for v in values
     ))

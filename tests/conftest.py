@@ -72,8 +72,3 @@ def compile_db(entries, compiler="gcc"):
             for file, flags in entries
         ]
     )
-
-
-@pytest.fixture
-def make_compile_db():
-    return compile_db

@@ -60,13 +60,17 @@ def probe_values(argvs):
     """The probe value gcc gives under each argv of ``argvs`` with -m64, or
     the failure text of an argv it does not build, in the order given.  The
     argvs not asked for before are built together, in one
-    ``_compile_and_run`` call: one driver link and one run."""
+    ``_compile_and_run`` call: one driver link and one run, which writes
+    each value as 4 little-endian bytes and hands it back as an ``int``.
+    A failure text names its step: ``compile failed (<argv>): <reason>``,
+    ``link failed``, ``run exited with status N`` or ``run wrote no
+    result``."""
     argvs = [tuple(argv) for argv in argvs]
     new = [argv for argv in dict.fromkeys(argvs) if argv not in _probe_values]
     builds = {i: ("-m64", list(argv)) for i, argv in enumerate(new)}
-    lines, failures = _compile_and_run(GCC, emit_probe_source(), "return_value", builds, jobs=2)
+    results, failures = _compile_and_run(GCC, emit_probe_source(), "return_value", builds, jobs=2)
     for i, argv in enumerate(new):
-        _probe_values[argv] = int(lines[i]) if i in lines else failures[i]
+        _probe_values[argv] = results[i] if i in results else failures[i]
     return [_probe_values[argv] for argv in argvs]
 
 

@@ -181,11 +181,13 @@ def test_probe_verify_reports_compile_failure(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "command,detail",
-    [("echo 7", "printed '7', expected 16"), ("exit 3", "run exited with status 3")],
+    [pytest.param(r'printf "\\007\\000\\000\\000"', "returned 7, expected 16",
+                  id="printf 7-returned 7, expected 16"),
+     ("exit 3", "run exited with status 3")],
 )
 def test_probe_verify_reports_run_failures(capsys, tmp_path, command, detail):
     # Every output of this compiler, each object and the probe too, is a shell
-    # script that runs ``command``.
+    # script that runs ``command``.  A result is 4 little-endian bytes.
     cc = fake_compiler(
         tmp_path,
         'while [ "$1" != -o ]; do shift; done\n'
@@ -226,8 +228,9 @@ def test_probe_verify_counts_one_compile_per_value_and_one_link_per_width(
 
 @pytest.mark.gcc(driver=True)
 def test_probe_verify_checks_each_line_of_a_batched_run(capsys, tmp_path):
-    cc = fake_compiler(tmp_path, link_body("echo 16"))
-    assert verify_failures(capsys, cc, "16,24") == {24: "printed '', expected 24"}
+    # The run exits 0 after one record: 16, as 4 little-endian bytes.
+    cc = fake_compiler(tmp_path, link_body(r'printf "\\020\\000\\000\\000"'))
+    assert verify_failures(capsys, cc, "16,24") == {24: "run wrote no result"}
 
 
 @pytest.mark.gcc(driver=True)
@@ -252,8 +255,11 @@ def test_probe_verify_fails_one_value_on_undecodable_compiler_output(capsys, tmp
 
 @pytest.mark.gcc(driver=True)
 def test_probe_verify_fails_one_value_on_undecodable_probe_output(capsys, tmp_path):
-    cc = fake_compiler(tmp_path, link_body(r'printf "\\377\\n"'))
-    assert verify_failures(capsys, cc, "16") == {16: "printed '\ufffd', expected 16"}
+    # A whole record, 16, then 2 bytes of a record that cannot be decoded:
+    # the partial record is ignored, so the value it would belong to has no
+    # result.
+    cc = fake_compiler(tmp_path, link_body(r'printf "\\020\\000\\000\\000\\030\\000"'))
+    assert verify_failures(capsys, cc, "16,24") == {24: "run wrote no result"}
 
 
 @pytest.mark.gcc(driver=True)
@@ -864,9 +870,11 @@ def test_bad_canonical_section_names_the_keys(capsys, tmp_path):
 # --- start-up: what a call loads and how it parses ------------------------------
 
 
-#: Modules that none of the one-question calls below runs.
+#: Modules that none of the one-question calls below runs but the ones
+#: that list them in ``uses``.
 NOT_ON_START_PATH = (
     "dialectoscope.build_audit",
+    "dialectoscope.probe",
     "dialectoscope.macro_env",
     "dialectoscope.promotion",
     "dialectoscope.include_resolver",
@@ -883,11 +891,11 @@ NOT_ON_START_PATH = (
 @pytest.mark.parametrize(
     "argv,uses",
     [
-        (["probe", "flags", "443"], ()),
+        (["probe", "flags", "443"], ("dialectoscope.probe",)),
         (["invocation", "parse", "--", "-O2"], ()),
         (["space", "count"], ("decimal",)),  # decimal_scientific rounds with it
         (["space", "models"], ()),
-        (["probe", "emit"], ()),
+        (["probe", "emit"], ("dialectoscope.probe",)),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, uses):

@@ -24,8 +24,8 @@ def test_each_label_gets_its_own_build_and_line(width):
     # compile between builds that do.
     flags = {90: ["-std=c90"], 7: ["-std=c99"], 189: ["-fno-such-flag"], 3: ["-std=gnu89"]}
     builds = {label: (width, [width, *more]) for label, more in flags.items()}
-    lines, failures = _compile_and_run(GCC, SOURCE, "f", builds, jobs=2)
-    assert lines == {90: "1", 7: "2", 3: "2"}
+    results, failures = _compile_and_run(GCC, SOURCE, "f", builds, jobs=2)
+    assert results == {90: 1, 7: 2, 3: 2}
     assert list(failures) == [189]
     assert failures[189].startswith(f"compile failed ({width} -fno-such-flag): ")
     assert "-fno-such-flag" in failures[189].partition(": ")[2]

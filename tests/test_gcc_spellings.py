@@ -2,9 +2,12 @@
 levels, on -D words that are more than NAME=VALUE and on -D bodies that
 hold "#" or "##".
 
-The probe is compiled by the installed gcc with each argv as written and
-run through ``probe._compile_and_run``, the primitive that ``probe
-verify`` uses; macros are checked against ``gcc -E -P`` and ``gcc -E -dM``.
+Each GCC fact is one row of a table below.  The probe is compiled by the
+installed gcc with each argv as written and run through
+``probe._compile_and_run``, the primitive that ``probe verify`` uses;
+macros are checked against ``gcc -E -P`` and ``gcc -E -dM``.  Those tests
+carry the ``gcc`` marker and skip without gcc.  The model's half of each
+rejection, its exact message, is checked on every host.
 """
 
 import re
@@ -19,8 +22,6 @@ from dialectoscope import (
     invocation_macro_env,
     parse_invocation,
 )
-
-pytestmark = pytest.mark.gcc
 
 #: Argv that GCC reads through its long spellings, alone and against the
 #: short spellings they must override or be overridden by, and optimisation
@@ -49,12 +50,13 @@ SPELLINGS = [
     "-O0x0",
 ]
 
-#: -O levels that GCC 12.2 rejects ("argument to '-O' should be a
-#: non-negative integer, 'g', 's', 'z' or 'fast'"), then levels it accepts.
-#: GCC rejects -O- and -O+1 too, but the model leaves a level that is not
-#: alphanumeric inert, so they are not here.
-O_LEVELS = [
-    "-Ox", "-O0x", "-O1a", "-Ogg", "-Ofas", "--optimize=x", "--optimize=0x",
+#: -O levels that GCC 12.2 rejects, with the reason below.  GCC rejects -O-
+#: and -O+1 too, but the model leaves a level that is not alphanumeric
+#: inert, so they are not here.
+REJECTED_O_LEVELS = ["-Ox", "-O0x", "-O1a", "-Ogg", "-Ofas", "--optimize=x", "--optimize=0x"]
+O_LEVEL_REASON = "argument to '-O' should be a non-negative integer, 'g', 's', 'z' or 'fast'"
+#: The rejected -O levels, then levels GCC accepts.
+O_LEVELS = REJECTED_O_LEVELS + [
     "-O", "--optimize=", "-O99", "-O01", "-O0x1f", "-O0X2", "-Og", "-Os", "-Oz", "-Ofast",
 ]
 
@@ -103,6 +105,7 @@ g_defined
 """
 
 
+@pytest.mark.gcc
 @pytest.mark.parametrize(
     "defines",
     [
@@ -120,6 +123,7 @@ def test_function_like_defines_take_the_arms_gcc_takes(defines):
     assert status == 0 and retained.split() == out.split()
 
 
+@pytest.mark.gcc
 @pytest.mark.parametrize(
     "define, call, expansion",
     [("-DF(x)=x+1", "F(3)", "3 +1"), ("-DF(x)", "F(3)", "1"), ("-DF(a,b)=b*a", "F(2,5)", "5*2")],
@@ -145,9 +149,11 @@ def test_function_like_define_bodies_expand_as_in_gcc(define, call, expansion):
 #: -D words whose text before the first "=" is more than a macro name, which
 #: GCC reads as "#define" and the word with that "=" made a space, or with
 #: " 1" added, and whose "#define" line ends at its first line break, "\n" or
-#: "\r"; then -D words that GCC rejects: a leading digit, a duplicate
+#: "\r"; then -D and -U words that GCC rejects: a leading digit, a duplicate
 #: parameter, an unclosed parameter list and the other malformed lists, and
-#: names that are no identifiers.
+#: names that are no identifiers.  Where the word holds no macro name, GCC's
+#: reason is "macro names must be identifiers" and the model gives none; the
+#: reasons of the others are in REJECTED_OPERANDS.
 DEFINE_SHAPES = [
     "-DF(x)y", "-DF (x)=1", "-DA B", "-DA B=C", "-DA+1", "-DF(x)y=2", "-DF(x)(y)",
     "-D A", "-DA =", "-DF( x , y )z", "-DF(...)x", "-DD=x\n##", "-DA\nB=1", "-DA= x ",
@@ -155,7 +161,7 @@ DEFINE_SHAPES = [
 ]
 REJECTED_DEFINES = [
     "-D9x", "-DF(x,x)=1", "-DF(x", "-DF(1)", "-DF(x,)", "-DA(", "-D=1", "-DF(a$,a$)", "-DA/*",
-    '-DL"x"', "-D(",
+    '-DL"x"', "-D(", "-U9x", "-U(x)",
 ]
 #: -D words whose body GCC 12.2 rejects, with its reason: "##" at either end
 #: of a body (the body of -D'A ##' is "## 1"), and a "#" in a function-like
@@ -172,6 +178,7 @@ REJECTED_BODIES = [
     ("-DF(x)=#", "'#' is not followed by a macro parameter"),
     ("-DF()=#x", "'#' is not followed by a macro parameter"),
     ("-DF(...)=#y", "'#' is not followed by a macro parameter"),
+    ("-DF(x)=# ## x", "'#' is not followed by a macro parameter"),
     ("-DA=x/*", "unterminated comment"),
     ("-DA=x/*#*/##", "'##' cannot appear at either end of a macro expansion"),
 ]
@@ -181,10 +188,14 @@ REJECTED_OPERANDS = [
     ("-DF(x,x)=1", 'duplicate macro parameter "x"'),
     ("-DF(x", "expected ',' or ')', found \"1\""),
     ("-DF(x,)", 'expected parameter name, found ")"'),
+    ("-DF(1)", 'expected parameter name, found "1"'),
     ("-DA(", 'expected parameter name, found "1"'),
+    ("-DF(a$,a$)", 'duplicate macro parameter "a$"'),
     ("-DF(...,x)", "expected ')' after \"...\""),
     ("-Ddefined", '"defined" cannot be used as a macro name'),
     ("-Udefined", '"defined" cannot be used as a macro name'),
+    ("-Udefined=1", '"defined" cannot be used as a macro name'),
+    ("-DA/*", "unterminated comment"),
     ("-UA/*", "unterminated comment"),
 ]
 #: -U words that are more than a macro name: GCC undefines the first name
@@ -216,6 +227,7 @@ def _tokens(text):
     return re.findall(r"[\w$]+|\.\.\.|\S", text)
 
 
+@pytest.mark.gcc
 @pytest.mark.parametrize("define", DEFINE_SHAPES + ACCEPTED_BODIES + DOLLARS_AND_COMMENTS)
 def test_define_text_defines_the_macro_gcc_defines(define):
     status, lines = dm([define])
@@ -228,13 +240,15 @@ def test_define_text_defines_the_macro_gcc_defines(define):
     assert _tokens(added.pop()) == _tokens(f"#define {name}{spacer}{definition.body}")
 
 
+@pytest.mark.gcc
 @pytest.mark.parametrize("define", REJECTED_DEFINES)
 def test_define_is_an_input_error_where_gcc_rejects_it(define):
     assert dm([define])[0] != 0
-    with pytest.raises(InvocationError, match="malformed -D argument"):
+    with pytest.raises(InvocationError, match="malformed -[DU] argument"):
         parse_invocation([define], env={})
 
 
+@pytest.mark.gcc
 @pytest.mark.parametrize("define, reason", REJECTED_BODIES + REJECTED_OPERANDS)
 def test_define_body_is_an_input_error_with_gccs_reason(define, reason):
     status, _, stderr = pp("", [define])
@@ -244,6 +258,7 @@ def test_define_body_is_an_input_error_with_gccs_reason(define, reason):
     assert str(err.value).endswith(f": {reason}")
 
 
+@pytest.mark.gcc
 @pytest.mark.parametrize("undef", UNDEF_SHAPES)
 def test_undef_text_undefines_the_macro_gcc_undefines(undef):
     argv = ["-DA", "-DF(y)=y", "-DG", undef]
@@ -255,3 +270,39 @@ def test_undef_text_undefines_the_macro_gcc_undefines(undef):
         for d in env.definitions() if d.provenance == "command-line"
     ]
     assert sorted(map(_tokens, lines - dm()[1])) == sorted(map(_tokens, model))
+
+
+# --- the model's half of each rejection, on every host ------------------------------
+
+
+def _message(argv):
+    with pytest.raises(InvocationError) as err:
+        parse_invocation(argv, env={})
+    return str(err.value)
+
+
+def _forms(word):
+    """The word alone, and its option and its text as two words."""
+    return [word], [word[:2], word[2:]]
+
+
+@pytest.mark.parametrize("level", REJECTED_O_LEVELS)
+def test_model_rejects_o_level(level):
+    # A later level does not undo the error.
+    assert _message(["-O2", level, "-O0"]) == f"{level}: {O_LEVEL_REASON}"
+
+
+@pytest.mark.parametrize("define", REJECTED_DEFINES)
+def test_model_rejects_define(define):
+    reasons = dict(REJECTED_OPERANDS)
+    expected = f"malformed {define[:2]} argument: {define[2:]!r}"
+    if define in reasons:
+        expected += f": {reasons[define]}"
+    for argv in _forms(define):
+        assert _message(argv) == expected
+
+
+@pytest.mark.parametrize("define, reason", REJECTED_BODIES + REJECTED_OPERANDS)
+def test_model_gives_gccs_reason(define, reason):
+    for argv in _forms(define):
+        assert _message(argv) == f"malformed {define[:2]} argument: {define[2:]!r}: {reason}"

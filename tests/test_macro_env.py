@@ -142,6 +142,7 @@ def test_env_never_aliases_its_input():
     table["B"] = MacroDefinition("B", "2", "command-line")
     del table["A"]
     assert env == snapshot and "A" in env and "B" not in env
+    assert repr(env) == "MacroEnv(1 macros)"
     directives = [
         MacroDirective("define", "A", "2"),
         MacroDirective("define", "C", "3"),
@@ -1246,7 +1247,7 @@ def test_unterminated_block_comment_line(source, line):
 _REF_DIRECTIVE = re.compile(r"[^\S\n]*#[^\S\n]*(?!L[\"'])([A-Za-z_$][\w$]*)[^\S\n]*(.*)\Z", re.S)
 _REF_NAME = re.compile(r"([A-Za-z_$][\w$]*)(\(?)(.*)\Z", re.S)
 _REF_CONDITIONALS = ("if", "ifdef", "ifndef", "elif", "else", "endif")
-#: Names GCC 12.2 knows as directives that the scan keeps as text.
+#: Directive names that the scan keeps as text, as ``lexer._KEPT_DIRECTIVES`` does.
 _REF_KEPT = (
     "include", "include_next", "import", "line", "error", "warning", "pragma", "ident", "sccs",
     "assert", "unassert", "elifdef", "elifndef",

@@ -139,7 +139,7 @@ RECORDS = [
     IncludeDirs(quote=("q",), normal=("n",)),
     INVOCATION,
     ProbeBitSpec(weight=1, c_construct="c", dimension="d", standard_clause="s"),
-    VerifyResult(value=1, ok=False, detail="printed '2'"),
+    VerifyResult(value=1, ok=False, detail="returned 2, expected 1"),
     VerificationReport(status="ran", compiler="gcc", results=(VerifyResult(1, True),)),
     IncludeDirective(header_name="a.h", form=IncludeForm.QUOTE, including_file="/s/m.c"),
     Probe(candidate="/s/a.h", hit=True),
